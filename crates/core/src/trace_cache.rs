@@ -416,9 +416,10 @@ impl TraceCache {
 
     /// Loads and verifies the spill file for `key`, counting a spill hit
     /// or miss. Any failure — absent file, truncation, bit-flip (caught
-    /// by the version-2 checksum trailer), or a header naming a
-    /// different `(spec, seed)` — is a miss, never an error: the caller
-    /// falls back to the generator.
+    /// by the checksum trailer), a file in an older format version, or a
+    /// header naming a different `(spec, seed)` — is a miss, never an
+    /// error: the caller falls back to the generator, whose spill write
+    /// replaces the file.
     fn try_load_spill(&self, key: u64, spec_json: &str, seed: u64) -> Option<Arc<[PageAccess]>> {
         let path = self.spill_path(key)?;
         let loaded = self
@@ -947,6 +948,49 @@ mod tests {
     }
 
     #[test]
+    fn stale_version2_spill_is_regenerated_as_version3() {
+        let dir = SpillDir::new("stale-v2");
+        let s = spec(2_000);
+        let key = TraceCache::fingerprint(&s, 42);
+        let expected: Vec<PageAccess> = TraceGenerator::new(s.clone(), 42)
+            .map(PageAccess::from)
+            .collect();
+        let cache = TraceCache::with_spill_dir(64 << 20, &dir.0);
+        let path = cache.spill_path(key).unwrap();
+
+        // A version-2 file at the fingerprint path: the same layout with
+        // version 2 in the header and a byte-wise FNV-1a 64 trailer.
+        std::fs::create_dir_all(&dir.0).unwrap();
+        binfmt::write_trace_file(
+            &path,
+            &TraceCache::spec_json(&s),
+            42,
+            key,
+            expected.iter().copied(),
+        )
+        .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let trailer = bytes.len() - binfmt::TRAILER_BYTES;
+        let body = trailer - expected.len() * binfmt::RECORD_BYTES;
+        let bytewise = binfmt::fnv1a64_update(binfmt::FNV1A64_SEED, &bytes[body..trailer]);
+        bytes[trailer..].copy_from_slice(&bytewise.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let replayed = cache.try_get(&s, 42).unwrap();
+        assert_eq!(&replayed[..], &expected[..], "byte-identical trace");
+        let stats = cache.stats();
+        assert_eq!((stats.spill_hits, stats.spill_misses), (0, 1));
+        let healed = std::fs::read(&path).unwrap();
+        assert_eq!(healed[8..12], binfmt::VERSION.to_le_bytes());
+
+        let fresh = TraceCache::with_spill_dir(64 << 20, &dir.0);
+        assert_eq!(&fresh.try_get(&s, 42).unwrap()[..], &expected[..]);
+        let stats = fresh.stats();
+        assert_eq!((stats.spill_hits, stats.spill_misses), (1, 0));
+    }
+
+    #[test]
     fn injected_read_faults_degrade_to_counted_misses() {
         let dir = SpillDir::new("fault-read");
         let s = spec(2_000);
@@ -959,7 +1003,7 @@ mod tests {
             .unwrap();
 
         // Attempts: 1 = outright read error, 2 = bit-flip (caught by the
-        // v2 checksum trailer), 3 = truncation, 4 = clean hit.
+        // checksum trailer), 3 = truncation, 4 = clean hit.
         let plan = Arc::new(
             FaultPlan::parse("spill-read-error@1; bit-flip@2:100; truncate@3:48").unwrap(),
         );

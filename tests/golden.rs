@@ -2,14 +2,18 @@
 //! `(workload, policy, seed)` cell is pinned byte-for-byte. Any behavioral
 //! change to the trace generator, the policies, the accounting, or the
 //! JSON writer shows up here as a diff — in a reproduction repository,
-//! silent drift is a bug even when all invariants still hold.
+//! silent drift is a bug even when all invariants still hold. The
+//! generator's raw output for all twelve PARSEC profiles is pinned too,
+//! as one digest, so a change that keeps bodytrack's counts but moves
+//! any access of any profile still fails.
 //!
 //! To intentionally re-baseline after a deliberate change, regenerate the
 //! files (see the commented recipe at the bottom) and explain the change in
 //! `CHANGELOG.md`.
 
 use hybridmem::sim::{ExperimentConfig, PolicyKind};
-use hybridmem::trace::parsec;
+use hybridmem::trace::binfmt::{fnv1a64_update, FNV1A64_SEED};
+use hybridmem::trace::{parsec, TraceGenerator};
 
 fn check_against_golden(kind: PolicyKind, file: &str) {
     let spec = parsec::spec("bodytrack").unwrap().capped(20_000);
@@ -39,6 +43,29 @@ fn two_lru_matches_golden_baseline() {
 #[test]
 fn clock_dwf_matches_golden_baseline() {
     check_against_golden(PolicyKind::ClockDwf, "golden_bodytrack_clock_dwf.json");
+}
+
+#[test]
+fn generator_output_matches_golden_digest() {
+    // FNV-1a 64 over every access's address, kind and core, profile by
+    // profile in `parsec::NAMES` order, at a 20 000-access cap, seed 42.
+    let mut digest = FNV1A64_SEED;
+    let mut accesses = 0u64;
+    for name in parsec::NAMES {
+        let spec = parsec::spec(name).unwrap().capped(20_000);
+        for access in TraceGenerator::new(spec, 42) {
+            digest = fnv1a64_update(digest, &access.address.value().to_le_bytes());
+            digest = fnv1a64_update(digest, &[u8::from(access.kind.is_write())]);
+            digest = fnv1a64_update(digest, &access.core.index().to_le_bytes());
+            accesses += 1;
+        }
+    }
+    assert_eq!(accesses, 12 * 20_000);
+    assert_eq!(
+        digest, 0x4af9_1298_0111_d8bb,
+        "generator output drifted (new digest {digest:#018x}); if the change is \
+         intentional, pin the new digest and document it in `CHANGELOG.md`"
+    );
 }
 
 // Regeneration recipe (from the repository root):
