@@ -24,7 +24,7 @@ struct Point {
 impl_json!(ToJson for Point { dram_fraction, workload, power_vs_dram, amat_ns, nvm_write_total });
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args_without_matrix()?;
     let mut points = Vec::new();
 
     println!("=== Ablation A3: DRAM fraction sweep (proposed scheme) ===");
@@ -35,7 +35,7 @@ fn main() -> Result<()> {
     for dram_fraction in DRAM_FRACTIONS {
         let config = ExperimentConfig {
             dram_fraction,
-            seed: options.seed,
+            seed: options.seed(),
             ..ExperimentConfig::date2016()
         };
         let specs = options.specs();

@@ -44,7 +44,7 @@ impl_json!(ToJson for Point {
 });
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args_without_matrix()?;
     let mut points = Vec::new();
 
     println!("=== Ablation A1: promotion-threshold sweep ===");
@@ -56,7 +56,7 @@ fn main() -> Result<()> {
         let config = ExperimentConfig {
             read_threshold,
             write_threshold,
-            seed: options.seed,
+            seed: options.seed(),
             ..ExperimentConfig::date2016()
         };
         let mut ratios = Vec::new();

@@ -35,7 +35,7 @@ impl_json!(ToJson for Point {
 });
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args_without_matrix()?;
     let mut points = Vec::new();
 
     println!("=== Ablation A2: counter-window sweep (writeperc = 3x readperc) ===");
@@ -48,7 +48,7 @@ fn main() -> Result<()> {
         let config = ExperimentConfig {
             read_window,
             write_window,
-            seed: options.seed,
+            seed: options.seed(),
             ..ExperimentConfig::date2016()
         };
         for name in WORKLOADS {

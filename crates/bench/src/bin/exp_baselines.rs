@@ -27,7 +27,7 @@ struct Row {
 impl_json!(ToJson for Row { workload, cells });
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args()?;
     let matrix = options.run_matrix(&[
         PolicyKind::DramCache,
         PolicyKind::ClockPro,

@@ -6,7 +6,7 @@ use hybridmem_core::PolicyKind;
 use hybridmem_types::Result;
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args()?;
     let matrix = options.run_matrix(&[PolicyKind::DramOnly])?;
 
     let bars: Vec<StackedBar> = matrix

@@ -10,7 +10,7 @@ use hybridmem_core::PolicyKind;
 use hybridmem_types::Result;
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args()?;
     let matrix = options.run_matrix(&[PolicyKind::ClockDwf, PolicyKind::NvmOnly])?;
 
     let bars: Vec<StackedBar> = matrix

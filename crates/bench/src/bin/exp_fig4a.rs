@@ -20,7 +20,7 @@ fn power_bar(r: &hybridmem_core::SimulationReport, workload: &str, baseline: f64
 }
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args()?;
     let matrix = options.run_matrix(&[
         PolicyKind::ClockDwf,
         PolicyKind::TwoLru,

@@ -25,7 +25,7 @@ fn writes_bar(r: &hybridmem_core::SimulationReport, workload: &str, baseline: f6
 }
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args()?;
     let matrix = options.run_matrix(&[
         PolicyKind::ClockDwf,
         PolicyKind::TwoLru,

@@ -31,7 +31,7 @@ fn wear_rate(report: &SimulationReport) -> f64 {
 }
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args()?;
     let matrix = options.run_matrix(&[
         PolicyKind::TwoLru,
         PolicyKind::ClockDwf,

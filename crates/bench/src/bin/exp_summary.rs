@@ -35,7 +35,7 @@ fn reduction_stats(ratios: &[f64]) -> (f64, f64) {
 }
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args()?;
     let matrix = options.run_matrix(&[
         PolicyKind::TwoLru,
         PolicyKind::ClockDwf,

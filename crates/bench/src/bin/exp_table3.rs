@@ -35,7 +35,7 @@ impl_json!(ToJson for Row {
 });
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args_without_matrix()?;
     println!(
         "=== Table III: workload characterization (cap {} accesses) ===",
         options.cap
@@ -47,7 +47,7 @@ fn main() -> Result<()> {
 
     let mut rows = Vec::new();
     for (paper, spec) in parsec::TABLE_III.iter().zip(options.specs()) {
-        let stats: TraceStats = TraceGenerator::new(spec.clone(), options.seed).collect();
+        let stats: TraceStats = TraceGenerator::new(spec.clone(), options.seed()).collect();
         let row = Row {
             workload: spec.name.clone(),
             paper_wss_kb: paper.working_set_kb,

@@ -35,7 +35,7 @@ impl_json!(ToJson for Row {
 });
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args()?;
     let matrix = options.run_matrix(&[
         PolicyKind::TwoLru,
         PolicyKind::AdaptiveTwoLru,

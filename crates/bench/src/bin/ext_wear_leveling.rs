@@ -41,7 +41,7 @@ impl_json!(ToJson for Row {
 });
 
 fn main() -> Result<()> {
-    let options = SuiteOptions::from_args();
+    let options = SuiteOptions::from_args_without_matrix()?;
     let config = options.config();
 
     println!("=== Extension E3: Start-Gap wear leveling (gap interval {GAP_INTERVAL}) ===");
@@ -79,7 +79,7 @@ fn main() -> Result<()> {
                 }
             };
 
-            for access in TraceGenerator::new(spec.clone(), options.seed) {
+            for access in TraceGenerator::new(spec.clone(), options.seed()) {
                 let access = PageAccess::from(access);
                 let outcome = policy.on_access(access);
                 if outcome.served_from == Some(MemoryKind::Nvm) && access.kind.is_write() {

@@ -28,8 +28,9 @@
 //! 1. `generate` — cold trace synthesis plus the binary spill write;
 //! 2. `reference` — serial replay under [`ReferenceTwoLru`], the frozen
 //!    pre-campaign implementation (the measured baseline);
-//! 3. `replay_serial` — serial cached replay of the optimized two-LRU;
-//! 4. `replay_batched` — batched cached replay (the default driver);
+//! 3. `replay_serial` — serial cached replay of the optimized two-LRU,
+//!    one policy call per access ([`HybridSimulator::run_slice`]);
+//! 4. `replay_batched` — batched cached replay (the runner's driver);
 //! 5. `replay_spill` — batched replay streamed from the binary spill file
 //!    through a deliberately undersized cache (the zero-rematerialization
 //!    path oversize traces take).
@@ -46,11 +47,11 @@ use std::time::Instant;
 use hybridmem_bench::ReferenceTwoLru;
 use hybridmem_core::{
     write_flight_json, ExperimentConfig, FlightMatrixReport, FlightOptions, HybridSimulator,
-    Instrumentation, PolicyKind, ReplayMode, SimulationReport, TraceCache,
+    Instrumentation, MatrixRun, PolicyKind, SimulationReport, TraceCache,
 };
 use hybridmem_json::{impl_json, Json, ToJson};
 use hybridmem_metrics::peak_rss_bytes;
-use hybridmem_policy::TwoLruConfig;
+use hybridmem_policy::{HybridPolicy, TwoLruConfig};
 use hybridmem_trace::{parsec, WorkloadSpec};
 
 /// Workloads the harness replays: a locality-heavy, a scan-heavy, and two
@@ -268,28 +269,18 @@ fn timed<T>(accesses: u64, f: impl FnOnce() -> T) -> (Measurement, T) {
     )
 }
 
-/// Serial replay of the cached trace under the frozen baseline policy,
-/// mirroring `ExperimentConfig::run_cached`'s warmup handling.
-fn run_reference(
+/// Serial replay of the cached trace under `policy` — one policy call per
+/// access — mirroring the runner's warmup handling and nominal pricing.
+fn replay_serial(
     config: &ExperimentConfig,
     spec: &WorkloadSpec,
     cache: &TraceCache,
+    policy: Box<dyn HybridPolicy>,
 ) -> SimulationReport {
     let trace = cache
         .try_get(spec, config.seed)
         .expect("the generate phase materialized this trace");
-    let (dram, nvm, _total) = config.memory_sizes(spec);
-    let two_lru = TwoLruConfig::with_thresholds(
-        dram,
-        nvm,
-        config.read_threshold,
-        config.write_threshold,
-        config.read_window,
-        config.write_window,
-    )
-    .expect("the date2016 thresholds are valid");
-    let mut simulator =
-        HybridSimulator::with_date2016_devices(Box::new(ReferenceTwoLru::new(two_lru)));
+    let mut simulator = HybridSimulator::with_date2016_devices(policy);
     simulator.set_static_scale(1.0 / spec.scale_factor());
     simulator.set_density_hint(spec.nominal_density());
     #[allow(
@@ -303,6 +294,21 @@ fn run_reference(
     simulator.reset_accounting();
     simulator.run_slice(&trace[warmup..]);
     simulator.into_report(spec.name.clone())
+}
+
+/// The frozen baseline policy, sized and tuned like the optimized two-LRU.
+fn reference_policy(config: &ExperimentConfig, spec: &WorkloadSpec) -> Box<dyn HybridPolicy> {
+    let (dram, nvm, _total) = config.memory_sizes(spec);
+    let two_lru = TwoLruConfig::with_thresholds(
+        dram,
+        nvm,
+        config.read_threshold,
+        config.write_threshold,
+        config.read_window,
+        config.write_window,
+    )
+    .expect("the date2016 thresholds are valid");
+    Box::new(ReferenceTwoLru::new(two_lru))
 }
 
 /// The baseline must reproduce the optimized serial run's decisions;
@@ -328,14 +334,9 @@ fn main() {
     // deliberately undersized cache over the same directory.
     let cache = TraceCache::with_spill_dir(1 << 30, &spill_dir);
     let spill_only = TraceCache::with_spill_dir(1, &spill_dir);
-    let serial_config = ExperimentConfig {
+    let config = ExperimentConfig {
         seed: options.seed,
-        replay: ReplayMode::Serial,
         ..ExperimentConfig::date2016()
-    };
-    let batched_config = ExperimentConfig {
-        replay: ReplayMode::Batched,
-        ..serial_config
     };
 
     let run_start = Instant::now();
@@ -353,21 +354,23 @@ fn main() {
                 .try_get(&spec, options.seed)
                 .expect("harness caps fit the cache budget")
         });
-        let (reference, reference_report) =
-            timed(accesses, || run_reference(&serial_config, &spec, &cache));
+        let (reference, reference_report) = timed(accesses, || {
+            replay_serial(&config, &spec, &cache, reference_policy(&config, &spec))
+        });
         let (serial, serial_report) = timed(accesses, || {
-            serial_config
-                .run_cached(&spec, PolicyKind::TwoLru, &cache)
-                .expect("cell inputs are valid")
+            let policy = config
+                .build_policy(PolicyKind::TwoLru, &spec)
+                .expect("cell inputs are valid");
+            replay_serial(&config, &spec, &cache, policy)
         });
         assert_same_simulation(&reference_report, &serial_report);
         let (batched, _) = timed(accesses, || {
-            batched_config
+            config
                 .run_cached(&spec, PolicyKind::TwoLru, &cache)
                 .expect("cell inputs are valid")
         });
         let (spill, _) = timed(accesses, || {
-            batched_config
+            config
                 .run_cached(&spec, PolicyKind::TwoLru, &spill_only)
                 .expect("cell inputs are valid")
         });
@@ -375,7 +378,7 @@ fn main() {
         let mut policies = Vec::new();
         for kind in REPLAY_POLICIES {
             let (m, _) = timed(accesses, || {
-                batched_config
+                config
                     .run_cached(&spec, kind, &cache)
                     .expect("cell inputs are valid")
             });
@@ -408,15 +411,18 @@ fn main() {
         // One extra *untimed* replay carries the black box, so the
         // measured phases above stay unperturbed by the recorder.
         if options.flight_out.is_some() {
-            let instrumentation = Instrumentation::default()
-                .with_flight(FlightOptions::with_events(options.flight_events));
-            let run = batched_config
-                .run_instrumented(&spec, PolicyKind::TwoLru, &cache, instrumentation)
-                .expect("cell inputs are valid");
-            flights.push(
-                run.flight
-                    .expect("flight instrumentation was requested for this cell"),
-            );
+            let run = MatrixRun {
+                instrumentation: Instrumentation::default()
+                    .with_flight(FlightOptions::with_events(options.flight_events)),
+                ..MatrixRun::new(config).expect("HYBRIDMEM_FAULT_PLAN is well-formed")
+            };
+            let trace = cache
+                .try_get(&spec, options.seed)
+                .expect("harness caps fit the cache budget");
+            let outcome = run
+                .run_trace(&spec, &trace, &[PolicyKind::TwoLru])
+                .expect("no journal to open");
+            flights.extend(outcome.flights());
         }
     }
 

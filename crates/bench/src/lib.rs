@@ -8,9 +8,18 @@
 //! --cap N             max accesses per workload (default 1_000_000; 0 = full scale)
 //! --seed N            trace generator seed (default 42)
 //! --out DIR           also write machine-readable JSON results into DIR
+//! ```
+//!
+//! Those that run the evaluation matrix through
+//! [`SuiteOptions::run_matrix`] also accept the matrix flags they share
+//! with `hybridmem compare`, parsed by [`MatrixRun::from_flags`]; the
+//! others (the `abl_*` sweeps, `exp_table3`, `ext_wear_leveling`) refuse
+//! them rather than ignore them:
+//!
+//! ```text
 //! --threads N         worker threads for the evaluation matrix (default 0 = auto)
 //! --metrics-out FILE  write per-window interval records as JSONL
-//! --metrics-window N  accesses per metrics window (default 10_000; 0 = one window)
+//! --metrics-window N  accesses per metrics window (default 10_000; at least 1)
 //! --ledger-out FILE   write per-page journey ledgers as JSONL (one report per cell)
 //! --ledger-top N      detailed pages retained per ledger (default 64)
 //! --profile-out FILE  write a Chrome trace-event span profile (Perfetto-loadable)
@@ -24,9 +33,11 @@
 //!                     and skip cells already journaled, so a killed run
 //!                     resumes byte-identically; incompatible with the
 //!                     streaming instrumentation outputs, but --flight-out is
-//!                     allowed (journaled cells replay without a black box;
-//!                     quarantined cells still dump theirs)
+//!                     allowed (journaled cells replay without a black box)
 //! ```
+//!
+//! `HYBRIDMEM_FAULT_PLAN` injects scripted faults into every matrix; a
+//! failed cell fails the run after every artifact is written.
 //!
 //! Tables are printed in the same row/series layout the paper uses, with
 //! `G-Mean` and `A-Mean` columns matching the figures' summary bars.
@@ -36,18 +47,16 @@
 
 pub mod reference;
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use hybridmem_core::{
-    arith_mean, compare_policies_instrumented, compare_policies_isolated, compare_policies_timed,
-    geo_mean, matrix_fingerprint, write_audit_json, write_flight_json, write_jsonl,
-    write_ledger_jsonl, AuditMatrixReport, AuditOptions, CellOutcome, CellStatus, ExperimentConfig,
-    FaultPlan, FlightMatrixReport, FlightOptions, FlightRecord, Instrumentation, LedgerOptions,
-    MatrixTiming, PolicyKind, RunJournal, SimulationReport, TraceCache, TraceCacheStats,
+    arith_mean, geo_mean, parse_flag, ExperimentConfig, MatrixRun, MatrixTiming, PolicyKind,
+    SimulationReport, TraceCache, TraceCacheStats,
 };
 use hybridmem_json::{impl_json, ToJson};
-use hybridmem_metrics::{MetricsRegistry, MetricsSnapshot, SpanProfiler};
+use hybridmem_metrics::{MetricsRegistry, MetricsSnapshot};
 use hybridmem_trace::{parsec, WorkloadSpec};
 use hybridmem_types::{Error, Result};
 
@@ -56,49 +65,13 @@ use hybridmem_types::{Error, Result};
 pub struct SuiteOptions {
     /// Maximum accesses per workload (`0` disables capping).
     pub cap: u64,
-    /// Trace generator seed.
-    pub seed: u64,
-    /// Directory for machine-readable JSON results, when given.
+    /// Directory for machine-readable JSON results (and
+    /// `throughput.json`), when given.
     pub out_dir: Option<PathBuf>,
-    /// Worker threads for the evaluation matrix (`0` = one per available
-    /// hardware thread).
-    pub threads: usize,
-    /// When given, [`SuiteOptions::run_matrix`] attaches a windowed
-    /// collector to every cell and writes the interval records here as
-    /// JSON Lines (spec-major, policies in `kinds` order).
-    pub metrics_out: Option<PathBuf>,
-    /// Accesses per metrics window (`0` = one whole-run window per cell).
-    pub metrics_window: u64,
-    /// When given, [`SuiteOptions::run_matrix`] attaches a page ledger to
-    /// every cell and writes the journey reports here as JSON Lines
-    /// (spec-major, policies in `kinds` order).
-    pub ledger_out: Option<PathBuf>,
-    /// Detailed pages retained per ledger report.
-    pub ledger_top: usize,
-    /// When given, [`SuiteOptions::run_matrix`] records harness spans and
-    /// writes them here as Chrome trace-event JSON (Perfetto-loadable).
-    /// Wall-clock: a measurement artefact, never compared for determinism.
-    pub profile_out: Option<PathBuf>,
-    /// When given, [`SuiteOptions::run_matrix`] attaches a run-health
-    /// audit to every cell and writes the `hybridmem-audit-v1` aggregate
-    /// here, failing the run when any invariant is violated.
-    pub audit_out: Option<PathBuf>,
-    /// When given, [`SuiteOptions::run_matrix`] rides a bounded black-box
-    /// flight recorder on every cell and writes the `hybridmem-flight-v1`
-    /// dump here (byte-identical at any `--threads` count). On the
-    /// `--resume` path only quarantined cells carry a black box —
-    /// journaled cells replay their reports without re-running.
-    pub flight_out: Option<PathBuf>,
-    /// Events retained per cell's flight-recorder ring.
-    pub flight_events: usize,
-    /// When given, [`SuiteOptions::run_matrix`] journals each completed
-    /// cell here (fsynced, checksummed) and skips cells the journal
-    /// already holds, so a killed or faulted run resumes with
-    /// byte-identical reports. Incompatible with the streaming
-    /// instrumentation outputs (journaled cells replay reports without
-    /// re-running); `--flight-out` is allowed because a flight dump only
-    /// captures freshly simulated failures.
-    pub resume: Option<PathBuf>,
+    /// The evaluation matrix: the configuration (`--seed` included), the
+    /// worker pool, the sinks, the journal, the fault plan and the
+    /// artifact paths.
+    pub matrix: MatrixRun,
 }
 
 impl SuiteOptions {
@@ -107,76 +80,80 @@ impl SuiteOptions {
     /// minutes.
     pub const DEFAULT_CAP: u64 = 1_000_000;
 
-    /// Parses `--cap`, `--seed`, and `--out` from `std::env::args`.
+    /// Parses the command line of a regenerator that runs the evaluation
+    /// matrix: `--cap`, `--seed`, `--out` and the matrix flags (see
+    /// [`SuiteOptions::parse`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments.
-    #[must_use]
-    pub fn from_args() -> Self {
-        let mut options = Self::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
-            let mut value = || {
-                args.next()
-                    .unwrap_or_else(|| panic!("flag {flag} requires a value"))
-            };
-            match flag.as_str() {
-                "--cap" => options.cap = value().parse().expect("--cap expects an integer"),
-                "--seed" => options.seed = value().parse().expect("--seed expects an integer"),
-                "--out" => options.out_dir = Some(PathBuf::from(value())),
-                "--threads" => {
-                    options.threads = value().parse().expect("--threads expects an integer");
-                }
-                "--metrics-out" => options.metrics_out = Some(PathBuf::from(value())),
-                "--metrics-window" => {
-                    options.metrics_window = value()
-                        .parse()
-                        .expect("--metrics-window expects an integer");
-                }
-                "--ledger-out" => options.ledger_out = Some(PathBuf::from(value())),
-                "--ledger-top" => {
-                    options.ledger_top = value().parse().expect("--ledger-top expects an integer");
-                }
-                "--profile-out" => options.profile_out = Some(PathBuf::from(value())),
-                "--audit-out" => options.audit_out = Some(PathBuf::from(value())),
-                "--flight-out" => options.flight_out = Some(PathBuf::from(value())),
-                "--flight-events" => {
-                    options.flight_events =
-                        value().parse().expect("--flight-events expects an integer");
-                }
-                "--resume" => options.resume = Some(PathBuf::from(value())),
-                other => {
-                    panic!(
-                        "unknown flag {other}; expected \
-                         --cap/--seed/--out/--threads/--metrics-out/--metrics-window\
-                         /--ledger-out/--ledger-top/--profile-out/--audit-out\
-                         /--flight-out/--flight-events/--resume"
-                    );
-                }
-            }
+    /// As [`SuiteOptions::parse`].
+    pub fn from_args() -> Result<Self> {
+        Self::parse(std::env::args().skip(1), &MatrixRun::FLAGS)
+    }
+
+    /// Parses the command line of a regenerator that runs no evaluation
+    /// matrix: `--cap`, `--seed` and `--out` only, so a matrix flag it
+    /// could not honour is an error instead of a silent no-op.
+    ///
+    /// # Errors
+    ///
+    /// As [`SuiteOptions::parse`].
+    pub fn from_args_without_matrix() -> Result<Self> {
+        Self::parse(std::env::args().skip(1), &[])
+    }
+
+    /// Parses `--cap`, `--seed`, `--out` and the `matrix_flags` (a subset
+    /// of [`MatrixRun::FLAGS`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] naming the flag for a flag outside
+    /// that set, a missing value, or a value [`MatrixRun::from_flags`]
+    /// rejects.
+    pub fn parse(raw: impl IntoIterator<Item = String>, matrix_flags: &[&str]) -> Result<Self> {
+        let accepted: Vec<&str> = ["cap", "seed", "out"]
+            .into_iter()
+            .chain(matrix_flags.iter().copied())
+            .collect();
+        let mut flags = BTreeMap::new();
+        let mut raw = raw.into_iter();
+        while let Some(flag) = raw.next() {
+            let name = flag
+                .strip_prefix("--")
+                .filter(|name| accepted.contains(name))
+                .ok_or_else(|| {
+                    Error::invalid_input(format!(
+                        "unknown flag {flag}; expected --{}",
+                        accepted.join(", --")
+                    ))
+                })?;
+            let value = raw
+                .next()
+                .ok_or_else(|| Error::invalid_input(format!("flag {flag} requires a value")))?;
+            flags.insert(name.to_owned(), value);
         }
-        // A zero-sized retention knob would silently produce an empty
-        // artefact; fail loudly at the door instead (`--metrics-window 0`
-        // stays legal — it means one whole-run window).
-        assert!(
-            options.ledger_top > 0,
-            "--ledger-top must retain at least 1 page"
-        );
-        assert!(
-            options.flight_events > 0,
-            "--flight-events must retain at least 1 event"
-        );
-        options
+        let flag = |name: &str| flags.get(name).map(String::as_str);
+        let config = ExperimentConfig {
+            seed: parse_flag("seed", flag("seed"), 42)?,
+            ..ExperimentConfig::date2016()
+        };
+        Ok(Self {
+            cap: parse_flag("cap", flag("cap"), Self::DEFAULT_CAP)?,
+            out_dir: flag("out").map(PathBuf::from),
+            matrix: MatrixRun::from_flags(config, flag)?,
+        })
+    }
+
+    /// The trace generator seed.
+    #[must_use]
+    pub fn seed(&self) -> u64 {
+        self.matrix.config.seed
     }
 
     /// The experiment configuration for these options.
     #[must_use]
     pub fn config(&self) -> ExperimentConfig {
-        ExperimentConfig {
-            seed: self.seed,
-            ..ExperimentConfig::date2016()
-        }
+        self.matrix.config
     }
 
     /// All 12 PARSEC specs, capped per the options.
@@ -194,272 +171,43 @@ impl SuiteOptions {
             .collect()
     }
 
-    /// Runs `kinds` over all 12 workloads on the work-stealing cell pool
-    /// (`--threads` workers; 0 = auto), then records the run's throughput
-    /// into `throughput.json` (see [`ThroughputSummary`]) so successive
-    /// runs leave a perf trajectory.
+    /// Runs `kinds` over all 12 workloads, writes every artifact the
+    /// matrix flags asked for, then records the run's throughput into
+    /// `throughput.json` (see [`ThroughputSummary`]) so successive runs
+    /// leave a perf trajectory.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing simulation.
+    /// An unopenable journal, an unwritable artifact or an unclean audit;
+    /// then, after every artifact is written, the first failed cell.
     pub fn run_matrix(
         &self,
         kinds: &[PolicyKind],
     ) -> Result<Vec<(WorkloadSpec, Vec<SimulationReport>)>> {
         let specs = self.specs();
-        let config = self.config();
-        let instrumentation = self.instrumentation();
-        let profiler = self.profile_out.as_ref().map(|_| SpanProfiler::new());
-        if let Some(journal_path) = &self.resume {
-            // `--flight-out` is deliberately exempt: a flight dump only
-            // captures freshly simulated failures, so journal replay
-            // cannot make it lie — CI's chaos job relies on combining
-            // the two. The streaming outputs would be incomplete.
-            let streaming = Instrumentation {
-                flight: None,
-                ..instrumentation
-            };
-            if !streaming.is_empty() || profiler.is_some() {
-                return Err(Error::invalid_input(
-                    "--resume cannot be combined with --metrics-out/--ledger-out\
-                     /--profile-out/--audit-out: journaled cells replay their reports \
-                     without re-running, so instrumentation streams would be incomplete",
-                ));
-            }
-            return self.run_matrix_journaled(kinds, &specs, &config, journal_path);
-        }
-        let (rows, timing, cell_metrics) = if instrumentation.is_empty() && profiler.is_none() {
-            let (rows, timing) = compare_policies_timed(&specs, kinds, &config, self.threads)?;
-            (rows, timing, None)
-        } else {
-            let (cells, timing) = compare_policies_instrumented(
-                &specs,
-                kinds,
-                &config,
-                self.threads,
-                instrumentation,
-                profiler.as_ref(),
-            )?;
-            let (rows, aggregate) = self.write_instrumented_outputs(cells)?;
-            (rows, timing, aggregate)
-        };
-        if let (Some(path), Some(profiler)) = (&self.profile_out, &profiler) {
-            let mut writer = create_jsonl_writer(path)?;
-            profiler
-                .write_chrome_trace(&mut writer)
-                .and_then(|()| std::io::Write::flush(&mut writer))
-                .map_err(|e| Error::invalid_input(format!("write {}: {e}", path.display())))?;
-            println!("wrote span profile to {}", path.display());
-        }
-        let mut summary = ThroughputSummary::from_matrix(&specs, kinds, &timing);
+        let outcome = self.matrix.run(&specs, kinds)?;
+        self.matrix
+            .write_artifacts(&outcome, &mut std::io::stdout().lock())?;
+        let cell_metrics = self.matrix.instrumentation.window.map(|_| {
+            let mut merged = MetricsSnapshot::default();
+            outcome
+                .completed()
+                .for_each(|run| merged.absorb(&run.metrics));
+            merged
+        });
+        let mut summary = ThroughputSummary::from_matrix(&specs, kinds, &outcome.timing);
         summary.trace_cache = TraceCache::global().stats();
-        summary.metrics = Self::aggregate_metrics(&timing, cell_metrics);
+        summary.metrics = Self::aggregate_metrics(&outcome.timing, cell_metrics);
         self.write_throughput(&summary);
-        Ok(specs.into_iter().zip(rows).collect())
-    }
-
-    /// The `--resume` path of [`SuiteOptions::run_matrix`]: cells run on
-    /// the isolating scheduler (panics retried, then quarantined),
-    /// completed cells land in the journal as they finish, and cells the
-    /// journal already holds replay their reports without re-running.
-    /// Failures leave the other cells journaled and exit non-zero, so the
-    /// very same invocation resumes the run. With `--flight-out`, every
-    /// quarantined cell's black box lands in the dump — written *before*
-    /// the failure verdict, so CI uploads the evidence even when the run
-    /// exits non-zero.
-    fn run_matrix_journaled(
-        &self,
-        kinds: &[PolicyKind],
-        specs: &[WorkloadSpec],
-        config: &ExperimentConfig,
-        journal_path: &Path,
-    ) -> Result<Vec<(WorkloadSpec, Vec<SimulationReport>)>> {
-        let journal = RunJournal::open(journal_path, matrix_fingerprint(specs, kinds, config))?;
-        if journal.torn_tail_bytes() > 0 {
-            eprintln!(
-                "warning: resume journal had {} byte(s) of torn or corrupt tail truncated; \
-                 the cells recorded there will be recomputed",
-                journal.torn_tail_bytes()
-            );
-        }
-        let fault_plan = FaultPlan::from_env()?;
-        let flight = self
-            .flight_out
-            .as_ref()
-            .map(|_| FlightOptions::with_events(self.flight_events));
-        let (mut outcomes, health, timing) = compare_policies_isolated(
-            specs,
-            kinds,
-            config,
-            self.threads,
-            fault_plan.as_ref(),
-            Some(&journal),
-            flight,
-        );
-        let mut summary = ThroughputSummary::from_matrix(specs, kinds, &timing);
-        summary.trace_cache = TraceCache::global().stats();
-        summary.metrics = Self::aggregate_metrics(&timing, None);
-        self.write_throughput(&summary);
-        if let Some(path) = &self.flight_out {
-            let flights: Vec<FlightRecord> = outcomes
-                .iter_mut()
-                .flat_map(|row| row.iter_mut())
-                .filter_map(|outcome| match outcome {
-                    CellOutcome::Failed { flight, .. } => flight.take().map(|record| *record),
-                    CellOutcome::Ok { .. } => None,
-                })
-                .collect();
-            write_flight_dump(path, flights)?;
-        }
-        if health.failed_cells > 0 {
-            for cell in health
-                .cells
-                .iter()
-                .filter(|c| c.status == CellStatus::Failed)
-            {
-                eprintln!(
-                    "cell {}/{} failed after {} retries: {}",
-                    cell.workload,
-                    cell.policy,
-                    cell.retries,
-                    cell.error.as_deref().unwrap_or("unknown error")
-                );
-            }
+        if let (Some(journal), failed @ 1..) = (&self.matrix.resume, outcome.health.failed_cells) {
             return Err(Error::invalid_input(format!(
-                "{} of {} cells failed; completed cells are journaled in {} — rerun \
+                "{failed} of {} cells failed; completed cells are journaled in {} — rerun \
                  with --resume to recompute only the failures",
-                health.failed_cells,
-                health.total_cells,
-                journal_path.display()
+                outcome.health.total_cells,
+                journal.display()
             )));
         }
-        let rows = outcomes
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(CellOutcome::into_result)
-                    .collect::<Result<Vec<_>>>()
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(specs.iter().cloned().zip(rows).collect())
-    }
-
-    /// Which sinks [`SuiteOptions::run_matrix`] attaches to every cell,
-    /// derived from the output flags: a window when `--metrics-out` was
-    /// given, a ledger when `--ledger-out` was, a run-health audit when
-    /// `--audit-out` was, a flight recorder when `--flight-out` was.
-    #[must_use]
-    pub fn instrumentation(&self) -> Instrumentation {
-        let mut instrumentation = Instrumentation::default();
-        if self.metrics_out.is_some() {
-            instrumentation.window = Some(self.metrics_window);
-        }
-        if self.ledger_out.is_some() {
-            instrumentation = instrumentation.with_ledger(LedgerOptions {
-                top_k: self.ledger_top,
-                ..LedgerOptions::default()
-            });
-        }
-        if self.audit_out.is_some() {
-            instrumentation = instrumentation.with_audit(AuditOptions::default());
-        }
-        if self.flight_out.is_some() {
-            instrumentation =
-                instrumentation.with_flight(FlightOptions::with_events(self.flight_events));
-        }
-        instrumentation
-    }
-
-    /// Writes each requested JSONL artefact — interval records to
-    /// `--metrics-out`, ledger reports to `--ledger-out` — cell by cell
-    /// (spec-major, policies in `kinds` order — the matrix's own order),
-    /// returning the plain report rows plus the merged cell metrics when
-    /// interval metrics ran.
-    ///
-    /// Unlike `throughput.json`, an unwritable artefact is a hard error:
-    /// the caller asked for it explicitly.
-    fn write_instrumented_outputs(
-        &self,
-        cells: Vec<Vec<hybridmem_core::InstrumentedRun>>,
-    ) -> Result<(Vec<Vec<SimulationReport>>, Option<MetricsSnapshot>)> {
-        let mut metrics_writer = match &self.metrics_out {
-            Some(path) => Some((create_jsonl_writer(path)?, path)),
-            None => None,
-        };
-        let mut ledger_writer = match &self.ledger_out {
-            Some(path) => Some((create_jsonl_writer(path)?, path)),
-            None => None,
-        };
-        let mut aggregate = self.metrics_out.is_some().then(MetricsSnapshot::default);
-        let mut audit_cells = self.audit_out.as_ref().map(|_| Vec::new());
-        let mut flight_cells = self.flight_out.as_ref().map(|_| Vec::new());
-        let mut rows = Vec::with_capacity(cells.len());
-        for row in cells {
-            let mut reports = Vec::with_capacity(row.len());
-            for mut cell in row {
-                if let Some((writer, path)) = &mut metrics_writer {
-                    write_jsonl(writer, &cell.records).map_err(|e| {
-                        Error::invalid_input(format!("write {}: {e}", path.display()))
-                    })?;
-                }
-                if let Some(aggregate) = &mut aggregate {
-                    aggregate.absorb(&cell.metrics);
-                }
-                if let Some((writer, path)) = &mut ledger_writer {
-                    let report = cell.ledger.as_ref().ok_or_else(|| {
-                        Error::invalid_input("instrumented cell lost its page ledger")
-                    })?;
-                    write_ledger_jsonl(writer, report).map_err(|e| {
-                        Error::invalid_input(format!("write {}: {e}", path.display()))
-                    })?;
-                }
-                if let Some(audit_cells) = &mut audit_cells {
-                    audit_cells.push(cell.audit.clone().ok_or_else(|| {
-                        Error::invalid_input("instrumented cell lost its audit sink")
-                    })?);
-                }
-                if let Some(flight_cells) = &mut flight_cells {
-                    flight_cells.push(cell.flight.take().ok_or_else(|| {
-                        Error::invalid_input("instrumented cell lost its flight recorder")
-                    })?);
-                }
-                reports.push(cell.report);
-            }
-            rows.push(reports);
-        }
-        if let Some((writer, path)) = &mut metrics_writer {
-            std::io::Write::flush(writer)
-                .map_err(|e| Error::invalid_input(format!("write {}: {e}", path.display())))?;
-            println!("wrote interval metrics to {}", path.display());
-        }
-        if let Some((writer, path)) = &mut ledger_writer {
-            std::io::Write::flush(writer)
-                .map_err(|e| Error::invalid_input(format!("write {}: {e}", path.display())))?;
-            println!("wrote page ledger to {}", path.display());
-        }
-        // The flight dump lands before the audit verdict so a failing run
-        // still leaves its black box behind for CI to upload.
-        if let (Some(path), Some(cells)) = (&self.flight_out, flight_cells) {
-            write_flight_dump(path, cells)?;
-        }
-        if let (Some(path), Some(cells)) = (&self.audit_out, audit_cells) {
-            let matrix = AuditMatrixReport::new(cells);
-            let mut writer = create_jsonl_writer(path)?;
-            write_audit_json(&mut writer, &matrix)
-                .and_then(|()| std::io::Write::flush(&mut writer))
-                .map_err(|e| Error::invalid_input(format!("write {}: {e}", path.display())))?;
-            println!("wrote audit report to {}", path.display());
-            // Written before the verdict so CI uploads the evidence even
-            // when the gate trips.
-            if !matrix.clean {
-                return Err(Error::invalid_input(format!(
-                    "run-health audit found {} invariant violation(s); see {}",
-                    matrix.total_violations,
-                    path.display()
-                )));
-            }
-        }
-        Ok((rows, aggregate))
+        Ok(specs.into_iter().zip(outcome.reports()?).collect())
     }
 
     /// Merges scheduler telemetry, trace-cache counters, and (when the
@@ -538,45 +286,6 @@ impl SuiteOptions {
             .map_err(|e| hybridmem_types::Error::invalid_input(format!("write {path:?}: {e}")))?;
         Ok(Some(path))
     }
-}
-
-impl Default for SuiteOptions {
-    fn default() -> Self {
-        Self {
-            cap: Self::DEFAULT_CAP,
-            seed: 42,
-            out_dir: None,
-            threads: 0,
-            metrics_out: None,
-            metrics_window: 10_000,
-            ledger_out: None,
-            ledger_top: 64,
-            profile_out: None,
-            audit_out: None,
-            flight_out: None,
-            flight_events: 256,
-            resume: None,
-        }
-    }
-}
-
-/// Writes a `hybridmem-flight-v1` dump to `path` — always, even when
-/// `cells` is empty, so CI can assert on the artefact's presence.
-fn write_flight_dump(path: &Path, cells: Vec<FlightRecord>) -> Result<()> {
-    let matrix = FlightMatrixReport::new(cells);
-    let mut writer = create_jsonl_writer(path)?;
-    write_flight_json(&mut writer, &matrix)
-        .and_then(|()| std::io::Write::flush(&mut writer))
-        .map_err(|e| Error::invalid_input(format!("write {}: {e}", path.display())))?;
-    println!("wrote flight recorder dump to {}", path.display());
-    Ok(())
-}
-
-/// Creates a buffered writer for an explicitly requested JSONL artefact.
-fn create_jsonl_writer(path: &Path) -> Result<std::io::BufWriter<fs::File>> {
-    let file = fs::File::create(path)
-        .map_err(|e| Error::invalid_input(format!("cannot create {}: {e}", path.display())))?;
-    Ok(std::io::BufWriter::new(file))
 }
 
 /// Throughput of one policy across the whole matrix run.
@@ -759,58 +468,86 @@ pub fn announce_json(path: Option<&Path>) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn default_options() {
-        let o = SuiteOptions::default();
-        assert_eq!(o.cap, SuiteOptions::DEFAULT_CAP);
-        assert_eq!(o.seed, 42);
-        assert!(o.out_dir.is_none());
-        assert_eq!(o.threads, 0, "auto thread count by default");
-        assert!(o.metrics_out.is_none(), "metrics are opt-in");
-        assert_eq!(o.metrics_window, 10_000);
-        assert!(o.ledger_out.is_none(), "the ledger is opt-in");
-        assert_eq!(o.ledger_top, 64);
-        assert!(o.profile_out.is_none(), "profiling is opt-in");
-        assert!(o.audit_out.is_none(), "the audit artefact is opt-in");
-        assert!(o.flight_out.is_none(), "the flight recorder is opt-in");
-        assert_eq!(o.flight_events, 256);
-        assert!(o.resume.is_none(), "the resume journal is opt-in");
-        assert!(
-            o.instrumentation().is_empty(),
-            "no flags must mean no sinks"
-        );
-        assert_eq!(o.config().seed, 42);
+    fn parse(tokens: &[&str]) -> Result<SuiteOptions> {
+        SuiteOptions::parse(tokens.iter().map(|t| (*t).to_owned()), &MatrixRun::FLAGS)
     }
 
     #[test]
-    fn instrumentation_follows_the_output_flags() {
-        let o = SuiteOptions {
-            metrics_out: Some(PathBuf::from("m.jsonl")),
-            ledger_out: Some(PathBuf::from("l.jsonl")),
-            ledger_top: 8,
-            metrics_window: 500,
-            audit_out: Some(PathBuf::from("audit.json")),
-            flight_out: Some(PathBuf::from("flight.json")),
-            flight_events: 32,
-            ..SuiteOptions::default()
-        };
-        let instrumentation = o.instrumentation();
-        assert_eq!(instrumentation.window, Some(500));
-        assert_eq!(
-            instrumentation.ledger.map(|l| l.top_k),
-            Some(8),
-            "--ledger-top must reach the ledger options"
+    fn default_options() {
+        let o = parse(&[]).unwrap();
+        assert_eq!(o.cap, SuiteOptions::DEFAULT_CAP);
+        assert_eq!(o.seed(), 42);
+        assert!(o.out_dir.is_none());
+        assert_eq!(o.matrix.threads, 0, "auto thread count by default");
+        assert!(
+            o.matrix.instrumentation.is_empty(),
+            "no flags must mean no sinks"
         );
-        assert_eq!(
-            instrumentation.audit,
-            Some(AuditOptions::default()),
-            "--audit-out must attach the audit sink"
-        );
-        assert_eq!(
-            instrumentation.flight,
-            Some(FlightOptions::with_events(32)),
-            "--flight-events must size the flight ring"
-        );
+        assert_eq!(o.matrix.outputs, hybridmem_core::MatrixOutputs::default());
+        assert!(o.matrix.resume.is_none(), "the resume journal is opt-in");
+        assert_eq!(o.config(), ExperimentConfig::date2016());
+    }
+
+    #[test]
+    fn flags_reach_the_options_and_the_matrix() {
+        let o = parse(&[
+            "--cap",
+            "5000",
+            "--seed",
+            "7",
+            "--out",
+            "dir",
+            "--threads",
+            "3",
+            "--metrics-out",
+            "m.jsonl",
+            "--metrics-window",
+            "500",
+            "--ledger-out",
+            "l.jsonl",
+            "--ledger-top",
+            "8",
+        ])
+        .unwrap();
+        assert_eq!((o.cap, o.seed()), (5_000, 7));
+        assert_eq!(o.out_dir, Some(PathBuf::from("dir")));
+        assert_eq!(o.matrix.threads, 3);
+        assert_eq!(o.matrix.instrumentation.window, Some(500));
+        assert_eq!(o.matrix.instrumentation.ledger.map(|l| l.top_k), Some(8));
+    }
+
+    #[test]
+    fn bad_flags_are_typed_errors_naming_the_flag() {
+        for (tokens, message) in [
+            (
+                &["--metrics-window", "0"][..],
+                "--metrics-window must be at least 1",
+            ),
+            (
+                &["--ledger-top", "0"][..],
+                "--ledger-top must retain at least 1",
+            ),
+            (&["--cap", "abc"][..], "flag --cap expects a number"),
+            (&["--seed", "-1"][..], "flag --seed expects a number"),
+            (&["--cap"][..], "flag --cap requires a value"),
+            (&["--frobnicate", "1"][..], "unknown flag --frobnicate"),
+        ] {
+            let err = parse(tokens).unwrap_err().to_string();
+            assert!(err.contains(message), "{tokens:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn regenerators_without_a_matrix_refuse_the_matrix_flags() {
+        let plain =
+            |tokens: &[&str]| SuiteOptions::parse(tokens.iter().map(|t| (*t).to_owned()), &[]);
+        let o = plain(&["--cap", "400000", "--seed", "7", "--out", "dir"]).unwrap();
+        assert_eq!((o.cap, o.seed()), (400_000, 7));
+        for flag in MatrixRun::FLAGS {
+            let err = plain(&[&format!("--{flag}"), "1"]).unwrap_err().to_string();
+            assert!(err.contains(&format!("unknown flag --{flag}")), "{err}");
+            assert!(err.contains("expected --cap, --seed, --out"), "{err}");
+        }
     }
 
     #[test]
@@ -877,16 +614,36 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("run.hmjournal");
         let _ = fs::remove_file(&journal);
-        let options = SuiteOptions {
-            cap: 2_000,
-            out_dir: Some(dir.clone()),
-            resume: Some(journal.clone()),
-            threads: 2,
-            ..SuiteOptions::default()
+        let flight_path = dir.join("flight.json");
+        let flight = flight_path.to_str().unwrap();
+        let resume = [
+            "--cap",
+            "2000",
+            "--threads",
+            "2",
+            "--resume",
+            journal.to_str().unwrap(),
+        ];
+        let options = |extra: &[&str]| {
+            let mut tokens = resume.to_vec();
+            tokens.extend(["--out", dir.to_str().unwrap()]);
+            tokens.extend(extra);
+            parse(&tokens).unwrap()
         };
-        let first = options.run_matrix(&[PolicyKind::TwoLru]).unwrap();
-        // Every cell is journaled now; the second run replays them all.
-        let second = options.run_matrix(&[PolicyKind::TwoLru]).unwrap();
+        // A fresh journal simulates every cell, so every cell dumps its
+        // black box.
+        let first = options(&["--flight-out", flight])
+            .run_matrix(&[PolicyKind::TwoLru])
+            .unwrap();
+        let dump = fs::read_to_string(&flight_path).unwrap();
+        assert!(dump.contains("\"dumped_cells\": 12"), "{dump}");
+        assert!(dump.contains("\"triggered_cells\": 0"), "{dump}");
+
+        // Every cell is journaled now; the second run replays them all,
+        // so its flight dump is empty (but valid).
+        let second = options(&["--flight-out", flight])
+            .run_matrix(&[PolicyKind::TwoLru])
+            .unwrap();
         let rows = |matrix: &[(WorkloadSpec, Vec<SimulationReport>)]| {
             hybridmem_json::to_string(&matrix.iter().map(|(_, row)| row).collect::<Vec<_>>())
         };
@@ -895,24 +652,13 @@ mod tests {
             rows(&second),
             "journal replay is byte-identical"
         );
-
-        // `--flight-out` is exempt from the resume incompatibility: the
-        // journaled replay yields an empty (but valid) flight dump.
-        let flight_path = dir.join("flight.json");
-        let with_flight = SuiteOptions {
-            flight_out: Some(flight_path.clone()),
-            ..options.clone()
-        };
-        with_flight.run_matrix(&[PolicyKind::TwoLru]).unwrap();
         let dump = fs::read_to_string(&flight_path).unwrap();
         assert!(dump.contains("hybridmem-flight-v1"), "{dump}");
         assert!(dump.contains("\"dumped_cells\": 0"), "{dump}");
 
-        let incompatible = SuiteOptions {
-            metrics_out: Some(dir.join("m.jsonl")),
-            ..options
-        };
-        let err = incompatible.run_matrix(&[PolicyKind::TwoLru]).unwrap_err();
+        let mut incompatible = resume.to_vec();
+        incompatible.extend(["--metrics-out", "m.jsonl"]);
+        let err = parse(&incompatible).unwrap_err();
         assert!(
             err.to_string().contains("--resume cannot be combined"),
             "{err}"
@@ -925,14 +671,14 @@ mod tests {
     fn specs_are_capped() {
         let o = SuiteOptions {
             cap: 10_000,
-            ..SuiteOptions::default()
+            ..parse(&[]).unwrap()
         };
         for spec in o.specs() {
             assert!(spec.total_accesses() <= 10_100, "{}", spec.name);
         }
         let full = SuiteOptions {
             cap: 0,
-            ..SuiteOptions::default()
+            ..parse(&[]).unwrap()
         };
         assert_eq!(full.specs()[9].total_accesses(), 169_115_076); // streamcluster
     }
@@ -948,7 +694,7 @@ mod tests {
 
     #[test]
     fn write_json_respects_missing_out_dir() {
-        let o = SuiteOptions::default();
+        let o = parse(&[]).unwrap();
         assert_eq!(o.write_json("x", &42_u64).unwrap(), None);
     }
 
@@ -957,7 +703,7 @@ mod tests {
         let dir = std::env::temp_dir().join("hybridmem-bench-test");
         let o = SuiteOptions {
             out_dir: Some(dir.clone()),
-            ..SuiteOptions::default()
+            ..parse(&[]).unwrap()
         };
         let path = o.write_json("sample", &vec![1_u64, 2, 3]).unwrap().unwrap();
         let text = fs::read_to_string(&path).unwrap();

@@ -2,22 +2,17 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 use hybridmem_analyze::{CellProfile, Input, PostmortemInputs, TrajectoryOptions};
-use hybridmem_core::health::run_isolated;
 use hybridmem_core::{
-    flight_recorder_for, flightrec, matrix_fingerprint, write_audit_json, write_flight_json,
-    write_jsonl, write_ledger_jsonl, write_matrix_health_json, AuditMatrixReport, AuditOptions,
-    AuditReport, AuditSink, CellOutcome, CellStatus, EventSink, ExperimentConfig, FanoutSink,
-    FaultPlan, FlightMatrixReport, FlightOptions, FlightRecord, FlightRecorder, HybridSimulator,
-    IntervalRecord, LedgerOptions, LedgerReport, MatrixHealthReport, PageEvent, PageLedger,
-    PageRecord, PanicTripwire, PolicyKind, ReplayMode, RunJournal, SimulationReport,
+    flight_recorder_for, flightrec, write_flight_json, write_jsonl, write_ledger_jsonl,
+    ExperimentConfig, FanoutSink, FaultPlan, FlightMatrixReport, FlightOptions, FlightRecorder,
+    HybridSimulator, Instrumentation, InstrumentedRun, IntervalRecord, LedgerOptions, LedgerReport,
+    MatrixOutcome, MatrixRun, PageEvent, PageRecord, PolicyKind, SimulationReport,
     WindowedCollector,
 };
-use hybridmem_json::FromJson;
-use hybridmem_metrics::SpanProfiler;
 use hybridmem_trace::{
     io as trace_io, parsec, ReuseProfile, TraceGenerator, TraceStats, WorkloadSpec,
 };
@@ -45,12 +40,10 @@ COMMANDS:
              [--memory-fraction F] [--dram-fraction F] [--threads N]
              [--metrics-out FILE] [--metrics-window N]
              [--ledger-out FILE] [--ledger-top N] [--profile-out FILE]
-             [--audit-out FILE] [--replay serial|batched]
-             [--fault-plan SPEC] [--resume FILE] [--health-out FILE]
-             [--strict true] [--flight-out FILE] [--flight-events N]
+             [--audit-out FILE] [--fault-plan SPEC] [--resume FILE]
+             [--health-out FILE] [--strict true] [--flight-out FILE]
+             [--flight-events N]
              (--threads 0, the default, uses all available cores;
-              --replay picks the replay driver — both are byte-identical,
-              batched (the default) amortizes policy dispatch;
               --metrics-out writes per-window interval records as JSONL,
               one window every N accesses, default 10000;
               --ledger-out writes per-page journey ledgers as JSONL,
@@ -60,10 +53,13 @@ COMMANDS:
               --audit-out attaches the run-health audit to every cell and
               writes its hybridmem-audit-v1 report, exiting non-zero on
               any invariant violation;
+              every cell runs isolated: a panicking cell is retried, then
+              quarantined while the other cells complete, and a failed
+              cell fails the run unless --fault-plan, --resume or
+              --health-out asked it to degrade;
               --fault-plan injects scripted faults (grammar documented in
               hybridmem-core::faultinject; HYBRIDMEM_FAULT_PLAN is the
-              env equivalent); a panicking cell is retried, then
-              quarantined while the other cells complete;
+              env equivalent);
               --resume FILE journals completed cells to FILE (fsynced,
               checksummed) and skips cells already journaled, so a
               killed run resumes byte-identically; incompatible with the
@@ -79,7 +75,6 @@ COMMANDS:
     observe <workload>                 stream windowed interval records (JSONL)
              [--policy P] [--cap N] [--seed N] [--window N]
              [--memory-fraction F] [--dram-fraction F] [--warmup F]
-             [--replay serial|batched]
              [--flight-out FILE] [--flight-events N]
              (--window 0 emits one whole-run record at the end;
               --workload accepts a PARSEC name or a WorkloadSpec JSON path)
@@ -268,8 +263,10 @@ fn simulate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         "json",
         "format",
     ])?;
-    let policy = parse_policy(args.require("policy")?)?;
-    let report = run_trace_policy(args, policy)?;
+    let kind = parse_policy(args.require("policy")?)?;
+    let run = MatrixRun::new(trace_config(args)?)?;
+    let (spec, pages) = load_recorded(args)?;
+    let report = only_run(run.run_trace(&spec, &pages, &[kind])?)?.report;
     if args.get("json").is_some_and(|v| v == "true") {
         writeln!(out, "{}", hybridmem_json::to_string_pretty(&report)).map_err(io_err)?;
     } else {
@@ -279,284 +276,37 @@ fn simulate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
 }
 
 fn compare<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
-    args.reject_unknown(&[
+    let mut flags = vec![
         "memory-fraction",
         "dram-fraction",
         "format",
-        "threads",
-        "metrics-out",
-        "metrics-window",
-        "ledger-out",
-        "ledger-top",
-        "profile-out",
-        "audit-out",
-        "replay",
         "fault-plan",
-        "resume",
         "health-out",
         "strict",
-        "flight-out",
-        "flight-events",
-    ])?;
-    let threads: usize = args.get_parsed_or("threads", 0)?;
-    // All three defaults are nonzero, so a parsed zero can only mean
-    // the user passed 0 explicitly — reject it with a typed error
-    // instead of emitting degenerate windows, empty ledgers, or a
-    // clamped-to-1 flight ring.
-    let metrics_window: u64 = args.get_parsed_or("metrics-window", 10_000)?;
-    if metrics_window == 0 {
-        return Err(Error::invalid_input(
-            "--metrics-window must be at least 1 access per window",
-        ));
+    ];
+    flags.extend(MatrixRun::FLAGS);
+    args.reject_unknown(&flags)?;
+    let mut run = MatrixRun::from_flags(trace_config(args)?, |flag| args.get(flag))?;
+    if let Some(spec) = args.get("fault-plan") {
+        run.fault_plan = Some(Arc::new(FaultPlan::parse(spec)?));
     }
-    let ledger_top: usize = args.get_parsed_or("ledger-top", 64)?;
-    if ledger_top == 0 {
-        return Err(Error::invalid_input(
-            "--ledger-top must retain at least 1 page",
-        ));
-    }
-    let flight_events: usize = args.get_parsed_or("flight-events", 256)?;
-    if flight_events == 0 {
-        return Err(Error::invalid_input(
-            "--flight-events must retain at least 1 event",
-        ));
-    }
+    run.outputs.health = args.get("health-out").map(PathBuf::from);
+    // A run set up to degrade (a fault plan, a journal or a health
+    // report) completes around its failed cells unless --strict; a plain
+    // run fails on them.
     let strict = args.get("strict").is_some_and(|v| v == "true");
-    let fault_plan = match args.get("fault-plan") {
-        Some(spec) => Some(FaultPlan::parse(spec)?),
-        None => FaultPlan::from_env()?,
-    };
-    // --flight-out is deliberately exempt: journaled cells simply have
-    // no flight record, and CI's chaos job combines --resume with
-    // --flight-out to capture the still-failing cells' black boxes.
-    if args.get("resume").is_some() {
-        for flag in ["metrics-out", "ledger-out", "profile-out", "audit-out"] {
-            if args.get(flag).is_some() {
-                return Err(Error::invalid_input(format!(
-                    "--resume cannot be combined with --{flag}: journaled cells replay \
-                     their reports without re-running, so instrumentation streams would \
-                     be incomplete"
-                )));
-            }
-        }
-    }
-    let (path, trace) = load_trace(args)?;
-    let (spec, config) = trace_experiment(args, &path, &trace)?;
-    // Decode once; every policy replays the same immutable buffer instead
-    // of re-reading the trace file per policy.
-    let pages: Vec<PageAccess> = trace.iter().copied().map(PageAccess::from).collect();
-    let kinds = PolicyKind::all();
-    let journal = args
-        .get("resume")
-        .map(|journal_path| {
-            RunJournal::open(
-                journal_path,
-                matrix_fingerprint(std::slice::from_ref(&spec), &kinds, &config),
-            )
-        })
-        .transpose()?;
-    if let Some(journal) = journal.as_ref() {
-        if journal.torn_tail_bytes() > 0 {
-            writeln!(
-                out,
-                "warning: resume journal had {} byte(s) of torn or corrupt tail truncated; \
-                 the cells recorded there will be recomputed",
-                journal.torn_tail_bytes()
-            )
-            .map_err(io_err)?;
-        }
-    }
-    let window = args.get("metrics-out").map(|_| metrics_window);
-    let ledger = args.get("ledger-out").map(|_| LedgerOptions {
-        top_k: ledger_top,
-        ..LedgerOptions::default()
-    });
-    let audit = args.get("audit-out").map(|_| AuditOptions::default());
-    let flight = args
-        .get("flight-out")
-        .map(|_| FlightOptions::with_events(flight_events));
-    // Wall-clock span profile of the worker pool; sits outside the
-    // determinism boundary and never feeds back into results.
-    let profiler = args.get("profile-out").map(|_| SpanProfiler::new());
-    let run_cell = |kind: PolicyKind, worker: usize| {
-        let _span = profiler.as_ref().map(|p| {
-            p.span(
-                "scheduler",
-                format!("cell {}", kind.name()),
-                worker as u64 + 1,
-            )
-        });
-        // A scheduled mid-simulation panic arms a tripwire sink so the
-        // flight recorder's ring stops strictly before the dying access.
-        let panic_at = fault_plan
-            .as_ref()
-            .and_then(|plan| plan.cell_panic_access(&path, kind.name()));
-        instrumented_policy_cell(
-            &config, &spec, &path, kind, &pages, window, ledger, audit, flight, panic_at,
-        )
-    };
-    // Any robustness flag switches the scheduler to the isolating
-    // runner: panicking cells are retried, then quarantined into the
-    // health report instead of aborting the matrix. The plain path is
-    // untouched so default runs keep fail-fast semantics.
-    let isolate =
-        fault_plan.is_some() || journal.is_some() || args.get("health-out").is_some() || strict;
-    let (cells, health, flights): (Vec<CompareCell>, _, Vec<FlightRecord>) = if isolate {
-        let outcomes = run_policy_cells_isolated(&path, &kinds, threads, |kind, worker| {
-            if let Some(plan) = fault_plan.as_ref() {
-                plan.fire_cell_panic(&path, kind.name());
-            }
-            if let Some(journal) = journal.as_ref() {
-                if let Some(report) = journal.completed_report(&path, kind.name()) {
-                    let report = SimulationReport::from_json(&report).map_err(|e| {
-                        Error::invalid_input(format!(
-                            "journaled cell {path}/{} does not deserialize: {e}",
-                            kind.name()
-                        ))
-                    })?;
-                    return Ok(CompareCell {
-                        report,
-                        records: Vec::new(),
-                        ledger: None,
-                        audit: None,
-                        flight: None,
-                    });
-                }
-            }
-            let cell = run_cell(kind, worker)?;
-            if let Some(journal) = journal.as_ref() {
-                journal.record(&path, kind.name(), &cell.report);
-            }
-            Ok(cell)
-        });
-        let health = MatrixHealthReport::new(
-            outcomes
-                .iter()
-                .zip(&kinds)
-                .map(|(outcome, kind)| outcome.health(&path, kind.name()))
-                .collect(),
-        );
-        // Flight records interleave in policy order: completed cells
-        // carry theirs inside the cell, quarantined cells inside the
-        // outcome — extract both before `into_result` discards the
-        // failure's black box.
-        let mut flights = Vec::new();
-        let cells = outcomes
-            .into_iter()
-            .filter_map(|outcome| match outcome {
-                CellOutcome::Ok { mut value, .. } => {
-                    if let Some(record) = value.flight.take() {
-                        flights.push(record);
-                    }
-                    Some(value)
-                }
-                CellOutcome::Failed { flight: record, .. } => {
-                    if let Some(record) = record {
-                        flights.push(*record);
-                    }
-                    None
-                }
-            })
-            .collect();
-        (cells, Some(health), flights)
-    } else {
-        let mut cells = run_policy_cells(&kinds, threads, run_cell)?;
-        let flights = cells
-            .iter_mut()
-            .filter_map(|cell: &mut CompareCell| cell.flight.take())
-            .collect();
-        (cells, None, flights)
-    };
-    write_compare_table(out, cells.iter().map(|cell| &cell.report))?;
-    if let Some(metrics_path) = args.get("metrics-out") {
-        let mut writer = create_out(metrics_path)?;
-        for cell in &cells {
-            write_jsonl(&mut writer, &cell.records).map_err(io_err)?;
-        }
-        std::io::Write::flush(&mut writer).map_err(io_err)?;
-        writeln!(out, "wrote interval metrics to {metrics_path}").map_err(io_err)?;
-    }
-    if let Some(ledger_path) = args.get("ledger-out") {
-        let mut writer = create_out(ledger_path)?;
-        for cell in &cells {
-            let report = cell
-                .ledger
-                .as_ref()
-                .ok_or_else(|| Error::invalid_input("compare cell lost its page ledger"))?;
-            write_ledger_jsonl(&mut writer, report).map_err(io_err)?;
-        }
-        std::io::Write::flush(&mut writer).map_err(io_err)?;
-        writeln!(out, "wrote page ledger to {ledger_path}").map_err(io_err)?;
-    }
-    if let (Some(profile_path), Some(profiler)) = (args.get("profile-out"), profiler.as_ref()) {
-        let mut writer = create_out(profile_path)?;
-        profiler.write_chrome_trace(&mut writer).map_err(io_err)?;
-        std::io::Write::flush(&mut writer).map_err(io_err)?;
-        writeln!(out, "wrote span profile to {profile_path}").map_err(io_err)?;
-    }
-    if let Some(flight_path) = args.get("flight-out") {
-        // Written before the audit and strict gates below so a failing
-        // run still leaves its black box behind for CI to upload.
-        let matrix = FlightMatrixReport::new(flights);
-        let mut writer = create_out(flight_path)?;
-        write_flight_json(&mut writer, &matrix).map_err(io_err)?;
-        std::io::Write::flush(&mut writer).map_err(io_err)?;
-        writeln!(out, "wrote flight recorder dump to {flight_path}").map_err(io_err)?;
-    }
-    if let Some(audit_path) = args.get("audit-out") {
-        let reports = cells
-            .iter()
-            .map(|cell| {
-                cell.audit
-                    .clone()
-                    .ok_or_else(|| Error::invalid_input("compare cell lost its audit sink"))
-            })
-            .collect::<Result<Vec<AuditReport>>>()?;
-        let matrix = AuditMatrixReport::new(reports);
-        let mut writer = create_out(audit_path)?;
-        write_audit_json(&mut writer, &matrix).map_err(io_err)?;
-        std::io::Write::flush(&mut writer).map_err(io_err)?;
-        writeln!(out, "wrote audit report to {audit_path}").map_err(io_err)?;
-        // The artifact is written first so CI can upload it, then the
-        // exit code carries the verdict.
-        if !matrix.clean {
-            return Err(Error::invalid_input(format!(
-                "run-health audit found {} invariant violation(s); see {audit_path}",
-                matrix.total_violations
-            )));
-        }
-    }
-    if let Some(health) = health {
-        for cell in health
-            .cells
-            .iter()
-            .filter(|c| c.status == CellStatus::Failed)
-        {
-            writeln!(
-                out,
-                "cell {}/{} failed after {} retries: {}",
-                cell.workload,
-                cell.policy,
-                cell.retries,
-                cell.error.as_deref().unwrap_or("unknown error")
-            )
-            .map_err(io_err)?;
-        }
-        if let Some(health_path) = args.get("health-out") {
-            let mut writer = create_out(health_path)?;
-            write_matrix_health_json(&mut writer, &health).map_err(io_err)?;
-            std::io::Write::flush(&mut writer).map_err(io_err)?;
-            writeln!(out, "wrote matrix health to {health_path}").map_err(io_err)?;
-        }
-        // The health artifact lands first; the exit code only carries
-        // the verdict when --strict asked it to.
-        if strict && health.failed_cells > 0 {
-            return Err(Error::invalid_input(format!(
-                "{} of {} cells failed; see the health report, or rerun with --resume \
-                 to recompute only the failures",
-                health.failed_cells, health.total_cells
-            )));
-        }
+    let degrade = run.fault_plan.is_some() || run.resume.is_some() || run.outputs.health.is_some();
+    let (spec, pages) = load_recorded(args)?;
+    let outcome = run.run_trace(&spec, &pages, &PolicyKind::all())?;
+    write_compare_table(out, outcome.completed().map(|cell| &cell.report))?;
+    run.write_artifacts(&outcome, out)?;
+    let health = &outcome.health;
+    if health.failed_cells > 0 && (strict || !degrade) {
+        return Err(Error::invalid_input(format!(
+            "{} of {} cells failed; see the health report, or rerun with --resume \
+             to recompute only the failures",
+            health.failed_cells, health.total_cells
+        )));
     }
     Ok(())
 }
@@ -605,7 +355,6 @@ fn observe<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         "memory-fraction",
         "dram-fraction",
         "warmup",
-        "replay",
         "flight-out",
         "flight-events",
     ])?;
@@ -641,7 +390,6 @@ fn observe<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         dram_fraction: args.get_parsed_or("dram-fraction", 0.10)?,
         seed,
         warmup_fraction: warmup,
-        replay: parse_replay(args)?,
         ..ExperimentConfig::date2016()
     };
     let policy = config.build_policy(kind, &spec)?;
@@ -667,14 +415,12 @@ fn observe<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
     } else {
         simulator.set_event_sink(Box::new(collector));
     }
-    // Drive in replay-driver-sized chunks so `--replay batched` exercises
-    // the batch path; window boundaries are trace positions, so the JSONL
-    // is byte-identical whichever driver runs (CI compares the two).
+    // Drive in batch-sized chunks, draining the windows each one closes.
     let mut buffer = Vec::with_capacity(HybridSimulator::BATCH_RECORDS);
     for access in TraceGenerator::new(spec.clone(), seed).map(PageAccess::from) {
         buffer.push(access);
         if buffer.len() == HybridSimulator::BATCH_RECORDS {
-            drive_slice(&mut simulator, config.replay, &buffer);
+            simulator.run_slice_batched(&buffer);
             buffer.clear();
             let records = drain_observed(&mut simulator, false)?;
             if !records.is_empty() {
@@ -682,7 +428,7 @@ fn observe<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
             }
         }
     }
-    drive_slice(&mut simulator, config.replay, &buffer);
+    simulator.run_slice_batched(&buffer);
     let records = drain_observed(&mut simulator, true)?;
     write_jsonl(out, &records).map_err(io_err)?;
     if let Some(flight_path) = args.get("flight-out") {
@@ -1042,8 +788,9 @@ fn analyze_check<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
     .map_err(io_err)
 }
 
-/// Runs one policy over a generated workload with a [`PageLedger`]
-/// attached and returns its end-of-run report.
+/// Runs one policy over a generated workload with a page ledger attached
+/// and returns its end-of-run report. The trace streams out of the
+/// generator, so even a full-scale workload runs in constant memory.
 fn run_ledger_report(
     args: &Args,
     focus: Option<PageId>,
@@ -1056,37 +803,36 @@ fn run_ledger_report(
     let cap: u64 = args.get_parsed_or("cap", 1_000_000)?;
     let spec = if cap == 0 { spec } else { spec.capped(cap) };
     let kind = parse_policy(args.get_or("policy", "two-lru"))?;
-    let seed: u64 = args.get_parsed_or("seed", 42)?;
     let options = LedgerOptions {
         top_k: args.get_parsed_or("top", 64)?,
         max_events: args.get_parsed_or("max-events", default_max_events)?,
         focus,
     };
+    // The journey covers the whole trace: no warmup prefix.
     let config = ExperimentConfig {
         memory_fraction: args.get_parsed_or("memory-fraction", 0.75)?,
         dram_fraction: args.get_parsed_or("dram-fraction", 0.10)?,
-        seed,
+        seed: args.get_parsed_or("seed", 42)?,
+        warmup_fraction: 0.0,
         ..ExperimentConfig::date2016()
     };
-    let policy = config.build_policy(kind, &spec)?;
-    let mut simulator = HybridSimulator::with_date2016_devices(policy);
-    simulator.set_event_sink(Box::new(PageLedger::new(
-        spec.name.clone(),
-        kind.name(),
-        options,
-        0,
-    )));
-    for access in TraceGenerator::new(spec.clone(), seed).map(PageAccess::from) {
-        simulator.step(access);
-    }
-    let mut sink = simulator
-        .take_event_sink()
-        .ok_or_else(|| Error::invalid_input("ledger run lost its event sink"))?;
-    let page_ledger = sink
-        .as_any_mut()
-        .downcast_mut::<PageLedger>()
-        .ok_or_else(|| Error::invalid_input("ledger sink has the wrong type"))?;
-    Ok(page_ledger.finish())
+    let run = MatrixRun {
+        instrumentation: Instrumentation::default().with_ledger(options),
+        ..MatrixRun::new(config)?
+    };
+    only_run(run.run_streamed(&[spec], &[kind])?)?
+        .ledger
+        .ok_or_else(|| Error::invalid_input("ledger run lost its page ledger"))
+}
+
+/// The single cell of a 1×1 matrix, or its error.
+fn only_run(outcome: MatrixOutcome) -> Result<InstrumentedRun> {
+    outcome
+        .runs()?
+        .into_iter()
+        .flatten()
+        .next()
+        .ok_or_else(|| Error::invalid_input("the matrix ran no cell"))
 }
 
 fn write_ledger_summary<W: std::io::Write>(out: &mut W, report: &LedgerReport) -> Result<()> {
@@ -1172,321 +918,36 @@ fn format_page_event(event: &PageEvent) -> String {
     }
 }
 
-/// Describes a loaded trace as a `WorkloadSpec` plus paper-style
-/// configuration so the standard runner applies: the working set is the
-/// measured footprint; locality fields are unused because the recorded
-/// accesses are fed directly.
-fn trace_experiment(
-    args: &Args,
-    path: &str,
-    trace: &[Access],
-) -> Result<(WorkloadSpec, ExperimentConfig)> {
+/// The paper-style configuration for replaying a trace file: memory
+/// sized from the trace's own footprint, and every access measured (a
+/// recorded trace has no warmup prefix).
+fn trace_config(args: &Args) -> Result<ExperimentConfig> {
+    Ok(ExperimentConfig {
+        memory_fraction: args.get_parsed_or("memory-fraction", 0.75)?,
+        dram_fraction: args.get_parsed_or("dram-fraction", 0.10)?,
+        warmup_fraction: 0.0,
+        ..ExperimentConfig::date2016()
+    })
+}
+
+/// Loads the trace file and decodes it once, so every policy replays the
+/// same immutable buffer; the trace is described as a `WorkloadSpec`
+/// whose working set is the measured footprint (locality fields are
+/// unused because the recorded accesses are fed directly).
+fn load_recorded(args: &Args) -> Result<(WorkloadSpec, Vec<PageAccess>)> {
+    let (path, trace) = load_trace(args)?;
     let stats = TraceStats::from_accesses(trace.iter().copied());
     if stats.total() == 0 {
         return Err(Error::invalid_input(format!("trace {path} is empty")));
     }
-    let memory_fraction: f64 = args.get_parsed_or("memory-fraction", 0.75)?;
-    let dram_fraction: f64 = args.get_parsed_or("dram-fraction", 0.10)?;
     let spec = WorkloadSpec::new(
-        path.to_owned(),
+        path,
         stats.footprint().value().max(2),
         stats.reads.max(1),
         stats.writes,
         hybridmem_trace::LocalityParams::balanced(),
     )?;
-    let config = ExperimentConfig {
-        memory_fraction,
-        dram_fraction,
-        replay: parse_replay(args)?,
-        ..ExperimentConfig::date2016()
-    };
-    Ok((spec, config))
-}
-
-/// Runs one policy over an already-decoded trace buffer.
-fn simulate_policy_cell(
-    config: &ExperimentConfig,
-    spec: &WorkloadSpec,
-    path: &str,
-    kind: PolicyKind,
-    pages: &[PageAccess],
-) -> Result<SimulationReport> {
-    let policy = config.build_policy(kind, spec)?;
-    let mut simulator = HybridSimulator::with_date2016_devices(policy);
-    drive_slice(&mut simulator, config.replay, pages);
-    Ok(simulator.into_report(path.to_owned()))
-}
-
-/// One policy's results from a `compare` run: always the report, plus
-/// whatever instrumentation the flags requested.
-struct CompareCell {
-    report: SimulationReport,
-    records: Vec<IntervalRecord>,
-    ledger: Option<LedgerReport>,
-    audit: Option<AuditReport>,
-    flight: Option<FlightRecord>,
-}
-
-/// [`simulate_policy_cell`] with optional instrumentation attached: a
-/// [`WindowedCollector`] when `--metrics-out` asked for interval records,
-/// a [`PageLedger`] when `--ledger-out` asked for page journeys, an
-/// [`AuditSink`] when `--audit-out` asked for run-health checking, a
-/// [`FlightRecorder`] black box when `--flight-out` asked for one — all
-/// fanned out when several are set, and no sink at all when none is.
-/// Window and ledger boundaries are trace positions, so the outputs do
-/// not depend on how the cells around this one are scheduled.
-///
-/// A scheduled `cell-panic-at` fault arms a [`PanicTripwire`] as the
-/// FIRST sink, so the panic fires before the dying access reaches any
-/// recorder and the flight ring ends strictly before the panic site;
-/// the flight recorder rides LAST so its ring reflects what every
-/// other sink saw. Its probe is published to the thread's registry, so
-/// the isolation wrapper captures the black box even when the panic
-/// destroys the sink itself.
-#[allow(clippy::too_many_arguments)]
-fn instrumented_policy_cell(
-    config: &ExperimentConfig,
-    spec: &WorkloadSpec,
-    path: &str,
-    kind: PolicyKind,
-    pages: &[PageAccess],
-    window: Option<u64>,
-    ledger: Option<LedgerOptions>,
-    audit: Option<AuditOptions>,
-    flight: Option<FlightOptions>,
-    panic_at: Option<u64>,
-) -> Result<CompareCell> {
-    let policy = config.build_policy(kind, spec)?;
-    let mut simulator = HybridSimulator::with_date2016_devices(policy);
-    let mut sinks: Vec<Box<dyn EventSink>> = Vec::new();
-    if let Some(at) = panic_at {
-        sinks.push(Box::new(PanicTripwire::new(path, kind.name(), at)));
-    }
-    if let Some(window) = window {
-        sinks.push(Box::new(WindowedCollector::new(
-            path,
-            kind.name(),
-            window,
-            0,
-        )));
-    }
-    if let Some(options) = ledger {
-        sinks.push(Box::new(PageLedger::new(path, kind.name(), options, 0)));
-    }
-    if let Some(options) = audit {
-        // dram-cache keeps a clean NVM copy while a page is cached, so
-        // its tiers legitimately overlap; every other policy is
-        // exclusive.
-        let sink = AuditSink::new(path, kind.name(), options)
-            .with_capacities(
-                simulator.dram_capacity().value(),
-                simulator.nvm_capacity().value(),
-            )
-            .with_exclusive_residency(kind != PolicyKind::DramCache);
-        sinks.push(Box::new(sink));
-    }
-    if let Some(options) = flight {
-        sinks.push(Box::new(flight_recorder_for(
-            path,
-            kind.name(),
-            options,
-            &simulator,
-            0,
-        )));
-    }
-    let attached = sinks.len();
-    match sinks.len() {
-        0 => {}
-        1 => simulator.set_event_sink(sinks.pop().expect("one sink")),
-        _ => {
-            let mut fanout = FanoutSink::new();
-            for sink in sinks {
-                fanout.push(sink);
-            }
-            simulator.set_event_sink(Box::new(fanout));
-        }
-    }
-    drive_slice(&mut simulator, config.replay, pages);
-    let mut records = Vec::new();
-    let mut ledger_report = None;
-    let mut audit_report = None;
-    let mut flight_record = None;
-    if attached > 0 {
-        let mut sink = simulator
-            .take_event_sink()
-            .ok_or_else(|| Error::invalid_input("instrumented cell lost its event sink"))?;
-        if attached > 1 {
-            let fanout = sink
-                .as_any_mut()
-                .downcast_mut::<FanoutSink>()
-                .ok_or_else(|| Error::invalid_input("instrumented cell sink has the wrong type"))?;
-            for child in fanout.sinks_mut() {
-                drain_instrumentation(
-                    child.as_mut(),
-                    &mut records,
-                    &mut ledger_report,
-                    &mut audit_report,
-                    &mut flight_record,
-                );
-            }
-        } else {
-            drain_instrumentation(
-                sink.as_mut(),
-                &mut records,
-                &mut ledger_report,
-                &mut audit_report,
-                &mut flight_record,
-            );
-        }
-    }
-    Ok(CompareCell {
-        report: simulator.into_report(path.to_owned()),
-        records,
-        ledger: ledger_report,
-        audit: audit_report,
-        flight: flight_record,
-    })
-}
-
-/// Finishes and drains one instrumentation sink into whichever output
-/// slot matches its concrete type. The flight recorder rides last in
-/// the fanout, so the audit slot is already filled when its branch
-/// runs: an unclean audit promotes the dump's trigger, exactly as a
-/// cell that survived but broke a conservation law should read.
-fn drain_instrumentation(
-    sink: &mut dyn EventSink,
-    records: &mut Vec<IntervalRecord>,
-    ledger: &mut Option<LedgerReport>,
-    audit: &mut Option<AuditReport>,
-    flight: &mut Option<FlightRecord>,
-) {
-    let any = sink.as_any_mut();
-    if let Some(collector) = any.downcast_mut::<WindowedCollector>() {
-        collector.finish();
-        *records = collector.drain();
-    } else if let Some(page_ledger) = any.downcast_mut::<PageLedger>() {
-        *ledger = Some(page_ledger.finish());
-    } else if let Some(audit_sink) = any.downcast_mut::<AuditSink>() {
-        audit_sink.finish();
-        *audit = Some(audit_sink.report());
-    } else if let Some(recorder) = any.downcast_mut::<FlightRecorder>() {
-        // The cell completed, so nothing will capture the published
-        // probe — take it back and capture the black box here.
-        let probe = recorder.probe();
-        let _ = flightrec::take_probe();
-        let trigger = match audit {
-            Some(report) if !report.clean => "audit-violation",
-            _ => "completed",
-        };
-        *flight = Some(probe.capture(trigger, None, 0));
-    }
-}
-
-/// Runs every policy over the shared trace buffer on a worker pool of
-/// `threads` OS threads (0 = all available cores), writing results into
-/// per-cell slots so the output order — and the first error reported —
-/// match the serial loop exactly. The closure additionally receives the
-/// worker index (for span-profiler lanes); cell results must not depend
-/// on it.
-fn run_policy_cells<T: Send>(
-    kinds: &[PolicyKind],
-    threads: usize,
-    run: impl Fn(PolicyKind, usize) -> Result<T> + Sync,
-) -> Result<Vec<T>> {
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-    .min(kinds.len())
-    .max(1);
-    let next_cell = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<T>>>> = kinds.iter().map(|_| Mutex::new(None)).collect();
-    let worker = |id: usize| loop {
-        let index = next_cell.fetch_add(1, Ordering::Relaxed);
-        let Some(kind) = kinds.get(index) else { break };
-        let result = run(*kind, id);
-        *slots[index].lock().expect("cell slot poisoned") = Some(result);
-    };
-    std::thread::scope(|scope| {
-        for id in 0..workers {
-            let worker = &worker;
-            scope.spawn(move || worker(id));
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("cell slot poisoned")
-                .expect("every cell was claimed by a worker")
-        })
-        .collect()
-}
-
-/// [`run_policy_cells`] with per-cell failure isolation: every cell
-/// runs inside [`run_isolated`] (panics caught and retried, then
-/// quarantined as typed errors), so one dying cell never takes the
-/// rest of the matrix down. Never fails as a whole — quarantined
-/// cells come back as [`CellOutcome::Failed`] in policy order.
-fn run_policy_cells_isolated<T: Send>(
-    workload: &str,
-    kinds: &[PolicyKind],
-    threads: usize,
-    run: impl Fn(PolicyKind, usize) -> Result<T> + Sync,
-) -> Vec<CellOutcome<T>> {
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-    .min(kinds.len())
-    .max(1);
-    let next_cell = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellOutcome<T>>>> =
-        kinds.iter().map(|_| Mutex::new(None)).collect();
-    let worker = |id: usize| loop {
-        let index = next_cell.fetch_add(1, Ordering::Relaxed);
-        let Some(kind) = kinds.get(index) else { break };
-        let outcome = run_isolated(workload, kind.name(), || run(*kind, id));
-        // A poisoned slot just means some other cell panicked past
-        // its isolation wrapper; this cell's outcome is still good.
-        *slots[index]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
-    };
-    std::thread::scope(|scope| {
-        for id in 0..workers {
-            let worker = &worker;
-            scope.spawn(move || worker(id));
-        }
-    });
-    slots
-        .into_iter()
-        .zip(kinds)
-        .map(|(slot, kind)| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|| CellOutcome::Failed {
-                    error: Error::invalid_input(format!(
-                        "cell {workload}/{} was never completed: its worker thread died",
-                        kind.name()
-                    )),
-                    retries: 0,
-                    panicked: true,
-                    flight: None,
-                })
-        })
-        .collect()
-}
-
-/// Loads a trace and runs one policy over it with paper-style memory
-/// sizing derived from the trace's own footprint.
-fn run_trace_policy(args: &Args, kind: PolicyKind) -> Result<SimulationReport> {
-    let (path, trace) = load_trace(args)?;
-    let (spec, config) = trace_experiment(args, &path, &trace)?;
-    let pages: Vec<PageAccess> = trace.iter().copied().map(PageAccess::from).collect();
-    simulate_policy_cell(&config, &spec, &path, kind, &pages)
+    Ok((spec, trace.into_iter().map(PageAccess::from).collect()))
 }
 
 fn write_report<W: std::io::Write>(out: &mut W, report: &SimulationReport) -> Result<()> {
@@ -1546,26 +1007,6 @@ fn load_trace(args: &Args) -> Result<(String, Vec<Access>)> {
         Format::Binary => trace_io::read_binary(reader)?,
     };
     Ok((path, trace))
-}
-
-/// Resolves `--replay`: `serial` or `batched` (the default). Both drivers
-/// are byte-identical; batched amortizes per-access policy dispatch.
-fn parse_replay(args: &Args) -> Result<ReplayMode> {
-    match args.get_or("replay", "batched") {
-        "serial" => Ok(ReplayMode::Serial),
-        "batched" => Ok(ReplayMode::Batched),
-        other => Err(Error::invalid_input(format!(
-            "unknown replay driver {other:?}; expected serial or batched"
-        ))),
-    }
-}
-
-/// Drives a decoded slice through the configured replay driver.
-fn drive_slice(simulator: &mut HybridSimulator, replay: ReplayMode, pages: &[PageAccess]) {
-    match replay {
-        ReplayMode::Serial => simulator.run_slice(pages),
-        ReplayMode::Batched => simulator.run_slice_batched(pages),
-    }
 }
 
 fn parse_policy(name: &str) -> Result<PolicyKind> {
@@ -2514,50 +1955,29 @@ mod tests {
     }
 
     #[test]
-    fn replay_drivers_are_byte_identical_in_compare_and_observe() {
-        let dir = std::env::temp_dir().join("hybridmem-cli-replay");
+    fn compare_prices_a_one_page_trace_on_its_measured_footprint() {
+        // Every memory needs two pages, so the trace's spec describes two;
+        // the reports must still price the one page the trace touched.
+        let dir = std::env::temp_dir().join("hybridmem-cli-one-page");
         std::fs::create_dir_all(&dir).unwrap();
-        let trace_path = dir.join("r.trace");
-        let trace_path = trace_path.to_str().unwrap();
-        run_capture(&[
-            "generate",
-            "--workload",
-            "bodytrack",
-            "--output",
-            trace_path,
-            "--cap",
-            "4000",
-        ])
-        .0
-        .unwrap();
-
-        let (result, serial) = run_capture(&["compare", trace_path, "--replay", "serial"]);
+        let path = dir.join("one.txt");
+        std::fs::write(&path, "R 0x1000 0\nW 0x1000 0\nR 0x1000 0\n").unwrap();
+        let (result, text) = run_capture(&["compare", path.to_str().unwrap()]);
         assert!(result.is_ok(), "{result:?}");
-        let (result, batched) = run_capture(&["compare", trace_path, "--replay", "batched"]);
-        assert!(result.is_ok(), "{result:?}");
-        assert_eq!(serial, batched, "replay drivers must agree byte-for-byte");
-
-        let observe_args = |replay| {
-            vec![
-                "observe",
-                "bodytrack",
-                "--cap",
-                "3000",
-                "--window",
-                "500",
-                "--replay",
-                replay,
-            ]
-        };
-        let (result, serial) = run_capture(&observe_args("serial"));
-        assert!(result.is_ok(), "{result:?}");
-        let (result, batched) = run_capture(&observe_args("batched"));
-        assert!(result.is_ok(), "{result:?}");
-        assert_eq!(serial, batched, "observe JSONL must agree byte-for-byte");
-
-        let (result, _) = run_capture(&["compare", trace_path, "--replay", "nope"]);
-        assert!(result.unwrap_err().to_string().contains("nope"));
-        let _ = std::fs::remove_file(trace_path);
+        assert_eq!(
+            text,
+            "\
+policy                 hit%   migrations     AMAT(ns)  energy/req nJ   NVM writes
+two-lru              66.67%            0      1666700         548.62            0
+clock-dwf            66.67%            0      1666700         548.62            0
+clock-pro            66.67%            1      1692417        7112.88          513
+dram-cache           66.67%            1      1692300        7102.22          512
+dram-only            66.67%            0      1666700         548.90            0
+nvm-only             66.67%            0      1666817        5474.20          513
+two-lru-adaptive     66.67%            0      1666700         548.62            0
+"
+        );
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

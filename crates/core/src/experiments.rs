@@ -4,13 +4,10 @@
 //! the total pages and the DRAM size is set to 10% of the total memory
 //! size". [`ExperimentConfig`] captures those ratios (and every other knob)
 //! and [`ExperimentConfig::run`] executes one `(workload, policy)` cell of
-//! the evaluation matrix; [`compare_policies`] runs a whole row.
+//! the evaluation matrix; [`MatrixRun`](crate::MatrixRun) runs the whole
+//! matrix. Every path drives the same cell driver.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-use hybridmem_json::{impl_json, FromJson};
+use hybridmem_json::impl_json;
 use hybridmem_metrics::{MetricsSnapshot, SpanProfiler};
 use hybridmem_policy::{
     AdaptiveConfig, AdaptiveTwoLruPolicy, ClockDwfPolicy, ClockProPolicy, DramCachePolicy,
@@ -18,15 +15,12 @@ use hybridmem_policy::{
 };
 use hybridmem_trace::binfmt::BinTraceStream;
 use hybridmem_trace::{TraceGenerator, WorkloadSpec};
-use hybridmem_types::{fx_hash_one, Error, PageAccess, PageCount, Result};
+use hybridmem_types::{Error, PageAccess, PageCount, Result};
 
-use crate::faultinject::FaultPlan;
 use crate::flightrec::{self, FlightOptions, FlightRecord, FlightRecorder, PanicTripwire};
-use crate::health::{run_isolated, CellOutcome, MatrixHealthReport};
-use crate::journal::RunJournal;
 use crate::{
     AuditOptions, AuditReport, AuditSink, EventSink, FanoutSink, HybridSimulator, IntervalRecord,
-    LedgerOptions, LedgerReport, ObservedRun, PageLedger, SimulationReport, TimeModel, TraceCache,
+    LedgerOptions, LedgerReport, PageLedger, SimulationReport, TimeModel, TraceCache,
     WindowedCollector,
 };
 
@@ -95,25 +89,6 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// How the simulator consumes a trace.
-///
-/// Both modes produce **byte-identical** output — every access flows
-/// through the same per-access accounting in trace order either way (see
-/// [`HybridSimulator::run_slice_batched`]). `Serial` exists as the
-/// determinism oracle the batched path is tested against; `Batched` is the
-/// default because it amortizes policy dispatch over
-/// [`HybridSimulator::BATCH_RECORDS`]-access chunks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ReplayMode {
-    /// One policy call per access — the reference path.
-    Serial,
-    /// One policy call per chunk of accesses (the fast default).
-    #[default]
-    Batched,
-}
-
-impl_json!(ToJson for ReplayMode { Serial = "serial", Batched = "batched" });
-
 /// Full configuration of one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
@@ -140,9 +115,6 @@ pub struct ExperimentConfig {
     /// `[0, 1)`. The paper minimizes cold-start effects by using the
     /// largest PARSEC inputs; we do it by measuring the steady state only.
     pub warmup_fraction: f64,
-    /// Trace replay driver (defaults to [`ReplayMode::Batched`]; both
-    /// modes are byte-identical).
-    pub replay: ReplayMode,
 }
 
 impl_json!(ToJson for ExperimentConfig {
@@ -156,8 +128,20 @@ impl_json!(ToJson for ExperimentConfig {
     seed,
     time_model,
     warmup_fraction,
-    replay,
 });
+
+/// Where a cell's trace comes from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TraceSource<'a> {
+    /// Streamed straight out of the generator, never materialized.
+    Generate,
+    /// Shared through a cache (spilled or streamed when oversize).
+    Cache(&'a TraceCache),
+    /// A caller's recorded trace: not a function of `(spec, seed)`, so it
+    /// never enters a cache, and its report prices the measured footprint
+    /// rather than the spec's nominal scale.
+    Recorded(&'a [PageAccess]),
+}
 
 impl ExperimentConfig {
     /// The paper's setup: 75% memory, 10% DRAM, default thresholds.
@@ -174,7 +158,6 @@ impl ExperimentConfig {
             seed: 42,
             time_model: TimeModel::date2016(),
             warmup_fraction: 0.3,
-            replay: ReplayMode::default(),
         }
     }
 
@@ -225,8 +208,7 @@ impl ExperimentConfig {
         })
     }
 
-    /// Validates the cell inputs shared by [`ExperimentConfig::run`] and
-    /// [`ExperimentConfig::run_cached`].
+    /// Validates the inputs of one cell.
     fn validate_cell(&self, spec: &WorkloadSpec) -> Result<()> {
         spec.validate()?;
         if !(0.0..1.0).contains(&self.warmup_fraction) {
@@ -238,8 +220,14 @@ impl ExperimentConfig {
         Ok(())
     }
 
-    /// Builds the configured simulator for one cell.
-    fn build_simulator(&self, kind: PolicyKind, spec: &WorkloadSpec) -> Result<HybridSimulator> {
+    /// Builds the configured simulator for one cell. `nominal` prices a
+    /// generated trace at its workload's nominal size.
+    fn build_simulator(
+        &self,
+        kind: PolicyKind,
+        spec: &WorkloadSpec,
+        nominal: bool,
+    ) -> Result<HybridSimulator> {
         let policy = self.build_policy(kind, spec)?;
         let mut simulator = HybridSimulator::new(
             policy,
@@ -249,11 +237,13 @@ impl ExperimentConfig {
             hybridmem_device::MigrationEngine::new(),
             self.time_model,
         );
-        // A scaled-down trace runs against a proportionally scaled memory;
-        // report static power as if at nominal size, over the workload's
-        // true duration density (see DESIGN.md).
-        simulator.set_static_scale(1.0 / spec.scale_factor());
-        simulator.set_density_hint(spec.nominal_density());
+        if nominal {
+            // A scaled-down trace runs against a proportionally scaled
+            // memory; report static power as if at nominal size, over the
+            // workload's true duration density (see DESIGN.md).
+            simulator.set_static_scale(1.0 / spec.scale_factor());
+            simulator.set_density_hint(spec.nominal_density());
+        }
         Ok(simulator)
     }
 
@@ -269,19 +259,10 @@ impl ExperimentConfig {
         }
     }
 
-    /// Drives one trace slice through the configured replay driver.
-    fn drive_slice(&self, simulator: &mut HybridSimulator, slice: &[PageAccess]) {
-        match self.replay {
-            ReplayMode::Serial => simulator.run_slice(slice),
-            ReplayMode::Batched => simulator.run_slice_batched(slice),
-        }
-    }
-
     /// Drives one chunk of an incrementally produced trace, resetting the
     /// simulator's accounting exactly at the warmup boundary — the chunked
-    /// equivalent of `run_slice(warmup); reset; run_slice(rest)`.
+    /// equivalent of `run(warmup); reset; run(rest)`.
     fn drive_chunk(
-        &self,
         simulator: &mut HybridSimulator,
         warmup: usize,
         position: &mut usize,
@@ -290,7 +271,7 @@ impl ExperimentConfig {
         let mut slice = chunk;
         if *position < warmup {
             let take = (warmup - *position).min(slice.len());
-            self.drive_slice(simulator, &slice[..take]);
+            simulator.run_slice_batched(&slice[..take]);
             *position += take;
             slice = &slice[take..];
             if *position == warmup {
@@ -298,7 +279,7 @@ impl ExperimentConfig {
             }
         }
         if !slice.is_empty() {
-            self.drive_slice(simulator, slice);
+            simulator.run_slice_batched(slice);
             *position += slice.len();
         }
     }
@@ -317,7 +298,7 @@ impl ExperimentConfig {
             if buf.is_empty() {
                 break;
             }
-            self.drive_chunk(simulator, warmup, &mut position, &buf);
+            Self::drive_chunk(simulator, warmup, &mut position, &buf);
         }
     }
 
@@ -341,7 +322,7 @@ impl ExperimentConfig {
         while let Some(chunk) = stream.next_chunk()? {
             buf.clear();
             buf.extend(chunk.iter().map(|record| record.access()));
-            self.drive_chunk(simulator, warmup, &mut position, &buf);
+            Self::drive_chunk(simulator, warmup, &mut position, &buf);
         }
         Ok(())
     }
@@ -351,17 +332,16 @@ impl ExperimentConfig {
     ///
     /// Streams the trace straight out of the generator without
     /// materializing it; see [`ExperimentConfig::run_cached`] for the
-    /// shared-trace variant the matrix runners use.
+    /// shared-trace variant.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when the workload or derived
     /// configuration is invalid.
     pub fn run(&self, spec: &WorkloadSpec, kind: PolicyKind) -> Result<SimulationReport> {
-        self.validate_cell(spec)?;
-        let mut simulator = self.build_simulator(kind, spec)?;
-        self.replay_generator(&mut simulator, spec);
-        Ok(simulator.into_report(spec.name.clone()))
+        let cell = Instrumentation::default();
+        self.run_cell_driver(spec, kind, TraceSource::Generate, cell, None, 0, None)
+            .map(|run| run.report)
     }
 
     /// Runs one cell against a trace shared through `cache`, so sibling
@@ -385,148 +365,47 @@ impl ExperimentConfig {
         kind: PolicyKind,
         cache: &TraceCache,
     ) -> Result<SimulationReport> {
-        self.validate_cell(spec)?;
-        let Some(trace) = cache.try_get(spec, self.seed) else {
-            // Oversize: replay from (or create) a binary spill stream when
-            // the cache has one; otherwise stream out of the generator.
-            let mut simulator = self.build_simulator(kind, spec)?;
-            match cache.open_stream(spec, self.seed) {
-                Some(stream) => self.replay_stream(&mut simulator, spec, stream)?,
-                None => self.replay_generator(&mut simulator, spec),
-            }
-            return Ok(simulator.into_report(spec.name.clone()));
-        };
-        let mut simulator = self.build_simulator(kind, spec)?;
-        let warmup = self.warmup_len(spec).min(trace.len());
-        self.drive_slice(&mut simulator, &trace[..warmup]);
-        simulator.reset_accounting();
-        self.drive_slice(&mut simulator, &trace[warmup..]);
-        Ok(simulator.into_report(spec.name.clone()))
+        let cell = Instrumentation::default();
+        self.run_cell_driver(spec, kind, TraceSource::Cache(cache), cell, None, 0, None)
+            .map(|run| run.report)
     }
 
-    /// [`ExperimentConfig::run`] with a [`WindowedCollector`] attached:
-    /// returns the usual report plus per-window [`IntervalRecord`]s and a
-    /// metrics snapshot (see [`crate::observe`]).
-    ///
-    /// The collector is installed *before* warmup so occupancy gauges
-    /// track the true resident set, but interval 0 starts at the first
-    /// steady-state access — window indices are trace positions, so the
-    /// records are identical however the matrix around this cell is
-    /// scheduled. A `window` of 0 produces a single whole-run record.
-    ///
-    /// [`IntervalRecord`]: crate::IntervalRecord
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when the workload or derived
-    /// configuration is invalid.
-    pub fn run_observed(
-        &self,
-        spec: &WorkloadSpec,
-        kind: PolicyKind,
-        window: u64,
-    ) -> Result<ObservedRun> {
-        self.run_cell_instrumented(spec, kind, None, Instrumentation::windowed(window), None, 0)
-            .map(InstrumentedRun::into_observed)
-    }
-
-    /// [`ExperimentConfig::run_observed`] over a trace shared through
-    /// `cache` (the observed matrix path); falls back to the streaming
-    /// variant when the trace exceeds the cache budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when the workload or derived
-    /// configuration is invalid.
-    pub fn run_observed_cached(
-        &self,
-        spec: &WorkloadSpec,
-        kind: PolicyKind,
-        cache: &TraceCache,
-        window: u64,
-    ) -> Result<ObservedRun> {
-        self.run_cell_instrumented(
-            spec,
-            kind,
-            Some(cache),
-            Instrumentation::windowed(window),
-            None,
-            0,
-        )
-        .map(InstrumentedRun::into_observed)
-    }
-
-    /// Runs one cell with any combination of drill-down sinks attached —
-    /// the generalization behind [`ExperimentConfig::run_observed`]: a
-    /// [`WindowedCollector`] when [`Instrumentation::window`] is set, a
-    /// [`PageLedger`] when [`Instrumentation::ledger`] is set, both fanned
-    /// out in a fixed order when both are, and **no sink at all** (the
-    /// exact hot path of [`ExperimentConfig::run_cached`]) when neither
-    /// is — instrumentation that is not requested costs nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when the workload or derived
-    /// configuration is invalid.
-    pub fn run_instrumented(
-        &self,
-        spec: &WorkloadSpec,
-        kind: PolicyKind,
-        cache: &TraceCache,
-        instrumentation: Instrumentation,
-    ) -> Result<InstrumentedRun> {
-        self.run_cell_instrumented(spec, kind, Some(cache), instrumentation, None, 0)
-    }
-
-    /// The isolated matrix runner's cell driver: instrumentation (in
-    /// practice a flight recorder) plus an optional armed
-    /// [`PanicTripwire`] from a `cell-panic-at` fault clause.
-    fn run_cell_faulted(
-        &self,
-        spec: &WorkloadSpec,
-        kind: PolicyKind,
-        cache: &TraceCache,
-        instrumentation: Instrumentation,
-        panic_at: Option<u64>,
-    ) -> Result<InstrumentedRun> {
-        self.run_cell_driver(spec, kind, Some(cache), instrumentation, None, 0, panic_at)
-    }
-
-    /// The shared cell driver without fault wiring (the common case).
-    fn run_cell_instrumented(
-        &self,
-        spec: &WorkloadSpec,
-        kind: PolicyKind,
-        cache: Option<&TraceCache>,
-        instrumentation: Instrumentation,
-        profiler: Option<&SpanProfiler>,
-        lane: u64,
-    ) -> Result<InstrumentedRun> {
-        self.run_cell_driver(spec, kind, cache, instrumentation, profiler, lane, None)
-    }
-
-    /// The shared cell driver: optional trace cache (streaming when
-    /// `None` or over budget), optional instrumentation sinks, optional
-    /// span profiler reporting on lane `lane`, optional armed panic
+    /// The cell driver behind every runner: replays the cell's trace from
+    /// `source` with the requested sinks attached, optionally reporting
+    /// spans to `profiler` on lane `lane`, with an optional armed panic
     /// tripwire (`cell-panic-at` fault injection).
+    ///
+    /// Sinks are installed *before* warmup so occupancy tracks the true
+    /// resident set; window, ledger and audit boundaries are trace
+    /// positions, so a cell's outputs never depend on how the matrix
+    /// around it is scheduled. Empty instrumentation attaches no sink at
+    /// all — instrumentation that is not requested costs nothing.
     #[allow(clippy::too_many_arguments)]
-    fn run_cell_driver(
+    pub(crate) fn run_cell_driver(
         &self,
         spec: &WorkloadSpec,
         kind: PolicyKind,
-        cache: Option<&TraceCache>,
+        source: TraceSource<'_>,
         instrumentation: Instrumentation,
         profiler: Option<&SpanProfiler>,
         lane: u64,
         panic_at: Option<u64>,
     ) -> Result<InstrumentedRun> {
         self.validate_cell(spec)?;
-        let trace = cache.and_then(|cache| {
-            let _span =
-                profiler.map(|p| p.span("trace", format!("materialize {}", spec.name), lane));
-            cache.try_get(spec, self.seed)
-        });
-        let mut simulator = self.build_simulator(kind, spec)?;
+        let span = |cat: &'static str, name: String| profiler.map(|p| p.span(cat, name, lane));
+        let cached = match source {
+            TraceSource::Cache(cache) => {
+                let _span = span("trace", format!("materialize {}", spec.name));
+                cache.try_get(spec, self.seed)
+            }
+            TraceSource::Generate | TraceSource::Recorded(_) => None,
+        };
+        let trace = match source {
+            TraceSource::Recorded(trace) => Some(trace),
+            TraceSource::Generate | TraceSource::Cache(_) => cached.as_deref(),
+        };
+        let nominal = !matches!(source, TraceSource::Recorded(_));
+        let mut simulator = self.build_simulator(kind, spec, nominal)?;
         if let Some(sink) = self.instrument_sink(spec, kind, instrumentation, &simulator, panic_at)
         {
             simulator.set_event_sink(sink);
@@ -536,34 +415,32 @@ impl ExperimentConfig {
             Some(trace) => {
                 let warmup = self.warmup_len(spec).min(trace.len());
                 {
-                    let _span =
-                        profiler.map(|p| p.span("simulate", format!("warmup {cell}"), lane));
-                    self.drive_slice(&mut simulator, &trace[..warmup]);
+                    let _span = span("simulate", format!("warmup {cell}"));
+                    simulator.run_slice_batched(&trace[..warmup]);
                 }
                 simulator.reset_accounting();
-                {
-                    let _span =
-                        profiler.map(|p| p.span("simulate", format!("measure {cell}"), lane));
-                    self.drive_slice(&mut simulator, &trace[warmup..]);
-                }
+                let _span = span("simulate", format!("measure {cell}"));
+                simulator.run_slice_batched(&trace[warmup..]);
             }
             None => {
-                // Oversize trace: prefer the cache's binary spill stream;
-                // warmup and measurement interleave inside one chunked
-                // pass, so a single span covers both.
-                let stream = cache.and_then(|cache| {
-                    let _span =
-                        profiler.map(|p| p.span("trace", format!("spill {}", spec.name), lane));
-                    cache.open_stream(spec, self.seed)
-                });
-                let _span = profiler.map(|p| p.span("simulate", format!("measure {cell}"), lane));
+                // Oversize or uncached trace: prefer the cache's binary
+                // spill stream; warmup and measurement interleave inside
+                // one chunked pass, so a single span covers both.
+                let stream = match source {
+                    TraceSource::Cache(cache) => {
+                        let _span = span("trace", format!("spill {}", spec.name));
+                        cache.open_stream(spec, self.seed)
+                    }
+                    TraceSource::Generate | TraceSource::Recorded(_) => None,
+                };
+                let _span = span("simulate", format!("measure {cell}"));
                 match stream {
                     Some(stream) => self.replay_stream(&mut simulator, spec, stream)?,
                     None => self.replay_generator(&mut simulator, spec),
                 }
             }
         }
-        let _span = profiler.map(|p| p.span("finish", format!("finish {cell}"), lane));
+        let _span = span("finish", format!("finish {cell}"));
         self.finish_instrumented(simulator, spec, instrumentation, panic_at)
     }
 
@@ -591,7 +468,12 @@ impl ExperimentConfig {
             )));
         }
         if let Some(window) = instrumentation.window {
-            sinks.push(Box::new(self.collector(spec, kind, window)));
+            sinks.push(Box::new(WindowedCollector::new(
+                spec.name.clone(),
+                kind.name(),
+                window,
+                self.warmup_len(spec) as u64,
+            )));
         }
         if let Some(options) = instrumentation.ledger {
             sinks.push(Box::new(PageLedger::new(
@@ -639,16 +521,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Builds the per-cell [`WindowedCollector`].
-    fn collector(&self, spec: &WorkloadSpec, kind: PolicyKind, window: u64) -> WindowedCollector {
-        WindowedCollector::new(
-            spec.name.clone(),
-            kind.name(),
-            window,
-            self.warmup_len(spec) as u64,
-        )
-    }
-
     /// Recovers the instrumentation sinks from a finished run and
     /// assembles the [`InstrumentedRun`].
     fn finish_instrumented(
@@ -659,15 +531,9 @@ impl ExperimentConfig {
         panic_at: Option<u64>,
     ) -> Result<InstrumentedRun> {
         if instrumentation.is_empty() {
-            let report = simulator.into_report(spec.name.clone());
-            return Ok(InstrumentedRun {
-                report,
-                records: Vec::new(),
-                metrics: MetricsSnapshot::default(),
-                ledger: None,
-                audit: None,
-                flight: None,
-            });
+            return Ok(InstrumentedRun::bare(
+                simulator.into_report(spec.name.clone()),
+            ));
         }
         let mut sink = simulator.take_event_sink().ok_or_else(|| {
             Error::invalid_input("instrumented run lost its event sink".to_owned())
@@ -806,7 +672,7 @@ pub struct Instrumentation {
 }
 
 impl Instrumentation {
-    /// Interval metrics only — what [`compare_policies_observed`] uses.
+    /// Interval metrics only, one record every `window` accesses.
     #[must_use]
     pub fn windowed(window: u64) -> Self {
         Self {
@@ -872,360 +738,18 @@ pub struct InstrumentedRun {
 }
 
 impl InstrumentedRun {
-    /// Narrows to the windowed-only view, dropping any ledger.
-    #[must_use]
-    pub fn into_observed(self) -> ObservedRun {
-        ObservedRun {
-            report: self.report,
-            records: self.records,
-            metrics: self.metrics,
+    /// A run that carries only its report: no sink rode the cell, or the
+    /// report was replayed from a resume journal.
+    pub(crate) fn bare(report: SimulationReport) -> Self {
+        Self {
+            report,
+            records: Vec::new(),
+            metrics: MetricsSnapshot::default(),
+            ledger: None,
+            audit: None,
+            flight: None,
         }
     }
-}
-
-/// Wall-clock and per-cell timings of one parallel matrix run, reported by
-/// [`compare_policies_timed`] so harnesses can derive throughput
-/// (accesses/second) per policy.
-///
-/// Timings are measurement artefacts: they vary run to run and are *not*
-/// part of the deterministic [`SimulationReport`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixTiming {
-    /// End-to-end wall-clock of the whole matrix, in seconds.
-    pub wall_seconds: f64,
-    /// Number of worker threads the pool actually used.
-    pub workers: usize,
-    /// `cell_seconds[spec_index][kind_index]`: time one worker spent on
-    /// that cell (including any wait for the shared trace to materialize).
-    pub cell_seconds: Vec<Vec<f64>>,
-    /// `cells_per_worker[worker]`: cells each worker claimed off the
-    /// shared queue — the work-stealing balance (sums to the cell count).
-    pub cells_per_worker: Vec<u64>,
-    /// Most cells that were ever simulating simultaneously (≤ `workers`).
-    pub peak_in_flight: usize,
-}
-
-/// Runs `kinds` over every workload in `specs` on a work-stealing worker
-/// pool, with automatic thread-count selection (see
-/// [`compare_policies_threaded`] with `threads = 0`).
-///
-/// Returns, for each spec in order, the reports in `kinds` order. Output
-/// is byte-identical to running every cell serially: cells are
-/// independent deterministic simulations and results are assembled by
-/// cell index, not completion order.
-///
-/// # Errors
-///
-/// Propagates the failing run with the lowest cell index (the same error
-/// the serial path would hit first).
-///
-/// # Examples
-///
-/// ```
-/// use hybridmem_core::{compare_policies, ExperimentConfig, PolicyKind};
-/// use hybridmem_trace::parsec;
-///
-/// let specs: Vec<_> = ["bodytrack", "raytrace"]
-///     .iter()
-///     .map(|n| parsec::spec(n).map(|s| s.capped(2_000)))
-///     .collect::<Result<_, _>>()?;
-/// let rows = compare_policies(
-///     &specs,
-///     &[PolicyKind::TwoLru, PolicyKind::DramOnly],
-///     &ExperimentConfig::default(),
-/// )?;
-/// assert_eq!(rows.len(), 2);
-/// assert_eq!(rows[0].len(), 2);
-/// # Ok::<(), hybridmem_types::Error>(())
-/// ```
-pub fn compare_policies(
-    specs: &[WorkloadSpec],
-    kinds: &[PolicyKind],
-    config: &ExperimentConfig,
-) -> Result<Vec<Vec<SimulationReport>>> {
-    compare_policies_threaded(specs, kinds, config, 0)
-}
-
-/// [`compare_policies`] with an explicit worker count.
-///
-/// `threads = 0` selects `available_parallelism()`; any request is capped
-/// at the number of `(workload, policy)` cells so idle workers are never
-/// spawned. Each worker pulls the next unclaimed cell off a shared atomic
-/// index (work stealing at cell granularity — no static partitioning, so
-/// one slow workload cannot strand the rest of the pool) and writes its
-/// report into the cell's pre-assigned slot.
-///
-/// # Errors
-///
-/// Propagates the failing run with the lowest cell index.
-pub fn compare_policies_threaded(
-    specs: &[WorkloadSpec],
-    kinds: &[PolicyKind],
-    config: &ExperimentConfig,
-    threads: usize,
-) -> Result<Vec<Vec<SimulationReport>>> {
-    Ok(compare_policies_timed(specs, kinds, config, threads)?.0)
-}
-
-/// [`compare_policies_threaded`], additionally reporting wall-clock and
-/// per-cell timings for throughput tracking.
-///
-/// # Errors
-///
-/// Propagates the failing run with the lowest cell index.
-#[allow(clippy::missing_panics_doc)] // internal invariants only
-pub fn compare_policies_timed(
-    specs: &[WorkloadSpec],
-    kinds: &[PolicyKind],
-    config: &ExperimentConfig,
-    threads: usize,
-) -> Result<(Vec<Vec<SimulationReport>>, MatrixTiming)> {
-    let cache = TraceCache::global();
-    run_cell_matrix(specs, kinds, threads, |spec, kind, _worker| {
-        config.run_cached(spec, kind, cache)
-    })
-}
-
-/// The observed variant of [`compare_policies_timed`]: every cell runs
-/// with a [`WindowedCollector`] of the given `window`, so each
-/// [`ObservedRun`] carries its interval records and metrics alongside
-/// the report. Like the plain matrix, the per-cell payloads are
-/// byte-identical at any thread count; only [`MatrixTiming`] (a
-/// measurement artefact) varies.
-///
-/// # Errors
-///
-/// Propagates the failing run with the lowest cell index.
-pub fn compare_policies_observed(
-    specs: &[WorkloadSpec],
-    kinds: &[PolicyKind],
-    config: &ExperimentConfig,
-    threads: usize,
-    window: u64,
-) -> Result<(Vec<Vec<ObservedRun>>, MatrixTiming)> {
-    let (rows, timing) = compare_policies_instrumented(
-        specs,
-        kinds,
-        config,
-        threads,
-        Instrumentation::windowed(window),
-        None,
-    )?;
-    Ok((
-        rows.into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(InstrumentedRun::into_observed)
-                    .collect()
-            })
-            .collect(),
-        timing,
-    ))
-}
-
-/// The fully general matrix runner: every cell runs under the given
-/// [`Instrumentation`] (interval metrics, page ledger, both, or neither),
-/// optionally reporting harness phase timings — trace materialization,
-/// warmup, measured run, finish — to a [`SpanProfiler`] with one lane per
-/// worker (lane 0 is the coordinator).
-///
-/// The deterministic outputs ([`InstrumentedRun`]s, including every
-/// ledger report) are byte-identical at any thread count; the profiler's
-/// spans are wall-clock measurement artefacts, like [`MatrixTiming`],
-/// and must never be compared for determinism.
-///
-/// # Errors
-///
-/// Propagates the failing run with the lowest cell index.
-pub fn compare_policies_instrumented(
-    specs: &[WorkloadSpec],
-    kinds: &[PolicyKind],
-    config: &ExperimentConfig,
-    threads: usize,
-    instrumentation: Instrumentation,
-    profiler: Option<&SpanProfiler>,
-) -> Result<(Vec<Vec<InstrumentedRun>>, MatrixTiming)> {
-    let cache = TraceCache::global();
-    let _matrix_span = profiler.map(|p| {
-        p.span(
-            "scheduler",
-            format!("matrix {}x{}", specs.len(), kinds.len()),
-            0,
-        )
-    });
-    run_cell_matrix(specs, kinds, threads, |spec, kind, worker| {
-        let lane = worker as u64 + 1;
-        let _span = profiler.map(|p| {
-            p.span(
-                "scheduler",
-                format!("cell {}/{}", spec.name, kind.name()),
-                lane,
-            )
-        });
-        config.run_cell_instrumented(spec, kind, Some(cache), instrumentation, profiler, lane)
-    })
-}
-
-/// One matrix cell's result slot: the outcome and its wall seconds, filled
-/// by whichever worker claimed the cell.
-type CellSlot<T> = Mutex<Option<(CellOutcome<T>, f64)>>;
-
-/// The shared work-stealing engine behind the matrix runners: runs `run`
-/// on every `(spec, kind)` cell across a worker pool and assembles the
-/// outcomes by cell index, so output order never depends on scheduling.
-/// Every cell executes inside [`run_isolated`] — a panicking cell is
-/// retried and, if it keeps dying, quarantined as a
-/// [`CellOutcome::Failed`] while every other cell completes normally;
-/// the engine itself never fails. Also measures the scheduler —
-/// per-cell wall time, how many cells each worker claimed, and the peak
-/// number of cells in flight — into the returned [`MatrixTiming`].
-#[allow(clippy::missing_panics_doc)] // internal invariants only
-fn run_cell_matrix_isolated<T, F>(
-    specs: &[WorkloadSpec],
-    kinds: &[PolicyKind],
-    threads: usize,
-    run: F,
-) -> (Vec<Vec<CellOutcome<T>>>, MatrixTiming)
-where
-    T: Send,
-    F: Fn(&WorkloadSpec, PolicyKind, usize) -> Result<T> + Sync,
-{
-    let started = Instant::now(); // xtask:allow(timing) — measures wall clock, never affects results
-    let cells = specs.len() * kinds.len();
-    if cells == 0 {
-        return (
-            specs.iter().map(|_| Vec::new()).collect(),
-            MatrixTiming {
-                wall_seconds: started.elapsed().as_secs_f64(),
-                workers: 0,
-                cell_seconds: specs.iter().map(|_| Vec::new()).collect(),
-                cells_per_worker: Vec::new(),
-                peak_in_flight: 0,
-            },
-        );
-    }
-    let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = if threads == 0 { available } else { threads }
-        .min(cells)
-        .max(1);
-
-    let next_cell = AtomicUsize::new(0);
-    let in_flight = AtomicUsize::new(0);
-    let peak_in_flight = AtomicUsize::new(0);
-    let claimed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let slots: Vec<CellSlot<T>> = (0..cells).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        let worker = |id: usize| loop {
-            // xtask:allow(atomic-ordering, why=unique cell claim comes from the atomic RMW itself; no cross-cell ordering needed)
-            let index = next_cell.fetch_add(1, Ordering::Relaxed);
-            if index >= cells {
-                break;
-            }
-            if let Some(count) = claimed.get(id) {
-                // xtask:allow(atomic-ordering, why=per-worker telemetry counter; read only after the scope joins)
-                count.fetch_add(1, Ordering::Relaxed);
-            }
-            // xtask:allow(atomic-ordering, why=in-flight depth telemetry; approximate interleaving is fine)
-            let depth = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-            // xtask:allow(atomic-ordering, why=peak-depth telemetry; fetch_max tolerates reordering)
-            peak_in_flight.fetch_max(depth, Ordering::Relaxed);
-            let spec = &specs[index / kinds.len()];
-            let kind = kinds[index % kinds.len()];
-            let cell_started = Instant::now(); // xtask:allow(timing) — per-cell wall clock only
-                                               // Isolation boundary: a panic inside the cell is caught,
-                                               // retried, and at worst quarantined — the worker (and every
-                                               // other cell it will claim) survives.
-            let outcome = run_isolated(&spec.name, kind.name(), || run(spec, kind, id));
-            let elapsed = cell_started.elapsed().as_secs_f64();
-            *slots[index].lock().expect("cell slot poisoned") = Some((outcome, elapsed));
-            // xtask:allow(atomic-ordering, why=in-flight depth telemetry; approximate interleaving is fine)
-            in_flight.fetch_sub(1, Ordering::Relaxed);
-        };
-        let handles: Vec<_> = (0..workers)
-            .map(|id| scope.spawn(move || worker(id)))
-            .collect();
-        for handle in handles {
-            // Worker bodies cannot panic (cells are caught above), so a
-            // join error would mean the scheduler itself is broken; any
-            // unfilled slots are quarantined below either way.
-            let _ = handle.join();
-        }
-    });
-
-    // Assemble by cell index: output order (and the first-error choice)
-    // never depends on which worker finished when.
-    let mut rows = Vec::with_capacity(specs.len());
-    let mut cell_seconds = Vec::with_capacity(specs.len());
-    let mut slots = slots.into_iter();
-    for spec in specs {
-        let mut row = Vec::with_capacity(kinds.len());
-        let mut times = Vec::with_capacity(kinds.len());
-        for kind in kinds {
-            let slot = slots.next().expect("one slot per cell");
-            let (outcome, seconds) = slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    (
-                        CellOutcome::Failed {
-                            error: Error::invalid_input(format!(
-                                "cell {}/{} was never completed: its worker thread died",
-                                spec.name,
-                                kind.name()
-                            )),
-                            retries: 0,
-                            panicked: true,
-                            flight: None,
-                        },
-                        0.0,
-                    )
-                });
-            row.push(outcome);
-            times.push(seconds);
-        }
-        rows.push(row);
-        cell_seconds.push(times);
-    }
-    let timing = MatrixTiming {
-        wall_seconds: started.elapsed().as_secs_f64(),
-        workers,
-        cell_seconds,
-        cells_per_worker: claimed
-            .iter()
-            // xtask:allow(atomic-ordering, why=read after thread::scope join, which already synchronizes)
-            .map(|count| count.load(Ordering::Relaxed))
-            .collect(),
-        // xtask:allow(atomic-ordering, why=read after thread::scope join, which already synchronizes)
-        peak_in_flight: peak_in_flight.load(Ordering::Relaxed),
-    };
-    (rows, timing)
-}
-
-/// The fail-fast wrapper over [`run_cell_matrix_isolated`] used by the
-/// historical matrix runners: the first quarantined cell in cell-index
-/// order fails the whole matrix with its typed error — the same error
-/// the serial path would hit first.
-fn run_cell_matrix<T, F>(
-    specs: &[WorkloadSpec],
-    kinds: &[PolicyKind],
-    threads: usize,
-    run: F,
-) -> Result<(Vec<Vec<T>>, MatrixTiming)>
-where
-    T: Send,
-    F: Fn(&WorkloadSpec, PolicyKind, usize) -> Result<T> + Sync,
-{
-    let (outcomes, timing) = run_cell_matrix_isolated(specs, kinds, threads, run);
-    let mut rows = Vec::with_capacity(outcomes.len());
-    for row in outcomes {
-        rows.push(
-            row.into_iter()
-                .map(CellOutcome::into_result)
-                .collect::<Result<Vec<T>>>()?,
-        );
-    }
-    Ok((rows, timing))
 }
 
 /// Builds a [`FlightRecorder`] for a cell about to run on `simulator`
@@ -1263,113 +787,34 @@ pub fn flight_recorder_for(
     recorder
 }
 
-/// Stable fingerprint of one exact matrix: the workloads, the policy
-/// kinds, and the full experiment configuration, hashed over their
-/// canonical JSON. A [`RunJournal`] is bound to this value so a journal
-/// written for one campaign can never be resumed into a different one.
-#[must_use]
-pub fn matrix_fingerprint(
-    specs: &[WorkloadSpec],
-    kinds: &[PolicyKind],
-    config: &ExperimentConfig,
-) -> u64 {
-    let canonical = hybridmem_json::to_string(&(specs, kinds, config));
-    fx_hash_one(&canonical)
-}
-
-/// The fault-tolerant matrix runner: every cell runs isolated (panics
-/// caught, retried up to [`crate::health::MAX_CELL_RETRIES`] times,
-/// then quarantined), an optional [`FaultPlan`] injects scripted
-/// per-cell panics, and an optional [`RunJournal`] makes the run
-/// resumable — completed cells are appended as they finish and replayed
-/// verbatim on the next run instead of being recomputed.
-///
-/// Unlike [`compare_policies_threaded`], a failing cell does **not**
-/// abort the matrix: every other cell completes, and the returned
-/// [`MatrixHealthReport`] (`hybridmem-matrix-health-v1`) records
-/// exactly which cells were quarantined or retried. Callers decide
-/// whether failures are fatal (the CLI's `--strict`).
-///
-/// The outcome grid and health report carry no wall-clock fields, so
-/// they are byte-identical at any thread count; only [`MatrixTiming`]
-/// (a measurement artefact) varies.
-///
-/// When `flight` is set, every freshly simulated cell carries a
-/// [`FlightRecorder`] black box: a quarantined cell's last moments are
-/// preserved in its [`CellOutcome::Failed`] `flight` field (the raw
-/// material for `--flight-out` dumps and `hybridmem postmortem`). A
-/// `cell-panic-at` clause in the fault plan additionally arms a
-/// [`PanicTripwire`] so the cell dies *mid-simulation* at an exact
-/// demand access — with the flight ring guaranteed to stop strictly
-/// before the panic site.
-pub fn compare_policies_isolated(
-    specs: &[WorkloadSpec],
-    kinds: &[PolicyKind],
-    config: &ExperimentConfig,
-    threads: usize,
-    fault_plan: Option<&FaultPlan>,
-    journal: Option<&RunJournal>,
-    flight: Option<FlightOptions>,
-) -> (
-    Vec<Vec<CellOutcome<SimulationReport>>>,
-    MatrixHealthReport,
-    MatrixTiming,
-) {
-    let cache = TraceCache::global();
-    let (outcomes, timing) = run_cell_matrix_isolated(specs, kinds, threads, |spec, kind, _| {
-        if let Some(plan) = fault_plan {
-            plan.fire_cell_panic(&spec.name, kind.name());
-        }
-        if let Some(journal) = journal {
-            if let Some(report) = journal.completed_report(&spec.name, kind.name()) {
-                return SimulationReport::from_json(&report).map_err(|e| {
-                    Error::invalid_input(format!(
-                        "journaled report for {}/{} does not deserialize: {e}",
-                        spec.name,
-                        kind.name()
-                    ))
-                });
-            }
-        }
-        let panic_at = fault_plan.and_then(|plan| plan.cell_panic_access(&spec.name, kind.name()));
-        let report = if flight.is_some() || panic_at.is_some() {
-            let instrumentation = Instrumentation {
-                flight,
-                ..Instrumentation::default()
-            };
-            config
-                .run_cell_faulted(spec, kind, cache, instrumentation, panic_at)?
-                .report
-        } else {
-            config.run_cached(spec, kind, cache)?
-        };
-        if let Some(journal) = journal {
-            journal.record(&spec.name, kind.name(), &report);
-        }
-        Ok(report)
-    });
-    let health = MatrixHealthReport::new(
-        specs
-            .iter()
-            .zip(&outcomes)
-            .flat_map(|(spec, row)| {
-                kinds
-                    .iter()
-                    .zip(row)
-                    .map(|(kind, outcome)| outcome.health(&spec.name, kind.name()))
-            })
-            .collect(),
-    );
-    (outcomes, health, timing)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridmem_trace::{parsec, LocalityParams};
+    use hybridmem_trace::LocalityParams;
 
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec::new("test", 200, 20_000, 5_000, LocalityParams::balanced()).unwrap()
+    }
+
+    /// Runs one cell over `cache` with `instrumentation` attached.
+    fn instrumented(
+        config: &ExperimentConfig,
+        spec: &WorkloadSpec,
+        kind: PolicyKind,
+        cache: &TraceCache,
+        instrumentation: Instrumentation,
+    ) -> InstrumentedRun {
+        config
+            .run_cell_driver(
+                spec,
+                kind,
+                TraceSource::Cache(cache),
+                instrumentation,
+                None,
+                0,
+                None,
+            )
+            .unwrap()
     }
 
     #[test]
@@ -1449,21 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_compare_matches_sequential() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![
-            small_spec(),
-            parsec::spec("bodytrack").unwrap().capped(3_000),
-        ];
-        let kinds = [PolicyKind::TwoLru, PolicyKind::DramOnly];
-        let parallel = compare_policies(&specs, &kinds, &config).unwrap();
-        for (spec, row) in specs.iter().zip(&parallel) {
-            let sequential = config.compare(spec, &kinds).unwrap();
-            assert_eq!(*row, sequential);
-        }
-    }
-
-    #[test]
     fn cached_run_matches_streaming_run() {
         let config = ExperimentConfig::date2016();
         let spec = small_spec();
@@ -1477,6 +907,37 @@ mod tests {
     }
 
     #[test]
+    fn batched_cells_equal_a_serial_replay_for_every_policy() {
+        // The cell driver replays through `run_slice_batched`; each
+        // policy's report must match a per-access `run_slice` replay of the
+        // same trace, with the same warmup, static scale and density hint.
+        let config = ExperimentConfig::date2016();
+        let spec = WorkloadSpec::new("scaled", 4_000, 20_000, 5_000, LocalityParams::balanced())
+            .unwrap()
+            .capped(12_000);
+        assert!(spec.scale_factor() < 1.0, "the static scale is exercised");
+        let cache = TraceCache::new(64 << 20);
+        let trace: Vec<PageAccess> = TraceGenerator::new(spec.clone(), config.seed)
+            .map(PageAccess::from)
+            .collect();
+        let warmup = config.warmup_len(&spec);
+        for kind in PolicyKind::all() {
+            let policy = config.build_policy(kind, &spec).unwrap();
+            let mut serial = HybridSimulator::with_date2016_devices(policy);
+            serial.set_static_scale(1.0 / spec.scale_factor());
+            serial.set_density_hint(spec.nominal_density());
+            serial.run_slice(&trace[..warmup]);
+            serial.reset_accounting();
+            serial.run_slice(&trace[warmup..]);
+            assert_eq!(
+                config.run_cached(&spec, kind, &cache).unwrap(),
+                serial.into_report(spec.name.clone()),
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
     fn oversized_trace_falls_back_to_streaming() {
         let config = ExperimentConfig::date2016();
         let spec = small_spec();
@@ -1486,27 +947,6 @@ mod tests {
             .unwrap();
         assert!(tiny_cache.is_empty());
         assert_eq!(report, config.run(&spec, PolicyKind::TwoLru).unwrap());
-    }
-
-    #[test]
-    fn serial_and_batched_replay_modes_are_byte_identical() {
-        let batched = ExperimentConfig::date2016();
-        assert_eq!(
-            batched.replay,
-            ReplayMode::Batched,
-            "fast path is the default"
-        );
-        let serial = ExperimentConfig {
-            replay: ReplayMode::Serial,
-            ..batched
-        };
-        let spec = small_spec();
-        let cache = TraceCache::new(64 << 20);
-        for kind in PolicyKind::all() {
-            let fast = batched.run_cached(&spec, kind, &cache).unwrap();
-            let oracle = serial.run_cached(&spec, kind, &cache).unwrap();
-            assert_eq!(fast, oracle, "{kind}");
-        }
     }
 
     #[test]
@@ -1534,241 +974,23 @@ mod tests {
     }
 
     #[test]
-    fn threaded_compare_is_byte_identical_to_serial() {
-        // The ISSUE-level determinism guarantee: a multi-threaded matrix
-        // run serializes to exactly the bytes the serial path produces.
-        let config = ExperimentConfig::date2016();
-        let specs = vec![
-            small_spec(),
-            parsec::spec("bodytrack").unwrap().capped(3_000),
-            parsec::spec("raytrace").unwrap().capped(2_500),
-        ];
-        let kinds = PolicyKind::all();
-        let serial: Vec<Vec<SimulationReport>> = specs
-            .iter()
-            .map(|spec| config.compare(spec, &kinds).unwrap())
-            .collect();
-        let threaded = compare_policies_threaded(&specs, &kinds, &config, 8).unwrap();
-        let serial_json = hybridmem_json::to_string(&serial);
-        let threaded_json = hybridmem_json::to_string(&threaded);
-        assert_eq!(serial_json, threaded_json);
+    fn policy_kind_names_are_stable() {
+        assert_eq!(PolicyKind::TwoLru.to_string(), "two-lru");
+        assert_eq!(PolicyKind::all().len(), 7);
     }
 
     #[test]
-    fn thread_counts_do_not_change_results() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![
-            small_spec(),
-            parsec::spec("bodytrack").unwrap().capped(2_000),
-        ];
-        let kinds = [
-            PolicyKind::TwoLru,
-            PolicyKind::ClockDwf,
-            PolicyKind::DramOnly,
-        ];
-        let one = compare_policies_threaded(&specs, &kinds, &config, 1).unwrap();
-        for threads in [2, 3, 8, 64] {
-            let many = compare_policies_threaded(&specs, &kinds, &config, threads).unwrap();
-            assert_eq!(one, many, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn timed_compare_reports_sane_timings() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![small_spec()];
-        let kinds = [PolicyKind::TwoLru, PolicyKind::DramOnly];
-        let (rows, timing) = compare_policies_timed(&specs, &kinds, &config, 2).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(timing.cell_seconds.len(), 1);
-        assert_eq!(timing.cell_seconds[0].len(), 2);
-        assert!(timing.workers >= 1 && timing.workers <= 2);
-        assert!(timing.wall_seconds >= 0.0);
-        assert!(timing.cell_seconds[0].iter().all(|&s| s >= 0.0));
-        assert_eq!(timing.cells_per_worker.len(), timing.workers);
-        assert_eq!(
-            timing.cells_per_worker.iter().sum::<u64>(),
-            2,
-            "every cell is claimed exactly once"
-        );
-        assert!(timing.peak_in_flight >= 1 && timing.peak_in_flight <= timing.workers);
-    }
-
-    #[test]
-    fn empty_matrix_is_well_formed() {
-        let config = ExperimentConfig::date2016();
-        let rows = compare_policies_threaded(&[small_spec()], &[], &config, 4).unwrap();
-        assert_eq!(rows, vec![Vec::new()]);
-        let none = compare_policies_threaded(&[], &PolicyKind::all(), &config, 4).unwrap();
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn first_error_matches_serial_order() {
-        let config = ExperimentConfig {
-            warmup_fraction: 2.0, // invalid: every cell fails
-            ..ExperimentConfig::date2016()
-        };
-        let specs = vec![
-            small_spec(),
-            parsec::spec("bodytrack").unwrap().capped(1_000),
-        ];
-        let kinds = [PolicyKind::TwoLru, PolicyKind::DramOnly];
-        let err = compare_policies_threaded(&specs, &kinds, &config, 4).unwrap_err();
-        let serial_err = config.run(&specs[0], kinds[0]).unwrap_err();
-        assert_eq!(err.to_string(), serial_err.to_string());
-    }
-
-    #[test]
-    fn isolated_matrix_quarantines_a_panicking_cell_and_completes_the_rest() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![
-            small_spec(),
-            parsec::spec("bodytrack").unwrap().capped(1_000),
-        ];
-        let kinds = [PolicyKind::TwoLru, PolicyKind::DramOnly];
-        // K far past the retry budget: the cell must be quarantined.
-        let plan = FaultPlan::parse("cell-panic@test/two-lru:100").unwrap();
-        let (outcomes, health, _) =
-            compare_policies_isolated(&specs, &kinds, &config, 4, Some(&plan), None, None);
-
-        let clean = compare_policies_threaded(&specs, &kinds, &config, 1).unwrap();
-        match &outcomes[0][0] {
-            CellOutcome::Failed {
-                error,
-                retries,
-                panicked,
-                ..
-            } => {
-                assert!(error.to_string().contains("injected fault"), "{error}");
-                assert_eq!(*retries, crate::health::MAX_CELL_RETRIES);
-                assert!(panicked);
-            }
-            CellOutcome::Ok { .. } => panic!("scripted cell must be quarantined"),
-        }
-        // Every other cell completed with exactly the clean-run report.
-        assert_eq!(outcomes[0][1].ok(), Some(&clean[0][1]));
-        assert_eq!(outcomes[1][0].ok(), Some(&clean[1][0]));
-        assert_eq!(outcomes[1][1].ok(), Some(&clean[1][1]));
-
-        assert_eq!(health.schema, crate::health::MATRIX_HEALTH_SCHEMA);
-        assert_eq!(health.total_cells, 4);
-        assert_eq!(health.failed_cells, 1);
-        assert!(!health.clean);
-        assert_eq!(health.cells[0].workload, "test");
-        assert_eq!(health.cells[0].policy, "two-lru");
-        assert!(health.cells[0]
-            .error
-            .as_deref()
-            .is_some_and(|e| e.contains("injected fault")));
-    }
-
-    #[test]
-    fn scripted_panics_within_the_retry_budget_recover() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![small_spec()];
-        let kinds = [PolicyKind::TwoLru, PolicyKind::DramOnly];
-        let plan = FaultPlan::parse(&format!(
-            "cell-panic@test/two-lru:{}",
-            crate::health::MAX_CELL_RETRIES
-        ))
-        .unwrap();
-        let (outcomes, health, _) =
-            compare_policies_isolated(&specs, &kinds, &config, 2, Some(&plan), None, None);
-        let clean = compare_policies_threaded(&specs, &kinds, &config, 1).unwrap();
-        match &outcomes[0][0] {
-            CellOutcome::Ok { value, retries } => {
-                assert_eq!(value, &clean[0][0], "recovered cell is byte-identical");
-                assert_eq!(*retries, crate::health::MAX_CELL_RETRIES);
-            }
-            CellOutcome::Failed { error, .. } => panic!("cell must recover: {error}"),
-        }
-        assert_eq!(health.failed_cells, 0);
-        assert_eq!(health.retried_cells, 1);
-        assert!(!health.clean, "retries are visible in the report");
-    }
-
-    #[test]
-    fn interrupted_then_resumed_matrix_is_byte_identical_to_uninterrupted() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![
-            small_spec(),
-            parsec::spec("bodytrack").unwrap().capped(1_000),
-        ];
-        let kinds = [PolicyKind::TwoLru, PolicyKind::DramOnly];
-        let fingerprint = matrix_fingerprint(&specs, &kinds, &config);
-        let journal_path = std::env::temp_dir().join(format!(
-            "hybridmem-resume-test-{}.hmjournal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&journal_path);
-
-        // The oracle: one uninterrupted run.
-        let (clean, _) = compare_policies_timed(&specs, &kinds, &config, 2).unwrap();
-        let clean_json = hybridmem_json::to_string(&clean);
-
-        // The "killed" run: one cell dies past its retry budget, the
-        // other three complete and land in the journal.
-        let plan = FaultPlan::parse("cell-panic@test/two-lru:100").unwrap();
-        let journal = RunJournal::open(&journal_path, fingerprint).unwrap();
-        let (_, health, _) = compare_policies_isolated(
-            &specs,
-            &kinds,
-            &config,
-            2,
-            Some(&plan),
-            Some(&journal),
-            None,
-        );
-        assert_eq!(health.failed_cells, 1);
-        assert_eq!(journal.len(), 3, "completed cells were journaled");
-        drop(journal);
-
-        // The resumed run: no faults, journal replays the three
-        // completed cells, only the quarantined one is recomputed.
-        let journal = RunJournal::open(&journal_path, fingerprint).unwrap();
-        let (outcomes, health, _) =
-            compare_policies_isolated(&specs, &kinds, &config, 2, None, Some(&journal), None);
-        assert_eq!(health.failed_cells, 0);
-        let resumed: Vec<Vec<SimulationReport>> = outcomes
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|outcome| outcome.into_result().unwrap())
-                    .collect()
-            })
-            .collect();
-        let resumed_json = hybridmem_json::to_string(&resumed);
-        assert_eq!(resumed_json, clean_json, "resumed ≡ uninterrupted");
-        let _ = std::fs::remove_file(&journal_path);
-    }
-
-    #[test]
-    fn matrix_fingerprint_pins_specs_kinds_and_config() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![small_spec()];
-        let kinds = [PolicyKind::TwoLru];
-        let base = matrix_fingerprint(&specs, &kinds, &config);
-        assert_eq!(
-            base,
-            matrix_fingerprint(&specs, &kinds, &config),
-            "stable across calls"
-        );
-        assert_ne!(
-            base,
-            matrix_fingerprint(&specs, &[PolicyKind::DramOnly], &config)
-        );
-        let other = ExperimentConfig { seed: 7, ..config };
-        assert_ne!(base, matrix_fingerprint(&specs, &kinds, &other));
-    }
-
-    #[test]
-    fn observed_run_report_matches_plain_run() {
+    fn windowed_run_report_matches_plain_run() {
         let config = ExperimentConfig::date2016();
         let spec = small_spec();
-        let observed = config
-            .run_observed(&spec, PolicyKind::TwoLru, 1_000)
-            .unwrap();
+        let cache = TraceCache::new(64 << 20);
+        let observed = instrumented(
+            &config,
+            &spec,
+            PolicyKind::TwoLru,
+            &cache,
+            Instrumentation::windowed(1_000),
+        );
         let plain = config.run(&spec, PolicyKind::TwoLru).unwrap();
         assert_eq!(observed.report, plain, "observation must not perturb");
         let windowed_accesses: u64 = observed.records.iter().map(|r| r.accesses).sum();
@@ -1791,40 +1013,51 @@ mod tests {
     }
 
     #[test]
-    fn observed_cached_matches_observed_streaming() {
+    fn windowed_cells_do_not_depend_on_the_trace_source() {
         let config = ExperimentConfig::date2016();
         let spec = small_spec();
+        let window = Instrumentation::windowed(500);
+        let run = |source| {
+            let kind = PolicyKind::ClockDwf;
+            let cell = config.run_cell_driver(&spec, kind, source, window, None, 0, None);
+            cell.unwrap()
+        };
+        let streamed = run(TraceSource::Generate);
+        assert!(!streamed.records.is_empty());
         let cache = TraceCache::new(64 << 20);
-        let streamed = config
-            .run_observed(&spec, PolicyKind::ClockDwf, 500)
-            .unwrap();
-        let cached = config
-            .run_observed_cached(&spec, PolicyKind::ClockDwf, &cache, 500)
-            .unwrap();
-        assert_eq!(streamed.report, cached.report);
-        assert_eq!(streamed.records, cached.records);
-        assert_eq!(streamed.metrics, cached.metrics);
+        assert_eq!(run(TraceSource::Cache(&cache)), streamed);
+        // A 16-byte budget refuses the trace: the cell streams instead.
+        assert_eq!(run(TraceSource::Cache(&TraceCache::new(16))), streamed);
     }
 
     #[test]
-    fn observed_matrix_reports_match_plain_matrix() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![small_spec()];
-        let kinds = [PolicyKind::TwoLru, PolicyKind::DramOnly];
-        let (observed, _) = compare_policies_observed(&specs, &kinds, &config, 2, 2_000).unwrap();
-        let plain = compare_policies_threaded(&specs, &kinds, &config, 2).unwrap();
-        for (row_observed, row_plain) in observed.iter().zip(&plain) {
-            for (cell, report) in row_observed.iter().zip(row_plain) {
-                assert_eq!(&cell.report, report);
-                assert!(!cell.records.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn policy_kind_names_are_stable() {
-        assert_eq!(PolicyKind::TwoLru.to_string(), "two-lru");
-        assert_eq!(PolicyKind::all().len(), 7);
+    fn recorded_trace_prices_its_measured_footprint() {
+        // A one-page trace described by a two-page spec (every memory
+        // needs at least two pages): the nominal density hint would price
+        // two pages of duration, the recording prices the one it touched.
+        let spec = WorkloadSpec::new("one-page", 2, 3, 0, LocalityParams::balanced()).unwrap();
+        let config = ExperimentConfig {
+            warmup_fraction: 0.0,
+            ..ExperimentConfig::date2016()
+        };
+        let page = PageAccess::read(hybridmem_types::PageId::new(7));
+        let trace = [page, page, page];
+        let recorded = config
+            .run_cell_driver(
+                &spec,
+                PolicyKind::TwoLru,
+                TraceSource::Recorded(&trace),
+                Instrumentation::default(),
+                None,
+                0,
+                None,
+            )
+            .unwrap()
+            .report;
+        let policy = config.build_policy(PolicyKind::TwoLru, &spec).unwrap();
+        let mut oracle = HybridSimulator::with_date2016_devices(policy);
+        oracle.run_slice(&trace);
+        assert_eq!(recorded, oracle.into_report("one-page"));
     }
 
     #[test]
@@ -1832,22 +1065,17 @@ mod tests {
         let config = ExperimentConfig::date2016();
         let spec = small_spec();
         let cache = TraceCache::new(64 << 20);
-        let run = config
-            .run_instrumented(
-                &spec,
-                PolicyKind::TwoLru,
-                &cache,
-                Instrumentation::default(),
-            )
-            .unwrap();
+        let run = instrumented(
+            &config,
+            &spec,
+            PolicyKind::TwoLru,
+            &cache,
+            Instrumentation::default(),
+        );
         let plain = config
             .run_cached(&spec, PolicyKind::TwoLru, &cache)
             .unwrap();
-        assert_eq!(run.report, plain);
-        assert!(run.records.is_empty());
-        assert!(run.metrics.counters.is_empty());
-        assert!(run.ledger.is_none());
-        assert!(run.flight.is_none());
+        assert_eq!(run, InstrumentedRun::bare(plain));
     }
 
     #[test]
@@ -1857,9 +1085,7 @@ mod tests {
         let cache = TraceCache::new(64 << 20);
         let instrumentation =
             Instrumentation::default().with_flight(crate::FlightOptions::with_events(64));
-        let run = config
-            .run_instrumented(&spec, PolicyKind::TwoLru, &cache, instrumentation)
-            .unwrap();
+        let run = instrumented(&config, &spec, PolicyKind::TwoLru, &cache, instrumentation);
         let plain = config
             .run_cached(&spec, PolicyKind::TwoLru, &cache)
             .unwrap();
@@ -1891,73 +1117,13 @@ mod tests {
     }
 
     #[test]
-    fn cell_panic_at_quarantines_with_a_flight_dump_preceding_the_panic() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![small_spec()];
-        let kinds = [PolicyKind::TwoLru, PolicyKind::DramOnly];
-        let plan = FaultPlan::parse("cell-panic-at@test/two-lru:500").unwrap();
-        let options = crate::FlightOptions::with_events(32);
-
-        let flight_of = |threads: usize| {
-            let (outcomes, health, _) = compare_policies_isolated(
-                &specs,
-                &kinds,
-                &config,
-                threads,
-                Some(&plan),
-                None,
-                Some(options),
-            );
-            assert_eq!(health.failed_cells, 1);
-            let mut rows = outcomes.into_iter();
-            let mut row = rows.next().expect("one workload row");
-            match row.remove(0) {
-                CellOutcome::Failed {
-                    panicked, flight, ..
-                } => {
-                    assert!(panicked);
-                    *flight.expect("the flight dump must be captured")
-                }
-                CellOutcome::Ok { .. } => panic!("scripted cell must be quarantined"),
-            }
-        };
-
-        let flight = flight_of(2);
-        assert_eq!(flight.trigger, "panic");
-        assert_eq!(
-            flight.accesses, 500,
-            "demand accesses 0..=499 were recorded"
-        );
-        assert_eq!(
-            flight.final_access, 499,
-            "the last recorded event strictly precedes the panic site"
-        );
-        assert!(flight
-            .error
-            .as_deref()
-            .is_some_and(|e| e.contains("panicked at access 500")));
-        assert_eq!(flight.retries, crate::health::MAX_CELL_RETRIES);
-
-        // The acceptance test: the dump is identical at any thread
-        // count.
-        let serial = flight_of(1);
-        assert_eq!(
-            hybridmem_json::to_string(&serial),
-            hybridmem_json::to_string(&flight),
-            "flight dumps are byte-identical across thread counts"
-        );
-    }
-
-    #[test]
     fn ledger_instrumentation_does_not_perturb_and_attributes_promotions() {
         let config = ExperimentConfig::date2016();
         let spec = small_spec();
         let cache = TraceCache::new(64 << 20);
         let instrumentation =
             Instrumentation::default().with_ledger(crate::LedgerOptions::default());
-        let run = config
-            .run_instrumented(&spec, PolicyKind::TwoLru, &cache, instrumentation)
-            .unwrap();
+        let run = instrumented(&config, &spec, PolicyKind::TwoLru, &cache, instrumentation);
         let plain = config.run(&spec, PolicyKind::TwoLru).unwrap();
         assert_eq!(run.report, plain, "the ledger must not perturb results");
         let ledger = run.ledger.expect("a ledger report was requested");
@@ -1979,101 +1145,20 @@ mod tests {
         let config = ExperimentConfig::date2016();
         let spec = small_spec();
         let cache = TraceCache::new(64 << 20);
-        let instrumentation =
-            Instrumentation::windowed(1_000).with_ledger(crate::LedgerOptions::default());
-        let both = config
-            .run_instrumented(&spec, PolicyKind::TwoLru, &cache, instrumentation)
-            .unwrap();
-        let observed = config
-            .run_observed(&spec, PolicyKind::TwoLru, 1_000)
-            .unwrap();
+        let run = |instrumentation| {
+            instrumented(&config, &spec, PolicyKind::TwoLru, &cache, instrumentation)
+        };
+        let ledger = crate::LedgerOptions::default();
+        let both = run(Instrumentation::windowed(1_000).with_ledger(ledger));
+        let observed = run(Instrumentation::windowed(1_000));
         assert_eq!(both.report, observed.report);
         assert_eq!(both.records, observed.records);
         assert_eq!(both.metrics, observed.metrics);
-        let ledger_only = config
-            .run_instrumented(
-                &spec,
-                PolicyKind::TwoLru,
-                &cache,
-                Instrumentation::default().with_ledger(crate::LedgerOptions::default()),
-            )
-            .unwrap();
+        let ledger_only = run(Instrumentation::default().with_ledger(ledger));
         assert_eq!(
             both.ledger, ledger_only.ledger,
             "the ledger is independent of the collector riding along"
         );
-    }
-
-    #[test]
-    fn instrumented_matrix_is_thread_count_invariant_with_profiler() {
-        let config = ExperimentConfig::date2016();
-        let specs = vec![small_spec()];
-        let kinds = [PolicyKind::TwoLru, PolicyKind::ClockDwf];
-        let instrumentation =
-            Instrumentation::windowed(2_000).with_ledger(crate::LedgerOptions::default());
-        let (serial, _) =
-            compare_policies_instrumented(&specs, &kinds, &config, 1, instrumentation, None)
-                .unwrap();
-        let profiler = SpanProfiler::new();
-        let (parallel, _) = compare_policies_instrumented(
-            &specs,
-            &kinds,
-            &config,
-            4,
-            instrumentation,
-            Some(&profiler),
-        )
-        .unwrap();
-        assert_eq!(serial, parallel);
-        let records = profiler.records();
-        assert!(
-            records.iter().any(|r| r.cat == "scheduler"),
-            "matrix and cell spans recorded"
-        );
-        assert!(records.iter().any(|r| r.cat == "simulate"));
-    }
-
-    #[test]
-    fn audited_paper_matrix_is_clean_at_any_thread_count() {
-        // ISSUE 8 acceptance: every cell of the paper matrix passes the
-        // run-health audit with zero violations, and the verdict is
-        // identical whether the matrix ran serial or parallel.
-        let config = ExperimentConfig::date2016();
-        let specs = vec![
-            small_spec(),
-            parsec::spec("bodytrack").unwrap().capped(3_000),
-            parsec::spec("canneal").unwrap().capped(2_500),
-        ];
-        let kinds = PolicyKind::all();
-        let instrumentation = Instrumentation::default().with_audit(AuditOptions::default());
-        for threads in [1, 4] {
-            let (rows, _) = compare_policies_instrumented(
-                &specs,
-                &kinds,
-                &config,
-                threads,
-                instrumentation,
-                None,
-            )
-            .unwrap();
-            for (spec, row) in specs.iter().zip(&rows) {
-                for (kind, cell) in kinds.iter().zip(row) {
-                    let audit = cell
-                        .audit
-                        .as_ref()
-                        .expect("an audit report was requested for every cell");
-                    assert_eq!(audit.workload, spec.name, "threads={threads}");
-                    assert_eq!(audit.policy, kind.name(), "threads={threads}");
-                    assert_eq!(audit.accesses, spec.total_accesses(), "threads={threads}");
-                    assert!(
-                        audit.clean && audit.violations.is_empty(),
-                        "threads={threads} {spec_name}/{kind}: {violations:?}",
-                        spec_name = spec.name,
-                        violations = audit.violations
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -2086,14 +1171,13 @@ mod tests {
         };
         let spec = small_spec();
         let cache = TraceCache::new(64 << 20);
-        let audited = config
-            .run_instrumented(
-                &spec,
-                PolicyKind::TwoLru,
-                &cache,
-                Instrumentation::default().with_audit(AuditOptions::default()),
-            )
-            .unwrap();
+        let audited = instrumented(
+            &config,
+            &spec,
+            PolicyKind::TwoLru,
+            &cache,
+            Instrumentation::default().with_audit(AuditOptions::default()),
+        );
         let plain = config
             .run_cached(&spec, PolicyKind::TwoLru, &cache)
             .unwrap();

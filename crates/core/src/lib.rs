@@ -13,8 +13,9 @@
 //! * [`SimulationReport`] — the measured breakdowns behind every figure
 //!   (power: static/dynamic/page-fault/migration; AMAT: requests vs
 //!   migrations; NVM writes: requests/page-fault/migration);
-//! * [`ExperimentConfig`] / [`compare_policies`] — the paper's evaluation
-//!   methodology (75 % memory, 10 % DRAM) over the PARSEC profiles;
+//! * [`ExperimentConfig`] / [`MatrixRun`] — the paper's evaluation
+//!   methodology (75 % memory, 10 % DRAM) over the PARSEC profiles, and
+//!   the one runner every front end executes the matrix with;
 //! * [`observe`] — windowed telemetry: a [`WindowedCollector`] event sink
 //!   slices runs into per-N-accesses [`IntervalRecord`]s (tier hits,
 //!   migrations, occupancy, interval AMAT/APPR) serialized as
@@ -29,10 +30,10 @@
 //!   vs. closed-form AMAT) and reports structured [`AuditViolation`]s;
 //! * [`faultinject`] / [`health`] / [`journal`] — the robustness layer:
 //!   a scripted, deterministic [`FaultPlan`] exercises every
-//!   degradation path; [`compare_policies_isolated`] quarantines
-//!   failing cells into a [`MatrixHealthReport`] instead of aborting
-//!   the matrix; a [`RunJournal`] makes long campaigns crash-safe and
-//!   resumable with byte-identical output;
+//!   degradation path; [`MatrixRun`] quarantines failing cells into a
+//!   [`MatrixHealthReport`] instead of aborting the matrix; a
+//!   [`RunJournal`] makes long campaigns crash-safe and resumable with
+//!   byte-identical output;
 //! * [`flightrec`] — the black box: a bounded [`FlightRecorder`] event
 //!   sink rides every instrumented cell, retaining the last N events
 //!   plus periodic state snapshots, and dumps a deterministic
@@ -69,6 +70,7 @@ pub mod flightrec;
 pub mod health;
 pub mod journal;
 pub mod ledger;
+mod matrix;
 pub mod model;
 pub mod observe;
 mod report;
@@ -82,10 +84,7 @@ pub use audit::{
 };
 pub use events::{CountingSink, EventSink, FanoutSink, RecordingSink, SimEvent};
 pub use experiments::{
-    compare_policies, compare_policies_instrumented, compare_policies_isolated,
-    compare_policies_observed, compare_policies_threaded, compare_policies_timed,
-    flight_recorder_for, matrix_fingerprint, ExperimentConfig, Instrumentation, InstrumentedRun,
-    MatrixTiming, PolicyKind, ReplayMode,
+    flight_recorder_for, ExperimentConfig, Instrumentation, InstrumentedRun, PolicyKind,
 };
 pub use faultinject::FaultPlan;
 pub use flightrec::{
@@ -101,8 +100,9 @@ pub use ledger::{
     write_ledger_jsonl, DemotionCause, LedgerOptions, LedgerReport, LedgerSummary, PageEvent,
     PageLedger, PageRecord, PageSummary, PromotionProvenance,
 };
+pub use matrix::{parse_flag, MatrixOutcome, MatrixOutputs, MatrixRun, MatrixTiming};
 pub use model::{AmatComponents, ApprComponents, ModelParams, Probabilities, TimeModel};
-pub use observe::{write_jsonl, IntervalRecord, ObservedRun, WindowedCollector};
+pub use observe::{write_jsonl, IntervalRecord, WindowedCollector};
 pub use report::{
     arith_mean, geo_mean, Counts, EnergyBreakdown, LatencyBreakdown, NvmWriteBreakdown,
     SimulationReport, WearSummary,

@@ -3,7 +3,7 @@
 //!
 //! The paper's claims are dynamic — hit ratio holds while migrations
 //! trade AMAT (Eq. 1) against APPR (Eq. 2) — but a
-//! [`SimulationReport`] only shows end-of-run aggregates. The
+//! [`SimulationReport`](crate::SimulationReport) only shows end-of-run aggregates. The
 //! [`WindowedCollector`] is an [`EventSink`] that slices the run into
 //! fixed windows of N demand accesses and emits one [`IntervalRecord`]
 //! per window: per-tier hit counts, faults, migrations in both
@@ -22,7 +22,7 @@ use hybridmem_metrics::{MetricsRegistry, MetricsSnapshot};
 use hybridmem_policy::PolicyAction;
 use hybridmem_types::{AccessKind, MemoryKind};
 
-use crate::{EventSink, ModelParams, Probabilities, SimEvent, SimulationReport};
+use crate::{EventSink, ModelParams, Probabilities, SimEvent};
 
 /// Telemetry for one window of demand accesses.
 ///
@@ -441,21 +441,6 @@ pub fn write_jsonl<W: Write>(writer: &mut W, records: &[IntervalRecord]) -> std:
         writeln!(writer, "{}", hybridmem_json::to_string(record))?;
     }
     Ok(())
-}
-
-/// A simulation run plus its windowed telemetry — what the observed
-/// experiment runners
-/// ([`run_observed`](crate::ExperimentConfig::run_observed),
-/// [`compare_policies_observed`](crate::compare_policies_observed))
-/// return per cell.
-#[derive(Debug, Clone)]
-pub struct ObservedRun {
-    /// The end-of-run aggregate report, identical to an unobserved run.
-    pub report: SimulationReport,
-    /// Per-window interval records, oldest first.
-    pub records: Vec<IntervalRecord>,
-    /// Cumulative metrics from the run's [`WindowedCollector`].
-    pub metrics: MetricsSnapshot,
 }
 
 #[cfg(test)]

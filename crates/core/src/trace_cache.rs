@@ -9,7 +9,7 @@
 //! regenerates it once per sweep point. [`TraceCache`] materializes each
 //! trace once into an `Arc<[PageAccess]>` and hands the same immutable
 //! buffer to every cell, including cells running concurrently on the
-//! worker pool (see [`compare_policies`](crate::compare_policies)).
+//! worker pool (see [`MatrixRun`](crate::MatrixRun)).
 //!
 //! # Keying
 //!

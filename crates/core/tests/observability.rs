@@ -5,22 +5,46 @@
 //! Algorithm 1 provenance matching the policy's configured thresholds.
 
 use hybridmem_core::{
-    compare_policies_instrumented, compare_policies_observed, write_jsonl, write_ledger_jsonl,
-    DemotionCause, ExperimentConfig, HybridSimulator, Instrumentation, IntervalRecord,
-    LedgerOptions, PageEvent, PageLedger, PolicyKind,
+    write_jsonl, write_ledger_jsonl, DemotionCause, ExperimentConfig, HybridSimulator,
+    Instrumentation, InstrumentedRun, IntervalRecord, LedgerOptions, MatrixRun, PageEvent,
+    PageLedger, PolicyKind,
 };
 use hybridmem_policy::CounterKind;
 use hybridmem_trace::{parsec, LocalityParams, WorkloadSpec};
 use hybridmem_types::{MemoryKind, PageAccess, PageId};
 
+/// Runs `kinds` over `specs` with `instrumentation` on `threads` workers.
+fn matrix(
+    specs: &[WorkloadSpec],
+    kinds: &[PolicyKind],
+    threads: usize,
+    instrumentation: Instrumentation,
+) -> Vec<Vec<InstrumentedRun>> {
+    let run = MatrixRun {
+        threads,
+        instrumentation,
+        fault_plan: None,
+        ..MatrixRun::new(ExperimentConfig::date2016()).unwrap()
+    };
+    run.run(specs, kinds).unwrap().runs().unwrap()
+}
+
+/// One windowed two-LRU cell.
+fn observed(spec: WorkloadSpec, window: u64) -> InstrumentedRun {
+    let mut rows = matrix(
+        &[spec],
+        &[PolicyKind::TwoLru],
+        1,
+        Instrumentation::windowed(window),
+    );
+    rows.remove(0).remove(0)
+}
+
 #[test]
 fn windows_tile_the_steady_state_and_sum_to_the_report() {
     let spec = parsec::spec("bodytrack").unwrap().capped(10_000);
-    let config = ExperimentConfig::default();
     let window = 1_000u64;
-    let observed = config
-        .run_observed(&spec, PolicyKind::TwoLru, window)
-        .unwrap();
+    let observed = observed(spec.clone(), window);
     let report = &observed.report;
     let records = &observed.records;
     let requests = report.counts.requests;
@@ -90,9 +114,7 @@ fn windows_tile_the_steady_state_and_sum_to_the_report() {
 
 #[test]
 fn window_zero_gives_one_whole_run_record_matching_the_report() {
-    let spec = parsec::spec("canneal").unwrap().capped(8_000);
-    let config = ExperimentConfig::default();
-    let observed = config.run_observed(&spec, PolicyKind::TwoLru, 0).unwrap();
+    let observed = observed(parsec::spec("canneal").unwrap().capped(8_000), 0);
     let report = &observed.report;
     assert_eq!(observed.records.len(), 1);
     let record = &observed.records[0];
@@ -121,11 +143,9 @@ fn interval_jsonl_is_byte_identical_across_thread_counts() {
         parsec::spec("ferret").unwrap().capped(4_000),
     ];
     let kinds = [PolicyKind::TwoLru, PolicyKind::ClockDwf];
-    let config = ExperimentConfig::default();
 
     let serialize = |threads: usize| {
-        let (cells, _timing) =
-            compare_policies_observed(&specs, &kinds, &config, threads, 500).unwrap();
+        let cells = matrix(&specs, &kinds, threads, Instrumentation::windowed(500));
         let mut bytes = Vec::new();
         for row in &cells {
             for cell in row {
@@ -243,7 +263,6 @@ fn ledger_jsonl_is_byte_identical_across_thread_counts() {
         parsec::spec("ferret").unwrap().capped(4_000),
     ];
     let kinds = [PolicyKind::TwoLru, PolicyKind::ClockDwf];
-    let config = ExperimentConfig::default();
     // Wide enough that no promoted page is pruned: at this cap the top
     // pages by migrations are fault-fill demotions, not promotions.
     let instrumentation = Instrumentation::default().with_ledger(LedgerOptions {
@@ -252,9 +271,7 @@ fn ledger_jsonl_is_byte_identical_across_thread_counts() {
     });
 
     let serialize = |threads: usize| {
-        let (cells, _timing) =
-            compare_policies_instrumented(&specs, &kinds, &config, threads, instrumentation, None)
-                .unwrap();
+        let cells = matrix(&specs, &kinds, threads, instrumentation);
         let mut bytes = Vec::new();
         for row in &cells {
             for cell in row {
@@ -275,8 +292,7 @@ fn ledger_jsonl_is_byte_identical_across_thread_counts() {
 
     // Every provenance-tagged promotion in the matrix is internally
     // consistent with Algorithm 1's gate: value strictly above threshold.
-    let (cells, _timing) =
-        compare_policies_instrumented(&specs, &kinds, &config, 2, instrumentation, None).unwrap();
+    let cells = matrix(&specs, &kinds, 2, instrumentation);
     let mut tagged = 0u64;
     for cell in cells.iter().flatten() {
         let ledger = cell.ledger.as_ref().expect("ledger requested");

@@ -6,7 +6,7 @@
 //! cargo run --release --example parsec_suite [max_accesses_per_workload]
 //! ```
 
-use hybridmem::sim::{compare_policies, geo_mean, ExperimentConfig, PolicyKind};
+use hybridmem::sim::{geo_mean, ExperimentConfig, MatrixRun, PolicyKind};
 use hybridmem::trace::parsec;
 use hybridmem::types::Error;
 
@@ -25,8 +25,9 @@ fn main() -> Result<(), Error> {
         PolicyKind::ClockDwf,
         PolicyKind::TwoLru,
     ];
-    let config = ExperimentConfig::default();
-    let rows = compare_policies(&specs, &kinds, &config)?;
+    let rows = MatrixRun::new(ExperimentConfig::date2016())?
+        .run(&specs, &kinds)?
+        .reports()?;
 
     println!(
         "{:<14} {:>8} {:>7} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",

@@ -1,8 +1,9 @@
 //! Cross-policy integration tests: the qualitative orderings the paper's
 //! evaluation rests on, checked on reduced-volume PARSEC traces.
 
-use hybridmem::sim::{geo_mean, ExperimentConfig, PolicyKind, ReplayMode, SimulationReport};
-use hybridmem::trace::parsec;
+use hybridmem::sim::{geo_mean, ExperimentConfig, HybridSimulator, PolicyKind, SimulationReport};
+use hybridmem::trace::{parsec, TraceGenerator, WorkloadSpec};
+use hybridmem::types::PageAccess;
 
 /// Reduced volume under debug builds so `cargo test` stays fast;
 /// release runs use the full volume.
@@ -29,26 +30,46 @@ fn run_all(name: &str) -> [SimulationReport; 4] {
     reports.try_into().expect("four policies requested")
 }
 
+/// The runner's cell, rebuilt from public per-access calls: one policy
+/// call per access over the generated trace, with the runner's warmup
+/// and nominal-size pricing.
+fn serial_replay(
+    config: &ExperimentConfig,
+    spec: &WorkloadSpec,
+    kind: PolicyKind,
+) -> SimulationReport {
+    let trace: Vec<PageAccess> = TraceGenerator::new(spec.clone(), config.seed)
+        .map(PageAccess::from)
+        .collect();
+    let policy = config.build_policy(kind, spec).unwrap();
+    let mut simulator = HybridSimulator::with_date2016_devices(policy);
+    simulator.set_static_scale(1.0 / spec.scale_factor());
+    simulator.set_density_hint(spec.nominal_density());
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss
+    )]
+    let warmup = (spec.total_accesses() as f64 * config.warmup_fraction) as usize;
+    simulator.run_slice(&trace[..warmup]);
+    simulator.reset_accounting();
+    simulator.run_slice(&trace[warmup..]);
+    simulator.into_report(spec.name.clone())
+}
+
 #[test]
 #[cfg_attr(debug_assertions, ignore = "volume-sensitive; run with --release")]
 fn batched_replay_equals_serial_replay_for_every_policy() {
-    // The batched driver is a pure dispatch optimization: every policy's
-    // full report must match the serial oracle exactly, across the whole
-    // paper matrix.
+    // The runner's batched driver is a pure dispatch optimization: every
+    // policy's full report must match a serial per-access replay exactly,
+    // across the whole paper matrix.
+    let config = ExperimentConfig::default();
     for name in parsec::NAMES {
         let spec = parsec::spec(name).unwrap().capped(CAP);
-        let serial = ExperimentConfig {
-            replay: ReplayMode::Serial,
-            ..ExperimentConfig::default()
-        };
-        let batched = ExperimentConfig {
-            replay: ReplayMode::Batched,
-            ..serial
-        };
         for kind in PolicyKind::all() {
             assert_eq!(
-                serial.run(&spec, kind).unwrap(),
-                batched.run(&spec, kind).unwrap(),
+                config.run(&spec, kind).unwrap(),
+                serial_replay(&config, &spec, kind),
                 "{name}/{}: batched replay diverged from serial",
                 kind.name()
             );
