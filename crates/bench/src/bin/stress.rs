@@ -46,13 +46,14 @@ use std::time::Instant;
 
 use hybridmem_bench::ReferenceTwoLru;
 use hybridmem_core::{
-    write_flight_json, ExperimentConfig, FlightMatrixReport, FlightOptions, HybridSimulator,
-    Instrumentation, MatrixRun, PolicyKind, SimulationReport, TraceCache,
+    parse_flag, positive_flag, write_flight_json, ExperimentConfig, FlightMatrixReport,
+    HybridSimulator, Instrumentation, MatrixRun, PolicyKind, SimulationReport, TraceCache,
 };
 use hybridmem_json::{impl_json, Json, ToJson};
 use hybridmem_metrics::peak_rss_bytes;
 use hybridmem_policy::{HybridPolicy, TwoLruConfig};
 use hybridmem_trace::{parsec, WorkloadSpec};
+use hybridmem_types::{Error, Result};
 
 /// Workloads the harness replays: a locality-heavy, a scan-heavy, and two
 /// mixed profiles, so the trajectory is not tuned to one access pattern.
@@ -104,7 +105,13 @@ struct Options {
 }
 
 impl Options {
-    fn from_args() -> Self {
+    /// Parses the harness flags.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] naming the flag for an unknown
+    /// flag, a missing or malformed value, or `--flight-events 0`.
+    fn parse(raw: impl IntoIterator<Item = String>) -> Result<Self> {
         let mut options = Self {
             quick: false,
             cap: None,
@@ -113,35 +120,36 @@ impl Options {
             flight_out: None,
             flight_events: 256,
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
+        let mut raw = raw.into_iter();
+        while let Some(flag) = raw.next() {
             let mut value = || {
-                args.next()
-                    .unwrap_or_else(|| panic!("flag {flag} requires a value"))
+                raw.next()
+                    .ok_or_else(|| Error::invalid_input(format!("flag {flag} requires a value")))
             };
             match flag.as_str() {
                 "--quick" => options.quick = true,
-                "--cap" => options.cap = Some(value().parse().expect("--cap expects an integer")),
-                "--seed" => options.seed = value().parse().expect("--seed expects an integer"),
-                "--out" => options.out = PathBuf::from(value()),
-                "--flight-out" => options.flight_out = Some(PathBuf::from(value())),
+                "--cap" => options.cap = Some(parse_flag("cap", Some(&value()?), 0)?),
+                "--seed" => options.seed = parse_flag("seed", Some(&value()?), 42)?,
+                "--out" => options.out = PathBuf::from(value()?),
+                "--flight-out" => options.flight_out = Some(PathBuf::from(value()?)),
                 "--flight-events" => {
-                    options.flight_events =
-                        value().parse().expect("--flight-events expects an integer");
+                    let events = value()?;
+                    options.flight_events = positive_flag(
+                        "flight-events",
+                        Some(&events),
+                        256,
+                        "retain at least 1 event",
+                    )?;
                 }
                 other => {
-                    panic!(
+                    return Err(Error::invalid_input(format!(
                         "unknown flag {other}; expected \
                          --quick/--cap/--seed/--out/--flight-out/--flight-events"
-                    )
+                    )));
                 }
             }
         }
-        assert!(
-            options.flight_events > 0,
-            "--flight-events must retain at least 1 event"
-        );
-        options
+        Ok(options)
     }
 
     fn cap(&self) -> u64 {
@@ -326,8 +334,8 @@ fn assert_same_simulation(reference: &SimulationReport, serial: &SimulationRepor
     );
 }
 
-fn main() {
-    let options = Options::from_args();
+fn main() -> Result<()> {
+    let options = Options::parse(std::env::args().skip(1))?;
     let cap = options.cap();
     let spill_dir = std::env::temp_dir().join(format!("hybridmem-stress-{}", std::process::id()));
     // Plenty for the harness caps; the spill-replay phase uses its own
@@ -412,29 +420,26 @@ fn main() {
         // measured phases above stay unperturbed by the recorder.
         if options.flight_out.is_some() {
             let run = MatrixRun {
-                instrumentation: Instrumentation::default()
-                    .with_flight(FlightOptions::with_events(options.flight_events)),
-                ..MatrixRun::new(config).expect("HYBRIDMEM_FAULT_PLAN is well-formed")
+                instrumentation: Instrumentation::default().with_flight(options.flight_events),
+                ..MatrixRun::new(config)?
             };
             let trace = cache
                 .try_get(&spec, options.seed)
                 .expect("harness caps fit the cache budget");
-            let outcome = run
-                .run_trace(&spec, &trace, &[PolicyKind::TwoLru])
-                .expect("no journal to open");
+            let outcome = run.run_trace(&spec, &trace, &[PolicyKind::TwoLru])?;
             flights.extend(outcome.flights());
         }
     }
 
+    let write_err =
+        |path: &std::path::Path, e| Error::invalid_input(format!("write {}: {e}", path.display()));
     if let Some(path) = &options.flight_out {
         let matrix = FlightMatrixReport::new(flights);
-        let mut writer = std::io::BufWriter::new(
-            std::fs::File::create(path)
-                .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display())),
-        );
+        let mut writer =
+            std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| write_err(path, e))?);
         write_flight_json(&mut writer, &matrix)
             .and_then(|()| std::io::Write::flush(&mut writer))
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+            .map_err(|e| write_err(path, e))?;
         println!("wrote flight recorder dump to {}", path.display());
     }
 
@@ -485,7 +490,7 @@ fn main() {
     };
 
     std::fs::write(&options.out, hybridmem_json::to_string_pretty(&report))
-        .unwrap_or_else(|e| panic!("write {}: {e}", options.out.display()));
+        .map_err(|e| write_err(&options.out, e))?;
     let _ = std::fs::remove_dir_all(&spill_dir);
 
     for phase in &report.phases {
@@ -500,11 +505,37 @@ fn main() {
         report.speedup_spill_vs_reference,
         options.out.display()
     );
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::next_bench_path;
+    use super::{next_bench_path, Options};
+
+    fn parse(tokens: &[&str]) -> hybridmem_types::Result<Options> {
+        Options::parse(tokens.iter().map(|t| (*t).to_owned()))
+    }
+
+    #[test]
+    fn bad_flags_are_typed_errors_naming_the_flag() {
+        for (tokens, message) in [
+            (["--cap", "abc"].as_slice(), "--cap expects a number"),
+            (&["--seed", "-1"], "--seed expects a number"),
+            (&["--bogus"], "unknown flag --bogus"),
+            (
+                &["--flight-events", "0"],
+                "--flight-events must retain at least 1",
+            ),
+            (&["--out"], "flag --out requires a value"),
+        ] {
+            let err = parse(tokens).expect_err(&format!("{tokens:?} must fail"));
+            assert!(err.to_string().contains(message), "{tokens:?}: {err}");
+        }
+        let options = parse(&["--quick", "--cap", "500", "--flight-events", "8"]).unwrap();
+        assert!(options.quick);
+        assert_eq!((options.cap(), options.seed), (500, 42));
+        assert_eq!(options.flight_events, 8);
+    }
 
     #[test]
     fn next_bench_path_extends_the_highest_index() {

@@ -7,11 +7,10 @@ use std::sync::Arc;
 
 use hybridmem_analyze::{CellProfile, Input, PostmortemInputs, TrajectoryOptions};
 use hybridmem_core::{
-    flight_recorder_for, flightrec, write_flight_json, write_jsonl, write_ledger_jsonl,
-    ExperimentConfig, FanoutSink, FaultPlan, FlightMatrixReport, FlightOptions, FlightRecorder,
-    HybridSimulator, Instrumentation, InstrumentedRun, IntervalRecord, LedgerOptions, LedgerReport,
-    MatrixOutcome, MatrixRun, PageEvent, PageRecord, PolicyKind, SimulationReport,
-    WindowedCollector,
+    positive_flag, write_flight_json, write_jsonl, write_ledger_jsonl, CellContext, CellSink,
+    ExperimentConfig, FaultPlan, FlightMatrixReport, HybridSimulator, Instrumentation,
+    InstrumentedRun, LedgerOptions, LedgerReport, MatrixOutcome, MatrixRun, PageEvent, PageRecord,
+    PolicyKind, SimulationReport,
 };
 use hybridmem_trace::{
     io as trace_io, parsec, ReuseProfile, TraceGenerator, TraceStats, WorkloadSpec,
@@ -367,18 +366,12 @@ fn observe<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
     let kind = parse_policy(args.get_or("policy", "two-lru"))?;
     let seed: u64 = args.get_parsed_or("seed", 42)?;
     let window: u64 = args.get_parsed_or("window", 10_000)?;
-    // The default is nonzero, so a parsed zero means the user asked
-    // for a zero-capacity ring explicitly (unlike --window, where 0
-    // legitimately means one whole-run record).
-    let flight_events: usize = args.get_parsed_or("flight-events", 256)?;
-    if flight_events == 0 {
-        return Err(Error::invalid_input(
-            "--flight-events must retain at least 1 event",
-        ));
-    }
-    let flight = args
-        .get("flight-out")
-        .map(|_| FlightOptions::with_events(flight_events));
+    let flight_events = positive_flag(
+        "flight-events",
+        args.get("flight-events"),
+        256,
+        "retain at least 1 event",
+    )?;
     let warmup: f64 = args.get_parsed_or("warmup", 0.0)?;
     if !(0.0..1.0).contains(&warmup) {
         return Err(Error::invalid_input(format!(
@@ -400,85 +393,40 @@ fn observe<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         clippy::cast_sign_loss
     )]
     let warmup_len = (spec.total_accesses() as f64 * warmup) as u64;
-    let collector = WindowedCollector::new(spec.name.clone(), kind.name(), window, warmup_len);
-    if let Some(options) = flight {
-        let mut fanout = FanoutSink::new();
-        fanout.push(Box::new(collector));
-        fanout.push(Box::new(flight_recorder_for(
-            spec.name.clone(),
-            kind.name(),
-            options,
-            &simulator,
-            warmup_len,
-        )));
-        simulator.set_event_sink(Box::new(fanout));
-    } else {
-        simulator.set_event_sink(Box::new(collector));
-    }
-    // Drive in batch-sized chunks, draining the windows each one closes.
+    let instrumentation = Instrumentation {
+        window: Some(window),
+        flight: args.get("flight-out").map(|_| flight_events),
+        ..Instrumentation::default()
+    };
+    let context = CellContext::new(spec.name.clone(), kind, &simulator, warmup_len);
+    simulator.set_event_sink(Box::new(CellSink::new(instrumentation, context)));
+    let lost = || Error::invalid_input("observe lost its cell sink");
+    // Drive in batch-sized chunks, writing the windows each one closes.
     let mut buffer = Vec::with_capacity(HybridSimulator::BATCH_RECORDS);
     for access in TraceGenerator::new(spec.clone(), seed).map(PageAccess::from) {
         buffer.push(access);
         if buffer.len() == HybridSimulator::BATCH_RECORDS {
             simulator.run_slice_batched(&buffer);
             buffer.clear();
-            let records = drain_observed(&mut simulator, false)?;
-            if !records.is_empty() {
-                write_jsonl(out, &records).map_err(io_err)?;
-            }
+            let cell = simulator.event_sink_mut().and_then(CellSink::of);
+            let records = cell.ok_or_else(lost)?.drain_records();
+            write_jsonl(out, &records).map_err(io_err)?;
         }
     }
     simulator.run_slice_batched(&buffer);
-    let records = drain_observed(&mut simulator, true)?;
-    write_jsonl(out, &records).map_err(io_err)?;
+    let mut sink = simulator.take_event_sink().ok_or_else(lost)?;
+    let run = CellSink::of(sink.as_mut())
+        .ok_or_else(lost)?
+        .finish(simulator);
+    write_jsonl(out, &run.records).map_err(io_err)?;
     if let Some(flight_path) = args.get("flight-out") {
-        let mut sink = simulator
-            .take_event_sink()
-            .ok_or_else(|| Error::invalid_input("observe lost its event sink"))?;
-        let recorder = sink
-            .as_any_mut()
-            .downcast_mut::<FanoutSink>()
-            .and_then(|fanout| {
-                fanout
-                    .sinks_mut()
-                    .iter_mut()
-                    .find_map(|child| child.as_any_mut().downcast_mut::<FlightRecorder>())
-            })
-            .ok_or_else(|| Error::invalid_input("observe lost its flight recorder"))?;
-        let probe = recorder.probe();
-        let _ = flightrec::take_probe();
-        let matrix = FlightMatrixReport::new(vec![probe.capture("completed", None, 0)]);
+        let matrix = FlightMatrixReport::new(run.flight.into_iter().collect());
         let mut writer = create_out(flight_path)?;
         write_flight_json(&mut writer, &matrix).map_err(io_err)?;
         std::io::Write::flush(&mut writer).map_err(io_err)?;
         writeln!(out, "wrote flight recorder dump to {flight_path}").map_err(io_err)?;
     }
     Ok(())
-}
-
-/// Drains completed interval records from the simulator's installed
-/// [`WindowedCollector`] (possibly riding a [`FanoutSink`] next to a
-/// flight recorder), closing the partial window when `finish`.
-fn drain_observed(simulator: &mut HybridSimulator, finish: bool) -> Result<Vec<IntervalRecord>> {
-    let sink = simulator
-        .event_sink_mut()
-        .ok_or_else(|| Error::invalid_input("observe lost its event sink"))?;
-    let any = sink.as_any_mut();
-    let collector = if any.is::<FanoutSink>() {
-        any.downcast_mut::<FanoutSink>().and_then(|fanout| {
-            fanout
-                .sinks_mut()
-                .iter_mut()
-                .find_map(|child| child.as_any_mut().downcast_mut::<WindowedCollector>())
-        })
-    } else {
-        any.downcast_mut::<WindowedCollector>()
-    }
-    .ok_or_else(|| Error::invalid_input("observe sink has the wrong type"))?;
-    if finish {
-        collector.finish();
-    }
-    Ok(collector.drain())
 }
 
 /// Correlates a `hybridmem-flight-v1` dump with whatever other
@@ -804,8 +752,13 @@ fn run_ledger_report(
     let spec = if cap == 0 { spec } else { spec.capped(cap) };
     let kind = parse_policy(args.get_or("policy", "two-lru"))?;
     let options = LedgerOptions {
-        top_k: args.get_parsed_or("top", 64)?,
-        max_events: args.get_parsed_or("max-events", default_max_events)?,
+        top_k: positive_flag("top", args.get("top"), 64, "retain at least 1 page")?,
+        max_events: positive_flag(
+            "max-events",
+            args.get("max-events"),
+            default_max_events,
+            "retain at least 1 event",
+        )?,
         focus,
     };
     // The journey covers the whole trace: no warmup prefix.
@@ -1414,6 +1367,33 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("--flight-events must retain at least 1"));
+    }
+
+    #[test]
+    fn ledger_and_trace_page_reject_zero_retention() {
+        for (command, flag, message) in [
+            (
+                ["ledger", "bodytrack"].as_slice(),
+                "--top",
+                "--top must retain at least 1 page",
+            ),
+            (
+                &["ledger", "bodytrack"],
+                "--max-events",
+                "--max-events must retain at least 1",
+            ),
+            (
+                &["trace-page", "bodytrack", "17"],
+                "--max-events",
+                "--max-events must retain",
+            ),
+        ] {
+            let mut tokens = command.to_vec();
+            tokens.extend(["--cap", "2000", flag, "0"]);
+            let (result, text) = run_capture(&tokens);
+            let err = result.expect_err(&format!("{tokens:?} must fail: {text}"));
+            assert!(err.to_string().contains(message), "{tokens:?}: {err}");
+        }
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! without being duplicated or lost, demotions are explained by the
 //! promotion or fault that displaced them, and the event-priced access
 //! cost agrees with the closed-form [`ModelParams::date2016`]
-//! prediction. The [`AuditSink`] is an [`EventSink`] that checks those
-//! laws online — it can ride along any instrumented run via
+//! prediction. The audit is a fold of the
+//! [`CellSink`](crate::CellSink) that checks those laws online — any
+//! instrumented run can carry it via
 //! [`Instrumentation::with_audit`](crate::Instrumentation::with_audit)
-//! — and reports each breach as a structured [`AuditViolation`].
+//! — and reports each breach as a structured [`AuditViolation`]. It reads
+//! access indices, fills, faults and per-tier occupancy from the sink's
+//! shared cursor, and prices the whole steady state in one window.
 //!
 //! # Invariant catalog
 //!
@@ -21,12 +24,17 @@
 //! | `demotion-pairing` | a DRAM→NVM demotion outside a fault is paired with an NVM→DRAM promotion in the same access ([`DemotionCause`](crate::DemotionCause) semantics) |
 //! | `monotone-access` | actions and probes attach to a monotone demand-access sequence |
 //! | `two-lru-window` | a fired NVM counter probe is followed by that page's promotion, an unfired one is not |
-//! | `amat-window` | per-window event-priced AMAT within tolerance of the Eq. 1 closed form |
+//! | `amat-window` | the steady state's event-priced AMAT within 100 ppm of the Eq. 1 closed form |
 //!
-//! The occupancy laws are gated on [`AuditSink::with_exclusive_residency`]:
-//! the `dram-cache` policy reports *cost-equivalent* migrations (a clean
-//! cache drop emits no action at all), so its action stream is not an
-//! exclusive-residency journal and only the remaining invariants apply.
+//! The occupancy laws apply only to policies whose actions journal
+//! residency: the `dram-cache` policy reports *cost-equivalent*
+//! migrations (a clean cache drop emits no action at all), so its action
+//! stream is not an exclusive-residency journal and only the remaining
+//! invariants apply.
+//!
+//! An action or probe before the first demand access breaks
+//! `monotone-access` and is otherwise ignored: the audit keeps it out of
+//! its fill and occupancy books, which every other fold applies it to.
 //!
 //! Violations are deduplicated by **resynchronization**: once an
 //! imbalance is reported the sink adopts it as the new baseline, so a
@@ -41,42 +49,14 @@ use std::io::Write;
 
 use hybridmem_json::impl_json;
 use hybridmem_policy::{NvmCounterProbe, PolicyAction};
-use hybridmem_types::{AccessKind, MemoryKind, PageAccess, PageId};
+use hybridmem_types::{MemoryKind, PageAccess, PageId};
 
-use crate::{EventSink, ModelParams, Probabilities, SimEvent};
+use crate::cell::{CellContext, Cursor};
+use crate::observe::Window;
+use crate::{ModelParams, SimEvent};
 
 /// Schema identifier of the audit JSON report.
 pub const AUDIT_SCHEMA: &str = "hybridmem-audit-v1";
-
-/// User-facing knobs of an [`AuditSink`] — the part that travels inside
-/// [`Instrumentation`](crate::Instrumentation). Per-cell context
-/// (capacities, warmup, residency semantics) is attached by the
-/// experiment runner via the sink's builder methods instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuditOptions {
-    /// AMAT check granularity in demand accesses (0 = one whole-run
-    /// window), mirroring the windowed collector's slicing.
-    pub window: u64,
-    /// Relative tolerance of the `amat-window` check, in parts per
-    /// million of the closed-form prediction. The priced and predicted
-    /// sides are the same arithmetic regrouped, so the default of
-    /// 100 ppm is orders of magnitude above floating-point noise while
-    /// still catching any real accounting drift.
-    pub amat_tolerance_ppm: u32,
-    /// Violations retained in the report; the excess is counted in
-    /// [`AuditReport::dropped_violations`].
-    pub max_violations: u32,
-}
-
-impl Default for AuditOptions {
-    fn default() -> Self {
-        Self {
-            window: 0,
-            amat_tolerance_ppm: 100,
-            max_violations: 256,
-        }
-    }
-}
 
 /// One invariant breach: where it happened and what was expected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,7 +90,7 @@ pub struct AuditReport {
     pub fills: u64,
     /// Retained violations, in event order.
     pub violations: Vec<AuditViolation>,
-    /// Violations beyond [`AuditOptions::max_violations`].
+    /// Violations beyond the 256 a report retains.
     pub dropped_violations: u64,
     /// All violations, retained plus dropped.
     pub total_violations: u64,
@@ -187,33 +167,22 @@ pub fn write_audit_json<W: Write>(
     writer.write_all(b"\n")
 }
 
-/// Per-window tallies feeding the `amat-window` check. The `model_*`
-/// migration counts mirror the windowed collector (counted by
-/// destination tier, same-module included); the `priced_*` counts only
-/// include cross-tier moves — exactly what the simulator charges — so
-/// the two sides diverge precisely when the stream contains motion the
-/// closed form prices but the simulator does not.
-#[derive(Debug, Clone, Copy, Default)]
-struct WindowTallies {
-    dram_read_hits: u64,
-    dram_write_hits: u64,
-    nvm_read_hits: u64,
-    nvm_write_hits: u64,
-    faults: u64,
-    fills_to_dram: u64,
-    fills_to_nvm: u64,
-    model_migrations_to_dram: u64,
-    model_migrations_to_nvm: u64,
-    priced_migrations_to_dram: u64,
-    priced_migrations_to_nvm: u64,
-}
+/// Relative tolerance of the `amat-window` check, in parts per million of
+/// the closed-form prediction. The priced and predicted sides are the
+/// same arithmetic regrouped, so 100 ppm is orders of magnitude above
+/// floating-point noise while still catching any real accounting drift.
+const AMAT_TOLERANCE_PPM: u32 = 100;
+
+/// Violations retained in a report; the excess is counted in
+/// [`AuditReport::dropped_violations`].
+const MAX_VIOLATIONS: usize = 256;
 
 /// State of the access group currently being assembled: one demand
 /// event plus the probe and actions that trail it. Group-scoped
 /// invariants (`demotion-pairing`, `two-lru-window`) and the boundary
 /// conservation checks run when the *next* demand access arrives (or at
-/// [`AuditSink::finish`]), because a fault's fill legitimately follows
-/// its fault event.
+/// the end of the run), because a fault's fill legitimately follows its
+/// fault event.
 #[derive(Debug, Clone, Copy, Default)]
 struct AccessGroup {
     /// Demand-access index this group belongs to.
@@ -232,158 +201,76 @@ struct AccessGroup {
     probe: Option<NvmCounterProbe>,
 }
 
-/// The always-on run-health auditor. See the module docs for the
-/// invariant catalog and the resynchronization rules.
-///
-/// # Examples
-///
-/// ```
-/// use hybridmem_core::{AuditOptions, AuditSink, EventSink, SimEvent};
-/// use hybridmem_policy::PolicyAction;
-/// use hybridmem_types::{MemoryKind, PageAccess, PageId};
-///
-/// let mut audit = AuditSink::new("demo", "two-lru", AuditOptions::default());
-/// audit.record(SimEvent::Fault {
-///     access: PageAccess::read(PageId::new(7)),
-/// });
-/// audit.record(SimEvent::Action {
-///     action: PolicyAction::FillFromDisk {
-///         page: PageId::new(7),
-///         into: MemoryKind::Dram,
-///     },
-/// });
-/// audit.finish();
-/// assert!(audit.report().clean);
-/// ```
-#[derive(Debug)]
-pub struct AuditSink {
-    workload: String,
-    policy: String,
-    options: AuditOptions,
-    /// DRAM page capacity the occupancy law checks against.
-    dram_capacity: u64,
-    /// NVM page capacity the occupancy law checks against.
-    nvm_capacity: u64,
-    /// Warmup prefix excluded from AMAT windows (conservation laws
-    /// still apply during warmup).
-    warmup: u64,
-    /// False for policies whose action stream is cost-equivalent rather
-    /// than an exclusive-residency journal (dram-cache).
-    exclusive_residency: bool,
-    /// Demand accesses seen so far (warmup included).
-    access_index: u64,
-    started: bool,
-    finished: bool,
-    dram_occupancy: u64,
-    nvm_occupancy: u64,
-    faults_total: u64,
-    fills_total: u64,
+/// What the actions the audit refused before the first demand access left
+/// in the cursor: residency and fills the audit's own books exclude. Zero
+/// in every stream the simulator emits.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stray {
+    dram: u64,
+    nvm: u64,
+    fills: u64,
+}
+
+impl Stray {
+    fn resident_mut(&mut self, tier: MemoryKind) -> &mut u64 {
+        match tier {
+            MemoryKind::Dram => &mut self.dram,
+            MemoryKind::Nvm => &mut self.nvm,
+        }
+    }
+}
+
+/// The run-health audit fold of a [`CellSink`](crate::CellSink). See the
+/// module docs for the invariant catalog and the resynchronization rules.
+#[derive(Debug, Default)]
+pub(crate) struct AuditSink {
+    stray: Stray,
     /// Last reported `fills − faults` imbalance (resync baseline).
     reported_imbalance: i128,
     /// Highest occupancy already reported per tier (resync baseline).
     reported_dram_level: u64,
     reported_nvm_level: u64,
     group: AccessGroup,
-    /// Demand accesses in the AMAT window currently being filled.
-    in_window: u64,
-    /// Trace index of the current window's first access.
-    window_start: u64,
-    window: WindowTallies,
+    /// The whole run's steady state, for the `amat-window` law.
+    window: Window,
     violations: Vec<AuditViolation>,
     dropped_violations: u64,
 }
 
 impl AuditSink {
-    /// Creates an auditor with unconstrained capacities, no warmup, and
-    /// exclusive-residency semantics; attach per-cell context with the
-    /// builder methods.
-    #[must_use]
-    pub fn new(
-        workload: impl Into<String>,
-        policy: impl Into<String>,
-        options: AuditOptions,
-    ) -> Self {
-        Self {
-            workload: workload.into(),
-            policy: policy.into(),
-            options,
-            dram_capacity: u64::MAX,
-            nvm_capacity: u64::MAX,
-            warmup: 0,
-            exclusive_residency: true,
-            access_index: 0,
-            started: false,
-            finished: false,
-            dram_occupancy: 0,
-            nvm_occupancy: 0,
-            faults_total: 0,
-            fills_total: 0,
-            reported_imbalance: 0,
-            reported_dram_level: 0,
-            reported_nvm_level: 0,
-            group: AccessGroup::default(),
-            in_window: 0,
-            window_start: 0,
-            window: WindowTallies::default(),
-            violations: Vec::new(),
-            dropped_violations: 0,
+    /// Closes the final access group and the AMAT window, and reports.
+    pub(crate) fn finish(mut self, cursor: &Cursor, context: &CellContext) -> AuditReport {
+        if cursor.accesses > 0 {
+            self.close_access(cursor, context);
         }
-    }
-
-    /// Sets the per-tier page capacities the occupancy law enforces.
-    #[must_use]
-    pub fn with_capacities(mut self, dram: u64, nvm: u64) -> Self {
-        self.dram_capacity = dram;
-        self.nvm_capacity = nvm;
-        self
-    }
-
-    /// Sets the warmup prefix excluded from AMAT windows.
-    #[must_use]
-    pub fn with_warmup(mut self, warmup: u64) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
-    /// Disables the occupancy laws for policies whose action stream
-    /// prices cost without journaling residency (dram-cache).
-    #[must_use]
-    pub fn with_exclusive_residency(mut self, exclusive: bool) -> Self {
-        self.exclusive_residency = exclusive;
-        self
-    }
-
-    /// Closes the final access group and AMAT window. Call exactly once
-    /// after the run (idempotent when nothing new arrived).
-    pub fn finish(&mut self) {
-        if self.finished {
-            return;
+        if let Some(window) = self.window.take() {
+            self.check_amat(window);
         }
-        self.finished = true;
-        if self.started {
-            self.finalize_group();
-        }
-        if self.in_window > 0 {
-            self.flush_window();
-        }
-    }
-
-    /// The audit outcome so far; call [`AuditSink::finish`] first for a
-    /// complete run.
-    #[must_use]
-    pub fn report(&self) -> AuditReport {
         let retained = self.violations.len() as u64;
         let total = retained + self.dropped_violations;
         AuditReport {
-            workload: self.workload.clone(),
-            policy: self.policy.clone(),
-            accesses: self.access_index,
-            faults: self.faults_total,
-            fills: self.fills_total,
-            violations: self.violations.clone(),
+            workload: context.workload.clone(),
+            policy: context.policy.clone(),
+            accesses: cursor.accesses,
+            faults: cursor.faults,
+            fills: self.fills(cursor),
+            violations: self.violations,
             dropped_violations: self.dropped_violations,
             total_violations: total,
             clean: total == 0,
+        }
+    }
+
+    /// Disk fills in the audit's books.
+    fn fills(&self, cursor: &Cursor) -> u64 {
+        cursor.fills - self.stray.fills
+    }
+
+    /// Resident pages of `tier` in the audit's books.
+    fn occupancy(&self, cursor: &Cursor, tier: MemoryKind) -> u64 {
+        match tier {
+            MemoryKind::Dram => cursor.dram_resident.saturating_sub(self.stray.dram),
+            MemoryKind::Nvm => cursor.nvm_resident.saturating_sub(self.stray.nvm),
         }
     }
 
@@ -395,7 +282,7 @@ impl AuditSink {
         observed: String,
         expected: String,
     ) {
-        if self.violations.len() < self.options.max_violations as usize {
+        if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(AuditViolation {
                 invariant: invariant.to_owned(),
                 access_index,
@@ -408,46 +295,30 @@ impl AuditSink {
         }
     }
 
-    /// True once the warmup prefix has fully passed (actions trail
-    /// their demand access, so the comparison is strict — identical to
-    /// the windowed collector).
-    fn in_steady_state(&self) -> bool {
-        self.access_index > self.warmup
-    }
-
-    /// Decrements one tier's occupancy, reporting underflow under
-    /// exclusive-residency semantics.
-    fn decrement(&mut self, tier: MemoryKind, page: PageId) {
-        let occupancy = match tier {
-            MemoryKind::Dram => &mut self.dram_occupancy,
-            MemoryKind::Nvm => &mut self.nvm_occupancy,
-        };
-        if *occupancy == 0 {
+    /// A page left `tier`. When the audit's books hold no page there, the
+    /// departure is an underflow (reported under exclusive-residency
+    /// semantics) and drains stray residency first.
+    fn depart(&mut self, tier: MemoryKind, page: PageId, cursor: &Cursor, context: &CellContext) {
+        let stray = self.stray.resident_mut(tier);
+        if cursor.before_departure != Some(*stray) {
+            return;
+        }
+        *stray = stray.saturating_sub(1);
+        if context.journals_residency {
             let index = self.group.index;
-            if self.exclusive_residency {
-                self.push_violation(
-                    "occupancy-delta",
-                    index,
-                    Some(page),
-                    format!("page leaving an empty {tier:?} tier"),
-                    "fill − evict − migration deltas keep occupancy non-negative".to_owned(),
-                );
-            }
-        } else {
-            *occupancy -= 1;
+            self.push_violation(
+                "occupancy-delta",
+                index,
+                Some(page),
+                format!("page leaving an empty {tier:?} tier"),
+                "fill − evict − migration deltas keep occupancy non-negative".to_owned(),
+            );
         }
     }
 
-    fn increment(&mut self, tier: MemoryKind) {
-        match tier {
-            MemoryKind::Dram => self.dram_occupancy += 1,
-            MemoryKind::Nvm => self.nvm_occupancy += 1,
-        }
-    }
-
-    /// Group-scoped and boundary checks, run when the group is complete
-    /// (next demand access or finish).
-    fn finalize_group(&mut self) {
+    /// Group-scoped and boundary checks, run when the group is complete:
+    /// the next demand access arrived, or the run ended.
+    pub(crate) fn close_access(&mut self, cursor: &Cursor, context: &CellContext) {
         let group = self.group;
         // demotion-pairing: outside a fault, each DRAM→NVM demotion is a
         // PromotionSwap and needs an NVM→DRAM promotion in the same
@@ -494,46 +365,46 @@ impl AuditSink {
             }
         }
         // fill-fault: all faults answered once the group's actions are in.
-        let imbalance = i128::from(self.fills_total) - i128::from(self.faults_total);
+        let fills = self.fills(cursor);
+        let imbalance = i128::from(fills) - i128::from(cursor.faults);
         if imbalance != self.reported_imbalance {
             self.push_violation(
                 "fill-fault",
                 group.index,
                 group.page,
-                format!(
-                    "{} disk fill(s) for {} demand fault(s)",
-                    self.fills_total, self.faults_total
-                ),
+                format!("{fills} disk fill(s) for {} demand fault(s)", cursor.faults),
                 "every demand fault is answered by exactly one disk fill".to_owned(),
             );
             self.reported_imbalance = imbalance;
         }
         // occupancy-capacity: the resident set fits the tiers once the
         // group's displacements have all been applied.
-        if self.exclusive_residency {
-            if self.dram_occupancy > self.dram_capacity
-                && self.dram_occupancy > self.reported_dram_level
-            {
-                self.reported_dram_level = self.dram_occupancy;
-                let (occupancy, capacity) = (self.dram_occupancy, self.dram_capacity);
+        if context.journals_residency {
+            let dram = self.occupancy(cursor, MemoryKind::Dram);
+            if dram > context.dram_capacity && dram > self.reported_dram_level {
+                self.reported_dram_level = dram;
                 self.push_violation(
                     "occupancy-capacity",
                     group.index,
                     group.page,
-                    format!("{occupancy} resident DRAM pages in a {capacity}-page tier"),
+                    format!(
+                        "{dram} resident DRAM pages in a {}-page tier",
+                        context.dram_capacity
+                    ),
                     "per-tier occupancy never exceeds capacity".to_owned(),
                 );
             }
-            if self.nvm_occupancy > self.nvm_capacity
-                && self.nvm_occupancy > self.reported_nvm_level
-            {
-                self.reported_nvm_level = self.nvm_occupancy;
-                let (occupancy, capacity) = (self.nvm_occupancy, self.nvm_capacity);
+            let nvm = self.occupancy(cursor, MemoryKind::Nvm);
+            if nvm > context.nvm_capacity && nvm > self.reported_nvm_level {
+                self.reported_nvm_level = nvm;
                 self.push_violation(
                     "occupancy-capacity",
                     group.index,
                     group.page,
-                    format!("{occupancy} resident NVM pages in a {capacity}-page tier"),
+                    format!(
+                        "{nvm} resident NVM pages in a {}-page tier",
+                        context.nvm_capacity
+                    ),
                     "per-tier occupancy never exceeds capacity".to_owned(),
                 );
             }
@@ -541,41 +412,16 @@ impl AuditSink {
         self.group = AccessGroup::default();
     }
 
-    /// Closes the current AMAT window: the event-priced mean access
-    /// time must agree with the Eq. 1 closed form evaluated on the
+    /// The `amat-window` law over a closed window: the event-priced mean
+    /// access time must agree with the Eq. 1 closed form evaluated on the
     /// window's measured probabilities.
-    fn flush_window(&mut self) {
-        debug_assert!(self.in_window > 0);
-        let w = self.window;
-        let accesses = self.in_window;
-        #[allow(clippy::cast_precision_loss)]
-        let n = accesses as f64;
-        #[allow(clippy::cast_precision_loss)]
-        let ratio = |count: u64| count as f64 / n;
-        let dram_hits = w.dram_read_hits + w.dram_write_hits;
-        let nvm_hits = w.nvm_read_hits + w.nvm_write_hits;
-        #[allow(clippy::cast_precision_loss)]
-        let conditional = |part: u64, whole: u64| {
-            if whole == 0 {
-                0.0
-            } else {
-                part as f64 / whole as f64
-            }
-        };
+    fn check_amat(&mut self, window: Window) {
+        let w = window.tally;
+        let accesses = window.accesses;
         // The prediction side: the same construction the windowed
         // collector feeds into IntervalRecord::amat_ns, with migrations
         // counted by destination tier.
-        let model = ModelParams::date2016(Probabilities {
-            hit_dram: ratio(dram_hits),
-            hit_nvm: ratio(nvm_hits),
-            miss: ratio(w.faults),
-            read_given_dram: conditional(w.dram_read_hits, dram_hits),
-            read_given_nvm: conditional(w.nvm_read_hits, nvm_hits),
-            migrate_to_dram: ratio(w.model_migrations_to_dram),
-            migrate_to_nvm: ratio(w.model_migrations_to_nvm),
-            disk_to_dram: conditional(w.fills_to_dram, w.faults),
-            disk_to_nvm: conditional(w.fills_to_nvm, w.faults),
-        });
+        let model = ModelParams::date2016(w.probabilities(accesses));
         let expected = model.amat().value();
         // The priced side: every event category charged exactly what
         // the simulator charges it (fills and evictions are overlapped
@@ -589,84 +435,52 @@ impl AuditSink {
         let page_factor = model.page_factor as f64;
         #[allow(clippy::cast_precision_loss)]
         let priced = |count: u64, unit: f64| count as f64 * unit;
+        #[allow(clippy::cast_precision_loss)]
         let observed = (priced(w.dram_read_hits, dram_read)
             + priced(w.dram_write_hits, dram_write)
             + priced(w.nvm_read_hits, nvm_read)
             + priced(w.nvm_write_hits, nvm_write)
             + priced(w.faults, disk)
-            + priced(
-                w.priced_migrations_to_dram,
-                page_factor * (nvm_read + dram_write),
-            )
-            + priced(
-                w.priced_migrations_to_nvm,
-                page_factor * (dram_read + nvm_write),
-            ))
-            / n;
-        let tolerance =
-            expected.abs().max(1.0) * (f64::from(self.options.amat_tolerance_ppm) / 1e6);
+            + priced(w.crossings_to_dram, page_factor * (nvm_read + dram_write))
+            + priced(w.crossings_to_nvm, page_factor * (dram_read + nvm_write)))
+            / accesses as f64;
+        let tolerance = expected.abs().max(1.0) * (f64::from(AMAT_TOLERANCE_PPM) / 1e6);
         if (observed - expected).abs() > tolerance {
-            let last_access = self.window_start + accesses - 1;
+            let last_access = window.start + accesses - 1;
             self.push_violation(
                 "amat-window",
                 last_access,
                 None,
                 format!(
                     "event-priced AMAT {observed:.3} ns over accesses {}..={last_access}",
-                    self.window_start
+                    window.start
                 ),
                 format!("Eq. 1 closed form {expected:.3} ns (±{tolerance:.3})"),
             );
         }
-        self.in_window = 0;
-        self.window = WindowTallies::default();
     }
 
-    /// Handles one demand access (`Served` or `Fault`).
-    fn on_demand(&mut self, access: PageAccess, served_from: Option<MemoryKind>) {
-        if self.started {
-            self.finalize_group();
+    pub(crate) fn record(&mut self, event: SimEvent, cursor: &Cursor, context: &CellContext) {
+        match event {
+            SimEvent::Served { access, .. } => self.on_demand(access.page, false, cursor),
+            SimEvent::Fault { access } => self.on_demand(access.page, true, cursor),
+            SimEvent::Action { action } => self.on_action(action, cursor, context),
+            SimEvent::CounterProbe { access, probe } => self.on_probe(access, probe, cursor),
         }
-        // Deferred flush, exactly like the windowed collector: the
-        // previous window closes only now, so a window-closing fault's
-        // trailing actions were counted in *its* window.
-        if self.options.window > 0 && self.in_window == self.options.window {
-            self.flush_window();
-        }
-        let index = self.access_index;
-        self.access_index += 1;
-        self.started = true;
-        let is_fault = served_from.is_none();
-        if is_fault {
-            self.faults_total += 1;
-        }
+        self.window.record(event, cursor);
+    }
+
+    fn on_demand(&mut self, page: PageId, is_fault: bool, cursor: &Cursor) {
         self.group = AccessGroup {
-            index,
-            page: Some(access.page),
+            index: cursor.index(),
+            page: Some(page),
             is_fault,
-            demotions: 0,
-            promotions: 0,
-            promoted_demand_page: false,
-            probe: None,
+            ..AccessGroup::default()
         };
-        if index < self.warmup {
-            return;
-        }
-        if self.in_window == 0 {
-            self.window_start = index;
-        }
-        self.in_window += 1;
-        match (served_from, access.kind) {
-            (Some(MemoryKind::Dram), AccessKind::Read) => self.window.dram_read_hits += 1,
-            (Some(MemoryKind::Dram), AccessKind::Write) => self.window.dram_write_hits += 1,
-            (Some(MemoryKind::Nvm), AccessKind::Read) => self.window.nvm_read_hits += 1,
-            (Some(MemoryKind::Nvm), AccessKind::Write) => self.window.nvm_write_hits += 1,
-            (None, _) => self.window.faults += 1,
-        }
     }
 
-    fn on_action(&mut self, action: PolicyAction) {
-        if !self.started {
+    fn on_action(&mut self, action: PolicyAction, cursor: &Cursor, context: &CellContext) {
+        if cursor.accesses == 0 {
             let (page, description) = match action {
                 PolicyAction::FillFromDisk { page, .. } => (page, "disk fill"),
                 PolicyAction::Migrate { page, .. } => (page, "migration"),
@@ -679,16 +493,18 @@ impl AuditSink {
                 format!("{description} before the first demand access"),
                 "every action trails the demand access that caused it".to_owned(),
             );
+            // The cursor applied the action; keep it out of the books.
+            self.stray = Stray {
+                dram: cursor.dram_resident,
+                nvm: cursor.nvm_resident,
+                fills: cursor.fills,
+            };
             return;
         }
         match action {
-            PolicyAction::FillFromDisk { into, .. } => {
-                self.fills_total += 1;
-                self.increment(into);
-            }
+            PolicyAction::FillFromDisk { .. } => {}
             PolicyAction::Migrate { page, from, to } => {
-                self.decrement(from, page);
-                self.increment(to);
+                self.depart(from, page, cursor, context);
                 match (from, to) {
                     (MemoryKind::Dram, MemoryKind::Nvm) => self.group.demotions += 1,
                     (MemoryKind::Nvm, MemoryKind::Dram) => {
@@ -700,37 +516,12 @@ impl AuditSink {
                     (MemoryKind::Dram, MemoryKind::Dram) | (MemoryKind::Nvm, MemoryKind::Nvm) => {}
                 }
             }
-            PolicyAction::EvictToDisk { page, from } => self.decrement(from, page),
-        }
-        if !self.in_steady_state() {
-            return;
-        }
-        match action {
-            PolicyAction::FillFromDisk { into, .. } => match into {
-                MemoryKind::Dram => self.window.fills_to_dram += 1,
-                MemoryKind::Nvm => self.window.fills_to_nvm += 1,
-            },
-            PolicyAction::Migrate { from, to, .. } => {
-                match to {
-                    MemoryKind::Dram => self.window.model_migrations_to_dram += 1,
-                    MemoryKind::Nvm => self.window.model_migrations_to_nvm += 1,
-                }
-                match (from, to) {
-                    (MemoryKind::Nvm, MemoryKind::Dram) => {
-                        self.window.priced_migrations_to_dram += 1;
-                    }
-                    (MemoryKind::Dram, MemoryKind::Nvm) => {
-                        self.window.priced_migrations_to_nvm += 1;
-                    }
-                    (MemoryKind::Dram, MemoryKind::Dram) | (MemoryKind::Nvm, MemoryKind::Nvm) => {}
-                }
-            }
-            PolicyAction::EvictToDisk { .. } => {}
+            PolicyAction::EvictToDisk { page, from } => self.depart(from, page, cursor, context),
         }
     }
 
-    fn on_probe(&mut self, access: PageAccess, probe: NvmCounterProbe) {
-        if !self.started {
+    fn on_probe(&mut self, access: PageAccess, probe: NvmCounterProbe, cursor: &Cursor) {
+        if cursor.accesses == 0 {
             self.push_violation(
                 "monotone-access",
                 0,
@@ -775,30 +566,12 @@ impl AuditSink {
     }
 }
 
-impl EventSink for AuditSink {
-    fn record(&mut self, event: SimEvent) {
-        match event {
-            SimEvent::Served { access, from } => self.on_demand(access, Some(from)),
-            SimEvent::Fault { access } => self.on_demand(access, None),
-            SimEvent::Action { action } => self.on_action(action),
-            SimEvent::CounterProbe { access, probe } => self.on_probe(access, probe),
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::fixture;
+    use crate::Instrumentation;
     use hybridmem_policy::CounterKind;
-    use hybridmem_types::PageAccess;
 
     fn served(page: u64, from: MemoryKind) -> SimEvent {
         SimEvent::Served {
@@ -858,15 +631,28 @@ mod tests {
     }
 
     fn audit(events: &[SimEvent]) -> AuditReport {
-        audit_with(AuditSink::new("w", "p", AuditOptions::default()), events)
+        audit_with(fixture::context("w", "p"), events)
     }
 
-    fn audit_with(mut sink: AuditSink, events: &[SimEvent]) -> AuditReport {
-        for &event in events {
-            sink.record(event);
+    fn audit_with(context: CellContext, events: &[SimEvent]) -> AuditReport {
+        let run = fixture::run(Instrumentation::default().with_audit(), context, events);
+        run.audit.expect("an audit was requested")
+    }
+
+    /// A context whose tiers hold `dram` and `nvm` pages.
+    fn sized(dram: u64, nvm: u64) -> CellContext {
+        CellContext {
+            dram_capacity: dram,
+            nvm_capacity: nvm,
+            ..fixture::context("w", "p")
         }
-        sink.finish();
-        sink.report()
+    }
+
+    fn warmed(warmup: u64) -> CellContext {
+        CellContext {
+            warmup,
+            ..fixture::context("w", "p")
+        }
     }
 
     fn invariants(report: &AuditReport) -> Vec<&str> {
@@ -882,7 +668,7 @@ mod tests {
         // Fault fill, a promotion swap with a fired probe, plain hits,
         // and a capacity-bound eviction: every law holds.
         let report = audit_with(
-            AuditSink::new("w", "p", AuditOptions::default()).with_capacities(1, 2),
+            sized(1, 2),
             &[
                 fault(1),
                 fill(1, MemoryKind::Nvm),
@@ -931,9 +717,8 @@ mod tests {
 
     #[test]
     fn occupancy_overflow_fires_capacity_exactly_once() {
-        let sink = AuditSink::new("w", "p", AuditOptions::default()).with_capacities(1, 1);
         let report = audit_with(
-            sink,
+            sized(1, 1),
             &[
                 fault(1),
                 fill(1, MemoryKind::Dram),
@@ -1049,37 +834,12 @@ mod tests {
     }
 
     #[test]
-    fn windowed_amat_attributes_the_violation_to_its_window() {
-        let options = AuditOptions {
-            window: 2,
-            ..AuditOptions::default()
-        };
-        let report = audit_with(
-            AuditSink::new("w", "p", options),
-            &[
-                fault(1),
-                fill(1, MemoryKind::Dram),
-                served(1, MemoryKind::Dram),
-                // Window 1: the tampered access.
-                served(1, MemoryKind::Dram),
-                migrate(1, MemoryKind::Dram, MemoryKind::Dram),
-                served(1, MemoryKind::Dram),
-            ],
-        );
-        assert_eq!(invariants(&report), ["amat-window"]);
-        assert_eq!(
-            report.violations[0].access_index, 3,
-            "last access of window 1"
-        );
-    }
-
-    #[test]
     fn warmup_accesses_are_excluded_from_amat_but_not_conservation() {
         // A warmup-time same-module migration is invisible to the AMAT
         // law (no window is open), but a warmup-time unanswered fault
         // still breaks conservation.
         let clean_amat = audit_with(
-            AuditSink::new("w", "p", AuditOptions::default()).with_warmup(2),
+            warmed(2),
             &[
                 fault(1),
                 fill(1, MemoryKind::Dram),
@@ -1091,7 +851,7 @@ mod tests {
         assert!(clean_amat.clean, "violations: {:?}", clean_amat.violations);
 
         let broken = audit_with(
-            AuditSink::new("w", "p", AuditOptions::default()).with_warmup(2),
+            warmed(2),
             &[
                 fault(1),
                 served(1, MemoryKind::Nvm),
@@ -1103,14 +863,15 @@ mod tests {
 
     #[test]
     fn non_exclusive_residency_disables_the_occupancy_laws() {
-        let sink = AuditSink::new("w", "dram-cache", AuditOptions::default())
-            .with_capacities(1, 1)
-            .with_exclusive_residency(false);
+        let context = CellContext {
+            journals_residency: false,
+            ..sized(1, 1)
+        };
         // Cost-equivalent stream: a second cache-in of the same page
         // decrements NVM twice without a second fill — legal for
         // dram-cache, underflow anywhere else.
         let report = audit_with(
-            sink,
+            context,
             &[
                 fault(1),
                 fill(1, MemoryKind::Nvm),
@@ -1125,35 +886,34 @@ mod tests {
 
     #[test]
     fn violation_cap_counts_the_overflow() {
-        let options = AuditOptions {
-            max_violations: 1,
-            ..AuditOptions::default()
-        };
-        let report = audit_with(
-            AuditSink::new("w", "p", options),
-            &[
-                served(1, MemoryKind::Dram),
-                evict(1, MemoryKind::Dram),
-                evict(2, MemoryKind::Dram),
-            ],
-        );
-        assert_eq!(report.violations.len(), 1);
+        // Every eviction from the empty DRAM tier breaks occupancy-delta:
+        // one more than the report retains.
+        let mut events = vec![served(1, MemoryKind::Dram)];
+        events.extend((0..=MAX_VIOLATIONS as u64).map(|page| evict(page, MemoryKind::Dram)));
+        let report = audit(&events);
+        assert_eq!(report.violations.len(), MAX_VIOLATIONS);
         assert_eq!(report.dropped_violations, 1);
-        assert_eq!(report.total_violations, 2);
+        assert_eq!(report.total_violations, MAX_VIOLATIONS as u64 + 1);
         assert!(!report.clean);
     }
 
     #[test]
-    fn finish_is_idempotent() {
-        let mut sink = AuditSink::new("w", "p", AuditOptions::default());
-        sink.record(fault(1));
-        sink.finish();
-        sink.finish();
-        assert_eq!(
-            sink.report().total_violations,
-            1,
-            "only the unanswered fault"
+    fn stray_actions_stay_out_of_the_occupancy_books() {
+        // A fill before the first access is refused: it neither counts
+        // toward the one-page DRAM tier nor covers a later departure.
+        let report = audit_with(
+            sized(1, 1),
+            &[
+                fill(9, MemoryKind::Dram),
+                fault(1),
+                fill(1, MemoryKind::Dram),
+                served(1, MemoryKind::Dram),
+                evict(1, MemoryKind::Dram),
+                evict(9, MemoryKind::Dram),
+            ],
         );
+        assert_eq!(invariants(&report), ["monotone-access", "occupancy-delta"]);
+        assert_eq!(report.violations[1].page, Some(9));
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Simulation event observation: a hook for tracing, debugging, and
-//! custom downstream analyses (e.g. the wear-leveling extension replays
-//! migration events; the windowed metrics collector in [`crate::observe`]
-//! aggregates them into interval records; a GUI could animate queue
-//! states).
+//! The simulation event stream and the sinks that observe it.
+//!
+//! Every run emits one [`SimEvent`] per demand access, fault, policy
+//! action and counter probe, in execution order, to the [`EventSink`]
+//! installed in the simulator (none by default, and then nothing is
+//! emitted at all). Two sinks exist. [`RecordingSink`] keeps the raw
+//! stream in memory; the simulator and event-stream tests compare against
+//! it. [`CellSink`](crate::CellSink) is what every instrumented cell
+//! carries: it folds the stream into the windowed metrics, page ledger,
+//! audit and flight recorder over one shared access cursor.
 
 use hybridmem_policy::{NvmCounterProbe, PolicyAction};
 use hybridmem_types::{MemoryKind, PageAccess};
@@ -79,50 +84,63 @@ pub trait EventSink {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
-/// An [`EventSink`] that stores events in memory.
+/// Keeps the newest `capacity` items pushed into it, or every item when
+/// unbounded, and counts the ones it drops.
 ///
-/// The default ([`RecordingSink::new`]) grows without bound — convenient
-/// for tests and small traces. [`RecordingSink::bounded`] caps memory
-/// with a ring buffer that keeps only the most recent events, so an
-/// observer can be left attached to a multi-million-access run without
-/// risk of exhausting memory.
+/// As [`RecordingSink`] it stores simulation events: [`Ring::new`] grows
+/// without bound, which suits tests and small traces, and
+/// [`Ring::bounded`] caps memory so an observer can stay attached to a
+/// multi-million-access run. The flight recorder keeps its event and
+/// snapshot rings in one too.
 ///
 /// # Drop semantics when capacity is exceeded
 ///
-/// A bounded recorder drops the **oldest** retained event, one per
-/// overflowing `record`, irrecoverably — the ring is a "keep the newest
-/// `cap`" window, not a sampling scheme. The loss is never silent:
-/// [`RecordingSink::dropped`] counts every evicted event (cumulatively —
-/// draining does not reset it), so callers can always report
-/// `retained + dropped = total observed`. Within the
-/// retained window, global event order is preserved exactly:
-/// [`RecordingSink::iter`], [`RecordingSink::into_events`], and
-/// [`RecordingSink::take_events`] all yield the surviving events
-/// oldest-first, and draining with [`RecordingSink::take_events`] never
-/// reorders events across successive drains (events recorded after a
-/// drain are globally newer than everything drained before).
-#[derive(Debug, Default)]
-pub struct RecordingSink {
-    events: Vec<SimEvent>,
+/// A bounded ring drops the **oldest** retained item, one per
+/// overflowing push, irrecoverably: it is a "keep the newest `cap`"
+/// window, not a sampling scheme. The loss is never silent:
+/// [`Ring::dropped`] counts every evicted item (cumulatively; draining
+/// does not reset it), so callers can always report
+/// `retained + dropped = total observed`. Within the retained window the
+/// push order is preserved exactly: [`Ring::iter`], [`Ring::into_events`]
+/// and [`Ring::take_events`] all yield the survivors oldest first, and
+/// successive drains never reorder items (items pushed after a drain are
+/// newer than everything drained before).
+#[derive(Debug)]
+pub struct Ring<T> {
+    events: Vec<T>,
     /// `None` = unbounded; `Some(cap)` = ring buffer of `cap` slots.
     capacity: Option<usize>,
-    /// Oldest retained event's position in `events` (always 0 until the
+    /// Oldest retained item's position in `events` (always 0 until the
     /// ring wraps).
     start: usize,
-    /// Events evicted from the ring since construction (never reset).
+    /// Items evicted from the ring since construction (never reset).
     dropped: u64,
 }
 
-impl RecordingSink {
-    /// Creates an empty, unbounded recorder.
+/// An [`EventSink`] that stores events in memory: a [`Ring`] of
+/// [`SimEvent`]s.
+pub type RecordingSink = Ring<SimEvent>;
+
+impl<T> Default for Ring<T> {
+    fn default() -> Self {
+        Self {
+            events: Vec::new(),
+            capacity: None,
+            start: 0,
+            dropped: 0,
+        }
+    }
+}
+
+impl<T> Ring<T> {
+    /// Creates an empty, unbounded ring.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a recorder that retains at most `capacity` events,
-    /// discarding the oldest once full (a capacity of 0 is treated
-    /// as 1).
+    /// Creates a ring that retains at most `capacity` items, discarding
+    /// the oldest once full (a capacity of 0 is treated as 1).
     #[must_use]
     pub fn bounded(capacity: usize) -> Self {
         let capacity = capacity.max(1);
@@ -140,185 +158,78 @@ impl RecordingSink {
         self.capacity
     }
 
-    /// Number of events currently retained.
+    /// Number of items currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// True when nothing has been recorded (or everything was discarded).
+    /// True when nothing has been pushed (or everything was drained).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
-    /// Events evicted from the ring since construction. Always 0 for an
-    /// unbounded recorder. Cumulative: draining with
-    /// [`RecordingSink::take_events`] does **not** reset it, so the
-    /// total number of events ever observed is
-    /// `dropped + len + (events drained earlier)`.
+    /// Items evicted from the ring since construction. Always 0 when
+    /// unbounded. Cumulative: draining with [`Ring::take_events`] does
+    /// **not** reset it, so the total number of items ever pushed is
+    /// `dropped + len + (items drained earlier)`.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Raw storage slice. For an unbounded recorder this is chronological;
-    /// once a bounded recorder has wrapped, storage order is unspecified —
-    /// use [`RecordingSink::iter`] or [`RecordingSink::into_events`] for
-    /// oldest-to-newest order.
+    /// Raw storage slice. Chronological until a bounded ring wraps; after
+    /// that the storage order is unspecified, so use [`Ring::iter`] or
+    /// [`Ring::into_events`] for oldest-to-newest order.
     #[must_use]
-    pub fn events(&self) -> &[SimEvent] {
+    pub fn events(&self) -> &[T] {
         &self.events
     }
 
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &SimEvent> {
+    /// Retained items, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         let (newer, older) = self.events.split_at(self.start);
         older.iter().chain(newer.iter())
     }
 
-    /// Consumes the recorder, returning the retained events oldest first.
+    /// Consumes the ring, returning the retained items oldest first.
     #[must_use]
-    pub fn into_events(mut self) -> Vec<SimEvent> {
+    pub fn into_events(mut self) -> Vec<T> {
         self.events.rotate_left(self.start);
         self.events
     }
 
-    /// Drains the retained events oldest first, leaving the recorder
-    /// empty but reusable (the capacity bound is kept). Useful when the
-    /// sink is only reachable behind a `dyn EventSink` downcast, where
-    /// [`RecordingSink::into_events`] cannot take ownership.
+    /// Drains the retained items oldest first, leaving the ring empty but
+    /// reusable (the capacity bound is kept). Useful when the sink is only
+    /// reachable behind a `dyn EventSink` downcast, where
+    /// [`Ring::into_events`] cannot take ownership.
     #[must_use]
-    pub fn take_events(&mut self) -> Vec<SimEvent> {
+    pub fn take_events(&mut self) -> Vec<T> {
         self.events.rotate_left(self.start);
         self.start = 0;
         std::mem::take(&mut self.events)
+    }
+
+    /// Appends `item`, evicting the oldest retained item when a bounded
+    /// ring is full.
+    pub fn push(&mut self, item: T) {
+        match self.capacity {
+            Some(capacity) if self.events.len() == capacity => {
+                if let Some(slot) = self.events.get_mut(self.start) {
+                    *slot = item;
+                }
+                self.start = (self.start + 1) % capacity;
+                self.dropped += 1;
+            }
+            _ => self.events.push(item),
+        }
     }
 }
 
 impl EventSink for RecordingSink {
     fn record(&mut self, event: SimEvent) {
-        match self.capacity {
-            Some(capacity) if self.events.len() == capacity => {
-                if let Some(slot) = self.events.get_mut(self.start) {
-                    *slot = event;
-                }
-                self.start = (self.start + 1) % capacity;
-                self.dropped += 1;
-            }
-            _ => self.events.push(event),
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// An [`EventSink`] that only counts events by class — constant memory,
-/// suitable for full-scale runs.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CountingSink {
-    /// Served demand requests.
-    pub served: u64,
-    /// Page faults.
-    pub faults: u64,
-    /// Policy actions (migrations + fills + evictions).
-    pub actions: u64,
-    /// Counter-provenance probes (one per NVM demand hit under a
-    /// counter-window policy).
-    pub probes: u64,
-}
-
-impl CountingSink {
-    /// Creates a zeroed counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EventSink for CountingSink {
-    fn record(&mut self, event: SimEvent) {
-        match event {
-            SimEvent::Served { .. } => self.served += 1,
-            SimEvent::Fault { .. } => self.faults += 1,
-            SimEvent::Action { .. } => self.actions += 1,
-            SimEvent::CounterProbe { .. } => self.probes += 1,
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// An [`EventSink`] that forwards every event to several child sinks, in
-/// order — how the simulator runs the windowed collector and the page
-/// ledger off one event stream without either knowing about the other.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn EventSink>>,
-}
-
-impl FanoutSink {
-    /// Creates an empty fan-out (a no-op sink until children are added).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a child sink; events reach children in insertion order.
-    pub fn push(&mut self, sink: Box<dyn EventSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of child sinks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// True when no children are attached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-
-    /// The child sinks, in insertion order — downcast each with
-    /// [`EventSink::as_any_mut`] to recover concrete observers.
-    pub fn sinks_mut(&mut self) -> &mut [Box<dyn EventSink>] {
-        &mut self.sinks
-    }
-
-    /// Removes and returns the children, in insertion order.
-    #[must_use]
-    pub fn take_sinks(&mut self) -> Vec<Box<dyn EventSink>> {
-        std::mem::take(&mut self.sinks)
-    }
-}
-
-impl std::fmt::Debug for FanoutSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutSink")
-            .field("children", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn record(&mut self, event: SimEvent) {
-        for sink in &mut self.sinks {
-            sink.record(event);
-        }
+        self.push(event);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -452,50 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_counts_by_class() {
-        let mut sink = CountingSink::new();
-        sink.record(SimEvent::Fault {
-            access: PageAccess::write(PageId::new(2)),
-        });
-        sink.record(SimEvent::Action {
-            action: hybridmem_policy::PolicyAction::FillFromDisk {
-                page: PageId::new(2),
-                into: MemoryKind::Dram,
-            },
-        });
-        sink.record(SimEvent::Served {
-            access: PageAccess::read(PageId::new(2)),
-            from: MemoryKind::Dram,
-        });
-        sink.record(SimEvent::CounterProbe {
-            access: PageAccess::read(PageId::new(2)),
-            probe: probe(),
-        });
-        assert_eq!(
-            sink,
-            CountingSink {
-                served: 1,
-                faults: 1,
-                actions: 1,
-                probes: 1
-            }
-        );
-    }
-
-    fn probe() -> hybridmem_policy::NvmCounterProbe {
-        hybridmem_policy::NvmCounterProbe {
-            rank: 0,
-            reads: 1,
-            writes: 0,
-            read_lost: 0,
-            write_lost: 0,
-            read_threshold: 6,
-            write_threshold: 12,
-            fired: None,
-        }
-    }
-
-    #[test]
     fn take_events_preserves_global_order_across_multiple_drains() {
         // Satellite: a bounded recorder drained repeatedly must never
         // reorder events globally, even when a drain lands mid-wrap.
@@ -536,37 +403,10 @@ mod tests {
     }
 
     #[test]
-    fn fanout_forwards_to_every_child_in_order() {
-        let mut fanout = FanoutSink::new();
-        assert!(fanout.is_empty());
-        fanout.push(Box::new(CountingSink::new()));
-        fanout.push(Box::new(RecordingSink::new()));
-        assert_eq!(fanout.len(), 2);
-        fanout.record(read_event(1));
-        fanout.record(SimEvent::Fault {
-            access: PageAccess::read(PageId::new(2)),
-        });
-        let sinks = fanout.take_sinks();
-        assert!(fanout.is_empty(), "take_sinks leaves the fan-out empty");
-        let counts = sinks[0]
-            .as_any()
-            .downcast_ref::<CountingSink>()
-            .expect("first child is the counter");
-        assert_eq!((counts.served, counts.faults), (1, 1));
-        let recording = sinks[1]
-            .as_any()
-            .downcast_ref::<RecordingSink>()
-            .expect("second child is the recorder");
-        assert_eq!(recording.len(), 2);
-        assert!(matches!(recording.events()[0], SimEvent::Served { .. }));
-        assert!(matches!(recording.events()[1], SimEvent::Fault { .. }));
-    }
-
-    #[test]
     fn sinks_downcast() {
-        let mut sink: Box<dyn EventSink> = Box::new(CountingSink::new());
-        assert!(sink.as_any().downcast_ref::<CountingSink>().is_some());
-        assert!(sink.as_any().downcast_ref::<RecordingSink>().is_none());
-        assert!(sink.as_any_mut().downcast_mut::<CountingSink>().is_some());
+        let mut sink: Box<dyn EventSink> = Box::new(RecordingSink::new());
+        assert!(sink.as_any().downcast_ref::<RecordingSink>().is_some());
+        assert!(sink.as_any().downcast_ref::<crate::CellSink>().is_none());
+        assert!(sink.as_any_mut().downcast_mut::<RecordingSink>().is_some());
     }
 }

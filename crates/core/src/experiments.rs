@@ -7,6 +7,8 @@
 //! the evaluation matrix; [`MatrixRun`](crate::MatrixRun) runs the whole
 //! matrix. Every path drives the same cell driver.
 
+use std::panic::AssertUnwindSafe;
+
 use hybridmem_json::impl_json;
 use hybridmem_metrics::{MetricsSnapshot, SpanProfiler};
 use hybridmem_policy::{
@@ -17,11 +19,10 @@ use hybridmem_trace::binfmt::BinTraceStream;
 use hybridmem_trace::{TraceGenerator, WorkloadSpec};
 use hybridmem_types::{Error, PageAccess, PageCount, Result};
 
-use crate::flightrec::{self, FlightOptions, FlightRecord, FlightRecorder, PanicTripwire};
+use crate::health::{panic_message, CellFailure, CellPanic};
 use crate::{
-    AuditOptions, AuditReport, AuditSink, EventSink, FanoutSink, HybridSimulator, IntervalRecord,
-    LedgerOptions, LedgerReport, PageLedger, SimulationReport, TimeModel, TraceCache,
-    WindowedCollector,
+    AuditReport, CellContext, CellSink, FlightRecord, HybridSimulator, IntervalRecord,
+    LedgerOptions, LedgerReport, SimulationReport, TimeModel, TraceCache,
 };
 
 /// Which policy to evaluate.
@@ -342,6 +343,7 @@ impl ExperimentConfig {
         let cell = Instrumentation::default();
         self.run_cell_driver(spec, kind, TraceSource::Generate, cell, None, 0, None)
             .map(|run| run.report)
+            .map_err(|failure| failure.error)
     }
 
     /// Runs one cell against a trace shared through `cache`, so sibling
@@ -368,18 +370,26 @@ impl ExperimentConfig {
         let cell = Instrumentation::default();
         self.run_cell_driver(spec, kind, TraceSource::Cache(cache), cell, None, 0, None)
             .map(|run| run.report)
+            .map_err(|failure| failure.error)
     }
 
     /// The cell driver behind every runner: replays the cell's trace from
-    /// `source` with the requested sinks attached, optionally reporting
-    /// spans to `profiler` on lane `lane`, with an optional armed panic
-    /// tripwire (`cell-panic-at` fault injection).
+    /// `source` under one [`CellSink`] running the requested analyses,
+    /// optionally reporting spans to `profiler` on lane `lane`, with an
+    /// optional armed panic tripwire (`cell-panic-at` fault injection).
     ///
-    /// Sinks are installed *before* warmup so occupancy tracks the true
+    /// The sink is installed *before* warmup so occupancy tracks the true
     /// resident set; window, ledger and audit boundaries are trace
     /// positions, so a cell's outputs never depend on how the matrix
-    /// around it is scheduled. Empty instrumentation attaches no sink at
-    /// all — instrumentation that is not requested costs nothing.
+    /// around it is scheduled. Empty instrumentation without a tripwire
+    /// installs no sink at all — instrumentation that is not requested
+    /// costs nothing.
+    ///
+    /// The replay runs under `catch_unwind` while this driver still owns
+    /// the simulator and its sink, so a failing cell's black box survives:
+    /// a panic is re-raised with it in a [`CellPanic`] payload (or as it
+    /// was, when no flight recorder rides the cell), an error returns it
+    /// in the [`CellFailure`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_cell_driver(
         &self,
@@ -390,7 +400,7 @@ impl ExperimentConfig {
         profiler: Option<&SpanProfiler>,
         lane: u64,
         panic_at: Option<u64>,
-    ) -> Result<InstrumentedRun> {
+    ) -> std::result::Result<InstrumentedRun, CellFailure> {
         self.validate_cell(spec)?;
         let span = |cat: &'static str, name: String| profiler.map(|p| p.span(cat, name, lane));
         let cached = match source {
@@ -406,222 +416,76 @@ impl ExperimentConfig {
         };
         let nominal = !matches!(source, TraceSource::Recorded(_));
         let mut simulator = self.build_simulator(kind, spec, nominal)?;
-        if let Some(sink) = self.instrument_sink(spec, kind, instrumentation, &simulator, panic_at)
-        {
-            simulator.set_event_sink(sink);
+        let warmup = self.warmup_len(spec);
+        if !instrumentation.is_empty() || panic_at.is_some() {
+            let context = CellContext {
+                panic_at,
+                ..CellContext::new(spec.name.clone(), kind, &simulator, warmup as u64)
+            };
+            simulator.set_event_sink(Box::new(CellSink::new(instrumentation, context)));
         }
         let cell = format!("{}/{}", spec.name, kind.name());
-        match trace {
-            Some(trace) => {
-                let warmup = self.warmup_len(spec).min(trace.len());
-                {
-                    let _span = span("simulate", format!("warmup {cell}"));
-                    simulator.run_slice_batched(&trace[..warmup]);
-                }
-                simulator.reset_accounting();
-                let _span = span("simulate", format!("measure {cell}"));
-                simulator.run_slice_batched(&trace[warmup..]);
-            }
-            None => {
-                // Oversize or uncached trace: prefer the cache's binary
-                // spill stream; warmup and measurement interleave inside
-                // one chunked pass, so a single span covers both.
-                let stream = match source {
-                    TraceSource::Cache(cache) => {
-                        let _span = span("trace", format!("spill {}", spec.name));
-                        cache.open_stream(spec, self.seed)
+        let replay = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<()> {
+            match trace {
+                Some(trace) => {
+                    let warmup = warmup.min(trace.len());
+                    {
+                        let _span = span("simulate", format!("warmup {cell}"));
+                        simulator.run_slice_batched(&trace[..warmup]);
                     }
-                    TraceSource::Generate | TraceSource::Recorded(_) => None,
-                };
-                let _span = span("simulate", format!("measure {cell}"));
-                match stream {
-                    Some(stream) => self.replay_stream(&mut simulator, spec, stream)?,
-                    None => self.replay_generator(&mut simulator, spec),
+                    simulator.reset_accounting();
+                    let _span = span("simulate", format!("measure {cell}"));
+                    simulator.run_slice_batched(&trace[warmup..]);
                 }
+                None => {
+                    // Oversize or uncached trace: prefer the cache's binary
+                    // spill stream; warmup and measurement interleave inside
+                    // one chunked pass, so a single span covers both.
+                    let stream = match source {
+                        TraceSource::Cache(cache) => {
+                            let _span = span("trace", format!("spill {}", spec.name));
+                            cache.open_stream(spec, self.seed)
+                        }
+                        TraceSource::Generate | TraceSource::Recorded(_) => None,
+                    };
+                    let _span = span("simulate", format!("measure {cell}"));
+                    match stream {
+                        Some(stream) => self.replay_stream(&mut simulator, spec, stream)?,
+                        None => self.replay_generator(&mut simulator, spec),
+                    }
+                }
+            }
+            Ok(())
+        }));
+        let mut black_box = |trigger: &str, error: String| {
+            let cell = simulator.event_sink_mut().and_then(CellSink::of)?;
+            cell.black_box(trigger, Some(error)).map(Box::new)
+        };
+        match replay {
+            Ok(Ok(())) => {}
+            Ok(Err(error)) => {
+                let flight = black_box("error", error.to_string());
+                return Err(CellFailure { error, flight });
+            }
+            Err(payload) => {
+                let message = panic_message(payload.as_ref());
+                let Some(flight) = black_box("panic", message.clone()) else {
+                    std::panic::resume_unwind(payload);
+                };
+                std::panic::resume_unwind(Box::new(CellPanic { message, flight }));
             }
         }
         let _span = span("finish", format!("finish {cell}"));
-        self.finish_instrumented(simulator, spec, instrumentation, panic_at)
-    }
-
-    /// Assembles the cell's event sink from the requested instrumentation:
-    /// `None` when nothing was requested, the bare sink when one was, a
-    /// [`FanoutSink`] (tripwire first, then collector, ledger, audit,
-    /// flight recorder) when several were. The tripwire goes first so an
-    /// injected mid-run panic fires before any later sink records the
-    /// dying access; the flight recorder goes last so its ring reflects
-    /// everything the other sinks saw.
-    fn instrument_sink(
-        &self,
-        spec: &WorkloadSpec,
-        kind: PolicyKind,
-        instrumentation: Instrumentation,
-        simulator: &HybridSimulator,
-        panic_at: Option<u64>,
-    ) -> Option<Box<dyn EventSink>> {
-        let mut sinks: Vec<Box<dyn EventSink>> = Vec::new();
-        if let Some(access) = panic_at {
-            sinks.push(Box::new(PanicTripwire::new(
-                spec.name.clone(),
-                kind.name(),
-                access,
-            )));
-        }
-        if let Some(window) = instrumentation.window {
-            sinks.push(Box::new(WindowedCollector::new(
-                spec.name.clone(),
-                kind.name(),
-                window,
-                self.warmup_len(spec) as u64,
-            )));
-        }
-        if let Some(options) = instrumentation.ledger {
-            sinks.push(Box::new(PageLedger::new(
-                spec.name.clone(),
-                kind.name(),
-                options,
-                self.warmup_len(spec) as u64,
-            )));
-        }
-        if let Some(options) = instrumentation.audit {
-            // Capacities come from the built simulator, so single-tier
-            // policies (whose counterpart tier has zero capacity) and the
-            // paper's 10 %/90 % split are both audited against the sizes
-            // the policy actually declared. dram-cache prices migrations
-            // as cost-equivalents without journaling residency moves, so
-            // its occupancy laws are disabled.
-            let audit = AuditSink::new(spec.name.clone(), kind.name(), options)
-                .with_capacities(
-                    simulator.dram_capacity().value(),
-                    simulator.nvm_capacity().value(),
-                )
-                .with_warmup(self.warmup_len(spec) as u64)
-                .with_exclusive_residency(kind != PolicyKind::DramCache);
-            sinks.push(Box::new(audit));
-        }
-        if let Some(options) = instrumentation.flight {
-            sinks.push(Box::new(flight_recorder_for(
-                spec.name.clone(),
-                kind.name(),
-                options,
-                simulator,
-                self.warmup_len(spec) as u64,
-            )));
-        }
-        match sinks.len() {
-            0 => None,
-            1 => sinks.pop(),
-            _ => {
-                let mut fanout = FanoutSink::new();
-                for child in sinks {
-                    fanout.push(child);
-                }
-                Some(Box::new(fanout))
-            }
-        }
-    }
-
-    /// Recovers the instrumentation sinks from a finished run and
-    /// assembles the [`InstrumentedRun`].
-    fn finish_instrumented(
-        &self,
-        mut simulator: HybridSimulator,
-        spec: &WorkloadSpec,
-        instrumentation: Instrumentation,
-        panic_at: Option<u64>,
-    ) -> Result<InstrumentedRun> {
         if instrumentation.is_empty() {
             return Ok(InstrumentedRun::bare(
                 simulator.into_report(spec.name.clone()),
             ));
         }
-        let mut sink = simulator.take_event_sink().ok_or_else(|| {
-            Error::invalid_input("instrumented run lost its event sink".to_owned())
-        })?;
-        let wrong_type = || Error::invalid_input("instrumented run sink has wrong type".to_owned());
-        let expected = usize::from(instrumentation.window.is_some())
-            + usize::from(instrumentation.ledger.is_some())
-            + usize::from(instrumentation.audit.is_some())
-            + usize::from(instrumentation.flight.is_some())
-            + usize::from(panic_at.is_some());
-        // Recover the concrete sinks by type-sniffing the children: a
-        // bare sink when one was attached, a fanout's children when
-        // several were. Each child's type identifies it — the fanout
-        // order (tripwire, collector, ledger, audit, flight) is an
-        // implementation detail.
-        let children = if expected > 1 {
-            sink.as_any_mut()
-                .downcast_mut::<FanoutSink>()
-                .ok_or_else(wrong_type)?
-                .sinks_mut()
-        } else {
-            std::slice::from_mut(&mut sink)
-        };
-        let mut collector: Option<&mut WindowedCollector> = None;
-        let mut ledger: Option<&mut PageLedger> = None;
-        let mut audit: Option<&mut AuditSink> = None;
-        let mut recorder: Option<&mut FlightRecorder> = None;
-        for child in children {
-            let any = child.as_any_mut();
-            if any.is::<WindowedCollector>() {
-                collector = any.downcast_mut::<WindowedCollector>();
-            } else if any.is::<PageLedger>() {
-                ledger = any.downcast_mut::<PageLedger>();
-            } else if any.is::<AuditSink>() {
-                audit = any.downcast_mut::<AuditSink>();
-            } else if any.is::<FlightRecorder>() {
-                recorder = any.downcast_mut::<FlightRecorder>();
-            }
-        }
-        if collector.is_some() != instrumentation.window.is_some()
-            || ledger.is_some() != instrumentation.ledger.is_some()
-            || audit.is_some() != instrumentation.audit.is_some()
-            || recorder.is_some() != instrumentation.flight.is_some()
-        {
-            return Err(wrong_type());
-        }
-        let mut records = Vec::new();
-        let mut metrics = MetricsSnapshot::default();
-        if let Some(collector) = collector {
-            collector.finish();
-            // Fold the policy's own window statistics (two-LRU counter
-            // resets/promotions) into the cell's metrics when available.
-            if let Some(any) = simulator.policy().as_any() {
-                if let Some(two_lru) = any.downcast_ref::<TwoLruPolicy>() {
-                    two_lru.export_metrics(collector.registry_mut());
-                } else if let Some(adaptive) = any.downcast_ref::<AdaptiveTwoLruPolicy>() {
-                    adaptive.two_lru().export_metrics(collector.registry_mut());
-                }
-            }
-            records = collector.drain();
-            metrics = collector.snapshot();
-        }
-        let ledger = ledger.map(PageLedger::finish);
-        let audit = audit.map(|audit| {
-            audit.finish();
-            audit.report()
-        });
-        // The cell completed, so nothing will capture the published
-        // probe — capture the black box here. An unclean audit promotes
-        // the trigger: the run survived, but a conservation law broke.
-        let flight = recorder.map(|recorder| {
-            let probe = recorder.probe();
-            let _ = flightrec::take_probe();
-            let trigger = match &audit {
-                Some(report) if !report.clean => "audit-violation",
-                _ => "completed",
-            };
-            probe.capture(trigger, None, 0)
-        });
-        let report = simulator.into_report(spec.name.clone());
-        Ok(InstrumentedRun {
-            report,
-            records,
-            metrics,
-            ledger,
-            audit,
-            flight,
-        })
+        let lost = || Error::invalid_input("instrumented run lost its cell sink");
+        let mut sink = simulator.take_event_sink().ok_or_else(lost)?;
+        Ok(CellSink::of(sink.as_mut())
+            .ok_or_else(lost)?
+            .finish(simulator))
     }
 
     /// Runs several policies over the *same* trace (same seed), returning
@@ -652,23 +516,22 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// Which drill-down sinks to attach to a cell run. The default attaches
-/// nothing — and an empty instrumentation allocates no sink at all, so
-/// the simulator hot path is untouched when telemetry is not requested.
+/// Which analyses a cell's [`CellSink`] runs. The default runs none —
+/// and an empty instrumentation installs no sink at all, so the
+/// simulator hot path is untouched when telemetry is not requested.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Instrumentation {
-    /// Attach a [`WindowedCollector`] with this interval width (0 = one
-    /// whole-run window). `None` = no interval metrics.
+    /// Interval metrics with this window width in demand accesses (0 =
+    /// one whole-run window). `None` = no interval metrics.
     pub window: Option<u64>,
-    /// Attach a [`PageLedger`] with these retention options. `None` = no
-    /// ledger.
+    /// A page ledger with these retention options. `None` = no ledger.
     pub ledger: Option<LedgerOptions>,
-    /// Attach an [`AuditSink`] with these checking options. `None` = no
-    /// run-health auditing.
-    pub audit: Option<AuditOptions>,
-    /// Attach a [`FlightRecorder`] black box with these ring options.
-    /// `None` = no flight recording.
-    pub flight: Option<FlightOptions>,
+    /// The run-health audit. Its capacities, warmup and residency mode
+    /// come from the cell.
+    pub audit: bool,
+    /// A black-box flight recorder retaining this many events (0 is
+    /// clamped to 1). `None` = no flight recording.
+    pub flight: Option<usize>,
 }
 
 impl Instrumentation {
@@ -688,31 +551,25 @@ impl Instrumentation {
         self
     }
 
-    /// Adds a run-health audit with the given checking options. The
-    /// audit's capacities, warmup, and residency mode are derived from
-    /// the cell (policy capacities, [`ExperimentConfig`] warmup, and
-    /// whether the policy journals residency) — only the checking knobs
-    /// are configured here.
+    /// Adds the run-health audit.
     #[must_use]
-    pub fn with_audit(mut self, options: AuditOptions) -> Self {
-        self.audit = Some(options);
+    pub fn with_audit(mut self) -> Self {
+        self.audit = true;
         self
     }
 
-    /// Adds a black-box flight recorder with the given ring options.
+    /// Adds a black-box flight recorder retaining the last `events`
+    /// events.
     #[must_use]
-    pub fn with_flight(mut self, options: FlightOptions) -> Self {
-        self.flight = Some(options);
+    pub fn with_flight(mut self, events: usize) -> Self {
+        self.flight = Some(events);
         self
     }
 
     /// True when nothing is attached (no sink will be allocated).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.window.is_none()
-            && self.ledger.is_none()
-            && self.audit.is_none()
-            && self.flight.is_none()
+        self.window.is_none() && self.ledger.is_none() && !self.audit && self.flight.is_none()
     }
 }
 
@@ -750,41 +607,6 @@ impl InstrumentedRun {
             flight: None,
         }
     }
-}
-
-/// Builds a [`FlightRecorder`] for a cell about to run on `simulator`
-/// and publishes its capture probe to the thread's probe registry (see
-/// [`crate::flightrec`]), so an isolation wrapper can dump the black
-/// box even after a panic destroys the sink. Capacities come from the
-/// built simulator, and counter-window policies get their read-window
-/// size recorded so snapshots can report the window position.
-#[must_use]
-pub fn flight_recorder_for(
-    workload: impl Into<String>,
-    policy: &str,
-    options: FlightOptions,
-    simulator: &HybridSimulator,
-    warmup: u64,
-) -> FlightRecorder {
-    let mut recorder = FlightRecorder::new(workload, policy, options)
-        .with_warmup(warmup)
-        .with_capacities(
-            simulator.dram_capacity().value(),
-            simulator.nvm_capacity().value(),
-        );
-    if let Some(any) = simulator.policy().as_any() {
-        let config = if let Some(two_lru) = any.downcast_ref::<TwoLruPolicy>() {
-            Some(two_lru.config())
-        } else {
-            any.downcast_ref::<AdaptiveTwoLruPolicy>()
-                .map(|adaptive| adaptive.two_lru().config())
-        };
-        if let Some(config) = config {
-            recorder = recorder.with_read_window_pages(config.read_window_pages() as u64);
-        }
-    }
-    flightrec::publish_probe(recorder.probe());
-    recorder
 }
 
 #[cfg(test)]
@@ -1083,8 +905,7 @@ mod tests {
         let config = ExperimentConfig::date2016();
         let spec = small_spec();
         let cache = TraceCache::new(64 << 20);
-        let instrumentation =
-            Instrumentation::default().with_flight(crate::FlightOptions::with_events(64));
+        let instrumentation = Instrumentation::default().with_flight(64);
         let run = instrumented(&config, &spec, PolicyKind::TwoLru, &cache, instrumentation);
         let plain = config
             .run_cached(&spec, PolicyKind::TwoLru, &cache)
@@ -1105,10 +926,6 @@ mod tests {
         assert!(
             flight.two_lru_read_window_pages.is_some(),
             "counter-window policies report their window size"
-        );
-        assert!(
-            crate::flightrec::take_probe().is_none(),
-            "a completed instrumented run must not leak its probe"
         );
         // The recorder's own occupancy reconstruction must agree with
         // the engine's accounting at the end of the run.
@@ -1176,7 +993,7 @@ mod tests {
             &spec,
             PolicyKind::TwoLru,
             &cache,
-            Instrumentation::default().with_audit(AuditOptions::default()),
+            Instrumentation::default().with_audit(),
         );
         let plain = config
             .run_cached(&spec, PolicyKind::TwoLru, &cache)

@@ -35,12 +35,12 @@
 //! larger `K` it fails without taking the rest of the matrix down.
 //!
 //! `cell-panic` fires **before** the cell starts simulating, so its
-//! flight recording is empty. `cell-panic-at` instead arms a
-//! [`PanicTripwire`](crate::flightrec::PanicTripwire) event sink that
-//! kills the cell *mid-simulation* at an exact demand access — the
-//! clause the chaos job uses to prove a flight dump's last event
-//! precedes the panic site. It fires on every attempt, so the cell is
-//! always quarantined (a mid-run panic is never transient).
+//! flight recording is empty. `cell-panic-at` instead arms a tripwire in
+//! the cell's [`CellSink`](crate::CellSink) that kills the cell
+//! *mid-simulation* at an exact demand access, before anything records
+//! it — the clause the chaos job uses to prove a flight dump's last
+//! event precedes the panic site. It fires on every attempt, so the cell
+//! is always quarantined (a mid-run panic is never transient).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -187,8 +187,8 @@ impl FaultPlan {
 
     /// The 0-based demand access at which the plan kills cell
     /// `(workload, policy)` mid-simulation, if a `cell-panic-at` clause
-    /// scheduled one. The experiment runner arms a
-    /// [`PanicTripwire`](crate::flightrec::PanicTripwire) with it.
+    /// scheduled one. The cell driver arms the cell's
+    /// [`CellSink`](crate::CellSink) tripwire with it.
     #[must_use]
     pub fn cell_panic_access(&self, workload: &str, policy: &str) -> Option<u64> {
         self.cell_panic_ats

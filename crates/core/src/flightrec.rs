@@ -1,30 +1,26 @@
-//! Black-box flight recorder: the last moments of a cell, always on,
-//! bounded, and cheap enough to ride every instrumented run.
+//! Black-box flight recorder: the last moments of a cell, bounded and
+//! cheap enough to ride every instrumented run.
 //!
-//! PR 9 made long campaigns survivable — a panicking cell is retried
-//! and quarantined instead of killing the matrix — but the
-//! `hybridmem-matrix-health-v1` report records only the *outcome*.
-//! Diagnosing a quarantine today means re-running with four separate
-//! flags and hand-joining JSONL streams. The [`FlightRecorder`] closes
-//! that gap: an [`EventSink`] that keeps a ring buffer of the last N
-//! [`SimEvent`]s plus periodic state snapshots (per-tier occupancy,
-//! two-LRU window position, cumulative event counts, access index),
-//! and can be asked — *after* the cell died — for a versioned
-//! [`FlightRecord`] describing exactly what the engine was doing when
-//! it went down.
+//! A panicking cell is retried and quarantined instead of killing the
+//! matrix, but the `hybridmem-matrix-health-v1` report records only the
+//! *outcome*. The flight recorder is the fold of the
+//! [`CellSink`](crate::CellSink) that says what the engine was doing when
+//! it went down: a ring of the last N [`SimEvent`]s and a ring of
+//! periodic state snapshots (per-tier occupancy, two-LRU window position,
+//! cumulative event counts, access index), dumped as a versioned
+//! [`FlightRecord`]. Request it with
+//! [`Instrumentation::with_flight`](crate::Instrumentation::with_flight).
 //!
 //! # Surviving the panic
 //!
-//! A panicking cell unwinds its simulator, and the simulator owns the
-//! event sink — so the recorder's state cannot live inside the sink
-//! alone. The state sits behind an `Arc<Mutex<_>>`: the sink holds one
-//! handle, and a [`FlightProbe`] (a second handle) is published to a
-//! thread-local registry at attach time via [`publish_probe`]. The
-//! isolation wrapper ([`run_isolated`](crate::health::run_isolated))
-//! clears the registry before each attempt and collects the probe
-//! after `catch_unwind`, so the captured record always belongs to the
-//! attempt that actually failed — never to a stale sibling cell that
-//! ran earlier on the same worker thread.
+//! The cell driver replays the trace under `catch_unwind` while it still
+//! owns the simulator, and with it the sink. When the replay panics or
+//! returns an error, the driver captures the record from the sink and
+//! hands it up with the failure: a panic is re-raised with the record in
+//! its payload, where the isolation wrapper
+//! ([`run_isolated`](crate::health::run_isolated)) finds it, retries the
+//! cell, and stamps the retries on the attempt that finally failed; an
+//! error returns the record beside it.
 //!
 //! # Determinism
 //!
@@ -40,57 +36,29 @@
 //!
 //! The chaos harness needs a panic that fires *mid-simulation* at an
 //! exact access — `cell-panic@…` fires before the cell starts, so its
-//! flight ring would be empty. [`PanicTripwire`] is an [`EventSink`]
-//! that counts demand events and panics when the event that would
-//! become the scheduled 0-based index arrives, *before* any later sink
-//! in the fanout records it — so the flight ring's newest event always
-//! precedes the panic site (the `cell-panic-at@…` fault clause).
+//! flight ring would be empty. The `cell-panic-at@…` fault clause arms a
+//! check inside the [`CellSink`](crate::CellSink) that panics when the
+//! demand event that would become the scheduled 0-based index arrives,
+//! before anything records it — so the flight ring's newest event always
+//! precedes the panic site.
 
-use std::cell::RefCell;
 use std::io::Write;
-use std::sync::{Arc, Mutex, PoisonError};
 
 use hybridmem_json::impl_json;
 use hybridmem_policy::PolicyAction;
 use hybridmem_types::MemoryKind;
 
-use crate::{EventSink, SimEvent};
+use crate::cell::{CellContext, Cursor};
+use crate::{Ring, SimEvent};
+
+/// Demand accesses between state snapshots.
+const SNAPSHOT_EVERY: u64 = 4096;
+
+/// Snapshots retained in their ring.
+const SNAPSHOTS: usize = 64;
 
 /// Schema identifier of the flight-recorder JSON artifact.
 pub const FLIGHT_SCHEMA: &str = "hybridmem-flight-v1";
-
-/// User-facing knobs of a [`FlightRecorder`] — the part that travels
-/// inside [`Instrumentation`](crate::Instrumentation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightOptions {
-    /// Events retained in the ring (a value of 0 is clamped to 1).
-    pub events: usize,
-    /// Demand accesses between state snapshots (0 disables snapshots).
-    pub snapshot_every: u64,
-    /// Snapshots retained in their own ring.
-    pub snapshots: usize,
-}
-
-impl Default for FlightOptions {
-    fn default() -> Self {
-        Self {
-            events: 256,
-            snapshot_every: 4096,
-            snapshots: 64,
-        }
-    }
-}
-
-impl FlightOptions {
-    /// Default options with an explicit event-ring size.
-    #[must_use]
-    pub fn with_events(events: usize) -> Self {
-        Self {
-            events,
-            ..Self::default()
-        }
-    }
-}
 
 /// One retained simulation event, tagged with the 0-based demand-access
 /// index it belongs to (actions and probes trail their demand event and
@@ -211,7 +179,7 @@ impl_json!(ToJson for FlightSnapshot {
 });
 
 /// The versioned per-cell dump: everything the recorder retained at the
-/// moment [`FlightProbe::capture`] was called.
+/// moment the cell completed or failed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecord {
     /// Workload name of the cell.
@@ -256,7 +224,7 @@ pub struct FlightRecord {
     pub ring_capacity: u64,
     /// Events evicted from the ring (total seen = retained + dropped).
     pub events_dropped: u64,
-    /// Snapshot cadence in demand accesses (0 = disabled).
+    /// Snapshot cadence in demand accesses.
     pub snapshot_every: u64,
     /// Snapshot-ring capacity.
     pub snapshot_capacity: u64,
@@ -348,414 +316,133 @@ pub fn write_flight_json<W: Write>(
     writer.write_all(b"\n")
 }
 
-/// A bounded ring with an eviction counter — the storage discipline of
-/// both the event and snapshot rings.
+/// The flight-recorder fold of a [`CellSink`](crate::CellSink): the two
+/// rings. Everything else in a [`FlightRecord`] comes from the sink's
+/// cursor and the cell's context.
 #[derive(Debug)]
-struct Ring<T> {
-    items: Vec<T>,
-    capacity: usize,
-    start: usize,
-    dropped: u64,
-}
-
-impl<T: Copy> Ring<T> {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            items: Vec::with_capacity(capacity),
-            capacity,
-            start: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, item: T) {
-        if self.items.len() == self.capacity {
-            if let Some(slot) = self.items.get_mut(self.start) {
-                *slot = item;
-            }
-            self.start = (self.start + 1) % self.capacity;
-            self.dropped += 1;
-        } else {
-            self.items.push(item);
-        }
-    }
-
-    /// The retained items oldest first, without draining.
-    fn snapshot(&self) -> Vec<T> {
-        let (newer, older) = self.items.split_at(self.start.min(self.items.len()));
-        older.iter().chain(newer.iter()).copied().collect()
-    }
-}
-
-/// The shared recorder state — one handle inside the sink, one inside
-/// the published probe, so a capture works even after the sink was
-/// destroyed by an unwinding panic.
-#[derive(Debug)]
-struct FlightState {
-    workload: String,
-    policy: String,
-    warmup: u64,
-    dram_capacity: u64,
-    nvm_capacity: u64,
-    read_window_pages: Option<u64>,
-    options: FlightOptions,
-    /// Demand accesses observed so far.
-    accesses: u64,
-    served: u64,
-    faults: u64,
-    migrations: u64,
-    fills: u64,
-    evictions: u64,
-    probes: u64,
-    dram_resident: u64,
-    nvm_resident: u64,
+pub(crate) struct FlightRecorder {
     events: Ring<FlightEvent>,
     snapshots: Ring<FlightSnapshot>,
 }
 
-impl FlightState {
-    fn two_lru_window(&self) -> Option<u64> {
-        self.read_window_pages
-            .map(|pages| pages.min(self.nvm_resident))
-    }
-
-    fn take_snapshot(&mut self) {
-        let snapshot = FlightSnapshot {
-            access: self.accesses,
-            dram_resident: self.dram_resident,
-            nvm_resident: self.nvm_resident,
-            served: self.served,
-            faults: self.faults,
-            migrations: self.migrations,
-            fills: self.fills,
-            evictions: self.evictions,
-            probes: self.probes,
-            two_lru_window: self.two_lru_window(),
-        };
-        self.snapshots.push(snapshot);
-    }
-
-    fn on_demand(&mut self) {
-        let every = self.options.snapshot_every;
-        if every > 0 && self.accesses > 0 && self.accesses.is_multiple_of(every) {
-            self.take_snapshot();
+impl FlightRecorder {
+    /// A recorder retaining the last `events` events (0 is clamped to 1).
+    pub(crate) fn new(events: usize) -> Self {
+        Self {
+            events: Ring::bounded(events),
+            snapshots: Ring::bounded(SNAPSHOTS),
         }
     }
 
-    fn record(&mut self, event: SimEvent) {
-        let kind = match event {
-            SimEvent::Served { access, from } => {
-                self.on_demand();
-                self.accesses += 1;
-                self.served += 1;
-                FlightEventKind::Served {
-                    page: access.page.value(),
-                    write: access.kind.is_write(),
-                    from,
-                }
-            }
-            SimEvent::Fault { access } => {
-                self.on_demand();
-                self.accesses += 1;
-                self.faults += 1;
-                FlightEventKind::Fault {
-                    page: access.page.value(),
-                    write: access.kind.is_write(),
-                }
-            }
-            SimEvent::Action { action } => match action {
-                PolicyAction::Migrate { page, from, to } => {
-                    self.migrations += 1;
-                    match from {
-                        MemoryKind::Dram => {
-                            self.dram_resident = self.dram_resident.saturating_sub(1);
-                        }
-                        MemoryKind::Nvm => self.nvm_resident = self.nvm_resident.saturating_sub(1),
-                    }
-                    match to {
-                        MemoryKind::Dram => self.dram_resident += 1,
-                        MemoryKind::Nvm => self.nvm_resident += 1,
-                    }
-                    FlightEventKind::Migrate {
-                        page: page.value(),
-                        from,
-                        to,
-                    }
-                }
-                PolicyAction::FillFromDisk { page, into } => {
-                    self.fills += 1;
-                    match into {
-                        MemoryKind::Dram => self.dram_resident += 1,
-                        MemoryKind::Nvm => self.nvm_resident += 1,
-                    }
-                    FlightEventKind::Fill {
-                        page: page.value(),
-                        into,
-                    }
-                }
-                PolicyAction::EvictToDisk { page, from } => {
-                    self.evictions += 1;
-                    match from {
-                        MemoryKind::Dram => {
-                            self.dram_resident = self.dram_resident.saturating_sub(1);
-                        }
-                        MemoryKind::Nvm => self.nvm_resident = self.nvm_resident.saturating_sub(1),
-                    }
-                    FlightEventKind::Evict {
-                        page: page.value(),
-                        from,
-                    }
-                }
-            },
-            SimEvent::CounterProbe { access, probe } => {
-                self.probes += 1;
-                FlightEventKind::Probe {
-                    page: access.page.value(),
-                    reads: probe.reads,
-                    writes: probe.writes,
-                    fired: probe.fired.is_some(),
-                }
-            }
-        };
-        let access = self.accesses.saturating_sub(1);
-        self.events.push(FlightEvent {
-            access,
-            event: kind,
+    /// Snapshots the engine every [`SNAPSHOT_EVERY`] demand accesses, as
+    /// of the boundary before the next one.
+    pub(crate) fn close_access(&mut self, cursor: &Cursor, context: &CellContext) {
+        if !cursor.accesses.is_multiple_of(SNAPSHOT_EVERY) {
+            return;
+        }
+        self.snapshots.push(FlightSnapshot {
+            access: cursor.accesses,
+            dram_resident: cursor.dram_resident,
+            nvm_resident: cursor.nvm_resident,
+            served: cursor.served,
+            faults: cursor.faults,
+            migrations: cursor.migrations,
+            fills: cursor.fills,
+            evictions: cursor.evictions,
+            probes: cursor.probes,
+            two_lru_window: context
+                .read_window_pages
+                .map(|pages| pages.min(cursor.nvm_resident)),
         });
     }
 
-    fn capture(&self, trigger: &str, error: Option<String>, retries: u64) -> FlightRecord {
+    pub(crate) fn record(&mut self, event: SimEvent, cursor: &Cursor) {
+        let event = match event {
+            SimEvent::Served { access, from } => FlightEventKind::Served {
+                page: access.page.value(),
+                write: access.kind.is_write(),
+                from,
+            },
+            SimEvent::Fault { access } => FlightEventKind::Fault {
+                page: access.page.value(),
+                write: access.kind.is_write(),
+            },
+            SimEvent::Action { action } => match action {
+                PolicyAction::Migrate { page, from, to } => FlightEventKind::Migrate {
+                    page: page.value(),
+                    from,
+                    to,
+                },
+                PolicyAction::FillFromDisk { page, into } => FlightEventKind::Fill {
+                    page: page.value(),
+                    into,
+                },
+                PolicyAction::EvictToDisk { page, from } => FlightEventKind::Evict {
+                    page: page.value(),
+                    from,
+                },
+            },
+            SimEvent::CounterProbe { access, probe } => FlightEventKind::Probe {
+                page: access.page.value(),
+                reads: probe.reads,
+                writes: probe.writes,
+                fired: probe.fired.is_some(),
+            },
+        };
+        self.events.push(FlightEvent {
+            access: cursor.index(),
+            event,
+        });
+    }
+
+    /// The dump as of now. `trigger` names why (`"panic"`, `"error"`,
+    /// `"audit-violation"`, `"completed"`); `error` carries the failure
+    /// message when there is one. Retries are the isolation wrapper's to
+    /// stamp.
+    pub(crate) fn capture(
+        &self,
+        cursor: &Cursor,
+        context: &CellContext,
+        trigger: &str,
+        error: Option<String>,
+    ) -> FlightRecord {
+        let capacity = |ring: Option<usize>| ring.unwrap_or_default() as u64;
         FlightRecord {
-            workload: self.workload.clone(),
-            policy: self.policy.clone(),
+            workload: context.workload.clone(),
+            policy: context.policy.clone(),
             trigger: trigger.to_owned(),
             error,
-            retries,
-            warmup_accesses: self.warmup,
-            dram_capacity: self.dram_capacity,
-            nvm_capacity: self.nvm_capacity,
-            accesses: self.accesses,
-            final_access: self.accesses.saturating_sub(1),
-            dram_resident: self.dram_resident,
-            nvm_resident: self.nvm_resident,
-            served: self.served,
-            faults: self.faults,
-            migrations: self.migrations,
-            fills: self.fills,
-            evictions: self.evictions,
-            probes: self.probes,
-            ring_capacity: self.events.capacity as u64,
-            events_dropped: self.events.dropped,
-            snapshot_every: self.options.snapshot_every,
-            snapshot_capacity: self.snapshots.capacity as u64,
-            snapshots_dropped: self.snapshots.dropped,
-            two_lru_read_window_pages: self.read_window_pages,
-            snapshots: self.snapshots.snapshot(),
-            events: self.events.snapshot(),
+            retries: 0,
+            warmup_accesses: context.warmup,
+            dram_capacity: context.dram_capacity,
+            nvm_capacity: context.nvm_capacity,
+            accesses: cursor.accesses,
+            final_access: cursor.index(),
+            dram_resident: cursor.dram_resident,
+            nvm_resident: cursor.nvm_resident,
+            served: cursor.served,
+            faults: cursor.faults,
+            migrations: cursor.migrations,
+            fills: cursor.fills,
+            evictions: cursor.evictions,
+            probes: cursor.probes,
+            ring_capacity: capacity(self.events.capacity()),
+            events_dropped: self.events.dropped(),
+            snapshot_every: SNAPSHOT_EVERY,
+            snapshot_capacity: capacity(self.snapshots.capacity()),
+            snapshots_dropped: self.snapshots.dropped(),
+            two_lru_read_window_pages: context.read_window_pages,
+            snapshots: self.snapshots.iter().copied().collect(),
+            events: self.events.iter().copied().collect(),
         }
-    }
-}
-
-/// A capture handle onto a [`FlightRecorder`]'s shared state. Cheap to
-/// clone; survives the sink's destruction.
-#[derive(Debug, Clone)]
-pub struct FlightProbe {
-    state: Arc<Mutex<FlightState>>,
-}
-
-impl FlightProbe {
-    /// Dumps the recorder's current state as a [`FlightRecord`].
-    ///
-    /// `trigger` names why (`"panic"`, `"error"`, `"audit-violation"`,
-    /// `"completed"`); `error` carries the failure message when there
-    /// is one; `retries` the panicking attempts that preceded this one.
-    #[must_use]
-    pub fn capture(&self, trigger: &str, error: Option<String>, retries: u64) -> FlightRecord {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .capture(trigger, error, retries)
-    }
-}
-
-/// The black-box flight recorder [`EventSink`]. Construct with
-/// [`FlightRecorder::new`], attach builder context, install in the
-/// simulator (alone or inside a [`FanoutSink`](crate::FanoutSink)), and
-/// publish its [`FlightProbe`] with [`publish_probe`] so the isolation
-/// wrapper can capture a dump after a panic.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    state: Arc<Mutex<FlightState>>,
-}
-
-impl FlightRecorder {
-    /// Creates a recorder for one cell.
-    #[must_use]
-    pub fn new(
-        workload: impl Into<String>,
-        policy: impl Into<String>,
-        options: FlightOptions,
-    ) -> Self {
-        Self {
-            state: Arc::new(Mutex::new(FlightState {
-                workload: workload.into(),
-                policy: policy.into(),
-                warmup: 0,
-                dram_capacity: 0,
-                nvm_capacity: 0,
-                read_window_pages: None,
-                options,
-                accesses: 0,
-                served: 0,
-                faults: 0,
-                migrations: 0,
-                fills: 0,
-                evictions: 0,
-                probes: 0,
-                dram_resident: 0,
-                nvm_resident: 0,
-                events: Ring::new(options.events),
-                snapshots: Ring::new(options.snapshots),
-            })),
-        }
-    }
-
-    /// Sets the cell's warmup prefix, recorded for correlation.
-    #[must_use]
-    pub fn with_warmup(self, warmup: u64) -> Self {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .warmup = warmup;
-        self
-    }
-
-    /// Sets the per-tier page capacities, recorded for correlation.
-    #[must_use]
-    pub fn with_capacities(self, dram: u64, nvm: u64) -> Self {
-        {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.dram_capacity = dram;
-            state.nvm_capacity = nvm;
-        }
-        self
-    }
-
-    /// Declares the two-LRU read-window size so snapshots can report
-    /// the window position (counter-window policies only).
-    #[must_use]
-    pub fn with_read_window_pages(self, pages: u64) -> Self {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .read_window_pages = Some(pages);
-        self
-    }
-
-    /// A capture handle that stays valid after the sink is destroyed.
-    #[must_use]
-    pub fn probe(&self) -> FlightProbe {
-        FlightProbe {
-            state: Arc::clone(&self.state),
-        }
-    }
-}
-
-impl EventSink for FlightRecorder {
-    fn record(&mut self, event: SimEvent) {
-        // xtask:allow is unnecessary here: flightrec is not on the lint's
-        // hot-path list, and the mutex is uncontended (one thread ever
-        // holds a handle during simulation; the probe reads only after
-        // the cell finished or died).
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(event);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-std::thread_local! {
-    /// The worker-local probe registry (see the module docs): at most
-    /// one probe — the current attempt's — is registered at a time.
-    static PROBE: RefCell<Option<FlightProbe>> = const { RefCell::new(None) };
-}
-
-/// Registers `probe` as the current attempt's flight probe, replacing
-/// any stale one. Called by the experiment runner when it attaches a
-/// [`FlightRecorder`] to a cell.
-pub fn publish_probe(probe: FlightProbe) {
-    PROBE.with(|slot| *slot.borrow_mut() = Some(probe));
-}
-
-/// Takes the current attempt's flight probe, leaving the registry
-/// empty. The isolation wrapper calls this before each attempt (to
-/// discard stale probes) and after `catch_unwind` (to capture the
-/// failed attempt's dump).
-pub fn take_probe() -> Option<FlightProbe> {
-    PROBE.with(|slot| slot.borrow_mut().take())
-}
-
-/// An [`EventSink`] that panics when the demand event with the
-/// scheduled 0-based index arrives — the `cell-panic-at@…` fault
-/// clause. Installed *first* in the cell's fanout, so later sinks (the
-/// flight recorder included) never observe the access that died: the
-/// flight ring's newest event provably precedes the panic site.
-#[derive(Debug)]
-pub struct PanicTripwire {
-    workload: String,
-    policy: String,
-    at: u64,
-    seen: u64,
-}
-
-impl PanicTripwire {
-    /// Creates a tripwire scheduled to kill demand access `at`
-    /// (0-based, warmup included).
-    #[must_use]
-    pub fn new(workload: impl Into<String>, policy: impl Into<String>, at: u64) -> Self {
-        Self {
-            workload: workload.into(),
-            policy: policy.into(),
-            at,
-            seen: 0,
-        }
-    }
-}
-
-impl EventSink for PanicTripwire {
-    fn record(&mut self, event: SimEvent) {
-        if matches!(event, SimEvent::Served { .. } | SimEvent::Fault { .. }) {
-            if self.seen == self.at {
-                panic!(
-                    "injected fault: cell {}/{} panicked at access {}",
-                    self.workload, self.policy, self.at
-                );
-            }
-            self.seen += 1;
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::fixture;
+    use crate::{CellSink, EventSink, Instrumentation};
     use hybridmem_types::{PageAccess, PageId};
 
     fn served(page: u64, from: MemoryKind) -> SimEvent {
@@ -780,22 +467,26 @@ mod tests {
         }
     }
 
-    fn options(events: usize, snapshot_every: u64, snapshots: usize) -> FlightOptions {
-        FlightOptions {
-            events,
-            snapshot_every,
-            snapshots,
-        }
+    /// A sink carrying only a flight recorder of `events` events.
+    fn recorder(events: usize, context: CellContext, stream: &[SimEvent]) -> CellSink {
+        fixture::sink(
+            Instrumentation::default().with_flight(events),
+            context,
+            stream,
+        )
+    }
+
+    fn completed(sink: &CellSink) -> FlightRecord {
+        sink.black_box("completed", None)
+            .expect("a recorder rides the sink")
     }
 
     #[test]
     fn ring_keeps_the_newest_events_and_counts_drops() {
-        let mut recorder = FlightRecorder::new("w", "p", options(3, 0, 4));
-        for page in 0..5 {
-            recorder.record(fault(page));
-            recorder.record(fill(page, MemoryKind::Dram));
-        }
-        let record = recorder.probe().capture("completed", None, 0);
+        let stream: Vec<SimEvent> = (0..5)
+            .flat_map(|page| [fault(page), fill(page, MemoryKind::Dram)])
+            .collect();
+        let record = completed(&recorder(3, fixture::context("w", "p"), &stream));
         assert_eq!(record.accesses, 5);
         assert_eq!(record.final_access, 4);
         assert_eq!(record.events.len(), 3, "ring bounded");
@@ -815,101 +506,88 @@ mod tests {
 
     #[test]
     fn snapshots_fire_on_cadence_and_track_occupancy() {
-        let mut recorder =
-            FlightRecorder::new("w", "p", options(8, 2, 2)).with_read_window_pages(3);
-        for page in 0..7 {
-            recorder.record(fault(page));
-            recorder.record(fill(page, MemoryKind::Nvm));
-        }
-        let record = recorder.probe().capture("completed", None, 0);
-        // Snapshots at access boundaries 2, 4, 6; ring of 2 keeps 4, 6.
+        // One access past 65 snapshot boundaries: the 64-snapshot ring
+        // drops the first.
+        let boundaries = SNAPSHOTS as u64 + 1;
+        let stream: Vec<SimEvent> = (0..=boundaries * SNAPSHOT_EVERY)
+            .flat_map(|page| [fault(page), fill(page, MemoryKind::Nvm)])
+            .collect();
+        let context = CellContext {
+            read_window_pages: Some(3),
+            ..fixture::context("w", "p")
+        };
+        let record = completed(&recorder(8, context, &stream));
+        assert_eq!(record.snapshot_every, SNAPSHOT_EVERY);
+        assert_eq!(record.snapshot_capacity, SNAPSHOTS as u64);
         assert_eq!(record.snapshots_dropped, 1);
         let at: Vec<u64> = record.snapshots.iter().map(|s| s.access).collect();
-        assert_eq!(at, vec![4, 6]);
-        let last = record.snapshots.last().copied().expect("two snapshots");
-        assert_eq!(last.nvm_resident, 6, "state as of the boundary");
+        let expected: Vec<u64> = (2..=boundaries).map(|k| k * SNAPSHOT_EVERY).collect();
+        assert_eq!(at, expected);
+        let last = record.snapshots.last().copied().expect("64 snapshots");
+        assert_eq!(last.nvm_resident, last.access, "state as of the boundary");
+        assert_eq!(last.fills, last.access);
         assert_eq!(last.two_lru_window, Some(3), "window bounded by residency");
         assert_eq!(record.two_lru_read_window_pages, Some(3));
     }
 
     #[test]
-    fn capture_survives_the_sink_being_dropped() {
-        let mut recorder = FlightRecorder::new("canneal", "two-lru", FlightOptions::default())
-            .with_capacities(10, 90)
-            .with_warmup(7);
-        recorder.record(served(1, MemoryKind::Dram));
-        let probe = recorder.probe();
-        drop(recorder); // the panic unwound the simulator and its sink
-        let record = probe.capture("panic", Some("injected".to_owned()), 2);
+    fn capture_carries_the_cell_context() {
+        let context = CellContext {
+            dram_capacity: 10,
+            nvm_capacity: 90,
+            warmup: 7,
+            ..fixture::context("canneal", "two-lru")
+        };
+        let sink = recorder(256, context, &[served(1, MemoryKind::Dram)]);
+        let record = sink
+            .black_box("panic", Some("injected".to_owned()))
+            .expect("a recorder rides the sink");
         assert_eq!(record.workload, "canneal");
         assert_eq!(record.trigger, "panic");
         assert_eq!(record.error.as_deref(), Some("injected"));
-        assert_eq!(record.retries, 2);
+        assert_eq!(record.retries, 0, "the isolation wrapper stamps retries");
         assert_eq!((record.dram_capacity, record.nvm_capacity), (10, 90));
         assert_eq!(record.warmup_accesses, 7);
         assert_eq!(record.served, 1);
     }
 
     #[test]
-    fn probe_registry_is_take_once_and_replaceable() {
-        assert!(take_probe().is_none(), "registry starts empty");
-        let first = FlightRecorder::new("a", "p", FlightOptions::default());
-        let second = FlightRecorder::new("b", "p", FlightOptions::default());
-        publish_probe(first.probe());
-        publish_probe(second.probe());
-        let taken = take_probe().expect("latest probe wins");
-        assert_eq!(taken.capture("completed", None, 0).workload, "b");
-        assert!(take_probe().is_none(), "taking drains the registry");
-    }
-
-    #[test]
-    fn tripwire_panics_at_the_scheduled_demand_index_only() {
-        let mut tripwire = PanicTripwire::new("w", "p", 2);
-        tripwire.record(fault(0));
-        tripwire.record(fill(0, MemoryKind::Dram)); // actions never trip
-        tripwire.record(served(0, MemoryKind::Dram));
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tripwire.record(served(0, MemoryKind::Dram));
-        }));
-        let message = died.expect_err("demand index 2 must panic");
-        let text = message
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(text.contains("injected fault"), "{text}");
-        assert!(text.contains("w/p panicked at access 2"), "{text}");
-    }
-
-    #[test]
-    fn tripwire_in_a_fanout_leaves_the_flight_ring_short_of_the_panic() {
+    fn tripwire_leaves_the_flight_ring_short_of_the_panic() {
         // The acceptance property: the flight ring's newest event
         // precedes the panic site.
-        let recorder = FlightRecorder::new("w", "p", FlightOptions::default());
-        let probe = recorder.probe();
-        let mut fanout = crate::FanoutSink::new();
-        fanout.push(Box::new(PanicTripwire::new("w", "p", 3)));
-        fanout.push(Box::new(recorder));
+        let context = CellContext {
+            panic_at: Some(3),
+            ..fixture::context("w", "p")
+        };
+        let mut sink = recorder(256, context, &[]);
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for page in 0..10 {
-                fanout.record(served(page, MemoryKind::Dram));
+                sink.record(served(page, MemoryKind::Dram));
             }
         }));
         assert!(died.is_err());
-        let record = probe.capture("panic", None, 0);
+        let record = sink
+            .black_box("panic", None)
+            .expect("a recorder rides the sink");
         assert_eq!(record.accesses, 3, "accesses 0..=2 were recorded");
         assert_eq!(record.final_access, 2, "strictly before the panic at 3");
     }
 
     #[test]
     fn record_and_matrix_report_roundtrip_as_json() {
-        let mut recorder = FlightRecorder::new("w", "p", options(4, 2, 2));
-        recorder.record(fault(1));
-        recorder.record(fill(1, MemoryKind::Dram));
-        recorder.record(served(1, MemoryKind::Dram));
-        let completed = recorder.probe().capture("completed", None, 0);
-        let failed = recorder
-            .probe()
-            .capture("panic", Some("boom".to_owned()), 2);
+        let sink = recorder(
+            4,
+            fixture::context("w", "p"),
+            &[
+                fault(1),
+                fill(1, MemoryKind::Dram),
+                served(1, MemoryKind::Dram),
+            ],
+        );
+        let completed = completed(&sink);
+        let failed = sink
+            .black_box("panic", Some("boom".to_owned()))
+            .expect("a recorder rides the sink");
         let matrix = FlightMatrixReport::new(vec![completed, failed]);
         assert_eq!(matrix.schema, FLIGHT_SCHEMA);
         assert_eq!(matrix.dumped_cells, 2);
@@ -928,10 +606,8 @@ mod tests {
 
     #[test]
     fn zero_event_capacity_is_clamped_to_one() {
-        let mut recorder = FlightRecorder::new("w", "p", options(0, 0, 0));
-        recorder.record(served(1, MemoryKind::Dram));
-        recorder.record(served(2, MemoryKind::Dram));
-        let record = recorder.probe().capture("completed", None, 0);
+        let stream = [served(1, MemoryKind::Dram), served(2, MemoryKind::Dram)];
+        let record = completed(&recorder(0, fixture::context("w", "p"), &stream));
         assert_eq!(record.ring_capacity, 1);
         assert_eq!(record.events.len(), 1);
         assert_eq!(record.events_dropped, 1);

@@ -18,6 +18,11 @@
 //! than [`MAX_CELL_RETRIES`] recovers exactly as a transient fault
 //! would).
 //!
+//! A failing cell's black box travels with its failure: the cell driver
+//! returns it beside a typed error ([`CellFailure`]) or re-raises a panic
+//! with it in the payload, and the wrapper stamps the retries on the
+//! record of the attempt that finally failed.
+//!
 //! Like every other report in this workspace, the health report
 //! carries no wall-clock fields: the same matrix with the same fault
 //! plan produces a byte-identical report at any thread count.
@@ -28,7 +33,7 @@ use std::panic::AssertUnwindSafe;
 use hybridmem_json::impl_json;
 use hybridmem_types::Error;
 
-use crate::flightrec::{self, FlightRecord};
+use crate::FlightRecord;
 
 /// Schema identifier of the matrix health JSON report.
 pub const MATRIX_HEALTH_SCHEMA: &str = "hybridmem-matrix-health-v1";
@@ -58,8 +63,7 @@ pub enum CellOutcome<T> {
         /// typed error.
         panicked: bool,
         /// The black-box flight dump of the failing attempt, when a
-        /// [`FlightRecorder`](crate::FlightRecorder) was riding the
-        /// cell (see [`crate::flightrec`]).
+        /// flight recorder was riding the cell (see [`crate::flightrec`]).
         flight: Option<Box<FlightRecord>>,
     },
 }
@@ -215,9 +219,38 @@ pub fn write_matrix_health_json<W: Write>(
     writer.write_all(b"\n")
 }
 
+/// A cell's typed failure, with the black box its sink held when the
+/// cell failed.
+#[derive(Debug)]
+pub struct CellFailure {
+    /// What went wrong.
+    pub error: Error,
+    /// The flight dump, when a flight recorder was riding the cell.
+    pub flight: Option<Box<FlightRecord>>,
+}
+
+impl From<Error> for CellFailure {
+    fn from(error: Error) -> Self {
+        Self {
+            error,
+            flight: None,
+        }
+    }
+}
+
+/// The payload the cell driver re-raises a caught panic with when a
+/// flight recorder rides the cell: the panic's message and the black box
+/// as it stood when the panic fired.
+pub(crate) struct CellPanic {
+    pub(crate) message: String,
+    pub(crate) flight: Box<FlightRecord>,
+}
+
 /// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(text) = payload.downcast_ref::<&str>() {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(panic) = payload.downcast_ref::<CellPanic>() {
+        panic.message.clone()
+    } else if let Some(text) = payload.downcast_ref::<&str>() {
         (*text).to_owned()
     } else if let Some(text) = payload.downcast_ref::<String>() {
         text.clone()
@@ -231,29 +264,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// retry ordering is deterministic) and quarantining whatever still
 /// fails. Typed errors are returned on the first attempt — the engine
 /// is deterministic, so they would fail identically every time.
-pub fn run_isolated<T, F>(workload: &str, policy: &str, run: F) -> CellOutcome<T>
+pub fn run_isolated<T, E, F>(workload: &str, policy: &str, run: F) -> CellOutcome<T>
 where
-    F: Fn() -> Result<T, Error>,
+    E: Into<CellFailure>,
+    F: Fn() -> Result<T, E>,
 {
     let mut retries = 0u64;
+    let stamp = |flight: Option<Box<FlightRecord>>, retries: u64| {
+        flight.map(|mut flight| {
+            flight.retries = retries;
+            flight
+        })
+    };
     loop {
-        // Discard any probe a previous attempt (or a sibling cell that
-        // ran earlier on this worker) left behind, so the probe taken
-        // after `catch_unwind` always belongs to *this* attempt.
-        let _ = flightrec::take_probe();
         match std::panic::catch_unwind(AssertUnwindSafe(&run)) {
-            Ok(Ok(value)) => {
-                let _ = flightrec::take_probe();
-                return CellOutcome::Ok { value, retries };
-            }
-            Ok(Err(error)) => {
-                let flight = flightrec::take_probe()
-                    .map(|p| Box::new(p.capture("error", Some(error.to_string()), retries)));
+            Ok(Ok(value)) => return CellOutcome::Ok { value, retries },
+            Ok(Err(failure)) => {
+                let CellFailure { error, flight } = failure.into();
                 return CellOutcome::Failed {
                     error,
                     retries,
                     panicked: false,
-                    flight,
+                    flight: stamp(flight, retries),
                 };
             }
             Err(payload) => {
@@ -262,15 +294,17 @@ where
                     continue;
                 }
                 let message = panic_message(payload.as_ref());
-                let flight = flightrec::take_probe()
-                    .map(|p| Box::new(p.capture("panic", Some(message.clone()), retries)));
+                let flight = payload
+                    .downcast::<CellPanic>()
+                    .ok()
+                    .map(|panic| panic.flight);
                 return CellOutcome::Failed {
                     error: Error::invalid_input(format!(
                         "cell {workload}/{policy} panicked: {message}"
                     )),
                     retries,
                     panicked: true,
-                    flight,
+                    flight: stamp(flight, retries),
                 };
             }
         }
@@ -365,38 +399,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_published_flight_probe_is_captured_when_the_cell_dies() {
-        use crate::flightrec::{publish_probe, FlightOptions, FlightRecorder};
-        use crate::EventSink;
-        use hybridmem_policy::PolicyAction;
-        use hybridmem_types::{MemoryKind, PageId};
+    /// A black box of three faults, as a cell's sink would hold it.
+    fn black_box(trigger: &str, error: &str) -> Option<Box<FlightRecord>> {
+        use crate::cell::fixture;
+        use crate::{Instrumentation, SimEvent};
+        use hybridmem_types::{PageAccess, PageId};
 
+        let faults: Vec<SimEvent> = (0..3)
+            .map(|page| SimEvent::Fault {
+                access: PageAccess::read(PageId::new(page)),
+            })
+            .collect();
+        let context = fixture::context("canneal", "two-lru");
+        let sink = fixture::sink(Instrumentation::default().with_flight(8), context, &faults);
+        sink.black_box(trigger, Some(error.to_owned()))
+            .map(Box::new)
+    }
+
+    #[test]
+    fn a_panicking_cells_black_box_is_stamped_with_its_retries() {
         let outcome = run_isolated("canneal", "two-lru", || -> Result<(), Error> {
-            // What the experiment runner does per attempt: build a
-            // recorder, publish its probe, simulate, then die.
-            let mut recorder =
-                FlightRecorder::new("canneal", "two-lru", FlightOptions::with_events(8));
-            publish_probe(recorder.probe());
-            for page in 0..3 {
-                recorder.record(crate::SimEvent::Fault {
-                    access: hybridmem_types::PageAccess::read(PageId::new(page)),
-                });
-                recorder.record(crate::SimEvent::Action {
-                    action: PolicyAction::FillFromDisk {
-                        page: PageId::new(page),
-                        into: MemoryKind::Dram,
-                    },
-                });
-            }
-            panic!("injected fault: mid-run");
+            // What the cell driver does with a panic it caught.
+            let message = "injected fault: mid-run".to_owned();
+            let flight = black_box("panic", &message).expect("a recorder rides the cell");
+            std::panic::resume_unwind(Box::new(CellPanic { message, flight }));
         });
         match outcome {
             CellOutcome::Failed {
-                panicked, flight, ..
+                error,
+                panicked,
+                flight,
+                ..
             } => {
                 assert!(panicked);
-                let flight = flight.expect("the published probe must be captured");
+                assert!(error.to_string().contains("injected fault: mid-run"));
+                let flight = flight.expect("the payload's black box must be kept");
                 assert_eq!(flight.trigger, "panic");
                 assert_eq!(flight.retries, MAX_CELL_RETRIES);
                 assert_eq!(flight.accesses, 3, "the last attempt's recording");
@@ -408,26 +445,27 @@ mod tests {
             }
             CellOutcome::Ok { .. } => panic!("cell must be quarantined"),
         }
-        assert!(
-            crate::flightrec::take_probe().is_none(),
-            "run_isolated must not leak the probe to the next cell"
-        );
     }
 
     #[test]
-    fn a_successful_cell_discards_its_flight_probe() {
-        use crate::flightrec::{publish_probe, FlightOptions, FlightRecorder};
-
-        let outcome = run_isolated("w", "p", || {
-            let recorder = FlightRecorder::new("w", "p", FlightOptions::default());
-            publish_probe(recorder.probe());
-            Ok::<_, Error>(())
+    fn a_typed_error_keeps_the_black_box_beside_it() {
+        let outcome = run_isolated("canneal", "two-lru", || {
+            Err::<(), _>(CellFailure {
+                error: Error::invalid_input("spill stream truncated"),
+                flight: black_box("error", "spill stream truncated"),
+            })
         });
-        assert!(matches!(outcome, CellOutcome::Ok { .. }));
-        assert!(
-            crate::flightrec::take_probe().is_none(),
-            "the probe must not survive a completed cell"
-        );
+        match outcome {
+            CellOutcome::Failed {
+                panicked, flight, ..
+            } => {
+                assert!(!panicked);
+                let flight = flight.expect("the failure's black box must be kept");
+                assert_eq!(flight.trigger, "error");
+                assert_eq!(flight.retries, 0, "typed errors are not retried");
+            }
+            CellOutcome::Ok { .. } => panic!("cell must be quarantined"),
+        }
     }
 
     #[test]

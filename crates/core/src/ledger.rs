@@ -2,9 +2,11 @@
 //! migration provenance.
 //!
 //! The windowed collector ([`crate::observe`]) answers *"how is the run
-//! going?"* in aggregate; the [`PageLedger`] answers *"why did this page
-//! move?"*. It is an [`EventSink`] that replays the simulator's event
-//! stream into per-page journeys: the fill that brought a page in, every
+//! going?"* in aggregate; the page ledger answers *"why did this page
+//! move?"*. It is a fold of the [`CellSink`](crate::CellSink) that
+//! replays the simulator's event stream into per-page journeys (request
+//! it with [`Instrumentation::with_ledger`](crate::Instrumentation::with_ledger)):
+//! the fill that brought a page in, every
 //! promotion with its Algorithm 1 provenance (the triggering access
 //! index, which counter fired, its value vs. threshold, the page's NVM
 //! queue rank), every demotion with its cause, lossy counter-window
@@ -44,9 +46,10 @@ use hybridmem_json::{impl_json, Json, ToJson};
 use hybridmem_policy::{CounterKind, NvmCounterProbe, PolicyAction};
 use hybridmem_types::{AccessKind, FxHashMap, FxHashSet, MemoryKind, PageId};
 
-use crate::{EventSink, SimEvent};
+use crate::cell::{CellContext, Cursor};
+use crate::SimEvent;
 
-/// Configuration of a [`PageLedger`].
+/// Configuration of the page ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LedgerOptions {
     /// Number of pages to retain detailed journeys for (floor 1).
@@ -307,17 +310,11 @@ struct PageDetail {
     dropped: u64,
 }
 
-/// The event sink. See the [module docs](self) for the retention scheme.
+/// The page-ledger fold of a [`CellSink`](crate::CellSink). See the
+/// [module docs](self) for the retention scheme.
 #[derive(Debug)]
-pub struct PageLedger {
-    workload: String,
-    policy: String,
+pub(crate) struct PageLedger {
     options: LedgerOptions,
-    warmup_accesses: u64,
-    /// Demand accesses seen so far == index of the *next* demand access.
-    access_index: u64,
-    /// Index of the demand access currently being handled.
-    current_index: u64,
     /// True while handling a fault's actions (classifies demotions).
     in_fault: bool,
     summaries: FxHashMap<PageId, PageSummary>,
@@ -327,7 +324,6 @@ pub struct PageLedger {
     /// `(page, access index)` of a threshold-firing probe in the current
     /// event group, so the matching Migrate action is not double-counted.
     probe_fired: Option<(PageId, u64)>,
-    faults: u64,
     /// All-pages lossy reset totals by counter kind (independent of
     /// detail retention, unlike the per-page journey events).
     resets_read: u64,
@@ -335,53 +331,53 @@ pub struct PageLedger {
 }
 
 impl PageLedger {
-    /// Creates a ledger for one (workload, policy) cell. `warmup_accesses`
-    /// is informational (recorded in the report); the ledger itself
-    /// observes the whole run so journeys are complete.
-    #[must_use]
-    pub fn new(
-        workload: impl Into<String>,
-        policy: impl Into<String>,
-        options: LedgerOptions,
-        warmup_accesses: u64,
-    ) -> Self {
-        let options = LedgerOptions {
-            top_k: options.top_k.max(1),
-            ..options
-        };
+    /// A ledger retaining what `options` asks for (top-K floor 1). It
+    /// observes the whole run, warmup included, so journeys are complete.
+    pub(crate) fn new(options: LedgerOptions) -> Self {
         Self {
-            workload: workload.into(),
-            policy: policy.into(),
-            options,
-            warmup_accesses,
-            access_index: 0,
-            current_index: 0,
+            options: LedgerOptions {
+                top_k: options.top_k.max(1),
+                ..options
+            },
             in_fault: false,
             summaries: FxHashMap::default(),
             details: FxHashMap::default(),
             pruned: FxHashSet::default(),
             probe_fired: None,
-            faults: 0,
             resets_read: 0,
             resets_write: 0,
         }
     }
 
-    /// The configured options (top-K floor applied).
-    #[must_use]
-    pub fn options(&self) -> LedgerOptions {
-        self.options
+    pub(crate) fn record(&mut self, event: SimEvent, cursor: &Cursor) {
+        let index = cursor.index();
+        match event {
+            SimEvent::Served { access, .. } => {
+                self.in_fault = false;
+                self.probe_fired = None;
+                self.on_demand(access.page, access.kind == AccessKind::Write, index);
+            }
+            SimEvent::Fault { access } => {
+                self.in_fault = true;
+                self.probe_fired = None;
+                self.on_demand(access.page, access.kind == AccessKind::Write, index);
+            }
+            SimEvent::CounterProbe { access, probe } => {
+                if probe.fired.is_some() {
+                    self.probe_fired = Some((access.page, index));
+                }
+                self.on_probe(access.page, probe, index);
+            }
+            SimEvent::Action { action } => self.on_action(action, index),
+        }
     }
 
     fn summary_mut(&mut self, page: PageId) -> &mut PageSummary {
         self.summaries.entry(page).or_default()
     }
 
-    /// Notes a demand access to `page`.
-    fn on_demand(&mut self, page: PageId, write: bool) {
-        self.current_index = self.access_index;
-        self.access_index += 1;
-        let index = self.current_index;
+    /// Notes demand access `index` to `page`.
+    fn on_demand(&mut self, page: PageId, write: bool, index: u64) {
         let summary = self.summary_mut(page);
         if summary.accesses == 0 {
             summary.first_access = index;
@@ -447,15 +443,12 @@ impl PageLedger {
             .then(a.value().cmp(&b.value()))
     }
 
-    /// Finalizes the run into a [`LedgerReport`]. The ledger can keep
-    /// observing afterwards, but reports are meant to be taken once at
-    /// the end.
-    #[must_use]
-    pub fn finish(&mut self) -> LedgerReport {
+    /// Finalizes the run into a [`LedgerReport`].
+    pub(crate) fn finish(self, cursor: &Cursor, context: &CellContext) -> LedgerReport {
         // Roll the all-pages summary up.
         let mut summary = LedgerSummary {
             pages: self.summaries.len() as u64,
-            faults: self.faults,
+            faults: cursor.faults,
             pruned_pages: self.pruned.len() as u64,
             ..LedgerSummary::default()
         };
@@ -499,17 +492,16 @@ impl PageLedger {
         summary.detailed_pages = pages.len() as u64;
 
         LedgerReport {
-            workload: self.workload.clone(),
-            policy: self.policy.clone(),
-            accesses: self.access_index,
-            warmup_accesses: self.warmup_accesses,
+            workload: context.workload.clone(),
+            policy: context.policy.clone(),
+            accesses: cursor.accesses,
+            warmup_accesses: context.warmup,
             summary,
             pages,
         }
     }
 
-    fn on_probe(&mut self, page: PageId, probe: NvmCounterProbe) {
-        let index = self.current_index;
+    fn on_probe(&mut self, page: PageId, probe: NvmCounterProbe, index: u64) {
         if probe.read_lost > 0 {
             self.resets_read += 1;
             self.summary_mut(page).resets += 1;
@@ -561,8 +553,7 @@ impl PageLedger {
         }
     }
 
-    fn on_action(&mut self, action: PolicyAction) {
-        let index = self.current_index;
+    fn on_action(&mut self, action: PolicyAction, index: u64) {
         match action {
             PolicyAction::FillFromDisk { page, into } => {
                 let summary = self.summary_mut(page);
@@ -642,39 +633,6 @@ impl PageLedger {
     }
 }
 
-impl EventSink for PageLedger {
-    fn record(&mut self, event: SimEvent) {
-        match event {
-            SimEvent::Served { access, .. } => {
-                self.in_fault = false;
-                self.probe_fired = None;
-                self.on_demand(access.page, access.kind == AccessKind::Write);
-            }
-            SimEvent::Fault { access } => {
-                self.in_fault = true;
-                self.probe_fired = None;
-                self.on_demand(access.page, access.kind == AccessKind::Write);
-                self.faults += 1;
-            }
-            SimEvent::CounterProbe { access, probe } => {
-                if probe.fired.is_some() {
-                    self.probe_fired = Some((access.page, self.current_index));
-                }
-                self.on_probe(access.page, probe);
-            }
-            SimEvent::Action { action } => self.on_action(action),
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// Writes one cell's ledger as JSON Lines: a header line (workload,
 /// policy, totals, the all-pages [`LedgerSummary`]) followed by one line
 /// per retained [`PageRecord`]. Deterministic byte-for-byte for a given
@@ -701,7 +659,28 @@ pub fn write_ledger_jsonl<W: Write>(writer: &mut W, report: &LedgerReport) -> st
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::fixture;
+    use crate::Instrumentation;
     use hybridmem_types::PageAccess;
+
+    /// The ledger of `events` under `options`, for the cell `context`
+    /// describes.
+    fn ledger_in(
+        context: CellContext,
+        options: LedgerOptions,
+        events: &[SimEvent],
+    ) -> LedgerReport {
+        let run = fixture::run(
+            Instrumentation::default().with_ledger(options),
+            context,
+            events,
+        );
+        run.ledger.expect("a ledger was requested")
+    }
+
+    fn ledger_of(options: LedgerOptions, events: &[SimEvent]) -> LedgerReport {
+        ledger_in(fixture::context("w", "p"), options, events)
+    }
 
     fn served(page: u64, from: MemoryKind) -> SimEvent {
         SimEvent::Served {
@@ -750,14 +729,15 @@ mod tests {
 
     #[test]
     fn probed_promotion_is_recorded_once_with_provenance() {
-        let mut ledger = PageLedger::new("w", "p", LedgerOptions::default(), 0);
-        // NVM hit fires the read counter; the simulator emits
-        // Served → CounterProbe → Migrate(victim ↓) → Migrate(page ↑).
-        ledger.record(served(7, MemoryKind::Nvm));
-        ledger.record(probe_event(7, firing_probe(CounterKind::Read, 7, 6, 2)));
-        ledger.record(action(migrate(3, MemoryKind::Dram, MemoryKind::Nvm)));
-        ledger.record(action(migrate(7, MemoryKind::Nvm, MemoryKind::Dram)));
-        let report = ledger.finish();
+        let events = vec![
+            // NVM hit fires the read counter; the simulator emits
+            // Served → CounterProbe → Migrate(victim ↓) → Migrate(page ↑).
+            served(7, MemoryKind::Nvm),
+            probe_event(7, firing_probe(CounterKind::Read, 7, 6, 2)),
+            action(migrate(3, MemoryKind::Dram, MemoryKind::Nvm)),
+            action(migrate(7, MemoryKind::Nvm, MemoryKind::Dram)),
+        ];
+        let report = ledger_of(LedgerOptions::default(), &events);
         assert_eq!(report.summary.promotions_read, 1);
         assert_eq!(report.summary.promotions_unattributed, 0);
         assert_eq!(report.summary.demotions_swap, 1);
@@ -783,18 +763,19 @@ mod tests {
 
     #[test]
     fn unprobed_promotions_and_fault_demotions_are_classified() {
-        let mut ledger = PageLedger::new("w", "p", LedgerOptions::default(), 0);
-        // CLOCK-DWF-style promotion: Served then a bare Migrate.
-        ledger.record(served(1, MemoryKind::Nvm));
-        ledger.record(action(migrate(1, MemoryKind::Nvm, MemoryKind::Dram)));
-        // A fault displaces page 1 back to NVM: ping-pong.
-        ledger.record(fault(2));
-        ledger.record(action(migrate(1, MemoryKind::Dram, MemoryKind::Nvm)));
-        ledger.record(action(PolicyAction::FillFromDisk {
-            page: PageId::new(2),
-            into: MemoryKind::Dram,
-        }));
-        let report = ledger.finish();
+        let events = vec![
+            // CLOCK-DWF-style promotion: Served then a bare Migrate.
+            served(1, MemoryKind::Nvm),
+            action(migrate(1, MemoryKind::Nvm, MemoryKind::Dram)),
+            // A fault displaces page 1 back to NVM: ping-pong.
+            fault(2),
+            action(migrate(1, MemoryKind::Dram, MemoryKind::Nvm)),
+            action(PolicyAction::FillFromDisk {
+                page: PageId::new(2),
+                into: MemoryKind::Dram,
+            }),
+        ];
+        let report = ledger_of(LedgerOptions::default(), &events);
         assert_eq!(report.summary.promotions_unattributed, 1);
         assert_eq!(report.summary.demotions_fault, 1);
         assert_eq!(report.summary.ping_pongs, 1);
@@ -821,22 +802,23 @@ mod tests {
 
     #[test]
     fn lossy_resets_are_counted_globally_and_per_page() {
-        let mut ledger = PageLedger::new("w", "p", LedgerOptions::default(), 0);
-        ledger.record(served(5, MemoryKind::Nvm));
-        ledger.record(probe_event(
-            5,
-            NvmCounterProbe {
-                rank: 9,
-                reads: 1,
-                writes: 0,
-                read_lost: 4,
-                write_lost: 2,
-                read_threshold: 6,
-                write_threshold: 12,
-                fired: None,
-            },
-        ));
-        let report = ledger.finish();
+        let events = vec![
+            served(5, MemoryKind::Nvm),
+            probe_event(
+                5,
+                NvmCounterProbe {
+                    rank: 9,
+                    reads: 1,
+                    writes: 0,
+                    read_lost: 4,
+                    write_lost: 2,
+                    read_threshold: 6,
+                    write_threshold: 12,
+                    fired: None,
+                },
+            ),
+        ];
+        let report = ledger_of(LedgerOptions::default(), &events);
         assert_eq!(report.summary.resets_read, 1);
         assert_eq!(report.summary.resets_write, 1);
         let page = report.pages.iter().find(|r| r.page == 5).unwrap();
@@ -858,36 +840,36 @@ mod tests {
             max_events: 8,
             focus: None,
         };
-        let mut ledger = PageLedger::new("w", "p", options, 0);
+        let mut events = Vec::new();
         // Page 30 collects the most migrations, pages 10 and 20 tie on
         // migrations but 20 sees more accesses; then two cold fills push
         // the detailed set past 2 × top_k and force a prune.
         for page in [30u64, 20, 10] {
-            ledger.record(fault(page));
-            ledger.record(action(PolicyAction::FillFromDisk {
+            events.push(fault(page));
+            events.push(action(PolicyAction::FillFromDisk {
                 page: PageId::new(page),
                 into: MemoryKind::Dram,
             }));
         }
         for _ in 0..3 {
-            ledger.record(served(30, MemoryKind::Nvm));
-            ledger.record(action(migrate(30, MemoryKind::Nvm, MemoryKind::Dram)));
-            ledger.record(served(30, MemoryKind::Dram));
-            ledger.record(action(migrate(30, MemoryKind::Dram, MemoryKind::Nvm)));
+            events.push(served(30, MemoryKind::Nvm));
+            events.push(action(migrate(30, MemoryKind::Nvm, MemoryKind::Dram)));
+            events.push(served(30, MemoryKind::Dram));
+            events.push(action(migrate(30, MemoryKind::Dram, MemoryKind::Nvm)));
         }
-        ledger.record(served(20, MemoryKind::Nvm));
-        ledger.record(action(migrate(20, MemoryKind::Nvm, MemoryKind::Dram)));
-        ledger.record(served(20, MemoryKind::Dram));
-        ledger.record(served(10, MemoryKind::Nvm));
-        ledger.record(action(migrate(10, MemoryKind::Nvm, MemoryKind::Dram)));
+        events.push(served(20, MemoryKind::Nvm));
+        events.push(action(migrate(20, MemoryKind::Nvm, MemoryKind::Dram)));
+        events.push(served(20, MemoryKind::Dram));
+        events.push(served(10, MemoryKind::Nvm));
+        events.push(action(migrate(10, MemoryKind::Nvm, MemoryKind::Dram)));
         for page in [40u64, 50] {
-            ledger.record(fault(page));
-            ledger.record(action(PolicyAction::FillFromDisk {
+            events.push(fault(page));
+            events.push(action(PolicyAction::FillFromDisk {
                 page: PageId::new(page),
                 into: MemoryKind::Dram,
             }));
         }
-        let report = ledger.finish();
+        let report = ledger_of(options, &events);
         let retained: Vec<u64> = report.pages.iter().map(|r| r.page).collect();
         assert_eq!(
             retained,
@@ -907,27 +889,28 @@ mod tests {
             max_events: 2,
             focus: Some(PageId::new(99)),
         };
-        let mut ledger = PageLedger::new("w", "p", options, 0);
-        ledger.record(fault(99));
-        ledger.record(action(PolicyAction::FillFromDisk {
-            page: PageId::new(99),
-            into: MemoryKind::Dram,
-        }));
+        let mut events = vec![
+            fault(99),
+            action(PolicyAction::FillFromDisk {
+                page: PageId::new(99),
+                into: MemoryKind::Dram,
+            }),
+        ];
         // Busy unrelated pages would normally push 99 out of the top-K.
         for page in 1..=6u64 {
-            ledger.record(served(page, MemoryKind::Nvm));
-            ledger.record(action(migrate(page, MemoryKind::Nvm, MemoryKind::Dram)));
-            ledger.record(served(page, MemoryKind::Dram));
-            ledger.record(action(migrate(page, MemoryKind::Dram, MemoryKind::Nvm)));
+            events.push(served(page, MemoryKind::Nvm));
+            events.push(action(migrate(page, MemoryKind::Nvm, MemoryKind::Dram)));
+            events.push(served(page, MemoryKind::Dram));
+            events.push(action(migrate(page, MemoryKind::Dram, MemoryKind::Nvm)));
         }
         // Three more journey events for 99: only one fits under the cap.
-        ledger.record(served(99, MemoryKind::Dram));
-        ledger.record(action(migrate(99, MemoryKind::Dram, MemoryKind::Nvm)));
-        ledger.record(served(99, MemoryKind::Nvm));
-        ledger.record(action(migrate(99, MemoryKind::Nvm, MemoryKind::Dram)));
-        ledger.record(served(99, MemoryKind::Nvm));
-        ledger.record(action(migrate(99, MemoryKind::Nvm, MemoryKind::Dram)));
-        let report = ledger.finish();
+        events.push(served(99, MemoryKind::Dram));
+        events.push(action(migrate(99, MemoryKind::Dram, MemoryKind::Nvm)));
+        events.push(served(99, MemoryKind::Nvm));
+        events.push(action(migrate(99, MemoryKind::Nvm, MemoryKind::Dram)));
+        events.push(served(99, MemoryKind::Nvm));
+        events.push(action(migrate(99, MemoryKind::Nvm, MemoryKind::Dram)));
+        let report = ledger_of(options, &events);
         let focus = report
             .pages
             .iter()
@@ -939,13 +922,18 @@ mod tests {
 
     #[test]
     fn jsonl_export_has_a_header_line_then_one_line_per_page() {
-        let mut ledger = PageLedger::new("bodytrack", "two-lru", LedgerOptions::default(), 100);
-        ledger.record(fault(1));
-        ledger.record(action(PolicyAction::FillFromDisk {
-            page: PageId::new(1),
-            into: MemoryKind::Dram,
-        }));
-        let report = ledger.finish();
+        let context = CellContext {
+            warmup: 100,
+            ..fixture::context("bodytrack", "two-lru")
+        };
+        let events = [
+            fault(1),
+            action(PolicyAction::FillFromDisk {
+                page: PageId::new(1),
+                into: MemoryKind::Dram,
+            }),
+        ];
+        let report = ledger_in(context, LedgerOptions::default(), &events);
         let mut bytes = Vec::new();
         write_ledger_jsonl(&mut bytes, &report).unwrap();
         let text = String::from_utf8(bytes).unwrap();

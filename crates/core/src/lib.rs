@@ -16,27 +16,28 @@
 //! * [`ExperimentConfig`] / [`MatrixRun`] — the paper's evaluation
 //!   methodology (75 % memory, 10 % DRAM) over the PARSEC profiles, and
 //!   the one runner every front end executes the matrix with;
-//! * [`observe`] — windowed telemetry: a [`WindowedCollector`] event sink
-//!   slices runs into per-N-accesses [`IntervalRecord`]s (tier hits,
-//!   migrations, occupancy, interval AMAT/APPR) serialized as
-//!   deterministic JSONL;
-//! * [`ledger`] — drill-down telemetry: a [`PageLedger`] event sink
-//!   reconstructs per-page journeys (fills, promotions with Algorithm 1
-//!   provenance, demotions with cause, lossy resets) under deterministic
-//!   top-K retention;
-//! * [`audit`] — run-health auditing: an [`AuditSink`] event sink checks
-//!   the conservation laws behind Eq. 1/Eq. 2 online (fills ≡ faults,
-//!   occupancy ≤ capacity, demotion pairing, probe consistency, priced
-//!   vs. closed-form AMAT) and reports structured [`AuditViolation`]s;
+//! * [`CellSink`] — the one event sink an instrumented cell carries: it
+//!   keeps one access cursor (access index, warmup, per-tier residency,
+//!   event counts) and folds the event stream into the analyses below;
+//! * [`observe`] — windowed telemetry: slices runs into per-N-accesses
+//!   [`IntervalRecord`]s (tier hits, migrations, occupancy, interval
+//!   AMAT/APPR) serialized as deterministic JSONL;
+//! * [`ledger`] — drill-down telemetry: reconstructs per-page journeys
+//!   (fills, promotions with Algorithm 1 provenance, demotions with
+//!   cause, lossy resets) under deterministic top-K retention;
+//! * [`audit`] — run-health auditing: checks the conservation laws behind
+//!   Eq. 1/Eq. 2 online (fills ≡ faults, occupancy ≤ capacity, demotion
+//!   pairing, probe consistency, priced vs. closed-form AMAT) and reports
+//!   structured [`AuditViolation`]s;
 //! * [`faultinject`] / [`health`] / [`journal`] — the robustness layer:
 //!   a scripted, deterministic [`FaultPlan`] exercises every
 //!   degradation path; [`MatrixRun`] quarantines failing cells into a
 //!   [`MatrixHealthReport`] instead of aborting the matrix; a
 //!   [`RunJournal`] makes long campaigns crash-safe and resumable with
 //!   byte-identical output;
-//! * [`flightrec`] — the black box: a bounded [`FlightRecorder`] event
-//!   sink rides every instrumented cell, retaining the last N events
-//!   plus periodic state snapshots, and dumps a deterministic
+//! * [`flightrec`] — the black box: a bounded flight recorder rides any
+//!   instrumented cell, retaining the last N events plus periodic state
+//!   snapshots, and dumps a deterministic
 //!   `hybridmem-flight-v1` [`FlightRecord`] when a cell panics, errors
 //!   out, or trips an audit violation — the raw material for
 //!   `hybridmem postmortem` cross-stream correlation.
@@ -63,6 +64,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod audit;
+mod cell;
 mod events;
 mod experiments;
 pub mod faultinject;
@@ -78,31 +80,29 @@ mod simulator;
 mod sweep;
 mod trace_cache;
 
-pub use audit::{
-    write_audit_json, AuditMatrixReport, AuditOptions, AuditReport, AuditSink, AuditViolation,
-    AUDIT_SCHEMA,
-};
-pub use events::{CountingSink, EventSink, FanoutSink, RecordingSink, SimEvent};
-pub use experiments::{
-    flight_recorder_for, ExperimentConfig, Instrumentation, InstrumentedRun, PolicyKind,
-};
+pub use audit::{write_audit_json, AuditMatrixReport, AuditReport, AuditViolation, AUDIT_SCHEMA};
+pub use cell::{CellContext, CellSink};
+pub use events::{EventSink, RecordingSink, Ring, SimEvent};
+pub use experiments::{ExperimentConfig, Instrumentation, InstrumentedRun, PolicyKind};
 pub use faultinject::FaultPlan;
 pub use flightrec::{
-    write_flight_json, FlightEvent, FlightEventKind, FlightMatrixReport, FlightOptions,
-    FlightProbe, FlightRecord, FlightRecorder, FlightSnapshot, PanicTripwire, FLIGHT_SCHEMA,
+    write_flight_json, FlightEvent, FlightEventKind, FlightMatrixReport, FlightRecord,
+    FlightSnapshot, FLIGHT_SCHEMA,
 };
 pub use health::{
-    write_matrix_health_json, CellHealth, CellOutcome, CellStatus, MatrixHealthReport,
+    write_matrix_health_json, CellFailure, CellHealth, CellOutcome, CellStatus, MatrixHealthReport,
     MATRIX_HEALTH_SCHEMA, MAX_CELL_RETRIES,
 };
 pub use journal::{JournalEntry, RunJournal, JOURNAL_MAGIC, JOURNAL_VERSION};
 pub use ledger::{
     write_ledger_jsonl, DemotionCause, LedgerOptions, LedgerReport, LedgerSummary, PageEvent,
-    PageLedger, PageRecord, PageSummary, PromotionProvenance,
+    PageRecord, PageSummary, PromotionProvenance,
 };
-pub use matrix::{parse_flag, MatrixOutcome, MatrixOutputs, MatrixRun, MatrixTiming};
+pub use matrix::{
+    parse_flag, positive_flag, MatrixOutcome, MatrixOutputs, MatrixRun, MatrixTiming,
+};
 pub use model::{AmatComponents, ApprComponents, ModelParams, Probabilities, TimeModel};
-pub use observe::{write_jsonl, IntervalRecord, WindowedCollector};
+pub use observe::{write_jsonl, IntervalRecord};
 pub use report::{
     arith_mean, geo_mean, Counts, EnergyBreakdown, LatencyBreakdown, NvmWriteBreakdown,
     SimulationReport, WearSummary,

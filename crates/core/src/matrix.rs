@@ -29,9 +29,9 @@ use crate::experiments::TraceSource;
 use crate::health::run_isolated;
 use crate::{
     write_audit_json, write_flight_json, write_jsonl, write_ledger_jsonl, write_matrix_health_json,
-    AuditMatrixReport, AuditOptions, CellOutcome, CellStatus, ExperimentConfig, FaultPlan,
-    FlightMatrixReport, FlightOptions, FlightRecord, Instrumentation, InstrumentedRun,
-    LedgerOptions, MatrixHealthReport, PolicyKind, RunJournal, SimulationReport, TraceCache,
+    AuditMatrixReport, CellFailure, CellOutcome, CellStatus, ExperimentConfig, FaultPlan,
+    FlightMatrixReport, FlightRecord, Instrumentation, InstrumentedRun, LedgerOptions,
+    MatrixHealthReport, PolicyKind, RunJournal, SimulationReport, TraceCache,
 };
 
 /// Where [`MatrixRun::write_artifacts`] writes each artifact; `None`
@@ -55,7 +55,7 @@ pub struct MatrixOutputs {
 }
 
 /// One evaluation matrix, ready to run: the configuration every cell
-/// shares, the worker pool, the sinks riding each cell, the resume
+/// shares, the worker pool, the analyses each cell's sink runs, the resume
 /// journal, the fault plan and the artifact paths.
 ///
 /// Every cell runs isolated: a panicking cell is retried, then
@@ -88,7 +88,7 @@ pub struct MatrixRun {
     /// Worker threads; `0` selects `available_parallelism()`. Never more
     /// workers than cells are spawned.
     pub threads: usize,
-    /// Sinks attached to every freshly simulated cell.
+    /// The analyses every freshly simulated cell's [`CellSink`](crate::CellSink) runs.
     pub instrumentation: Instrumentation,
     /// Journal completed cells here (fsynced, checksummed) and replay the
     /// cells it already holds instead of re-running them. Replayed cells
@@ -119,7 +119,7 @@ impl MatrixRun {
 
     /// A plain run of `config` under the fault plan in
     /// `HYBRIDMEM_FAULT_PLAN`, if one is set: automatic thread count, no
-    /// sinks, no journal, no artifacts.
+    /// instrumentation, no journal, no artifacts.
     ///
     /// # Errors
     ///
@@ -137,7 +137,7 @@ impl MatrixRun {
 
     /// Builds a run of `config` from the matrix flags every front end
     /// shares ([`MatrixRun::FLAGS`]); `flag(name)` returns the value given
-    /// for `--name`. Each output flag attaches its sink: `--metrics-out`
+    /// for `--name`. Each output flag turns its analysis on: `--metrics-out`
     /// a collector of `--metrics-window` accesses per window (default
     /// 10 000), `--ledger-out` a ledger keeping the top `--ledger-top`
     /// pages (default 64), `--audit-out` the run-health audit,
@@ -202,11 +202,8 @@ impl MatrixRun {
                 top_k,
                 ..LedgerOptions::default()
             }),
-            audit: outputs.audit.as_ref().map(|_| AuditOptions::default()),
-            flight: outputs
-                .flight
-                .as_ref()
-                .map(|_| FlightOptions::with_events(events)),
+            audit: outputs.audit.is_some(),
+            flight: outputs.flight.as_ref().map(|_| events),
         };
         Ok(Self {
             threads: parse_flag("threads", flag("threads"), 0)?,
@@ -297,13 +294,12 @@ impl MatrixRun {
                     .as_ref()
                     .and_then(|j| j.completed_report(workload, policy));
                 if let Some(report) = journaled {
-                    return SimulationReport::from_json(&report)
-                        .map(InstrumentedRun::bare)
-                        .map_err(|e| {
-                            Error::invalid_input(format!(
-                                "journaled report for {workload}/{policy} does not deserialize: {e}"
-                            ))
-                        });
+                    let report = SimulationReport::from_json(&report).map_err(|e| {
+                        Error::invalid_input(format!(
+                            "journaled report for {workload}/{policy} does not deserialize: {e}"
+                        ))
+                    })?;
+                    return Ok(InstrumentedRun::bare(report));
                 }
                 let panic_at = plan.and_then(|plan| plan.cell_panic_access(workload, policy));
                 let run = self.config.run_cell_driver(
@@ -434,7 +430,12 @@ pub fn parse_flag<T: std::str::FromStr>(name: &str, value: Option<&str>, default
 
 /// [`parse_flag`] for a retention knob: zero would write a degenerate
 /// artifact, so it is rejected with `--name must <rule>`.
-fn positive_flag<T>(name: &str, value: Option<&str>, default: T, rule: &str) -> Result<T>
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidInput`] naming the flag when the value does
+/// not parse or is zero.
+pub fn positive_flag<T>(name: &str, value: Option<&str>, default: T, rule: &str) -> Result<T>
 where
     T: std::str::FromStr + PartialEq + From<u8>,
 {
@@ -560,7 +561,7 @@ fn run_cells<T, F>(
 ) -> (Vec<Vec<CellOutcome<T>>>, MatrixTiming)
 where
     T: Send,
-    F: Fn(&WorkloadSpec, PolicyKind, usize) -> Result<T> + Sync,
+    F: Fn(&WorkloadSpec, PolicyKind, usize) -> std::result::Result<T, CellFailure> + Sync,
 {
     let started = Instant::now(); // xtask:allow(timing) — measures wall clock, never affects results
     let cells = specs.len() * kinds.len();
@@ -670,7 +671,7 @@ fn matrix_fingerprint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AuditOptions, LedgerOptions};
+    use crate::LedgerOptions;
     use hybridmem_trace::{parsec, LocalityParams};
 
     fn small_spec() -> WorkloadSpec {
@@ -976,7 +977,7 @@ mod tests {
         let kinds = PolicyKind::all();
         for threads in [1, 4] {
             let run = MatrixRun {
-                instrumentation: Instrumentation::default().with_audit(AuditOptions::default()),
+                instrumentation: Instrumentation::default().with_audit(),
                 ..threaded(threads)
             };
             let rows = run.run(&specs, &kinds).unwrap().runs().unwrap();
@@ -1006,8 +1007,7 @@ mod tests {
         let kinds = [PolicyKind::TwoLru, PolicyKind::DramOnly];
         let dump_of = |threads: usize| {
             let run = MatrixRun {
-                instrumentation: Instrumentation::default()
-                    .with_flight(FlightOptions::with_events(32)),
+                instrumentation: Instrumentation::default().with_flight(32),
                 ..faulted(threads, "cell-panic-at@test/two-lru:500")
             };
             let outcome = run.run(&specs, &kinds).unwrap();
@@ -1063,11 +1063,8 @@ mod tests {
         assert_eq!(run.threads, 3);
         assert_eq!(run.instrumentation.window, Some(500));
         assert_eq!(run.instrumentation.ledger.map(|l| l.top_k), Some(8));
-        assert_eq!(run.instrumentation.audit, Some(AuditOptions::default()));
-        assert_eq!(
-            run.instrumentation.flight,
-            Some(FlightOptions::with_events(32))
-        );
+        assert!(run.instrumentation.audit);
+        assert_eq!(run.instrumentation.flight, Some(32));
         assert_eq!(run.outputs.metrics, Some(PathBuf::from("m.jsonl")));
         assert!(
             parse(&[]).unwrap().instrumentation.is_empty(),

@@ -4,12 +4,13 @@
 //! The paper's claims are dynamic — hit ratio holds while migrations
 //! trade AMAT (Eq. 1) against APPR (Eq. 2) — but a
 //! [`SimulationReport`](crate::SimulationReport) only shows end-of-run aggregates. The
-//! [`WindowedCollector`] is an [`EventSink`] that slices the run into
-//! fixed windows of N demand accesses and emits one [`IntervalRecord`]
-//! per window: per-tier hit counts, faults, migrations in both
-//! directions, fills, evictions, DRAM/NVM occupancy, and the interval's
-//! AMAT/APPR computed by feeding the interval's measured probabilities
-//! through the analytical model ([`ModelParams`]).
+//! windowed collector is a fold of the [`CellSink`](crate::CellSink)
+//! that slices the run into fixed windows of N demand accesses and emits
+//! one [`IntervalRecord`] per window: per-tier hit counts, faults,
+//! migrations in both directions, fills, evictions, DRAM/NVM occupancy,
+//! and the interval's AMAT/APPR computed by feeding the interval's
+//! measured probabilities through the analytical model ([`ModelParams`]).
+//! Request it with [`Instrumentation::windowed`](crate::Instrumentation::windowed).
 //!
 //! All interval boundaries are **access-index-based** (never wall-clock),
 //! so the records — and their JSONL serialization via [`write_jsonl`] —
@@ -19,10 +20,11 @@ use std::io::Write;
 
 use hybridmem_json::impl_json;
 use hybridmem_metrics::{MetricsRegistry, MetricsSnapshot};
-use hybridmem_policy::PolicyAction;
+use hybridmem_policy::{AdaptiveTwoLruPolicy, HybridPolicy, PolicyAction, TwoLruPolicy};
 use hybridmem_types::{AccessKind, MemoryKind};
 
-use crate::{EventSink, ModelParams, Probabilities, SimEvent};
+use crate::cell::{CellContext, Cursor};
+use crate::{ModelParams, Probabilities, SimEvent};
 
 /// Telemetry for one window of demand accesses.
 ///
@@ -103,128 +105,36 @@ impl_json!(ToJson for IntervalRecord {
     appr_nj,
 });
 
-/// Running tallies for the window being filled.
+/// Demand-access and action tallies of one window: what Eq. 1 and Eq. 2
+/// are evaluated on. The interval metrics and the audit's `amat-window`
+/// law share it.
 #[derive(Debug, Clone, Copy, Default)]
-struct WindowCounters {
-    dram_read_hits: u64,
-    dram_write_hits: u64,
-    nvm_read_hits: u64,
-    nvm_write_hits: u64,
-    faults: u64,
-    migrations_to_dram: u64,
-    migrations_to_nvm: u64,
-    fills_to_dram: u64,
-    fills_to_nvm: u64,
-    evictions_to_disk: u64,
+pub(crate) struct WindowTally {
+    pub(crate) dram_read_hits: u64,
+    pub(crate) dram_write_hits: u64,
+    pub(crate) nvm_read_hits: u64,
+    pub(crate) nvm_write_hits: u64,
+    pub(crate) faults: u64,
+    /// Migrations into DRAM, counted by destination, same-tier included
+    /// (what the closed form prices).
+    pub(crate) migrations_to_dram: u64,
+    /// Migrations into NVM, counted like `migrations_to_dram`.
+    pub(crate) migrations_to_nvm: u64,
+    /// NVM→DRAM moves only (what the simulator charges).
+    pub(crate) crossings_to_dram: u64,
+    /// DRAM→NVM moves only.
+    pub(crate) crossings_to_nvm: u64,
+    pub(crate) fills_to_dram: u64,
+    pub(crate) fills_to_nvm: u64,
+    pub(crate) evictions_to_disk: u64,
 }
 
-impl WindowCounters {
-    fn hits(&self) -> u64 {
-        self.dram_read_hits + self.dram_write_hits + self.nvm_read_hits + self.nvm_write_hits
-    }
-}
-
-/// An [`EventSink`] that aggregates events into per-window
-/// [`IntervalRecord`]s plus a cumulative [`MetricsRegistry`].
-///
-/// Windows count **demand accesses** (`Served` + `Fault` events); the
-/// policy actions a fault triggers are attributed to the window of the
-/// faulting access even though they arrive as later events, so a
-/// window's `fills` always balance its `faults`. Accesses during the
-/// declared warmup prefix update occupancy but produce no records —
-/// interval 0 starts at the first steady-state access. A `window` of 0
-/// disables slicing: the whole steady state becomes one record at
-/// [`WindowedCollector::finish`].
-///
-/// # Examples
-///
-/// ```
-/// use hybridmem_core::{EventSink, HybridSimulator, WindowedCollector};
-/// use hybridmem_policy::{TwoLruConfig, TwoLruPolicy};
-/// use hybridmem_types::{PageAccess, PageCount, PageId};
-///
-/// let config = TwoLruConfig::new(PageCount::new(8), PageCount::new(32))?;
-/// let mut sim = HybridSimulator::with_date2016_devices(Box::new(TwoLruPolicy::new(config)));
-/// sim.set_event_sink(Box::new(WindowedCollector::new("demo", "two-lru", 16, 0)));
-/// for i in 0..64u64 {
-///     sim.step(PageAccess::read(PageId::new(i % 24)));
-/// }
-/// let mut sink = sim.take_event_sink().expect("sink was installed");
-/// let collector = sink
-///     .as_any_mut()
-///     .downcast_mut::<WindowedCollector>()
-///     .expect("the installed sink is a WindowedCollector");
-/// collector.finish();
-/// let records = collector.drain();
-/// assert_eq!(records.len(), 4);
-/// assert_eq!(records[0].accesses, 16);
-/// # Ok::<(), hybridmem_types::Error>(())
-/// ```
-#[derive(Debug)]
-pub struct WindowedCollector {
-    workload: String,
-    policy: String,
-    window: u64,
-    warmup: u64,
-    /// Demand accesses seen so far (warmup included).
-    access_index: u64,
-    /// Demand accesses in the window currently being filled.
-    in_window: u64,
-    /// Trace index of the current window's first access.
-    window_start: u64,
-    interval: u64,
-    dram_occupancy: u64,
-    nvm_occupancy: u64,
-    current: WindowCounters,
-    registry: MetricsRegistry,
-    completed: Vec<IntervalRecord>,
-}
-
-impl WindowedCollector {
-    /// Creates a collector slicing the run into `window`-access
-    /// intervals after skipping `warmup` accesses (0 = no warmup). A
-    /// `window` of 0 yields a single whole-run interval.
-    #[must_use]
-    pub fn new(
-        workload: impl Into<String>,
-        policy: impl Into<String>,
-        window: u64,
-        warmup: u64,
-    ) -> Self {
-        Self {
-            workload: workload.into(),
-            policy: policy.into(),
-            window,
-            warmup,
-            access_index: 0,
-            in_window: 0,
-            window_start: 0,
-            interval: 0,
-            dram_occupancy: 0,
-            nvm_occupancy: 0,
-            current: WindowCounters::default(),
-            registry: MetricsRegistry::new(),
-            completed: Vec::new(),
-        }
-    }
-
-    /// True once the warmup prefix has fully passed (actions trail
-    /// their demand access, so the comparison is strict).
-    fn in_steady_state(&self) -> bool {
-        self.access_index > self.warmup
-    }
-
-    /// Closes the current window and pushes its record.
-    fn flush(&mut self) {
-        debug_assert!(self.in_window > 0);
-        let c = self.current;
-        let accesses = self.in_window;
+impl WindowTally {
+    /// The measured probabilities of a window of `accesses` demand
+    /// accesses, as Eq. 1 and Eq. 2 take them.
+    pub(crate) fn probabilities(&self, accesses: u64) -> Probabilities {
         #[allow(clippy::cast_precision_loss)]
-        let n = accesses as f64;
-        #[allow(clippy::cast_precision_loss)]
-        let ratio = |count: u64| count as f64 / n;
-        let dram_hits = c.dram_read_hits + c.dram_write_hits;
-        let nvm_hits = c.nvm_read_hits + c.nvm_write_hits;
+        let ratio = |count: u64| count as f64 / accesses as f64;
         #[allow(clippy::cast_precision_loss)]
         let conditional = |part: u64, whole: u64| {
             if whole == 0 {
@@ -233,24 +143,195 @@ impl WindowedCollector {
                 part as f64 / whole as f64
             }
         };
-        let model = ModelParams::date2016(Probabilities {
+        let dram_hits = self.dram_read_hits + self.dram_write_hits;
+        let nvm_hits = self.nvm_read_hits + self.nvm_write_hits;
+        Probabilities {
             hit_dram: ratio(dram_hits),
             hit_nvm: ratio(nvm_hits),
-            miss: ratio(c.faults),
-            read_given_dram: conditional(c.dram_read_hits, dram_hits),
-            read_given_nvm: conditional(c.nvm_read_hits, nvm_hits),
-            migrate_to_dram: ratio(c.migrations_to_dram),
-            migrate_to_nvm: ratio(c.migrations_to_nvm),
-            disk_to_dram: conditional(c.fills_to_dram, c.faults),
-            disk_to_nvm: conditional(c.fills_to_nvm, c.faults),
-        });
+            miss: ratio(self.faults),
+            read_given_dram: conditional(self.dram_read_hits, dram_hits),
+            read_given_nvm: conditional(self.nvm_read_hits, nvm_hits),
+            migrate_to_dram: ratio(self.migrations_to_dram),
+            migrate_to_nvm: ratio(self.migrations_to_nvm),
+            disk_to_dram: conditional(self.fills_to_dram, self.faults),
+            disk_to_nvm: conditional(self.fills_to_nvm, self.faults),
+        }
+    }
+}
 
+/// The window being filled: `width` steady-state demand accesses (0 = the
+/// whole run), with the actions they trigger.
+///
+/// A window opens at the first steady-state demand access and closes only
+/// when the next demand access arrives ([`Window::take_full`] at each
+/// access boundary), so a window-closing fault's fill and eviction still
+/// land in *its* window.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Window {
+    width: u64,
+    /// Trace index of the window's first demand access.
+    pub(crate) start: u64,
+    /// Demand accesses in the window.
+    pub(crate) accesses: u64,
+    pub(crate) tally: WindowTally,
+}
+
+impl Window {
+    pub(crate) fn new(width: u64) -> Self {
+        Self {
+            width,
+            ..Self::default()
+        }
+    }
+
+    /// Counts `event`, which the cursor has already advanced over.
+    pub(crate) fn record(&mut self, event: SimEvent, cursor: &Cursor) {
+        if !cursor.steady() {
+            return;
+        }
+        let tally = &mut self.tally;
+        match event {
+            SimEvent::Served { access, from } => {
+                match (from, access.kind) {
+                    (MemoryKind::Dram, AccessKind::Read) => tally.dram_read_hits += 1,
+                    (MemoryKind::Dram, AccessKind::Write) => tally.dram_write_hits += 1,
+                    (MemoryKind::Nvm, AccessKind::Read) => tally.nvm_read_hits += 1,
+                    (MemoryKind::Nvm, AccessKind::Write) => tally.nvm_write_hits += 1,
+                }
+                self.open(cursor);
+            }
+            SimEvent::Fault { .. } => {
+                tally.faults += 1;
+                self.open(cursor);
+            }
+            SimEvent::Action { action } => match action {
+                PolicyAction::FillFromDisk { into, .. } => match into {
+                    MemoryKind::Dram => tally.fills_to_dram += 1,
+                    MemoryKind::Nvm => tally.fills_to_nvm += 1,
+                },
+                PolicyAction::Migrate { from, to, .. } => match (from, to) {
+                    (MemoryKind::Nvm, MemoryKind::Dram) => {
+                        tally.migrations_to_dram += 1;
+                        tally.crossings_to_dram += 1;
+                    }
+                    (MemoryKind::Dram, MemoryKind::Nvm) => {
+                        tally.migrations_to_nvm += 1;
+                        tally.crossings_to_nvm += 1;
+                    }
+                    (MemoryKind::Dram, MemoryKind::Dram) => tally.migrations_to_dram += 1,
+                    (MemoryKind::Nvm, MemoryKind::Nvm) => tally.migrations_to_nvm += 1,
+                },
+                PolicyAction::EvictToDisk { .. } => tally.evictions_to_disk += 1,
+            },
+            // Probes explain hits the Served event already counted.
+            SimEvent::CounterProbe { .. } => {}
+        }
+    }
+
+    fn open(&mut self, cursor: &Cursor) {
+        if self.accesses == 0 {
+            self.start = cursor.index();
+        }
+        self.accesses += 1;
+    }
+
+    /// The window, closed, when it holds `width` accesses; the next one
+    /// starts empty.
+    pub(crate) fn take_full(&mut self) -> Option<Self> {
+        if self.width > 0 && self.accesses == self.width {
+            self.take()
+        } else {
+            None
+        }
+    }
+
+    /// Whatever the window holds, closed (the end of the run), or `None`
+    /// when it holds no access.
+    pub(crate) fn take(&mut self) -> Option<Self> {
+        (self.accesses > 0).then(|| std::mem::replace(self, Self::new(self.width)))
+    }
+}
+
+/// The interval-metrics fold of a [`CellSink`](crate::CellSink): slices
+/// the steady state into [`Window`]s and turns each into an
+/// [`IntervalRecord`], plus a cumulative [`MetricsRegistry`].
+///
+/// Warmup accesses produce no records (interval 0 starts at the first
+/// steady-state access), but their fills still count toward occupancy. A
+/// width of 0 yields one whole-run record at the end.
+#[derive(Debug)]
+pub(crate) struct WindowedCollector {
+    window: Window,
+    interval: u64,
+    registry: MetricsRegistry,
+    completed: Vec<IntervalRecord>,
+}
+
+impl WindowedCollector {
+    /// A collector of `width`-access windows (0 = one whole-run window).
+    pub(crate) fn new(width: u64) -> Self {
+        Self {
+            window: Window::new(width),
+            interval: 0,
+            registry: MetricsRegistry::new(),
+            completed: Vec::new(),
+        }
+    }
+
+    pub(crate) fn record(&mut self, event: SimEvent, cursor: &Cursor) {
+        self.window.record(event, cursor);
+    }
+
+    /// The deferred flush: a full window closes when the next demand
+    /// access arrives.
+    pub(crate) fn close_access(&mut self, cursor: &Cursor, context: &CellContext) {
+        if let Some(window) = self.window.take_full() {
+            self.flush(window, cursor, context);
+        }
+    }
+
+    /// Takes the completed records, leaving the collector running.
+    pub(crate) fn drain(&mut self) -> Vec<IntervalRecord> {
+        std::mem::take(&mut self.completed)
+    }
+
+    /// Closes the partial final window and returns every record not yet
+    /// drained, with the metrics snapshot. A counter-window `policy` adds
+    /// its own window statistics to the metrics.
+    pub(crate) fn finish(
+        mut self,
+        cursor: &Cursor,
+        context: &CellContext,
+        policy: &dyn HybridPolicy,
+    ) -> (Vec<IntervalRecord>, MetricsSnapshot) {
+        if let Some(window) = self.window.take() {
+            self.flush(window, cursor, context);
+        }
+        if let Some(any) = policy.as_any() {
+            if let Some(two_lru) = any.downcast_ref::<TwoLruPolicy>() {
+                two_lru.export_metrics(&mut self.registry);
+            } else if let Some(adaptive) = any.downcast_ref::<AdaptiveTwoLruPolicy>() {
+                adaptive.two_lru().export_metrics(&mut self.registry);
+            }
+        }
+        (self.completed, self.registry.snapshot())
+    }
+
+    /// Turns a closed window into its record, with the tiers' occupancy as
+    /// of the window's end.
+    fn flush(&mut self, window: Window, cursor: &Cursor, context: &CellContext) {
+        let c = window.tally;
+        let accesses = window.accesses;
+        let model = ModelParams::date2016(c.probabilities(accesses));
+        let hits = c.dram_read_hits + c.dram_write_hits + c.nvm_read_hits + c.nvm_write_hits;
+        #[allow(clippy::cast_precision_loss)]
+        let hit_ratio = hits as f64 / accesses as f64;
         self.completed.push(IntervalRecord {
-            workload: self.workload.clone(),
-            policy: self.policy.clone(),
+            workload: context.workload.clone(),
+            policy: context.policy.clone(),
             interval: self.interval,
-            start_access: self.window_start,
-            end_access: self.window_start + accesses,
+            start_access: window.start,
+            end_access: window.start + accesses,
             accesses,
             dram_read_hits: c.dram_read_hits,
             dram_write_hits: c.dram_write_hits,
@@ -262,170 +343,37 @@ impl WindowedCollector {
             fills_to_dram: c.fills_to_dram,
             fills_to_nvm: c.fills_to_nvm,
             evictions_to_disk: c.evictions_to_disk,
-            dram_occupancy: self.dram_occupancy,
-            nvm_occupancy: self.nvm_occupancy,
-            hit_ratio: ratio(c.hits()),
+            dram_occupancy: cursor.dram_resident,
+            nvm_occupancy: cursor.nvm_resident,
+            hit_ratio,
             amat_ns: model.amat().value(),
             appr_nj: model.appr().value(),
         });
 
-        self.registry.inc("sim.intervals");
-        self.registry.add("sim.accesses", accesses);
-        self.registry.add("sim.dram_read_hits", c.dram_read_hits);
-        self.registry.add("sim.dram_write_hits", c.dram_write_hits);
-        self.registry.add("sim.nvm_read_hits", c.nvm_read_hits);
-        self.registry.add("sim.nvm_write_hits", c.nvm_write_hits);
-        self.registry.add("sim.faults", c.faults);
-        self.registry
-            .add("sim.migrations_to_dram", c.migrations_to_dram);
-        self.registry
-            .add("sim.migrations_to_nvm", c.migrations_to_nvm);
-        self.registry.add("sim.fills_to_dram", c.fills_to_dram);
-        self.registry.add("sim.fills_to_nvm", c.fills_to_nvm);
-        self.registry
-            .add("sim.evictions_to_disk", c.evictions_to_disk);
+        let registry = &mut self.registry;
+        registry.inc("sim.intervals");
+        registry.add("sim.accesses", accesses);
+        registry.add("sim.dram_read_hits", c.dram_read_hits);
+        registry.add("sim.dram_write_hits", c.dram_write_hits);
+        registry.add("sim.nvm_read_hits", c.nvm_read_hits);
+        registry.add("sim.nvm_write_hits", c.nvm_write_hits);
+        registry.add("sim.faults", c.faults);
+        registry.add("sim.migrations_to_dram", c.migrations_to_dram);
+        registry.add("sim.migrations_to_nvm", c.migrations_to_nvm);
+        registry.add("sim.fills_to_dram", c.fills_to_dram);
+        registry.add("sim.fills_to_nvm", c.fills_to_nvm);
+        registry.add("sim.evictions_to_disk", c.evictions_to_disk);
         #[allow(clippy::cast_precision_loss)]
         {
-            self.registry
-                .set_gauge("sim.dram_occupancy", self.dram_occupancy as f64);
-            self.registry
-                .set_gauge("sim.nvm_occupancy", self.nvm_occupancy as f64);
+            registry.set_gauge("sim.dram_occupancy", cursor.dram_resident as f64);
+            registry.set_gauge("sim.nvm_occupancy", cursor.nvm_resident as f64);
         }
-        self.registry.observe("sim.window.faults", c.faults);
-        self.registry.observe(
+        registry.observe("sim.window.faults", c.faults);
+        registry.observe(
             "sim.window.migrations",
             c.migrations_to_dram + c.migrations_to_nvm,
         );
-
         self.interval += 1;
-        self.in_window = 0;
-        self.current = WindowCounters::default();
-    }
-
-    /// Closes the partially filled final window, if any. Call exactly
-    /// once after the run (idempotent when nothing new arrived).
-    pub fn finish(&mut self) {
-        if self.in_window > 0 {
-            self.flush();
-        }
-    }
-
-    /// Completed interval records so far, oldest first.
-    #[must_use]
-    pub fn records(&self) -> &[IntervalRecord] {
-        &self.completed
-    }
-
-    /// Takes the completed records, leaving the collector running —
-    /// the streaming path (`hybridmem observe`) drains between steps.
-    pub fn drain(&mut self) -> Vec<IntervalRecord> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// The cumulative metrics registry (updated at each window close).
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Mutable registry access, so callers can fold in metrics from
-    /// adjacent subsystems (e.g. the policy's window statistics) before
-    /// taking the final snapshot.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
-    /// Snapshot of the cumulative metrics.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
-    }
-
-    fn on_action(&mut self, action: PolicyAction) {
-        // Occupancy moves during warmup too — the steady-state windows
-        // must start from the true resident-set level.
-        match action {
-            PolicyAction::FillFromDisk { into, .. } => match into {
-                MemoryKind::Dram => self.dram_occupancy += 1,
-                MemoryKind::Nvm => self.nvm_occupancy += 1,
-            },
-            PolicyAction::Migrate { from, to, .. } => {
-                match from {
-                    MemoryKind::Dram => self.dram_occupancy = self.dram_occupancy.saturating_sub(1),
-                    MemoryKind::Nvm => self.nvm_occupancy = self.nvm_occupancy.saturating_sub(1),
-                }
-                match to {
-                    MemoryKind::Dram => self.dram_occupancy += 1,
-                    MemoryKind::Nvm => self.nvm_occupancy += 1,
-                }
-            }
-            PolicyAction::EvictToDisk { from, .. } => match from {
-                MemoryKind::Dram => self.dram_occupancy = self.dram_occupancy.saturating_sub(1),
-                MemoryKind::Nvm => self.nvm_occupancy = self.nvm_occupancy.saturating_sub(1),
-            },
-        }
-        if !self.in_steady_state() {
-            return;
-        }
-        match action {
-            PolicyAction::FillFromDisk { into, .. } => match into {
-                MemoryKind::Dram => self.current.fills_to_dram += 1,
-                MemoryKind::Nvm => self.current.fills_to_nvm += 1,
-            },
-            PolicyAction::Migrate { to, .. } => match to {
-                MemoryKind::Dram => self.current.migrations_to_dram += 1,
-                MemoryKind::Nvm => self.current.migrations_to_nvm += 1,
-            },
-            PolicyAction::EvictToDisk { .. } => self.current.evictions_to_disk += 1,
-        }
-    }
-
-    /// Handles one demand access (`Served` or `Fault`).
-    fn on_demand(&mut self, count: impl FnOnce(&mut WindowCounters)) {
-        // Deferred flush: close the previous window only when the next
-        // demand access arrives, so a window-closing fault's fill and
-        // eviction actions still land in *its* window.
-        if self.window > 0 && self.in_window == self.window {
-            self.flush();
-        }
-        let index = self.access_index;
-        self.access_index += 1;
-        if index < self.warmup {
-            return;
-        }
-        if self.in_window == 0 {
-            self.window_start = index;
-        }
-        self.in_window += 1;
-        count(&mut self.current);
-    }
-}
-
-impl EventSink for WindowedCollector {
-    fn record(&mut self, event: SimEvent) {
-        match event {
-            SimEvent::Served { access, from } => {
-                self.on_demand(|c| match (from, access.kind) {
-                    (MemoryKind::Dram, AccessKind::Read) => c.dram_read_hits += 1,
-                    (MemoryKind::Dram, AccessKind::Write) => c.dram_write_hits += 1,
-                    (MemoryKind::Nvm, AccessKind::Read) => c.nvm_read_hits += 1,
-                    (MemoryKind::Nvm, AccessKind::Write) => c.nvm_write_hits += 1,
-                });
-            }
-            SimEvent::Fault { .. } => self.on_demand(|c| c.faults += 1),
-            SimEvent::Action { action } => self.on_action(action),
-            // Provenance probes are the page ledger's concern; interval
-            // aggregates already count the hit via its Served event.
-            SimEvent::CounterProbe { .. } => {}
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -446,6 +394,8 @@ pub fn write_jsonl<W: Write>(writer: &mut W, records: &[IntervalRecord]) -> std:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::fixture;
+    use crate::{EventSink, Instrumentation, InstrumentedRun};
     use hybridmem_types::{PageAccess, PageId};
 
     fn served(page: u64, kind: MemoryKind) -> SimEvent {
@@ -469,23 +419,29 @@ mod tests {
         ]
     }
 
+    /// A sink slicing `width`-access windows after `warmup` accesses.
+    fn collector(width: u64, warmup: u64, events: &[SimEvent]) -> crate::CellSink {
+        let context = CellContext {
+            warmup,
+            ..fixture::context("w", "p")
+        };
+        fixture::sink(Instrumentation::windowed(width), context, events)
+    }
+
+    fn collect(width: u64, warmup: u64, events: &[SimEvent]) -> InstrumentedRun {
+        fixture::finish(collector(width, warmup, events))
+    }
+
     #[test]
     fn windows_tile_the_run_and_attribute_fills_to_the_faulting_window() {
-        let mut collector = WindowedCollector::new("w", "p", 2, 0);
         // Access 0: fault (fills into DRAM), access 1: hit — window 0
-        // closes exactly at the boundary with the fill inside it.
-        for event in fault_with_fill(1, MemoryKind::Dram) {
-            collector.record(event);
-        }
-        collector.record(served(1, MemoryKind::Dram));
-        // Access 2: another fault. Its fill must land in window 1 even
-        // though window 0 was already full when the fault arrived.
-        for event in fault_with_fill(2, MemoryKind::Nvm) {
-            collector.record(event);
-        }
-        collector.finish();
-
-        let records = collector.records();
+        // closes exactly at the boundary with the fill inside it. Access
+        // 2: another fault. Its fill must land in window 1 even though
+        // window 0 was already full when the fault arrived.
+        let mut events = fault_with_fill(1, MemoryKind::Dram).to_vec();
+        events.push(served(1, MemoryKind::Dram));
+        events.extend(fault_with_fill(2, MemoryKind::Nvm));
+        let records = collect(2, 0, &events).records;
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].accesses, 2);
         assert_eq!(records[0].faults, 1);
@@ -498,17 +454,10 @@ mod tests {
 
     #[test]
     fn warmup_accesses_produce_no_records_but_move_occupancy() {
-        let mut collector = WindowedCollector::new("w", "p", 10, 2);
-        for event in fault_with_fill(1, MemoryKind::Dram) {
-            collector.record(event);
-        }
-        for event in fault_with_fill(2, MemoryKind::Nvm) {
-            collector.record(event);
-        }
-        collector.record(served(1, MemoryKind::Dram));
-        collector.finish();
-
-        let records = collector.records();
+        let mut events = fault_with_fill(1, MemoryKind::Dram).to_vec();
+        events.extend(fault_with_fill(2, MemoryKind::Nvm));
+        events.push(served(1, MemoryKind::Dram));
+        let records = collect(10, 2, &events).records;
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].start_access, 2, "interval 0 starts after warmup");
         assert_eq!(records[0].accesses, 1);
@@ -519,28 +468,19 @@ mod tests {
 
     #[test]
     fn window_zero_yields_one_whole_run_record() {
-        let mut collector = WindowedCollector::new("w", "p", 0, 0);
-        for page in 0..5 {
-            collector.record(served(page, MemoryKind::Dram));
-        }
-        collector.finish();
-        assert_eq!(collector.records().len(), 1);
-        assert_eq!(collector.records()[0].accesses, 5);
-        assert!((collector.records()[0].hit_ratio - 1.0).abs() < f64::EPSILON);
+        let events: Vec<SimEvent> = (0..5).map(|page| served(page, MemoryKind::Dram)).collect();
+        let records = collect(0, 0, &events).records;
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].accesses, 5);
+        assert!((records[0].hit_ratio - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
     fn interval_amat_matches_the_closed_form() {
-        let mut collector = WindowedCollector::new("w", "p", 4, 0);
-        collector.record(served(1, MemoryKind::Dram));
-        collector.record(served(2, MemoryKind::Nvm));
-        for event in fault_with_fill(3, MemoryKind::Dram) {
-            collector.record(event);
-        }
-        collector.record(served(1, MemoryKind::Dram));
-        collector.finish();
-
-        let record = &collector.records()[0];
+        let mut events = vec![served(1, MemoryKind::Dram), served(2, MemoryKind::Nvm)];
+        events.extend(fault_with_fill(3, MemoryKind::Dram));
+        events.push(served(1, MemoryKind::Dram));
+        let record = &collect(4, 0, &events).records[0];
         let model = ModelParams::date2016(Probabilities {
             hit_dram: 0.5,
             hit_nvm: 0.25,
@@ -559,77 +499,55 @@ mod tests {
 
     #[test]
     fn registry_accumulates_across_windows() {
-        let mut collector = WindowedCollector::new("w", "p", 2, 0);
-        for page in 0..6 {
-            collector.record(served(page, MemoryKind::Dram));
-        }
-        collector.finish();
-        let registry = collector.registry();
-        assert_eq!(registry.counter("sim.intervals"), 3);
-        assert_eq!(registry.counter("sim.accesses"), 6);
-        assert_eq!(registry.counter("sim.dram_read_hits"), 6);
-        let windows = registry.histogram("sim.window.faults").unwrap();
-        assert_eq!(windows.count(), 3);
+        let events: Vec<SimEvent> = (0..6).map(|page| served(page, MemoryKind::Dram)).collect();
+        let metrics = collect(2, 0, &events).metrics;
+        assert_eq!(metrics.counters["sim.intervals"], 3);
+        assert_eq!(metrics.counters["sim.accesses"], 6);
+        assert_eq!(metrics.counters["sim.dram_read_hits"], 6);
+        assert_eq!(metrics.histograms["sim.window.faults"].count, 3);
     }
 
     #[test]
     fn drain_takes_records_and_keeps_collecting() {
-        let mut collector = WindowedCollector::new("w", "p", 1, 0);
-        collector.record(served(1, MemoryKind::Dram));
-        collector.record(served(2, MemoryKind::Dram));
-        let first = collector.drain();
+        let mut sink = collector(
+            1,
+            0,
+            &[served(1, MemoryKind::Dram), served(2, MemoryKind::Dram)],
+        );
+        let first = sink.drain_records();
         assert_eq!(first.len(), 1, "only the closed window is drained");
-        collector.record(served(3, MemoryKind::Dram));
-        collector.finish();
-        let rest = collector.drain();
+        sink.record(served(3, MemoryKind::Dram));
+        let rest = fixture::finish(sink).records;
         assert_eq!(rest.len(), 2);
         assert_eq!(rest[0].interval, 1);
         assert_eq!(rest[1].interval, 2);
-        assert!(collector.records().is_empty());
     }
 
     #[test]
     fn jsonl_is_one_line_per_record_and_roundtrips() {
-        let mut collector = WindowedCollector::new("w", "p", 2, 0);
-        for page in 0..4 {
-            collector.record(served(page, MemoryKind::Dram));
-        }
-        collector.finish();
+        let events: Vec<SimEvent> = (0..4).map(|page| served(page, MemoryKind::Dram)).collect();
+        let records = collect(2, 0, &events).records;
         let mut bytes = Vec::new();
-        write_jsonl(&mut bytes, collector.records()).unwrap();
+        write_jsonl(&mut bytes, &records).unwrap();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], hybridmem_json::to_string(&collector.records()[0]));
+        assert_eq!(lines[0], hybridmem_json::to_string(&records[0]));
         let parsed = hybridmem_json::parse(lines[0]).unwrap();
-        assert_eq!(parsed["accesses"], collector.records()[0].accesses);
+        assert_eq!(parsed["accesses"], records[0].accesses);
         assert!(lines[0].starts_with("{\"workload\":\"w\""));
-    }
-
-    #[test]
-    fn finish_is_idempotent() {
-        let mut collector = WindowedCollector::new("w", "p", 4, 0);
-        collector.record(served(1, MemoryKind::Dram));
-        collector.finish();
-        collector.finish();
-        assert_eq!(collector.records().len(), 1);
     }
 
     #[test]
     fn final_partial_window_flushes_when_run_length_is_not_a_multiple() {
         // 10 accesses through a window of 4: two full windows plus a
-        // 2-access remainder that only `finish` can close.
-        let mut collector = WindowedCollector::new("w", "p", 4, 0);
-        for page in 0..10 {
-            collector.record(served(page, MemoryKind::Dram));
-        }
-        assert_eq!(
-            collector.records().len(),
-            2,
-            "the remainder stays open until finish"
-        );
-        collector.finish();
-        let records = collector.records();
+        // 2-access remainder that only the end of the run can close.
+        let events: Vec<SimEvent> = (0..10).map(|page| served(page, MemoryKind::Dram)).collect();
+        let mut sink = collector(4, 0, &events);
+        let mut records = sink.drain_records();
+        assert_eq!(records.len(), 2, "the remainder stays open until finish");
+        let run = fixture::finish(sink);
+        records.extend(run.records);
         assert_eq!(records.len(), 3);
         assert_eq!(records[2].accesses, 2);
         assert_eq!((records[2].start_access, records[2].end_access), (8, 10));
@@ -638,29 +556,30 @@ mod tests {
         for pair in records.windows(2) {
             assert_eq!(pair[0].end_access, pair[1].start_access);
         }
-        assert_eq!(collector.registry().counter("sim.accesses"), 10);
+        assert_eq!(run.metrics.counters["sim.accesses"], 10);
     }
 
     #[test]
     fn zero_demand_run_emits_no_empty_records() {
-        let mut collector = WindowedCollector::new("w", "p", 4, 0);
-        collector.finish();
-        assert!(collector.records().is_empty());
-        assert_eq!(collector.registry().counter("sim.intervals"), 0);
+        let empty = collect(4, 0, &[]);
+        assert!(empty.records.is_empty());
+        assert!(!empty.metrics.counters.contains_key("sim.intervals"));
 
         // Even action-only streams (no demand access ever served) must
         // not fabricate an interval.
-        let mut action_only = WindowedCollector::new("w", "p", 4, 0);
-        action_only.record(SimEvent::Action {
-            action: PolicyAction::FillFromDisk {
-                page: PageId::new(1),
-                into: MemoryKind::Dram,
-            },
-        });
-        action_only.finish();
-        assert!(action_only.records().is_empty());
+        let action_only = collect(
+            4,
+            0,
+            &[SimEvent::Action {
+                action: PolicyAction::FillFromDisk {
+                    page: PageId::new(1),
+                    into: MemoryKind::Dram,
+                },
+            }],
+        );
+        assert!(action_only.records.is_empty());
         let mut bytes = Vec::new();
-        write_jsonl(&mut bytes, action_only.records()).unwrap();
+        write_jsonl(&mut bytes, &action_only.records).unwrap();
         assert!(bytes.is_empty(), "no records means no JSONL lines");
     }
 }

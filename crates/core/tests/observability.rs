@@ -5,9 +5,9 @@
 //! Algorithm 1 provenance matching the policy's configured thresholds.
 
 use hybridmem_core::{
-    write_jsonl, write_ledger_jsonl, DemotionCause, ExperimentConfig, HybridSimulator,
-    Instrumentation, InstrumentedRun, IntervalRecord, LedgerOptions, MatrixRun, PageEvent,
-    PageLedger, PolicyKind,
+    write_jsonl, write_ledger_jsonl, CellContext, CellSink, DemotionCause, ExperimentConfig,
+    HybridSimulator, Instrumentation, InstrumentedRun, IntervalRecord, LedgerOptions, MatrixRun,
+    PageEvent, PolicyKind,
 };
 use hybridmem_policy::CounterKind;
 use hybridmem_trace::{parsec, LocalityParams, WorkloadSpec};
@@ -184,19 +184,16 @@ fn ledger_provenance_matches_algorithm_1_on_a_synthetic_hot_page() {
 
     let policy = config.build_policy(PolicyKind::TwoLru, &spec).unwrap();
     let mut simulator = HybridSimulator::with_date2016_devices(policy);
-    simulator.set_event_sink(Box::new(PageLedger::new(
-        "synthetic",
-        "two-lru",
-        LedgerOptions::default(),
-        0,
-    )));
+    let context = CellContext::new("synthetic", PolicyKind::TwoLru, &simulator, 0);
+    let ledger = Instrumentation::default().with_ledger(LedgerOptions::default());
+    simulator.set_event_sink(Box::new(CellSink::new(ledger, context)));
     simulator.run_slice(&accesses);
     let mut sink = simulator.take_event_sink().expect("sink installed");
-    let report = sink
-        .as_any_mut()
-        .downcast_mut::<PageLedger>()
-        .expect("page ledger")
-        .finish();
+    let report = CellSink::of(sink.as_mut())
+        .expect("cell sink")
+        .finish(simulator)
+        .ledger
+        .expect("a ledger was requested");
 
     let record = report
         .pages

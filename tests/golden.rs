@@ -68,6 +68,70 @@ fn generator_output_matches_golden_digest() {
     );
 }
 
+/// Runs bodytrack and canneal at a 20 000-access cap, seed 42, under five
+/// policies with the metrics, ledger, audit and flight outputs all on,
+/// writes them through `MatrixRun::write_artifacts`, and returns the
+/// FNV-1a 64 digest of each file in that order.
+fn artifact_digests(tag: &str, fault_plan: Option<&str>) -> [u64; 4] {
+    use hybridmem::sim::{FaultPlan, MatrixRun};
+
+    let dir = std::env::temp_dir().join(format!(
+        "hybridmem-golden-artifacts-{}-{tag}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let files = ["metrics.jsonl", "ledger.jsonl", "audit.json", "flight.json"].map(|f| dir.join(f));
+    let flags = ["metrics-out", "ledger-out", "audit-out", "flight-out"];
+    let flag = |name: &str| {
+        let index = flags.iter().position(|f| *f == name)?;
+        files[index].to_str()
+    };
+    let mut run = MatrixRun::from_flags(ExperimentConfig::date2016(), flag).unwrap();
+    run.threads = 2;
+    run.fault_plan = fault_plan.map(|plan| std::sync::Arc::new(FaultPlan::parse(plan).unwrap()));
+    let specs = ["bodytrack", "canneal"].map(|name| parsec::spec(name).unwrap().capped(20_000));
+    let kinds = [
+        PolicyKind::TwoLru,
+        PolicyKind::AdaptiveTwoLru,
+        PolicyKind::ClockDwf,
+        PolicyKind::DramCache,
+        PolicyKind::NvmOnly,
+    ];
+    let outcome = run.run(&specs, &kinds).unwrap();
+    run.write_artifacts(&outcome, &mut Vec::new()).unwrap();
+    let digests = files.map(|path| fnv1a64_update(FNV1A64_SEED, &std::fs::read(path).unwrap()));
+    let _ = std::fs::remove_dir_all(&dir);
+    digests
+}
+
+#[test]
+fn matrix_artifacts_match_golden_digests() {
+    // The four instrumentation artifacts `compare` and the regenerators
+    // write, pinned whole: a sink refactor must keep every byte.
+    let [metrics, ledger, audit, flight] = artifact_digests("clean", None);
+    let pinned = [
+        ("metrics JSONL", metrics, 0xbf70_7e68_0a2a_d627),
+        ("ledger JSONL", ledger, 0x87ed_c1c9_eba7_26f8),
+        ("audit JSON", audit, 0x4729_9e40_8c6b_03ec),
+        ("flight JSON", flight, 0x84ff_ea24_286c_e47d),
+    ];
+    for (what, digest, golden) in pinned {
+        assert_eq!(
+            digest, golden,
+            "{what} drifted (new digest {digest:#018x}); if the change is intentional, \
+             pin the new digest and document it in `CHANGELOG.md`"
+        );
+    }
+    // A mid-simulation tripwire quarantines bodytrack/two-lru; its black
+    // box lands in the flight dump next to the nine completed cells.
+    let [_, _, _, tripped] =
+        artifact_digests("tripped", Some("cell-panic-at@bodytrack/two-lru:2000"));
+    assert_eq!(
+        tripped, 0x7f81_9161_6542_64e9,
+        "tripwired flight JSON drifted (new digest {tripped:#018x})"
+    );
+}
+
 // Regeneration recipe (from the repository root):
 //
 // ```rust,ignore
