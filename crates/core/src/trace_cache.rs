@@ -53,7 +53,7 @@ use std::fs::File;
 use std::io::{BufReader, Cursor, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use hybridmem_json::impl_json;
 use hybridmem_metrics::MetricsRegistry;
@@ -66,6 +66,10 @@ use crate::faultinject::FaultPlan;
 /// Default byte budget of the global cache: enough for the full default
 /// 1M-access × 12-workload suite (~192 MB) with headroom for sweeps.
 pub const DEFAULT_BUDGET_BYTES: usize = 1 << 30;
+
+/// Spill writes started by this process; each numbers its temp file, so
+/// two writers of one trace never share one.
+static SPILL_WRITES: AtomicU64 = AtomicU64::new(0);
 
 /// Byte source behind a spill replay stream. Production replays stream
 /// from the file; with a [`FaultPlan`] installed the file is pre-read so
@@ -120,6 +124,10 @@ struct Inner {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// Per spill fingerprint, the lock [`TraceCache::open_stream`] holds
+    /// while it generates that trace to disk, around the number of its
+    /// writes that landed.
+    spill_writers: FxHashMap<u64, Arc<Mutex<u64>>>,
 }
 
 /// Point-in-time effectiveness counters of a [`TraceCache`], exposed by
@@ -216,6 +224,7 @@ impl TraceCache {
                 hits: 0,
                 misses: 0,
                 evictions: 0,
+                spill_writers: FxHashMap::default(),
             }),
             budget_bytes,
             oversize_rejections: AtomicU64::new(0),
@@ -280,6 +289,16 @@ impl TraceCache {
         })
     }
 
+    /// The cache state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache mutex was poisoned by a panicking generator.
+    fn state(&self) -> MutexGuard<'_, Inner> {
+        // xtask:allow(hot-path-lock, why=one acquisition per trace request or diagnostics call, never per simulated access)
+        self.inner.lock().expect("trace cache poisoned")
+    }
+
     /// Stable fingerprint of a `(spec, seed)` cell.
     fn fingerprint(spec: &WorkloadSpec, seed: u64) -> u64 {
         // JSON is the spec's canonical form (field order is declaration
@@ -313,8 +332,7 @@ impl TraceCache {
         }
         let key = Self::fingerprint(spec, seed);
         let slot = {
-            // xtask:allow(hot-path-lock, why=one acquisition per trace request, not per simulated access)
-            let mut guard = self.inner.lock().expect("trace cache poisoned");
+            let mut guard = self.state();
             let inner = &mut *guard;
             inner.tick += 1;
             let tick = inner.tick;
@@ -455,23 +473,27 @@ impl TraceCache {
 
     /// Best-effort spill write: the trace lands under a temporary name and
     /// is renamed into place so concurrent processes never observe a
-    /// half-written file. I/O failures never propagate — the spill is an
-    /// optimization, not a correctness dependency — but every failure is
-    /// counted in [`TraceCacheStats::spill_write_errors`] so a campaign
-    /// that quietly lost its spill acceleration is visible.
-    fn try_write_spill<I>(&self, key: u64, spec_json: &str, seed: u64, accesses: I)
+    /// half-written file. The temporary name is unique per writer (process
+    /// id plus a process-wide count), so concurrent writers of one trace,
+    /// in one process or several, never share a file. I/O failures never
+    /// propagate — the spill is an optimization, not a correctness
+    /// dependency — but every failure is counted in
+    /// [`TraceCacheStats::spill_write_errors`] so a campaign that quietly
+    /// lost its spill acceleration is visible. Returns whether the file
+    /// landed.
+    fn try_write_spill<I>(&self, key: u64, spec_json: &str, seed: u64, accesses: I) -> bool
     where
         I: IntoIterator<Item = PageAccess>,
     {
         let Some(path) = self.spill_path(key) else {
-            return;
+            return false;
         };
         let Some(dir) = path.parent() else {
-            return;
+            return false;
         };
         if std::fs::create_dir_all(dir).is_err() {
             self.count_spill_write_error();
-            return;
+            return false;
         }
         if self
             .fault_plan
@@ -479,9 +501,14 @@ impl TraceCache {
             .is_some_and(|plan| plan.fail_spill_write())
         {
             self.count_spill_write_error();
-            return;
+            return false;
         }
-        let tmp = dir.join(format!("{key:016x}.hmtrace.tmp.{}", std::process::id()));
+        // xtask:allow(atomic-ordering, why=the count only has to be unique, which fetch_add guarantees under any ordering)
+        let writer = SPILL_WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!(
+            "{key:016x}.hmtrace.tmp.{}.{writer}",
+            std::process::id()
+        ));
         match binfmt::write_trace_file(&tmp, spec_json, seed, key, accesses) {
             Ok(count) => {
                 if std::fs::rename(&tmp, &path).is_ok() {
@@ -490,16 +517,17 @@ impl TraceCache {
                         // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
                         Ordering::Relaxed,
                     );
-                } else {
-                    self.count_spill_write_error();
-                    let _ = std::fs::remove_file(&tmp);
+                    return true;
                 }
+                self.count_spill_write_error();
+                let _ = std::fs::remove_file(&tmp);
             }
             Err(_) => {
                 self.count_spill_write_error();
                 let _ = std::fs::remove_file(&tmp);
             }
         }
+        false
     }
 
     /// Opens a verified spill stream at `path`. Without a fault plan
@@ -527,8 +555,11 @@ impl TraceCache {
     /// materialize. An existing verified spill file is replayed directly;
     /// otherwise the trace is generated **once**, streamed to disk without
     /// ever being resident, and replayed from the file — this run and
-    /// every later one. Returns `None` when spilling is disabled or the
-    /// file cannot be written (callers stream the generator instead).
+    /// every later one. Concurrent callers that miss on one trace do not
+    /// all generate it: one writes while the others wait for its rename,
+    /// as [`try_get`](Self::try_get)'s callers wait on one materializer.
+    /// Returns `None` when spilling is disabled or the file cannot be
+    /// written (callers stream the generator instead).
     #[must_use]
     pub fn open_stream(
         &self,
@@ -538,27 +569,58 @@ impl TraceCache {
         let key = Self::fingerprint(spec, seed);
         let path = self.spill_path(key)?;
         let spec_json = Self::spec_json(spec);
+        let writer = self.spill_writer(key);
+        // Read before looking for the file: if the count has moved by the
+        // time this caller holds the lock, another caller spilled the trace
+        // after this one missed it. The count is valid at every step, so a
+        // lock poisoned by a panicking writer is taken over, not fatal.
+        // xtask:allow(hot-path-lock, why=one acquisition per stream open, not per simulated access)
+        let landed = *writer.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(stream) = self.open_spill_stream(&path, &spec_json, seed) {
             // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
             self.spill.hits.fetch_add(1, Ordering::Relaxed);
-            self.spill.bytes_read.fetch_add(
-                stream
-                    .remaining()
-                    .saturating_mul(binfmt::RECORD_BYTES as u64),
-                // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
-                Ordering::Relaxed,
-            );
-            return Some(stream);
+            return Some(self.count_stream_read(stream));
         }
         // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
         self.spill.misses.fetch_add(1, Ordering::Relaxed);
-        self.try_write_spill(
-            key,
-            &spec_json,
-            seed,
-            TraceGenerator::new(spec.clone(), seed).map(PageAccess::from),
-        );
+        {
+            // The first caller generates while the others block here. A
+            // waiter that finds the count moved replays the new file; if
+            // the write failed, the count has not moved and each waiter
+            // generates in turn, as every miss did before.
+            // xtask:allow(hot-path-lock, why=held while one trace is generated to disk, so its other openers wait instead of generating it again)
+            let mut writes = writer.lock().unwrap_or_else(PoisonError::into_inner);
+            if *writes == landed
+                && self.try_write_spill(
+                    key,
+                    &spec_json,
+                    seed,
+                    TraceGenerator::new(spec.clone(), seed).map(PageAccess::from),
+                )
+            {
+                *writes += 1;
+            }
+        }
         let stream = self.open_spill_stream(&path, &spec_json, seed)?;
+        Some(self.count_stream_read(stream))
+    }
+
+    /// The spill-write lock of fingerprint `key` (see `Inner::spill_writers`).
+    fn spill_writer(&self, key: u64) -> Arc<Mutex<u64>> {
+        let mut inner = self.state();
+        let writer = inner
+            .spill_writers
+            .entry(key)
+            // xtask:allow(hot-path-lock, why=one lock per spilled trace, created once per cache)
+            .or_insert_with(|| Arc::new(Mutex::new(0)));
+        Arc::clone(writer)
+    }
+
+    /// Books the records `stream` will replay as spill bytes read.
+    fn count_stream_read(
+        &self,
+        stream: BinTraceStream<SpillSource>,
+    ) -> BinTraceStream<SpillSource> {
         self.spill.bytes_read.fetch_add(
             stream
                 .remaining()
@@ -566,7 +628,7 @@ impl TraceCache {
             // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
             Ordering::Relaxed,
         );
-        Some(stream)
+        stream
     }
 
     /// Number of resident traces (diagnostics).
@@ -576,12 +638,7 @@ impl TraceCache {
     /// Panics if the cache mutex was poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            // xtask:allow(hot-path-lock, why=diagnostics accessor, called off the hot path)
-            .lock()
-            .expect("trace cache poisoned")
-            .entries
-            .len()
+        self.state().entries.len()
     }
 
     /// True when no traces are resident.
@@ -597,8 +654,7 @@ impl TraceCache {
     /// Panics if the cache mutex was poisoned.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        // xtask:allow(hot-path-lock, why=diagnostics accessor, called off the hot path)
-        self.inner.lock().expect("trace cache poisoned").bytes
+        self.state().bytes
     }
 
     /// Snapshot of the cache's effectiveness counters.
@@ -608,8 +664,7 @@ impl TraceCache {
     /// Panics if the cache mutex was poisoned.
     #[must_use]
     pub fn stats(&self) -> TraceCacheStats {
-        // xtask:allow(hot-path-lock, why=diagnostics accessor, called off the hot path)
-        let inner = self.inner.lock().expect("trace cache poisoned");
+        let inner = self.state();
         TraceCacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -1089,5 +1144,90 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         cache.export_into(&mut registry);
         assert_eq!(registry.counter("trace_cache.spill_write_errors"), 1);
+    }
+
+    #[test]
+    fn concurrent_spill_writers_of_one_trace_use_their_own_temp_files() {
+        // Both writers stop at a barrier halfway through the trace, so both
+        // temp files are open and half written at once. Writers that shared
+        // one temp name would both rename it, and the second rename fails.
+        let dir = SpillDir::new("two-writers");
+        let s = spec(4_000);
+        let key = TraceCache::fingerprint(&s, 42);
+        let spec_json = TraceCache::spec_json(&s);
+        let expected: Vec<PageAccess> = TraceGenerator::new(s.clone(), 42)
+            .map(PageAccess::from)
+            .collect();
+        let cache = TraceCache::with_spill_dir(64 << 20, &dir.0);
+        let halfway = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let accesses = expected.iter().enumerate().map(|(i, &access)| {
+                        if i == expected.len() / 2 {
+                            halfway.wait();
+                        }
+                        access
+                    });
+                    cache.try_write_spill(key, &spec_json, 42, accesses);
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.spill_write_errors, 0);
+        assert_eq!(stats.spill_bytes_written, 2 * 4_000 * 16);
+        let mut stream = cache.open_stream(&s, 42).expect("spill file landed");
+        let mut streamed = Vec::new();
+        while let Some(chunk) = stream.next_chunk().unwrap() {
+            streamed.extend(chunk.iter().map(|r| r.access()));
+        }
+        assert_eq!(streamed, expected);
+        let leftovers: Vec<_> = std::fs::read_dir(&dir.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+    }
+
+    #[test]
+    fn concurrent_stream_opens_generate_an_oversize_trace_once() {
+        let dir = SpillDir::new("eight-openers");
+        let s = spec(20_000);
+        let expected: Vec<PageAccess> = TraceGenerator::new(s.clone(), 42)
+            .map(PageAccess::from)
+            .collect();
+        // A budget below one trace: the trace is oversize, so it can only
+        // be streamed from its spill.
+        let cache = TraceCache::with_spill_dir(1024, &dir.0);
+        let start = std::sync::Barrier::new(8);
+        let streams: Vec<Vec<PageAccess>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut stream = cache.open_stream(&s, 42).expect("spill dir configured");
+                        let mut streamed = Vec::new();
+                        while let Some(chunk) = stream.next_chunk().unwrap() {
+                            streamed.extend(chunk.iter().map(|r| r.access()));
+                        }
+                        streamed
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for streamed in &streams {
+            assert_eq!(streamed, &expected);
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            stats.spill_bytes_written,
+            20_000 * 16,
+            "one writer generated"
+        );
+        assert_eq!(stats.spill_write_errors, 0);
+        assert_eq!(stats.spill_hits + stats.spill_misses, 8);
+        assert!(cache.is_empty(), "streaming never materializes");
     }
 }

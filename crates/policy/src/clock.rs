@@ -6,6 +6,15 @@
 //! metadata type `M` and takes the extra-chance predicate as a closure at
 //! eviction time.
 //!
+//! An insertion takes the lowest-index free frame. That rule fixes where a
+//! page sits relative to the hand, and so the scan order and every later
+//! victim. The ring keeps it without scanning: frames at or past a cursor
+//! have never held a page, and frames freed by
+//! [`remove`](ClockRing::remove) or [`evict_with`](ClockRing::evict_with)
+//! wait in a min-heap. Every freed frame lies below the cursor, so the
+//! lowest free frame is the heap's minimum when the heap is non-empty and
+//! the cursor otherwise.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,6 +32,9 @@
 //! assert_eq!(victim, PageId::new(1));
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use hybridmem_types::{FxBuildHasher, FxHashMap, PageId};
 
 #[derive(Debug, Clone)]
@@ -34,14 +46,18 @@ struct Frame<M> {
 
 /// A fixed-capacity CLOCK ring mapping pages to frames with metadata `M`.
 ///
-/// Frames freed by [`ClockRing::remove`] are reused by later insertions;
-/// the clock hand skips empty slots.
+/// Frames freed by [`ClockRing::remove`] are reused by later insertions,
+/// lowest index first; the clock hand skips empty slots.
 #[derive(Debug, Clone)]
 pub struct ClockRing<M> {
     frames: Vec<Option<Frame<M>>>,
     map: FxHashMap<PageId, usize>,
     hand: usize,
     capacity: usize,
+    /// Frames from here on have never held a page.
+    unused: usize,
+    /// Frames freed by `remove` and `evict_with`, all below `unused`.
+    freed: BinaryHeap<Reverse<usize>>,
 }
 
 impl<M> ClockRing<M> {
@@ -58,6 +74,8 @@ impl<M> ClockRing<M> {
             map: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
             hand: 0,
             capacity,
+            unused: 0,
+            freed: BinaryHeap::new(),
         }
     }
 
@@ -98,8 +116,9 @@ impl<M> ClockRing<M> {
         self.hand
     }
 
-    /// Inserts `page` with its metadata into a free frame, with the
-    /// reference bit set (a newly loaded page counts as referenced).
+    /// Inserts `page` with its metadata into the lowest-index free frame,
+    /// with the reference bit set (a newly loaded page counts as
+    /// referenced).
     ///
     /// # Panics
     ///
@@ -114,11 +133,15 @@ impl<M> ClockRing<M> {
             !self.map.contains_key(&page),
             "page {page} is already in the clock ring"
         );
-        let idx = self
-            .frames
-            .iter()
-            .position(Option::is_none)
-            .expect("a non-full ring has a free frame");
+        // The lowest free frame (module docs).
+        let idx = match self.freed.pop() {
+            Some(Reverse(idx)) => idx,
+            None => {
+                let idx = self.unused;
+                self.unused += 1;
+                idx
+            }
+        };
         self.frames[idx] = Some(Frame {
             page,
             referenced: true,
@@ -152,6 +175,7 @@ impl<M> ClockRing<M> {
     pub fn remove(&mut self, page: PageId) -> Option<M> {
         let idx = self.map.remove(&page)?;
         let frame = self.frames[idx].take().expect("mapped frame is occupied");
+        self.freed.push(Reverse(idx));
         Some(frame.meta)
     }
 
@@ -190,6 +214,7 @@ impl<M> ClockRing<M> {
             }
             let frame = self.frames[idx].take().expect("frame checked above");
             self.map.remove(&frame.page);
+            self.freed.push(Reverse(idx));
             return (frame.page, frame.meta);
         }
     }
@@ -335,5 +360,102 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_capacity_panics() {
         let _: ClockRing<()> = ClockRing::new(0);
+    }
+
+    /// A reference ring that finds the free frame by a linear scan from
+    /// frame 0 on every insert. The ring must match it step for step.
+    struct ScanRing {
+        frames: Vec<Option<(PageId, bool, u32)>>,
+        hand: usize,
+    }
+
+    impl ScanRing {
+        fn insert(&mut self, page: PageId, meta: u32) {
+            let idx = self.frames.iter().position(Option::is_none).unwrap();
+            self.frames[idx] = Some((page, true, meta));
+        }
+
+        fn slot(&mut self, page: PageId) -> Option<&mut (PageId, bool, u32)> {
+            self.frames.iter_mut().flatten().find(|f| f.0 == page)
+        }
+
+        fn remove(&mut self, page: PageId) -> Option<u32> {
+            let idx = self
+                .frames
+                .iter()
+                .position(|f| f.is_some_and(|f| f.0 == page))?;
+            self.frames[idx].take().map(|f| f.2)
+        }
+
+        fn evict(&mut self) -> (PageId, u32) {
+            loop {
+                let idx = self.hand;
+                self.hand = (self.hand + 1) % self.frames.len();
+                let Some(frame) = self.frames[idx].as_mut() else {
+                    continue;
+                };
+                if frame.1 {
+                    frame.1 = false;
+                    continue;
+                }
+                if decay(&mut frame.2) {
+                    continue;
+                }
+                let (page, _, meta) = self.frames[idx].take().unwrap();
+                return (page, meta);
+            }
+        }
+
+        fn pages(&self) -> Vec<PageId> {
+            self.frames.iter().flatten().map(|f| f.0).collect()
+        }
+    }
+
+    /// CLOCK-DWF's extra chance: spare a frame with history, halving it.
+    fn decay(writes: &mut u32) -> bool {
+        if *writes > 0 {
+            *writes /= 2;
+            true
+        } else {
+            false
+        }
+    }
+
+    #[test]
+    fn free_frame_tracking_matches_linear_scan() {
+        hybridmem_types::for_each_case(256, |rng| {
+            let capacity = rng.gen_range(1..24) as usize;
+            let universe = 2 * capacity as u64 + 2;
+            let mut ring: ClockRing<u32> = ClockRing::new(capacity);
+            let mut model = ScanRing {
+                frames: vec![None; capacity],
+                hand: 0,
+            };
+            for step in 0..400 {
+                let p = page(rng.gen_range(0..universe));
+                match rng.gen_range(0..4) {
+                    0 if !ring.is_full() && !ring.contains(p) => {
+                        let meta = rng.gen_range(0..4) as u32;
+                        ring.insert(p, meta);
+                        model.insert(p, meta);
+                    }
+                    1 => {
+                        let got = ring.touch(p).map(|m| *m);
+                        let want = model.slot(p).map(|f| {
+                            f.1 = true;
+                            f.2
+                        });
+                        assert_eq!(got, want, "step {step}: touch {p}");
+                    }
+                    2 => assert_eq!(ring.remove(p), model.remove(p), "step {step}: remove {p}"),
+                    _ if !ring.is_empty() => {
+                        assert_eq!(ring.evict_with(decay), model.evict(), "step {step}: victim");
+                    }
+                    _ => {}
+                }
+                assert_eq!(ring.pages(), model.pages(), "step {step}: frame order");
+                assert_eq!(ring.hand(), model.hand, "step {step}: hand");
+            }
+        });
     }
 }

@@ -177,25 +177,21 @@ impl ClockDwfPolicy {
 
 impl HybridPolicy for ClockDwfPolicy {
     fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
-        if self.dram.contains(access.page) {
-            let history = self
-                .dram
-                .touch(access.page)
-                .expect("page is in the DRAM ring by precondition");
+        // One ring lookup per hit: `touch` both finds and references.
+        if let Some(history) = self.dram.touch(access.page) {
             if access.kind.is_write() {
                 history.writes = history.writes.saturating_add(1);
             }
-            AccessOutcome::hit(MemoryKind::Dram)
-        } else if self.nvm.contains(access.page) {
-            match access.kind {
-                AccessKind::Read => {
-                    self.nvm.touch(access.page);
-                    AccessOutcome::hit(MemoryKind::Nvm)
-                }
-                AccessKind::Write => self.on_nvm_write_hit(access.page),
+            return AccessOutcome::hit(MemoryKind::Dram);
+        }
+        match access.kind {
+            AccessKind::Read if self.nvm.touch(access.page).is_some() => {
+                AccessOutcome::hit(MemoryKind::Nvm)
             }
-        } else {
-            self.on_fault(access.page, access.kind)
+            AccessKind::Write if self.nvm.contains(access.page) => {
+                self.on_nvm_write_hit(access.page)
+            }
+            AccessKind::Read | AccessKind::Write => self.on_fault(access.page, access.kind),
         }
     }
 

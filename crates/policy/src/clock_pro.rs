@@ -167,23 +167,18 @@ impl ClockProPolicy {
 impl HybridPolicy for ClockProPolicy {
     fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
         let page = access.page;
-        if self.hot.contains(page) {
-            self.hot.touch(page);
+        if self.hot.touch(page).is_some() {
             return AccessOutcome::hit(MemoryKind::Dram);
         }
-        if self.cold.contains(page) {
-            let meta = self
-                .cold
-                .touch(page)
-                .expect("page is in the cold ring by precondition");
-            if meta.in_test {
-                // Re-reference within the test period: the page is hot.
-                let mut actions = ActionList::new();
-                self.promote(page, &mut actions);
-                return AccessOutcome::hit_with(MemoryKind::Nvm, actions);
+        if let Some(meta) = self.cold.touch(page) {
+            if !meta.in_test {
+                meta.in_test = true;
+                return AccessOutcome::hit(MemoryKind::Nvm);
             }
-            meta.in_test = true;
-            return AccessOutcome::hit(MemoryKind::Nvm);
+            // Re-reference within the test period: the page is hot.
+            let mut actions = ActionList::new();
+            self.promote(page, &mut actions);
+            return AccessOutcome::hit_with(MemoryKind::Nvm, actions);
         }
 
         // Page fault. A ghost hit proves reuse across eviction: admit hot.

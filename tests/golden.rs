@@ -45,14 +45,12 @@ fn clock_dwf_matches_golden_baseline() {
     check_against_golden(PolicyKind::ClockDwf, "golden_bodytrack_clock_dwf.json");
 }
 
-#[test]
-fn generator_output_matches_golden_digest() {
-    // FNV-1a 64 over every access's address, kind and core, profile by
-    // profile in `parsec::NAMES` order, at a 20 000-access cap, seed 42.
+/// Folds every access's address, kind and core into an FNV-1a 64 digest,
+/// spec by spec, at seed 42; returns the digest and the access count.
+fn generator_digest(specs: impl IntoIterator<Item = hybridmem::trace::WorkloadSpec>) -> (u64, u64) {
     let mut digest = FNV1A64_SEED;
     let mut accesses = 0u64;
-    for name in parsec::NAMES {
-        let spec = parsec::spec(name).unwrap().capped(20_000);
+    for spec in specs {
         for access in TraceGenerator::new(spec, 42) {
             digest = fnv1a64_update(digest, &access.address.value().to_le_bytes());
             digest = fnv1a64_update(digest, &[u8::from(access.kind.is_write())]);
@@ -60,11 +58,40 @@ fn generator_output_matches_golden_digest() {
             accesses += 1;
         }
     }
+    (digest, accesses)
+}
+
+#[test]
+fn generator_output_matches_golden_digest() {
+    // Profile by profile in `parsec::NAMES` order, at a 20 000-access cap.
+    let specs = parsec::NAMES.map(|name| parsec::spec(name).unwrap().capped(20_000));
+    let (digest, accesses) = generator_digest(specs);
     assert_eq!(accesses, 12 * 20_000);
     assert_eq!(
         digest, 0x4af9_1298_0111_d8bb,
         "generator output drifted (new digest {digest:#018x}); if the change is \
          intentional, pin the new digest and document it in `CHANGELOG.md`"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "~50M accesses: a determinism pin for release builds (`cargo test --release --test golden`)"
+)]
+fn generator_output_matches_golden_digest_at_suite_volume() {
+    // The volumes the suite runs: every profile at the default 1M cap,
+    // then the two profiles whose full-scale recency depth reaches the
+    // 8192 cap, uncapped. At the 20 000 cap above, 11 of 12 profiles sit
+    // on the 1500-page floor and the depth stays at or below 225.
+    let capped = parsec::NAMES.map(|name| parsec::spec(name).unwrap().capped(1_000_000));
+    let full = ["dedup", "fluidanimate"].map(|name| parsec::spec(name).unwrap());
+    let (digest, accesses) = generator_digest(capped.into_iter().chain(full));
+    assert_eq!(accesses, 49_655_663);
+    assert_eq!(
+        digest, 0x9b74_3c47_cab7_7a20,
+        "generator output drifted at suite volume (new digest {digest:#018x}); if the \
+         change is intentional, pin the new digest and document it in `CHANGELOG.md`"
     );
 }
 
