@@ -40,8 +40,8 @@ struct PageCounters {
 #[derive(Debug, Clone)]
 pub struct ReferenceTwoLru {
     config: TwoLruConfig,
-    dram: RankedLru,
-    nvm: RankedLru,
+    dram: RankedLru<()>,
+    nvm: RankedLru<()>,
     counters: FxHashMap<PageId, PageCounters>,
 }
 
@@ -91,18 +91,18 @@ impl ReferenceTwoLru {
         self.nvm.remove(page);
         self.counters.remove(&page);
         if self.dram.len() as u64 >= self.config.dram_capacity.value() {
-            let victim = self
+            let (victim, ()) = self
                 .dram
                 .evict_lru()
                 .expect("a full DRAM queue has a victim");
-            self.nvm.insert(victim);
+            self.nvm.insert(victim, ());
             actions.push(PolicyAction::Migrate {
                 page: victim,
                 from: MemoryKind::Dram,
                 to: MemoryKind::Nvm,
             });
         }
-        self.dram.insert(page);
+        self.dram.insert(page, ());
         actions.push(PolicyAction::Migrate {
             page,
             from: MemoryKind::Nvm,
@@ -116,25 +116,25 @@ impl ReferenceTwoLru {
         let mut actions = ActionList::new();
         if self.dram.len() as u64 >= self.config.dram_capacity.value() {
             if self.nvm.len() as u64 >= self.config.nvm_capacity.value() {
-                let out = self.nvm.evict_lru().expect("a full NVM queue has a victim");
+                let (out, ()) = self.nvm.evict_lru().expect("a full NVM queue has a victim");
                 self.counters.remove(&out);
                 actions.push(PolicyAction::EvictToDisk {
                     page: out,
                     from: MemoryKind::Nvm,
                 });
             }
-            let victim = self
+            let (victim, ()) = self
                 .dram
                 .evict_lru()
                 .expect("a full DRAM queue has a victim");
-            self.nvm.insert(victim);
+            self.nvm.insert(victim, ());
             actions.push(PolicyAction::Migrate {
                 page: victim,
                 from: MemoryKind::Dram,
                 to: MemoryKind::Nvm,
             });
         }
-        self.dram.insert(page);
+        self.dram.insert(page, ());
         actions.push(PolicyAction::FillFromDisk {
             page,
             into: MemoryKind::Dram,

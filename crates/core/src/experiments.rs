@@ -729,6 +729,41 @@ mod tests {
     }
 
     #[test]
+    fn sparse_page_ids_give_the_same_report_for_every_policy() {
+        // Imported traces number pages by `address / 4096`, far past the
+        // policy tables' and the footprint set's dense bound. Shifted
+        // there, a trace must report exactly what the dense original does.
+        let config = ExperimentConfig::date2016();
+        let spec = hybridmem_trace::parsec::spec("canneal")
+            .unwrap()
+            .capped(12_000);
+        let dense: Vec<PageAccess> = TraceGenerator::new(spec.clone(), config.seed)
+            .map(PageAccess::from)
+            .collect();
+        let sparse: Vec<PageAccess> = dense
+            .iter()
+            .map(|a| {
+                PageAccess::new(
+                    hybridmem_types::PageId::new(a.page.value() + (1 << 40)),
+                    a.kind,
+                )
+            })
+            .collect();
+        let warmup = config.warmup_len(&spec);
+        for kind in PolicyKind::all() {
+            let [want, got] = [&dense, &sparse].map(|trace| {
+                let policy = config.build_policy(kind, &spec).unwrap();
+                let mut sim = HybridSimulator::with_date2016_devices(policy);
+                sim.run_slice_batched(&trace[..warmup]);
+                sim.reset_accounting();
+                sim.run_slice_batched(&trace[warmup..]);
+                hybridmem_json::to_string(&sim.into_report(spec.name.clone()))
+            });
+            assert_eq!(got, want, "{kind}");
+        }
+    }
+
+    #[test]
     fn batched_cells_equal_a_serial_replay_for_every_policy() {
         // The cell driver replays through `run_slice_batched`; each
         // policy's report must match a per-access `run_slice` replay of the

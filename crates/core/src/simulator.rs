@@ -6,7 +6,7 @@ use hybridmem_device::{
     WearTracker,
 };
 use hybridmem_policy::{AccessOutcome, BatchOutcomes, BatchStep, HybridPolicy, PolicyAction};
-use hybridmem_types::{AccessKind, MemoryKind, Nanoseconds, PageAccess, PageCount};
+use hybridmem_types::{AccessKind, MemoryKind, Nanoseconds, PageAccess, PageCount, PageTable};
 
 use crate::{
     Counts, EnergyBreakdown, EventSink, LatencyBreakdown, NvmWriteBreakdown, SimEvent,
@@ -51,7 +51,8 @@ pub struct HybridSimulator {
     energy_page_faults_nj: f64,
     energy_migrations_nj: f64,
     nvm_writes: NvmWriteBreakdown,
-    footprint: hybridmem_types::FxHashSet<hybridmem_types::PageId>,
+    /// Distinct pages accessed since the last reset: a set, every value 0.
+    footprint: PageTable,
     static_scale: f64,
     density_hint: Option<f64>,
     event_sink: Option<Box<dyn EventSink>>,
@@ -79,6 +80,7 @@ impl HybridSimulator {
             policy.capacity(MemoryKind::Nvm),
             nvm_characteristics,
         );
+        let frames = dram.capacity().value() + nvm.capacity().value();
         Self {
             policy,
             dram,
@@ -92,7 +94,7 @@ impl HybridSimulator {
             energy_page_faults_nj: 0.0,
             energy_migrations_nj: 0.0,
             nvm_writes: NvmWriteBreakdown::default(),
-            footprint: hybridmem_types::FxHashSet::default(),
+            footprint: PageTable::with_capacity(usize::try_from(frames).unwrap_or(usize::MAX)),
             static_scale: 1.0,
             density_hint: None,
             event_sink: None,
@@ -220,7 +222,7 @@ impl HybridSimulator {
             AccessKind::Read => self.counts.reads += 1,
             AccessKind::Write => self.counts.writes += 1,
         }
-        self.footprint.insert(access.page);
+        self.footprint.insert(access.page, 0);
 
         // Demand service (Eq. 1/2, hit terms).
         match outcome.served_from {

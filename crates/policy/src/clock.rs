@@ -15,6 +15,9 @@
 //! lowest free frame is the heap's minimum when the heap is non-empty and
 //! the cursor otherwise.
 //!
+//! A [`PageTable`] maps each page to its frame, so finding a page with a
+//! dense id is an array index.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,7 +38,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use hybridmem_types::{FxBuildHasher, FxHashMap, PageId};
+use hybridmem_types::{PageId, PageTable};
 
 #[derive(Debug, Clone)]
 struct Frame<M> {
@@ -51,7 +54,8 @@ struct Frame<M> {
 #[derive(Debug, Clone)]
 pub struct ClockRing<M> {
     frames: Vec<Option<Frame<M>>>,
-    map: FxHashMap<PageId, usize>,
+    /// Page → frame.
+    map: PageTable,
     hand: usize,
     capacity: usize,
     /// Frames from here on have never held a page.
@@ -65,13 +69,17 @@ impl<M> ClockRing<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit a `u32` frame index.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "clock ring capacity must be at least 1");
+        assert!(
+            capacity < u32::MAX as usize,
+            "clock ring capacity exceeds u32 indexing"
+        );
         Self {
             frames: (0..capacity).map(|_| None).collect(),
-            map: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            map: PageTable::with_capacity(capacity),
             hand: 0,
             capacity,
             unused: 0,
@@ -106,7 +114,7 @@ impl<M> ClockRing<M> {
     /// True when `page` is resident.
     #[must_use]
     pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+        self.map.contains(page)
     }
 
     /// Current position of the clock hand (a frame index in
@@ -130,7 +138,7 @@ impl<M> ClockRing<M> {
             "clock ring is full; evict before inserting"
         );
         assert!(
-            !self.map.contains_key(&page),
+            !self.map.contains(page),
             "page {page} is already in the clock ring"
         );
         // The lowest free frame (module docs).
@@ -147,13 +155,13 @@ impl<M> ClockRing<M> {
             referenced: true,
             meta,
         });
-        self.map.insert(page, idx);
+        self.map.insert(page, idx as u32);
     }
 
     /// Sets the reference bit of `page` and returns its metadata for
     /// updating. Returns `None` when the page is not resident.
     pub fn touch(&mut self, page: PageId) -> Option<&mut M> {
-        let &idx = self.map.get(&page)?;
+        let idx = self.map.get(page)? as usize;
         let frame = self.frames[idx].as_mut().expect("mapped frame is occupied");
         frame.referenced = true;
         Some(&mut frame.meta)
@@ -162,7 +170,7 @@ impl<M> ClockRing<M> {
     /// Reads the metadata of `page` without touching the reference bit.
     #[must_use]
     pub fn meta(&self, page: PageId) -> Option<&M> {
-        let &idx = self.map.get(&page)?;
+        let idx = self.map.get(page)? as usize;
         Some(
             &self.frames[idx]
                 .as_ref()
@@ -173,7 +181,7 @@ impl<M> ClockRing<M> {
 
     /// Removes `page` from the ring, returning its metadata.
     pub fn remove(&mut self, page: PageId) -> Option<M> {
-        let idx = self.map.remove(&page)?;
+        let idx = self.map.remove(page)? as usize;
         let frame = self.frames[idx].take().expect("mapped frame is occupied");
         self.freed.push(Reverse(idx));
         Some(frame.meta)
@@ -213,7 +221,7 @@ impl<M> ClockRing<M> {
                 continue;
             }
             let frame = self.frames[idx].take().expect("frame checked above");
-            self.map.remove(&frame.page);
+            self.map.remove(frame.page);
             self.freed.push(Reverse(idx));
             return (frame.page, frame.meta);
         }

@@ -29,9 +29,7 @@
 //! # Ok::<(), hybridmem_types::Error>(())
 //! ```
 
-use hybridmem_types::{
-    Error, FxHashMap, MemoryKind, PageAccess, PageCount, PageId, Residency, Result,
-};
+use hybridmem_types::{Error, MemoryKind, PageAccess, PageCount, PageId, Residency, Result};
 
 use crate::{AccessOutcome, ActionList, HybridPolicy, PolicyAction, RankedLru};
 
@@ -40,11 +38,9 @@ use crate::{AccessOutcome, ActionList, HybridPolicy, PolicyAction, RankedLru};
 #[derive(Debug, Clone)]
 pub struct DramCachePolicy {
     /// All resident pages (backing store), LRU-managed.
-    nvm: RankedLru,
-    /// Cached subset; invariant: `cache ⊆ nvm`.
-    cache: RankedLru,
-    /// Dirty bits of cached copies.
-    dirty: FxHashMap<PageId, bool>,
+    nvm: RankedLru<()>,
+    /// Cached subset, each copy with its dirty bit; invariant: `cache ⊆ nvm`.
+    cache: RankedLru<bool>,
     dram_capacity: PageCount,
     nvm_capacity: PageCount,
 }
@@ -66,7 +62,6 @@ impl DramCachePolicy {
         Ok(Self {
             nvm: RankedLru::with_capacity(nvm_capacity.value() as usize),
             cache: RankedLru::with_capacity(dram_capacity.value() as usize),
-            dirty: FxHashMap::default(),
             dram_capacity,
             nvm_capacity,
         })
@@ -74,8 +69,8 @@ impl DramCachePolicy {
 
     /// Drops the cache's LRU copy, writing it back first when dirty.
     fn evict_cache_copy(&mut self, actions: &mut ActionList) {
-        let victim = self.cache.evict_lru().expect("a full cache has a victim");
-        if self.dirty.remove(&victim) == Some(true) {
+        let (victim, dirty) = self.cache.evict_lru().expect("a full cache has a victim");
+        if dirty {
             actions.push(PolicyAction::Migrate {
                 page: victim,
                 from: MemoryKind::Dram,
@@ -90,8 +85,7 @@ impl DramCachePolicy {
         if self.cache.len() as u64 >= self.dram_capacity.value() {
             self.evict_cache_copy(actions);
         }
-        self.cache.insert(page);
-        self.dirty.insert(page, dirty);
+        self.cache.insert(page, dirty);
         actions.push(PolicyAction::Migrate {
             page,
             from: MemoryKind::Nvm,
@@ -103,16 +97,12 @@ impl DramCachePolicy {
 impl HybridPolicy for DramCachePolicy {
     fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
         let page = access.page;
-        if self.cache.contains(page) {
-            self.cache.touch(page);
+        if let Some(dirty) = self.cache.touch(page) {
+            *dirty |= access.kind.is_write();
             self.nvm.touch(page);
-            if access.kind.is_write() {
-                self.dirty.insert(page, true);
-            }
             return AccessOutcome::hit(MemoryKind::Dram);
         }
-        if self.nvm.contains(page) {
-            self.nvm.touch(page);
+        if self.nvm.touch(page).is_some() {
             // Allocate-on-access: the miss in the cache costs a page copy.
             let mut actions = ActionList::new();
             self.admit(page, access.kind.is_write(), &mut actions);
@@ -122,18 +112,17 @@ impl HybridPolicy for DramCachePolicy {
         // Page fault: fill the NVM backing store, then cache the page.
         let mut actions = ActionList::new();
         if self.nvm.len() as u64 >= self.nvm_capacity.value() {
-            let out = self.nvm.evict_lru().expect("a full NVM has a victim");
+            let (out, ()) = self.nvm.evict_lru().expect("a full NVM has a victim");
             // The evicted page's cache copy (if any) dies with it; any
             // dirty data goes to disk with the page, which the model does
             // not charge (DMA overlapped, as for all disk evictions).
             self.cache.remove(out);
-            self.dirty.remove(&out);
             actions.push(PolicyAction::EvictToDisk {
                 page: out,
                 from: MemoryKind::Nvm,
             });
         }
-        self.nvm.insert(page);
+        self.nvm.insert(page, ());
         actions.push(PolicyAction::FillFromDisk {
             page,
             into: MemoryKind::Nvm,

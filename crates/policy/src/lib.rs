@@ -19,9 +19,14 @@
 //!
 //! plus the data structures they are built on:
 //!
-//! * [`RankedLru`] — an LRU queue with O(log n) recency-rank queries;
+//! * [`RankedLru`] — an LRU queue with O(log n) recency-rank queries and
+//!   per-entry metadata (two-LRU's counters, dram-cache's dirty bits);
 //! * [`LinkedLru`] — an O(1) intrusive-list LRU queue for rank-free tiers;
 //! * [`ClockRing`] — a CLOCK (second-chance) ring with per-frame metadata.
+//!
+//! Each of them finds a page through a [`PageTable`](hybridmem_types::PageTable):
+//! an array index for the dense page ids of synthetic traces, a hash
+//! lookup for the sparse ids of imported ones.
 //!
 //! Policies are pure bookkeeping: they decide *what happens* to pages and
 //! report it as [`PolicyAction`]s; charging latency, energy, and wear

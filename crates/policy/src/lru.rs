@@ -11,15 +11,21 @@
 //! over slot occupancy then yields both rank queries and the
 //! least-recently-used victim in logarithmic time, with periodic O(n log n)
 //! compaction when slot space runs out. Its storage is a structure-of-
-//! arrays slab (parallel `pages`/`slots` vectors), so the touch-heavy hot
-//! loop walks dense homogeneous arrays, and [`RankedLru::touch_ranked`]
-//! folds Algorithm 1's rank-query-then-touch pair into one map lookup.
+//! arrays slab (parallel `pages`/`slots`/`metas` vectors), so the
+//! touch-heavy hot loop walks dense homogeneous arrays, and
+//! [`RankedLru::touch_ranked`] folds Algorithm 1's rank-query-then-touch
+//! pair into one lookup. Each entry carries `Copy` metadata: two-LRU keeps
+//! its per-page counters there, and the DRAM cache its dirty bits.
 //!
 //! Queues that never ask for ranks — the DRAM recency queue and the
 //! single-tier baselines — don't need any of that machinery:
 //! [`LinkedLru`] is an index-linked doubly linked list over a slab, with
-//! O(1) touch/insert/evict and a single hash lookup per operation. The
+//! O(1) touch/insert/evict and a single table lookup per operation. The
 //! batched replay path leans on it for its plain-hit fast path.
+//!
+//! Both queues find a page's slab entry through a [`PageTable`]: an array
+//! index for the dense ids of synthetic traces, and a hash lookup only for
+//! ids at or above [`PageTable::DENSE_BOUND`].
 //!
 //! # Examples
 //!
@@ -28,21 +34,21 @@
 //! use hybridmem_types::PageId;
 //!
 //! let mut lru = RankedLru::new();
-//! lru.insert(PageId::new(1));
-//! lru.insert(PageId::new(2));
-//! lru.insert(PageId::new(3));
+//! lru.insert(PageId::new(1), 'a');
+//! lru.insert(PageId::new(2), 'b');
+//! lru.insert(PageId::new(3), 'c');
 //! assert_eq!(lru.rank(PageId::new(3)), Some(0)); // most recently used
 //! assert_eq!(lru.rank(PageId::new(1)), Some(2)); // least recently used
 //!
-//! lru.touch(PageId::new(1));
+//! assert_eq!(lru.touch(PageId::new(1)), Some(&mut 'a'));
 //! assert_eq!(lru.rank(PageId::new(1)), Some(0));
-//! assert_eq!(lru.evict_lru(), Some(PageId::new(2)));
+//! assert_eq!(lru.evict_lru(), Some((PageId::new(2), 'b')));
 //! ```
 
-use hybridmem_types::{FxBuildHasher, FxHashMap, PageId};
+use hybridmem_types::{PageId, PageTable};
 
 /// Sentinel for "slot unoccupied" in the slot → entry map.
-const EMPTY: usize = usize::MAX;
+const EMPTY: u32 = u32::MAX;
 
 /// Minimum slot capacity; also the floor after compaction.
 const MIN_SLOTS: usize = 16;
@@ -105,39 +111,37 @@ impl Fenwick {
     }
 }
 
-/// An LRU queue over [`PageId`]s with logarithmic recency-rank queries.
+/// An LRU queue over [`PageId`]s with logarithmic recency-rank queries
+/// and `Copy` metadata `M` on every entry.
 ///
 /// Rank 0 is the most recently used page; rank `len() - 1` is the LRU
-/// victim. See the module documentation (in the source) for the data-structure
-/// sketch and complexity analysis.
-#[derive(Debug, Clone, Default)]
-pub struct RankedLru {
-    map: FxHashMap<PageId, usize>,
-    /// Slab of pages, parallel to `slots` (structure-of-arrays: the hot
-    /// touch path only reads `slots`, so page ids stay out of its cache
-    /// lines).
+/// victim. The metadata travels with its page through touches and
+/// compactions and leaves with it: [`RankedLru::remove`] and
+/// [`RankedLru::evict_lru`] return it. See the module documentation (in
+/// the source) for the data-structure sketch and complexity analysis.
+#[derive(Debug, Clone)]
+pub struct RankedLru<M> {
+    /// Page → slab entry.
+    index: PageTable,
+    /// Slab of pages, parallel to `slots` and `metas` (structure-of-arrays:
+    /// the hot touch path reads only `slots` and `metas`, so page ids stay
+    /// out of its cache lines).
     pages: Vec<PageId>,
-    /// Current slot number of each slab index, parallel to `pages`.
+    /// Current slot number of each slab entry, parallel to `pages`.
     slots: Vec<usize>,
-    free: Vec<usize>,
-    slot_to_entry: Vec<usize>,
+    /// Metadata of each slab entry, parallel to `pages`.
+    metas: Vec<M>,
+    free: Vec<u32>,
+    slot_to_entry: Vec<u32>,
     fenwick: Fenwick,
     next_slot: usize,
 }
 
-impl RankedLru {
+impl<M: Copy> RankedLru<M> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            map: FxHashMap::default(),
-            pages: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            slot_to_entry: vec![EMPTY; MIN_SLOTS],
-            fenwick: Fenwick::with_len(MIN_SLOTS),
-            next_slot: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue pre-sized for about `capacity` pages.
@@ -145,9 +149,10 @@ impl RankedLru {
     pub fn with_capacity(capacity: usize) -> Self {
         let slots = (capacity * 4).max(MIN_SLOTS);
         Self {
-            map: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            index: PageTable::with_capacity(capacity),
             pages: Vec::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
+            metas: Vec::with_capacity(capacity),
             free: Vec::new(),
             slot_to_entry: vec![EMPTY; slots],
             fenwick: Fenwick::with_len(slots),
@@ -158,130 +163,147 @@ impl RankedLru {
     /// Number of pages in the queue.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// True when the queue holds no pages.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// True when `page` is in the queue.
     #[must_use]
     pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+        self.index.contains(page)
     }
 
-    /// Inserts `page` at the MRU position.
+    /// Inserts `page` with its metadata at the MRU position.
     ///
     /// # Panics
     ///
     /// Panics if `page` is already in the queue; use [`RankedLru::touch`]
     /// for pages that may be present.
-    pub fn insert(&mut self, page: PageId) {
+    pub fn insert(&mut self, page: PageId, meta: M) {
         assert!(
-            !self.map.contains_key(&page),
+            !self.index.contains(page),
             "page {page} is already in the LRU queue"
         );
         let slot = self.take_slot();
-        let idx = if let Some(idx) = self.free.pop() {
-            self.pages[idx] = page;
-            self.slots[idx] = slot;
-            idx
+        let entry = if let Some(entry) = self.free.pop() {
+            let i = entry as usize;
+            self.pages[i] = page;
+            self.slots[i] = slot;
+            self.metas[i] = meta;
+            entry
         } else {
+            assert!(
+                self.pages.len() < EMPTY as usize,
+                "RankedLru slab exceeds u32 indexing"
+            );
             self.pages.push(page);
             self.slots.push(slot);
-            self.pages.len() - 1
+            self.metas.push(meta);
+            self.pages.len() as u32 - 1
         };
-        self.slot_to_entry[slot] = idx;
+        self.slot_to_entry[slot] = entry;
         self.fenwick.add(slot, 1);
-        self.map.insert(page, idx);
+        self.index.insert(page, entry);
     }
 
-    /// Moves `page` to the MRU position. Returns true when the page was
-    /// present (and was therefore moved).
-    pub fn touch(&mut self, page: PageId) -> bool {
-        let Some(&idx) = self.map.get(&page) else {
-            return false;
-        };
-        self.reslot(idx);
-        true
+    /// Moves `page` to the MRU position and returns its metadata for
+    /// updating, or `None` when the page is absent.
+    pub fn touch(&mut self, page: PageId) -> Option<&mut M> {
+        let entry = self.index.get(page)? as usize;
+        self.reslot(entry);
+        self.metas.get_mut(entry)
     }
 
     /// Returns the recency rank `page` held *before* this touch (0 =
-    /// MRU) and moves it to the MRU position — Algorithm 1's
-    /// rank-query-then-touch pair in a single map lookup.
+    /// MRU) with its metadata, and moves it to the MRU position —
+    /// Algorithm 1's rank-query-then-touch pair in a single lookup.
     ///
-    /// Equivalent to `rank(page)` followed by `touch(page)`.
-    pub fn touch_ranked(&mut self, page: PageId) -> Option<usize> {
-        let &idx = self.map.get(&page)?;
-        let at_or_before = self.fenwick.prefix(self.slots[idx]);
-        let rank = self.map.len() - at_or_before as usize;
-        self.reslot(idx);
-        Some(rank)
+    /// The rank is the one `rank(page)` gives before `touch(page)`.
+    pub fn touch_ranked(&mut self, page: PageId) -> Option<(usize, &mut M)> {
+        let entry = self.index.get(page)? as usize;
+        let rank = self.rank_of(entry);
+        self.reslot(entry);
+        Some((rank, self.metas.get_mut(entry)?))
     }
 
-    /// Moves the slab entry `idx` to a fresh MRU slot in place (no map
+    /// The metadata of `page`, without touching it.
+    #[must_use]
+    pub fn meta(&self, page: PageId) -> Option<&M> {
+        self.metas.get(self.index.get(page)? as usize)
+    }
+
+    /// Recency rank of slab entry `entry`: pages with slots *greater* than
+    /// its slot are more recent.
+    fn rank_of(&self, entry: usize) -> usize {
+        let at_or_before = self.fenwick.prefix(self.slots[entry]);
+        self.len() - at_or_before as usize
+    }
+
+    /// Moves the slab entry `entry` to a fresh MRU slot in place (no table
     /// traffic). The rank ordering of all other pages is unchanged.
-    fn reslot(&mut self, idx: usize) {
-        // Allocate first: a compaction renumbers `slots[idx]` too, so the
+    fn reslot(&mut self, entry: usize) {
+        // Allocate first: a compaction renumbers `slots[entry]` too, so the
         // old slot must be read *after* `take_slot`.
         let new_slot = self.take_slot();
-        let old_slot = self.slots[idx];
+        let old_slot = self.slots[entry];
         self.fenwick.add(old_slot, -1);
         self.slot_to_entry[old_slot] = EMPTY;
-        self.slots[idx] = new_slot;
-        self.slot_to_entry[new_slot] = idx;
+        self.slots[entry] = new_slot;
+        self.slot_to_entry[new_slot] = entry as u32;
         self.fenwick.add(new_slot, 1);
     }
 
-    /// Removes and returns the least-recently-used page.
-    pub fn evict_lru(&mut self) -> Option<PageId> {
+    /// Removes and returns the least-recently-used page with its metadata.
+    pub fn evict_lru(&mut self) -> Option<(PageId, M)> {
         let victim = self.peek_lru()?;
-        self.remove(victim);
-        Some(victim)
+        let meta = self.remove(victim)?;
+        Some((victim, meta))
     }
 
     /// Returns the least-recently-used page without removing it.
     #[must_use]
     pub fn peek_lru(&self) -> Option<PageId> {
         let slot = self.fenwick.select(1)?;
-        let idx = self.slot_to_entry[slot];
-        debug_assert_ne!(idx, EMPTY);
-        Some(self.pages[idx])
+        let entry = *self.slot_to_entry.get(slot)?;
+        debug_assert_ne!(entry, EMPTY);
+        self.pages.get(entry as usize).copied()
     }
 
-    /// Removes `page` from the queue. Returns true when it was present.
-    pub fn remove(&mut self, page: PageId) -> bool {
-        let Some(idx) = self.map.remove(&page) else {
-            return false;
-        };
-        let slot = self.slots[idx];
+    /// Removes `page` from the queue, returning its metadata when it was
+    /// present.
+    pub fn remove(&mut self, page: PageId) -> Option<M> {
+        let entry = self.index.remove(page)?;
+        let slot = self.slots[entry as usize];
         self.fenwick.add(slot, -1);
         self.slot_to_entry[slot] = EMPTY;
-        self.free.push(idx);
-        true
+        self.free.push(entry);
+        self.metas.get(entry as usize).copied()
     }
 
     /// Recency rank of `page`: 0 for the MRU page, `len() - 1` for the LRU
     /// page, `None` when absent.
     #[must_use]
     pub fn rank(&self, page: PageId) -> Option<usize> {
-        let &idx = self.map.get(&page)?;
-        let slot = self.slots[idx];
-        // Pages with slots *greater* than ours are more recent.
-        let at_or_before = self.fenwick.prefix(slot);
-        Some(self.map.len() - at_or_before as usize)
+        let entry = self.index.get(page)?;
+        Some(self.rank_of(entry as usize))
     }
 
-    /// Pages ordered from MRU to LRU. O(n log n); intended for tests,
-    /// debugging, and snapshots rather than per-access use.
+    /// Pages ordered from MRU to LRU: the slot space walked downwards.
+    /// O(n); intended for tests, debugging, and snapshots rather than
+    /// per-access use.
     #[must_use]
     pub fn pages_by_recency(&self) -> Vec<PageId> {
-        let mut present: Vec<usize> = self.map.values().copied().collect();
-        present.sort_by_key(|&idx| std::cmp::Reverse(self.slots[idx]));
-        present.iter().map(|&idx| self.pages[idx]).collect()
+        self.slot_to_entry
+            .iter()
+            .rev()
+            .filter(|&&entry| entry != EMPTY)
+            .filter_map(|&entry| self.pages.get(entry as usize).copied())
+            .collect()
     }
 
     /// Allocates a fresh MRU slot, compacting the slot space when full.
@@ -297,17 +319,24 @@ impl RankedLru {
     /// Renumbers all present pages into slots `0..len` (preserving order)
     /// and resizes the slot space to 4× the live population.
     fn compact(&mut self) {
-        let mut live: Vec<usize> = self.map.values().copied().collect();
-        live.sort_by_key(|&idx| self.slots[idx]);
-        let new_len = (live.len() * 4).max(MIN_SLOTS);
-        self.slot_to_entry = vec![EMPTY; new_len];
+        self.slot_to_entry.retain(|&entry| entry != EMPTY);
+        let live = self.slot_to_entry.len();
+        for (slot, &entry) in self.slot_to_entry.iter().enumerate() {
+            self.slots[entry as usize] = slot;
+        }
+        let new_len = (live * 4).max(MIN_SLOTS);
+        self.slot_to_entry.resize(new_len, EMPTY);
         self.fenwick = Fenwick::with_len(new_len);
-        for (slot, idx) in live.into_iter().enumerate() {
-            self.slots[idx] = slot;
-            self.slot_to_entry[slot] = idx;
+        for slot in 0..live {
             self.fenwick.add(slot, 1);
         }
-        self.next_slot = self.map.len();
+        self.next_slot = live;
+    }
+}
+
+impl<M: Copy> Default for RankedLru<M> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -321,8 +350,8 @@ struct Node {
     next: u32,
 }
 
-/// A plain LRU queue with O(1) touch/insert/evict and exactly one hash
-/// lookup per operation.
+/// A plain LRU queue with O(1) touch/insert/evict and exactly one
+/// [`PageTable`] lookup per operation.
 ///
 /// The queue is an index-linked doubly linked list over a slab of
 /// `Node`s: `head` is the MRU end, `tail` the LRU victim. It answers
@@ -344,7 +373,8 @@ struct Node {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LinkedLru {
-    map: FxHashMap<PageId, u32>,
+    /// Page → slab node.
+    index: PageTable,
     nodes: Vec<Node>,
     free: Vec<u32>,
     head: Option<u32>,
@@ -362,7 +392,7 @@ impl LinkedLru {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            map: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            index: PageTable::with_capacity(capacity),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: None,
@@ -373,19 +403,19 @@ impl LinkedLru {
     /// Number of pages in the queue.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// True when the queue holds no pages.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// True when `page` is in the queue.
     #[must_use]
     pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+        self.index.contains(page)
     }
 
     /// Inserts `page` at the MRU position.
@@ -396,7 +426,7 @@ impl LinkedLru {
     /// for pages that may be present.
     pub fn insert(&mut self, page: PageId) {
         assert!(
-            !self.map.contains_key(&page),
+            !self.index.contains(page),
             "page {page} is already in the LRU queue"
         );
         let old_head = self.head;
@@ -423,14 +453,14 @@ impl LinkedLru {
         if self.tail.is_none() {
             self.tail = Some(idx);
         }
-        self.map.insert(page, idx);
+        self.index.insert(page, idx);
     }
 
     /// Moves `page` to the MRU position. Returns true when the page was
     /// present (and was therefore moved).
     #[inline]
     pub fn touch(&mut self, page: PageId) -> bool {
-        let Some(&idx) = self.map.get(&page) else {
+        let Some(idx) = self.index.get(page) else {
             return false;
         };
         self.move_to_front(idx);
@@ -443,7 +473,7 @@ impl LinkedLru {
         let page = self.nodes[victim as usize].page;
         self.unlink(victim);
         self.free.push(victim);
-        self.map.remove(&page);
+        self.index.remove(page);
         Some(page)
     }
 
@@ -455,7 +485,7 @@ impl LinkedLru {
 
     /// Removes `page` from the queue. Returns true when it was present.
     pub fn remove(&mut self, page: PageId) -> bool {
-        let Some(idx) = self.map.remove(&page) else {
+        let Some(idx) = self.index.remove(page) else {
             return false;
         };
         self.unlink(idx);
@@ -519,12 +549,19 @@ mod tests {
         PageId::new(n)
     }
 
+    /// A ranked queue over pages `0..n`, inserted in order, each carrying
+    /// its own id as metadata.
+    fn ranked(n: u64) -> RankedLru<u64> {
+        let mut lru = RankedLru::new();
+        for p in 0..n {
+            lru.insert(page(p), p);
+        }
+        lru
+    }
+
     #[test]
     fn insert_and_rank_order() {
-        let mut lru = RankedLru::new();
-        for n in 0..5 {
-            lru.insert(page(n));
-        }
+        let lru = ranked(5);
         assert_eq!(lru.len(), 5);
         for n in 0..5 {
             assert_eq!(lru.rank(page(n)), Some(4 - n as usize));
@@ -534,48 +571,51 @@ mod tests {
 
     #[test]
     fn touch_moves_to_front() {
-        let mut lru = RankedLru::new();
-        for n in 0..4 {
-            lru.insert(page(n));
-        }
-        assert!(lru.touch(page(0)));
+        let mut lru = ranked(4);
+        assert_eq!(lru.touch(page(0)), Some(&mut 0));
         assert_eq!(lru.rank(page(0)), Some(0));
         assert_eq!(lru.rank(page(1)), Some(3));
-        assert!(!lru.touch(page(42)));
+        assert_eq!(lru.touch(page(42)), None);
+    }
+
+    #[test]
+    fn metadata_is_updated_through_touch_and_returned_on_removal() {
+        let mut lru = ranked(3);
+        *lru.touch(page(1)).unwrap() += 10;
+        assert_eq!(lru.meta(page(1)), Some(&11));
+        let (rank, meta) = lru.touch_ranked(page(2)).unwrap();
+        assert_eq!(rank, 1);
+        *meta = 7;
+        assert_eq!(lru.remove(page(2)), Some(7));
+        assert_eq!(lru.meta(page(2)), None);
+        assert_eq!(lru.evict_lru(), Some((page(0), 0)));
+        assert_eq!(lru.evict_lru(), Some((page(1), 11)));
     }
 
     #[test]
     fn evict_returns_lru_order() {
-        let mut lru = RankedLru::new();
-        for n in 0..4 {
-            lru.insert(page(n));
-        }
+        let mut lru = ranked(4);
         lru.touch(page(0)); // order (MRU..LRU): 0,3,2,1
-        assert_eq!(lru.evict_lru(), Some(page(1)));
-        assert_eq!(lru.evict_lru(), Some(page(2)));
-        assert_eq!(lru.evict_lru(), Some(page(3)));
-        assert_eq!(lru.evict_lru(), Some(page(0)));
+        assert_eq!(lru.evict_lru(), Some((page(1), 1)));
+        assert_eq!(lru.evict_lru(), Some((page(2), 2)));
+        assert_eq!(lru.evict_lru(), Some((page(3), 3)));
+        assert_eq!(lru.evict_lru(), Some((page(0), 0)));
         assert_eq!(lru.evict_lru(), None);
         assert!(lru.is_empty());
     }
 
     #[test]
     fn peek_does_not_remove() {
-        let mut lru = RankedLru::new();
-        lru.insert(page(1));
-        lru.insert(page(2));
-        assert_eq!(lru.peek_lru(), Some(page(1)));
-        assert_eq!(lru.len(), 2);
+        let lru = ranked(3);
+        assert_eq!(lru.peek_lru(), Some(page(0)));
+        assert_eq!(lru.len(), 3);
     }
 
     #[test]
     fn remove_arbitrary_pages() {
-        let mut lru = RankedLru::new();
-        for n in 0..6 {
-            lru.insert(page(n));
-        }
-        assert!(lru.remove(page(3)));
-        assert!(!lru.remove(page(3)));
+        let mut lru = ranked(6);
+        assert_eq!(lru.remove(page(3)), Some(3));
+        assert_eq!(lru.remove(page(3)), None);
         assert!(!lru.contains(page(3)));
         assert_eq!(lru.len(), 5);
         assert_eq!(
@@ -587,17 +627,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "already in the LRU queue")]
     fn double_insert_panics() {
-        let mut lru = RankedLru::new();
-        lru.insert(page(1));
-        lru.insert(page(1));
+        let mut lru = ranked(2);
+        lru.insert(page(1), 1);
     }
 
     #[test]
-    fn compaction_preserves_order() {
-        let mut lru = RankedLru::new();
-        for n in 0..8 {
-            lru.insert(page(n));
-        }
+    fn compaction_preserves_order_and_metadata() {
+        let mut lru = ranked(8);
         // Force many slot allocations to trigger several compactions.
         for round in 0..100 {
             for n in 0..8 {
@@ -623,25 +659,45 @@ mod tests {
         model.reverse(); // MRU first
         let got: Vec<u64> = lru.pages_by_recency().iter().map(|p| p.value()).collect();
         assert_eq!(got, model);
+        for n in 0..8 {
+            assert_eq!(lru.meta(page(n)), Some(&n));
+        }
     }
 
     #[test]
     fn with_capacity_behaves_like_new() {
         let mut a = RankedLru::with_capacity(100);
-        let mut b = RankedLru::new();
+        let b = ranked(50);
         for n in 0..50 {
-            a.insert(page(n));
-            b.insert(page(n));
+            a.insert(page(n), n);
         }
         assert_eq!(a.pages_by_recency(), b.pages_by_recency());
     }
 
     #[test]
-    fn rank_is_dense_and_unique() {
-        let mut lru = RankedLru::new();
-        for n in 0..32 {
-            lru.insert(page(n));
+    fn sparse_ids_rank_like_dense_ones() {
+        let shift = 1 << 40;
+        let mut dense = ranked(12);
+        let mut sparse = RankedLru::new();
+        for n in 0..12 {
+            sparse.insert(page(n + shift * (n % 2)), n);
         }
+        for n in [3u64, 8, 3, 11, 0] {
+            let want = dense.touch_ranked(page(n)).map(|(r, m)| (r, *m));
+            let got = sparse
+                .touch_ranked(page(n + shift * (n % 2)))
+                .map(|(r, m)| (r, *m));
+            assert_eq!(got, want);
+        }
+        let unshift = |p: &PageId| p.value() % shift;
+        let want: Vec<u64> = dense.pages_by_recency().iter().map(unshift).collect();
+        let got: Vec<u64> = sparse.pages_by_recency().iter().map(unshift).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn rank_is_dense_and_unique() {
+        let mut lru = ranked(32);
         for n in [3u64, 30, 7, 7, 0] {
             lru.touch(page(n));
         }
@@ -652,23 +708,19 @@ mod tests {
 
     #[test]
     fn touch_ranked_equals_rank_then_touch() {
-        let mut fused = RankedLru::new();
-        let mut split = RankedLru::new();
-        for n in 0..16 {
-            fused.insert(page(n));
-            split.insert(page(n));
-        }
+        let mut fused = ranked(16);
+        let mut split = ranked(16);
         // A long, slot-space-exhausting sequence so compactions land in
         // the middle of fused touches.
         for round in 0..200u64 {
             let n = (round * 7) % 16;
-            let fused_rank = fused.touch_ranked(page(n));
+            let fused_rank = fused.touch_ranked(page(n)).map(|(rank, _)| rank);
             let split_rank = split.rank(page(n));
             split.touch(page(n));
             assert_eq!(fused_rank, split_rank, "round {round}");
             assert_eq!(fused.pages_by_recency(), split.pages_by_recency());
         }
-        assert_eq!(fused.touch_ranked(page(99)), None);
+        assert!(fused.touch_ranked(page(99)).is_none());
     }
 
     #[test]
@@ -677,25 +729,25 @@ mod tests {
         let mut ranked = RankedLru::new();
         for n in 0..12 {
             linked.insert(page(n));
-            ranked.insert(page(n));
+            ranked.insert(page(n), ());
         }
         for round in 0..300u64 {
             match round % 5 {
                 0..=2 => {
                     let n = (round * 11) % 12;
-                    assert_eq!(linked.touch(page(n)), ranked.touch(page(n)));
+                    assert_eq!(linked.touch(page(n)), ranked.touch(page(n)).is_some());
                 }
                 3 => {
                     assert_eq!(linked.peek_lru(), ranked.peek_lru());
-                    assert_eq!(linked.evict_lru(), ranked.evict_lru());
+                    assert_eq!(linked.evict_lru(), ranked.evict_lru().map(|(p, ())| p));
                 }
                 _ => {
                     let n = (round * 13) % 24; // half the ids are absent
                     if !linked.contains(page(n)) {
                         linked.insert(page(n));
-                        ranked.insert(page(n));
+                        ranked.insert(page(n), ());
                     } else {
-                        assert_eq!(linked.remove(page(n)), ranked.remove(page(n)));
+                        assert_eq!(linked.remove(page(n)), ranked.remove(page(n)).is_some());
                     }
                 }
             }

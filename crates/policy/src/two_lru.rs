@@ -12,6 +12,9 @@
 //! * Per-page read/write counters are kept **only** while a page sits in the
 //!   top `readperc` / `writeperc` fraction of the NVM queue; a page that
 //!   slides past the window boundary has the corresponding counter reset.
+//!   The counters live in the page's NVM queue entry (the "additional
+//!   information" of Fig. 3), from its first NVM hit until it leaves NVM,
+//!   so an NVM hit finds the page's rank and counters in one lookup.
 //! * A hit that pushes a counter past `read_threshold` / `write_threshold`
 //!   promotes the page to DRAM. When DRAM is full the promotion is a *swap*:
 //!   DRAM's LRU victim is demoted into the NVM slot freed by the promotion.
@@ -45,7 +48,7 @@
 
 use hybridmem_metrics::MetricsRegistry;
 use hybridmem_types::{
-    AccessKind, Error, FxHashMap, MemoryKind, PageAccess, PageCount, PageId, Residency, Result,
+    AccessKind, Error, MemoryKind, PageAccess, PageCount, PageId, Residency, Result,
 };
 
 use crate::{
@@ -175,7 +178,8 @@ impl TwoLruConfig {
     }
 }
 
-/// Per-page read/write counters ("Additional Information" in Fig. 3).
+/// Per-page read/write counters ("Additional Information" in Fig. 3),
+/// kept in the page's NVM queue entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PageCounters {
     reads: u32,
@@ -210,10 +214,11 @@ pub struct TwoLruPolicy {
     config: TwoLruConfig,
     // DRAM hits need no recency rank, only a move-to-front, so the DRAM
     // queue is the O(1) [`LinkedLru`]; NVM stays on the Fenwick-backed
-    // [`RankedLru`] because the counter windows are rank queries.
+    // [`RankedLru`] because the counter windows are rank queries. Each
+    // NVM entry carries the page's counters: `None` until its first NVM
+    // hit, so they live exactly as long as the page stays in NVM.
     dram: LinkedLru,
-    nvm: RankedLru,
-    counters: FxHashMap<PageId, PageCounters>,
+    nvm: RankedLru<Option<PageCounters>>,
     stats: TwoLruStats,
 }
 
@@ -226,7 +231,6 @@ impl TwoLruPolicy {
             config,
             dram: LinkedLru::with_capacity(config.dram_capacity.value() as usize),
             nvm: RankedLru::with_capacity(config.nvm_capacity.value() as usize),
-            counters: FxHashMap::default(),
             stats: TwoLruStats::default(),
         }
     }
@@ -256,12 +260,14 @@ impl TwoLruPolicy {
     }
 
     /// The read/write counters currently stored for an NVM-resident page
-    /// (`(reads, writes)`), or `None` when the page has none.
+    /// (`(reads, writes)`), or `None` when the page has none: a page has
+    /// counters from its first NVM hit until it leaves NVM.
     ///
     /// Exposed for inspection and tests; the simulator does not need it.
     #[must_use]
     pub fn counters_of(&self, page: PageId) -> Option<(u32, u32)> {
-        self.counters.get(&page).map(|c| (c.reads, c.writes))
+        let counters = (*self.nvm.meta(page)?)?;
+        Some((counters.reads, counters.writes))
     }
 
     /// Counter-window statistics accumulated so far.
@@ -283,10 +289,15 @@ impl TwoLruPolicy {
         self.config.write_window_pages().min(self.nvm.len())
     }
 
-    /// NVM-resident pages that currently carry read/write counters.
+    /// NVM-resident pages that currently carry read/write counters. O(n):
+    /// walks the NVM queue.
     #[must_use]
     pub fn tracked_pages(&self) -> usize {
-        self.counters.len()
+        self.nvm
+            .pages_by_recency()
+            .into_iter()
+            .filter(|&page| self.counters_of(page).is_some())
+            .count()
     }
 
     /// Exports the counter-window statistics into `registry` under the
@@ -313,14 +324,12 @@ impl TwoLruPolicy {
         registry.set_gauge("two_lru.tracked_pages", self.tracked_pages() as f64);
     }
 
-    /// Handles a hit in the NVM queue (Algorithm 1, lines 6–25).
-    fn on_nvm_hit(&mut self, page: PageId, kind: AccessKind) -> AccessOutcome {
-        let rank = self
-            .nvm
-            .touch_ranked(page)
-            .expect("page is in the NVM queue by precondition");
-
-        let counters = self.counters.entry(page).or_default();
+    /// Handles a hit in the NVM queue (Algorithm 1, lines 6–25); `None`
+    /// when `page` is not in NVM. One NVM lookup finds the page's rank and
+    /// its counters.
+    fn on_nvm_hit(&mut self, page: PageId, kind: AccessKind) -> Option<AccessOutcome> {
+        let (rank, entry) = self.nvm.touch_ranked(page)?;
+        let counters = entry.get_or_insert_with(PageCounters::default);
         // Lazy boundary reset (see module docs): a rank at or past a window
         // means the page crossed that window's boundary since its last hit.
         // Only resets that discard accumulated progress count as resets.
@@ -365,7 +374,7 @@ impl TwoLruPolicy {
         };
 
         if !hot {
-            return AccessOutcome::hit(MemoryKind::Nvm).with_counter_probe(probe);
+            return Some(AccessOutcome::hit(MemoryKind::Nvm).with_counter_probe(probe));
         }
         match kind {
             AccessKind::Read => self.stats.read_promotions += 1,
@@ -376,13 +385,12 @@ impl TwoLruPolicy {
         // victim, which lands in the NVM slot the promotion frees.
         let mut actions = ActionList::new();
         self.nvm.remove(page);
-        self.counters.remove(&page);
         if self.dram.len() as u64 >= self.config.dram_capacity.value() {
             let victim = self
                 .dram
                 .evict_lru()
                 .expect("a full DRAM queue has a victim");
-            self.nvm.insert(victim);
+            self.nvm.insert(victim, None);
             actions.push(PolicyAction::Migrate {
                 page: victim,
                 from: MemoryKind::Dram,
@@ -395,7 +403,7 @@ impl TwoLruPolicy {
             from: MemoryKind::Nvm,
             to: MemoryKind::Dram,
         });
-        AccessOutcome::hit_with(MemoryKind::Nvm, actions).with_counter_probe(probe)
+        Some(AccessOutcome::hit_with(MemoryKind::Nvm, actions).with_counter_probe(probe))
     }
 
     /// Handles a page fault (Algorithm 1, lines 27–28): fill into DRAM,
@@ -405,8 +413,7 @@ impl TwoLruPolicy {
         let mut actions = ActionList::new();
         if self.dram.len() as u64 >= self.config.dram_capacity.value() {
             if self.nvm.len() as u64 >= self.config.nvm_capacity.value() {
-                let out = self.nvm.evict_lru().expect("a full NVM queue has a victim");
-                self.counters.remove(&out);
+                let (out, _) = self.nvm.evict_lru().expect("a full NVM queue has a victim");
                 actions.push(PolicyAction::EvictToDisk {
                     page: out,
                     from: MemoryKind::Nvm,
@@ -416,7 +423,7 @@ impl TwoLruPolicy {
                 .dram
                 .evict_lru()
                 .expect("a full DRAM queue has a victim");
-            self.nvm.insert(victim);
+            self.nvm.insert(victim, None);
             actions.push(PolicyAction::Migrate {
                 page: victim,
                 from: MemoryKind::Dram,
@@ -435,12 +442,12 @@ impl TwoLruPolicy {
 impl HybridPolicy for TwoLruPolicy {
     fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
         // Algorithm 1: search DRAM first ("DRAM contains the most hot data
-        // pages"), then NVM, else fault. `touch` doubles as the membership
-        // probe so a DRAM hit costs a single hash lookup.
+        // pages"), then NVM, else fault. Each touch doubles as the
+        // membership probe, so a hit costs one lookup per queue searched.
         if self.dram.touch(access.page) {
             AccessOutcome::hit(MemoryKind::Dram)
-        } else if self.nvm.contains(access.page) {
-            self.on_nvm_hit(access.page, access.kind)
+        } else if let Some(outcome) = self.on_nvm_hit(access.page, access.kind) {
+            outcome
         } else {
             self.on_fault(access.page)
         }
@@ -453,8 +460,7 @@ impl HybridPolicy for TwoLruPolicy {
         for access in batch {
             if self.dram.touch(access.page) {
                 out.push_dram_hit();
-            } else if self.nvm.contains(access.page) {
-                let outcome = self.on_nvm_hit(access.page, access.kind);
+            } else if let Some(outcome) = self.on_nvm_hit(access.page, access.kind) {
                 out.push_outcome(outcome);
             } else {
                 let outcome = self.on_fault(access.page);

@@ -4,8 +4,9 @@
 use std::collections::HashSet;
 
 use hybridmem_policy::{
-    AdaptiveConfig, AdaptiveTwoLruPolicy, ClockDwfPolicy, ClockProPolicy, ClockRing,
-    DramCachePolicy, HybridPolicy, RankedLru, SingleTierPolicy, TwoLruConfig, TwoLruPolicy,
+    AccessOutcome, AdaptiveConfig, AdaptiveTwoLruPolicy, ClockDwfPolicy, ClockProPolicy, ClockRing,
+    DramCachePolicy, HybridPolicy, PolicyAction, RankedLru, SingleTierClockPolicy,
+    SingleTierPolicy, TwoLruConfig, TwoLruPolicy,
 };
 use hybridmem_types::{
     for_each_case, AccessKind, MemoryKind, PageAccess, PageCount, PageId, Residency, StdRng,
@@ -15,20 +16,25 @@ use hybridmem_types::{
 const CASES: u64 = 256;
 
 /// Operations applied to both `RankedLru` and a naive Vec-backed model.
+/// Inserts carry a metadata value; touches add to it.
 #[derive(Debug, Clone)]
 enum LruOp {
-    Touch(u64),
-    Insert(u64),
+    Touch(u64, u64),
+    TouchRanked(u64, u64),
+    Insert(u64, u64),
     EvictLru,
     Remove(u64),
 }
 
 fn arb_lru_op(rng: &mut StdRng, page_universe: u64) -> LruOp {
-    match rng.gen_range(0..4) {
-        0 => LruOp::Touch(rng.gen_range(0..page_universe)),
-        1 => LruOp::Insert(rng.gen_range(0..page_universe)),
-        2 => LruOp::EvictLru,
-        _ => LruOp::Remove(rng.gen_range(0..page_universe)),
+    let page = rng.gen_range(0..page_universe);
+    let value = rng.gen_range(0..1000);
+    match rng.gen_range(0..5) {
+        0 => LruOp::Touch(page, value),
+        1 => LruOp::TouchRanked(page, value),
+        2 => LruOp::Insert(page, value),
+        3 => LruOp::EvictLru,
+        _ => LruOp::Remove(page),
     }
 }
 
@@ -47,26 +53,27 @@ fn kind_of(is_write: bool) -> AccessKind {
     }
 }
 
-/// Naive LRU model: Vec with MRU at the back.
+/// Naive LRU model: Vec of `(page, metadata)` with MRU at the back.
 #[derive(Default)]
-struct NaiveLru(Vec<u64>);
+struct NaiveLru(Vec<(u64, u64)>);
 
 impl NaiveLru {
-    fn touch(&mut self, p: u64) -> bool {
-        if let Some(pos) = self.0.iter().position(|&x| x == p) {
-            self.0.remove(pos);
-            self.0.push(p);
-            true
-        } else {
-            false
-        }
+    fn touch(&mut self, p: u64) -> Option<&mut u64> {
+        let pos = self.0.iter().position(|&(x, _)| x == p)?;
+        let entry = self.0.remove(pos);
+        self.0.push(entry);
+        self.0.last_mut().map(|(_, meta)| meta)
     }
 
-    fn insert(&mut self, p: u64) {
-        self.0.push(p);
+    fn contains(&self, p: u64) -> bool {
+        self.0.iter().any(|&(x, _)| x == p)
     }
 
-    fn evict(&mut self) -> Option<u64> {
+    fn insert(&mut self, p: u64, meta: u64) {
+        self.0.push((p, meta));
+    }
+
+    fn evict(&mut self) -> Option<(u64, u64)> {
         if self.0.is_empty() {
             None
         } else {
@@ -74,26 +81,24 @@ impl NaiveLru {
         }
     }
 
-    fn remove(&mut self, p: u64) -> bool {
-        if let Some(pos) = self.0.iter().position(|&x| x == p) {
-            self.0.remove(pos);
-            true
-        } else {
-            false
-        }
+    fn remove(&mut self, p: u64) -> Option<u64> {
+        let pos = self.0.iter().position(|&(x, _)| x == p)?;
+        Some(self.0.remove(pos).1)
     }
 
     fn rank(&self, p: u64) -> Option<usize> {
-        self.0.iter().rev().position(|&x| x == p)
+        self.0.iter().rev().position(|&(x, _)| x == p)
     }
 
     fn by_recency(&self) -> Vec<u64> {
-        self.0.iter().rev().copied().collect()
+        self.0.iter().rev().map(|&(x, _)| x).collect()
     }
 }
 
 /// `RankedLru` is observationally identical to the naive model under
-/// arbitrary operation sequences, including rank queries.
+/// arbitrary operation sequences, including rank queries, and each
+/// page's metadata follows it across touches, compactions and slab
+/// reuse.
 #[test]
 fn ranked_lru_matches_naive_model() {
     for_each_case(CASES, |rng| {
@@ -104,25 +109,47 @@ fn ranked_lru_matches_naive_model() {
         let mut model = NaiveLru::default();
         for op in ops {
             match op {
-                LruOp::Touch(p) => {
-                    assert_eq!(lru.touch(PageId::new(p)), model.touch(p));
+                LruOp::Touch(p, add) => {
+                    let got = lru.touch(PageId::new(p)).map(|meta| {
+                        *meta += add;
+                        *meta
+                    });
+                    let want = model.touch(p).map(|meta| {
+                        *meta += add;
+                        *meta
+                    });
+                    assert_eq!(got, want);
                 }
-                LruOp::Insert(p) => {
-                    if !model.0.contains(&p) {
-                        lru.insert(PageId::new(p));
-                        model.insert(p);
+                LruOp::TouchRanked(p, add) => {
+                    let rank = model.rank(p);
+                    let got = lru.touch_ranked(PageId::new(p)).map(|(rank, meta)| {
+                        *meta += add;
+                        (rank, *meta)
+                    });
+                    let want = model.touch(p).map(|meta| {
+                        *meta += add;
+                        (rank.unwrap(), *meta)
+                    });
+                    assert_eq!(got, want);
+                }
+                LruOp::Insert(p, meta) => {
+                    if !model.contains(p) {
+                        lru.insert(PageId::new(p), meta);
+                        model.insert(p, meta);
                     }
                 }
                 LruOp::EvictLru => {
-                    assert_eq!(lru.evict_lru().map(|p| p.value()), model.evict());
+                    let got = lru.evict_lru().map(|(p, meta)| (p.value(), meta));
+                    assert_eq!(got, model.evict());
                 }
                 LruOp::Remove(p) => {
                     assert_eq!(lru.remove(PageId::new(p)), model.remove(p));
                 }
             }
             assert_eq!(lru.len(), model.0.len());
-            for &p in &model.0 {
+            for &(p, meta) in &model.0 {
                 assert_eq!(lru.rank(PageId::new(p)), model.rank(p));
+                assert_eq!(lru.meta(PageId::new(p)), Some(&meta));
             }
             let got: Vec<u64> = lru.pages_by_recency().iter().map(|p| p.value()).collect();
             assert_eq!(got, model.by_recency());
@@ -143,13 +170,13 @@ fn single_tier_is_plain_lru() {
         let mut model = NaiveLru::default();
         for p in pages {
             let out = policy.on_access(PageAccess::read(PageId::new(p)));
-            let model_hit = model.touch(p);
+            let model_hit = model.touch(p).is_some();
             assert_eq!(!out.fault, model_hit);
             if !model_hit {
                 if model.0.len() as u64 >= capacity {
                     model.evict();
                 }
-                model.insert(p);
+                model.insert(p, 0);
             }
             assert_eq!(policy.occupancy(MemoryKind::Dram), model.0.len() as u64);
         }
@@ -281,7 +308,8 @@ fn clock_ring_invariants() {
 
 /// The proposed scheme only stores promotion counters for NVM-resident
 /// pages (the "housekeeping information" of Fig. 3 lives in the NVM
-/// queue alone).
+/// queue alone), and `tracked_pages` counts exactly the pages that have
+/// them.
 #[test]
 fn counters_only_exist_for_nvm_pages() {
     for_each_case(CASES, |rng| {
@@ -290,14 +318,100 @@ fn counters_only_exist_for_nvm_pages() {
         let mut policy = TwoLruPolicy::new(config);
         for (p, is_write) in accesses {
             policy.on_access(PageAccess::new(PageId::new(p), kind_of(is_write)));
+            let mut with_counters = 0;
             for q in 0..16u64 {
                 let page = PageId::new(q);
                 if policy.counters_of(page).is_some() {
+                    with_counters += 1;
                     assert_eq!(
                         policy.residency(page),
                         Residency::InMemory(MemoryKind::Nvm),
                         "page {q} has counters but is not NVM-resident"
                     );
+                }
+            }
+            assert_eq!(policy.tracked_pages(), with_counters);
+        }
+    });
+}
+
+/// Page ids from `2^40` up are beyond every policy table's dense bound.
+const SHIFT: u64 = 1 << 40;
+
+/// Every policy, at the given DRAM and NVM capacities.
+fn every_policy(dram: u64, nvm: u64) -> Vec<Box<dyn HybridPolicy>> {
+    let (d, n) = (PageCount::new(dram), PageCount::new(nvm));
+    let total = PageCount::new(dram + nvm);
+    let config = TwoLruConfig::new(d, n).unwrap();
+    let adaptive = AdaptiveConfig {
+        adjust_interval: 4,
+        ..AdaptiveConfig::default()
+    };
+    vec![
+        Box::new(TwoLruPolicy::new(config)),
+        Box::new(AdaptiveTwoLruPolicy::new(config, adaptive)),
+        Box::new(ClockDwfPolicy::new(d, n).unwrap()),
+        Box::new(ClockProPolicy::new(d, n).unwrap()),
+        Box::new(DramCachePolicy::new(d, n).unwrap()),
+        Box::new(SingleTierPolicy::dram_only(total).unwrap()),
+        Box::new(SingleTierPolicy::nvm_only(total).unwrap()),
+        Box::new(SingleTierClockPolicy::new(MemoryKind::Dram, total).unwrap()),
+    ]
+}
+
+/// Replays `stream` with each page `p` renamed to `rename(p)`, and names
+/// the pages in each outcome's actions back.
+fn replay_renamed(
+    policy: &mut dyn HybridPolicy,
+    stream: &[(u64, bool)],
+    rename: fn(u64) -> u64,
+) -> Vec<AccessOutcome> {
+    let name_back = |page: PageId| PageId::new(page.value() % SHIFT);
+    stream
+        .iter()
+        .map(|&(p, is_write)| {
+            let out = policy.on_access(PageAccess::new(PageId::new(rename(p)), kind_of(is_write)));
+            let actions = out.actions.iter().map(|&action| match action {
+                PolicyAction::EvictToDisk { page, from } => PolicyAction::EvictToDisk {
+                    page: name_back(page),
+                    from,
+                },
+                PolicyAction::Migrate { page, from, to } => PolicyAction::Migrate {
+                    page: name_back(page),
+                    from,
+                    to,
+                },
+                PolicyAction::FillFromDisk { page, into } => PolicyAction::FillFromDisk {
+                    page: name_back(page),
+                    into,
+                },
+            });
+            AccessOutcome {
+                actions: actions.collect(),
+                ..out
+            }
+        })
+        .collect()
+}
+
+/// Sparse page ids, which the policy tables keep by hash, replay exactly
+/// like dense ones under every policy: all ids shifted past the dense
+/// bound, and a mixed stream with half its ids dense and half sparse.
+#[test]
+fn sparse_page_ids_replay_like_dense_ones() {
+    let renames: [fn(u64) -> u64; 2] = [|p| p + SHIFT, |p| if p % 2 == 0 { p } else { p + SHIFT }];
+    for_each_case(64, |rng| {
+        let dram_cap = rng.gen_range(1..6);
+        let nvm_cap = rng.gen_range(1..12);
+        let stream = arb_stream(rng, 32, 1..400);
+        for rename in renames {
+            let dense = every_policy(dram_cap, nvm_cap);
+            for (mut want, mut got) in dense.into_iter().zip(every_policy(dram_cap, nvm_cap)) {
+                let want_outcomes = replay_renamed(want.as_mut(), &stream, |p| p);
+                let got_outcomes = replay_renamed(got.as_mut(), &stream, rename);
+                assert_eq!(got_outcomes, want_outcomes, "{}", want.name());
+                for kind in [MemoryKind::Dram, MemoryKind::Nvm] {
+                    assert_eq!(got.occupancy(kind), want.occupancy(kind));
                 }
             }
         }

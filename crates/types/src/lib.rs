@@ -17,6 +17,7 @@
 //! * geometry constants and helpers — [`PAGE_SIZE`], [`page_of`] — for the
 //!   4 KB pages the paper assumes;
 //! * the seeded generator [`StdRng`] behind every synthetic trace;
+//! * [`PageTable`], the page-indexed map behind every policy queue;
 //! * the shared [`Error`] type returned by fallible constructors.
 //!
 //! # Examples
@@ -41,6 +42,7 @@ mod error;
 mod hash;
 mod ids;
 mod memory;
+mod page_table;
 mod quantity;
 mod rng;
 mod sizes;
@@ -50,6 +52,7 @@ pub use error::{Error, Result};
 pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Address, CoreId, PageId};
 pub use memory::{MemoryKind, Residency};
+pub use page_table::PageTable;
 pub use quantity::{Nanojoules, Nanoseconds};
 pub use rng::{for_each_case, StdRng};
 pub use sizes::{page_of, PageCount, ACCESS_GRANULARITY, PAGE_FACTOR, PAGE_SIZE};
