@@ -30,7 +30,6 @@ pub struct CellProfile {
     pub metrics: Vec<(String, f64, Worse)>,
 }
 
-#[allow(clippy::cast_precision_loss)]
 fn count(value: u64) -> f64 {
     value as f64
 }
@@ -61,6 +60,11 @@ pub fn profile_intervals(records: &[IntervalStat]) -> Vec<CellProfile> {
         let position = tallies
             .iter()
             .position(|t| t.workload == record.workload && t.policy == record.policy);
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::expect_used,
+            reason = "position indexes tallies, and the other arm just pushed"
+        )]
         let tally = match position {
             Some(index) => &mut tallies[index],
             None => {

@@ -11,13 +11,22 @@
 //! text tables ([`table`]) and as the stable `hybridmem-analyze-v1`
 //! JSON ([`report`]) that CI gates on.
 //!
-//! Like `xtask`, the crate needs no registry: it reads and writes JSON
+//! The crate needs no registry: it reads and writes JSON
 //! through the workspace's own `hybridmem-json` crate (re-exported as
 //! [`json`]), whose number lexemes survive a parse → emit round trip
 //! byte-for-byte, which is what makes the `analyze check`
 //! self-verification exact.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod diff;

@@ -571,6 +571,7 @@ fn parse_metrics(text: &str, warnings: &mut Vec<String>) -> Vec<MetricsWindow> {
             start_access: field_u64(&doc, "start_access").unwrap_or(0),
             end_access: field_u64(&doc, "end_access").unwrap_or(0),
             faults: field_u64(&doc, "faults").unwrap_or(0),
+            #[expect(clippy::wildcard_enum_match_arm, reason = "a non-number has no ratio")]
             hit_ratio: doc.get("hit_ratio").and_then(|j| match j {
                 Json::Number(lexeme) => Some(lexeme.clone()),
                 _ => None,

@@ -31,6 +31,7 @@ fn percent(relative: f64) -> String {
 fn render(header: &[&str], labels: usize, rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
+        #[expect(clippy::indexing_slicing, reason = "widths was grown to cover i above")]
         for (i, cell) in row.iter().enumerate() {
             if i >= widths.len() {
                 widths.push(0);

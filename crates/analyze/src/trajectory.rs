@@ -71,6 +71,7 @@ pub struct TrajectoryReport {
 }
 
 /// Median of an unsorted sample (mean of the middle two when even).
+#[expect(clippy::indexing_slicing, reason = "values is non-empty here")]
 fn median(values: &mut [f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -101,6 +102,7 @@ pub fn roll(mut points: Vec<BenchPoint>, options: TrajectoryOptions) -> Trajecto
             regressions: 0,
         };
     };
+    #[expect(clippy::indexing_slicing, reason = "points holds latest: non-empty")]
     let priors: Vec<&BenchPoint> = points[..points.len() - 1]
         .iter()
         .filter(|p| p.comparable(&latest))

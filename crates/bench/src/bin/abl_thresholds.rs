@@ -74,7 +74,6 @@ fn main() -> Result<()> {
             let [proposed, dwf, dram, nvm] = &reports[..] else {
                 unreachable!("four policies requested")
             };
-            #[allow(clippy::cast_precision_loss)]
             let point = Point {
                 read_threshold,
                 write_threshold,

@@ -64,7 +64,6 @@ fn main() -> Result<()> {
             let [proposed, dwf, dram] = &reports[..] else {
                 unreachable!("three policies requested")
             };
-            #[allow(clippy::cast_precision_loss)]
             let point = Point {
                 read_window,
                 write_window,

@@ -17,9 +17,7 @@ fn main() -> Result<()> {
         .iter()
         .map(|(spec, row)| {
             let dwf = report(row, "clock-dwf");
-            #[allow(clippy::cast_precision_loss)]
             let baseline = report(row, "nvm-only").nvm_writes.total().max(1) as f64;
-            #[allow(clippy::cast_precision_loss)]
             StackedBar {
                 workload: spec.name.clone(),
                 components: vec![

@@ -7,7 +7,6 @@ use hybridmem_core::PolicyKind;
 use hybridmem_types::Result;
 
 fn writes_bar(r: &hybridmem_core::SimulationReport, workload: &str, baseline: f64) -> StackedBar {
-    #[allow(clippy::cast_precision_loss)]
     StackedBar {
         workload: workload.to_owned(),
         components: vec![
@@ -35,7 +34,6 @@ fn main() -> Result<()> {
     let mut dwf_bars = Vec::new();
     let mut proposed_bars = Vec::new();
     for (spec, row) in &matrix {
-        #[allow(clippy::cast_precision_loss)]
         let baseline = report(row, "nvm-only").nvm_writes.total().max(1) as f64;
         dwf_bars.push(writes_bar(report(row, "clock-dwf"), &spec.name, baseline));
         proposed_bars.push(writes_bar(report(row, "two-lru"), &spec.name, baseline));

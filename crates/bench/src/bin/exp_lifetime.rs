@@ -24,10 +24,7 @@ impl_json!(ToJson for Row { workload, lifetime_vs_nvm_only, lifetime_vs_clock_dw
 /// Hottest-page write count per request — the quantity whose inverse is
 /// proportional to lifetime on a shared trace.
 fn wear_rate(report: &SimulationReport) -> f64 {
-    #[allow(clippy::cast_precision_loss)]
-    {
-        report.wear.max_page_wear as f64 / report.counts.requests.max(1) as f64
-    }
+    report.wear.max_page_wear as f64 / report.counts.requests.max(1) as f64
 }
 
 fn main() -> Result<()> {

@@ -124,7 +124,6 @@ fn main() -> Result<()> {
             }
             // Lifetime gain = hottest-page share without leveling divided
             // by with leveling (same write volume, same endurance budget).
-            #[allow(clippy::cast_precision_loss)]
             let lifetime_gain = (logical.max_wear() as f64 / logical.total_writes() as f64)
                 / (physical.max_wear() as f64 / physical.total_writes().max(1) as f64);
             let row = Row {

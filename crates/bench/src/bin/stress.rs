@@ -169,7 +169,6 @@ struct Measurement {
 impl_json!(ToJson for Measurement { seconds, accesses, accesses_per_second });
 
 impl Measurement {
-    #[allow(clippy::cast_precision_loss)]
     fn new(accesses: u64, seconds: f64) -> Self {
         Self {
             seconds,
@@ -185,14 +184,11 @@ impl Measurement {
     fn absorb(&mut self, other: &Self) {
         self.seconds += other.seconds;
         self.accesses += other.accesses;
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.accesses_per_second = if self.seconds > 0.0 {
-                self.accesses as f64 / self.seconds
-            } else {
-                0.0
-            };
-        }
+        self.accesses_per_second = if self.seconds > 0.0 {
+            self.accesses as f64 / self.seconds
+        } else {
+            0.0
+        };
     }
 }
 
@@ -269,6 +265,7 @@ impl_json!(ToJson for BenchReport {
 
 /// Times `f` and wraps the result with the access count it processed.
 fn timed<T>(accesses: u64, f: impl FnOnce() -> T) -> (Measurement, T) {
+    #[expect(clippy::disallowed_methods, reason = "harness timing, reported only")]
     let start = Instant::now();
     let value = f();
     (
@@ -291,11 +288,6 @@ fn replay_serial(
     let mut simulator = HybridSimulator::with_date2016_devices(policy);
     simulator.set_static_scale(1.0 / spec.scale_factor());
     simulator.set_density_hint(spec.nominal_density());
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
     let warmup =
         ((spec.total_accesses() as f64 * config.warmup_fraction) as usize).min(trace.len());
     simulator.run_slice(&trace[..warmup]);
@@ -347,6 +339,7 @@ fn main() -> Result<()> {
         ..ExperimentConfig::date2016()
     };
 
+    #[expect(clippy::disallowed_methods, reason = "reported wall time only")]
     let run_start = Instant::now();
     let mut workloads = Vec::new();
     let mut flights = Vec::new();

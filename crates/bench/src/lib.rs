@@ -42,7 +42,16 @@
 //! Tables are printed in the same row/series layout the paper uses, with
 //! `G-Mean` and `A-Mean` columns matching the figures' summary bars.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod reference;
@@ -221,16 +230,12 @@ impl SuiteOptions {
             "scheduler.cells",
             timing.cells_per_worker.iter().sum::<u64>(),
         );
-        #[allow(clippy::cast_precision_loss)]
-        {
-            registry.set_gauge("scheduler.workers", timing.workers as f64);
-            registry.set_gauge("scheduler.peak_in_flight", timing.peak_in_flight as f64);
-        }
+        registry.set_gauge("scheduler.workers", timing.workers as f64);
+        registry.set_gauge("scheduler.peak_in_flight", timing.peak_in_flight as f64);
         registry.set_gauge("scheduler.wall_seconds", timing.wall_seconds);
         for &count in &timing.cells_per_worker {
             registry.observe("scheduler.cells_per_worker", count);
         }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         for seconds in timing.cell_seconds.iter().flatten() {
             registry.observe("scheduler.cell_micros", (seconds * 1e6).max(0.0) as u64);
         }
@@ -345,12 +350,12 @@ impl ThroughputSummary {
         kinds: &[PolicyKind],
         timing: &MatrixTiming,
     ) -> Self {
-        #[allow(clippy::cast_precision_loss)]
         let per_policy: Vec<PolicyThroughput> = kinds
             .iter()
             .enumerate()
             .map(|(kind_index, kind)| {
                 let accesses: u64 = specs.iter().map(WorkloadSpec::total_accesses).sum();
+                #[expect(clippy::indexing_slicing, reason = "a timing row has a cell per kind")]
                 let seconds: f64 = timing.cell_seconds.iter().map(|row| row[kind_index]).sum();
                 PolicyThroughput {
                     policy: kind.name().to_owned(),
@@ -365,7 +370,6 @@ impl ThroughputSummary {
             })
             .collect();
         let total_accesses: u64 = per_policy.iter().map(|p| p.accesses).sum();
-        #[allow(clippy::cast_precision_loss)]
         let accesses_per_second = if timing.wall_seconds > 0.0 {
             total_accesses as f64 / timing.wall_seconds
         } else {
@@ -451,6 +455,7 @@ pub use reference::ReferenceTwoLru;
 /// Panics when the policy is missing from the row — regenerator binaries
 /// always request the policies they index.
 #[must_use]
+#[expect(clippy::panic, reason = "figures only ask for policies they ran")]
 pub fn report<'a>(row: &'a [SimulationReport], policy: &str) -> &'a SimulationReport {
     row.iter()
         .find(|r| r.policy == policy)
@@ -572,10 +577,8 @@ mod tests {
         assert_eq!(summary.per_policy[0].policy, "two-lru");
         assert!((summary.per_policy[0].seconds - 1.0).abs() < 1e-12);
         assert!((summary.per_policy[1].seconds - 0.5).abs() < 1e-12);
-        #[allow(clippy::cast_precision_loss)]
         let expected = per_policy_accesses as f64 / 1.0;
         assert!((summary.per_policy[0].accesses_per_second - expected).abs() < 1e-6);
-        #[allow(clippy::cast_precision_loss)]
         let headline = (per_policy_accesses * 2) as f64 / 2.0;
         assert!((summary.accesses_per_second - headline).abs() < 1e-6);
     }

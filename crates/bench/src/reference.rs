@@ -49,7 +49,6 @@ impl ReferenceTwoLru {
     /// Creates the baseline policy for the given configuration.
     #[must_use]
     pub fn new(config: TwoLruConfig) -> Self {
-        #[allow(clippy::cast_possible_truncation)]
         Self {
             config,
             dram: RankedLru::with_capacity(config.dram_capacity.value() as usize),
@@ -59,6 +58,10 @@ impl ReferenceTwoLru {
     }
 
     /// Algorithm 1 lines 6–25, with the historical rank-then-touch pair.
+    #[expect(
+        clippy::expect_used,
+        reason = "the page is NVM-resident, and a full queue has a victim"
+    )]
     fn on_nvm_hit(&mut self, page: PageId, kind: AccessKind) -> AccessOutcome {
         let rank = self
             .nvm
@@ -112,6 +115,7 @@ impl ReferenceTwoLru {
     }
 
     /// Algorithm 1 lines 27–28.
+    #[expect(clippy::expect_used, reason = "a full queue has a victim")]
     fn on_fault(&mut self, page: PageId) -> AccessOutcome {
         let mut actions = ActionList::new();
         if self.dram.len() as u64 >= self.config.dram_capacity.value() {

@@ -61,10 +61,7 @@ impl CacheStats {
         if self.accesses() == 0 {
             return 0.0;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.hits as f64 / self.accesses() as f64
-        }
+        self.hits as f64 / self.accesses() as f64
     }
 }
 
@@ -101,7 +98,6 @@ impl SetAssociativeCache {
     /// Creates an empty cache with the given geometry.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
-        #[allow(clippy::cast_possible_truncation)]
         let sets = geometry.sets() as usize;
         Self {
             geometry,
@@ -130,7 +126,6 @@ impl SetAssociativeCache {
     fn set_and_tag(&self, address: Address) -> (usize, u64) {
         let line = self.line_number(address);
         let sets = self.geometry.sets();
-        #[allow(clippy::cast_possible_truncation)]
         ((line % sets) as usize, line / sets)
     }
 
@@ -142,6 +137,11 @@ impl SetAssociativeCache {
 
     /// Performs one access. Writes mark the line dirty; misses allocate the
     /// line (the caller fetches it from the next level) and may evict.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "set_and_tag bounds set_idx, and a full set has a victim"
+    )]
     pub fn access(&mut self, address: Address, kind: AccessKind) -> CacheAccessResult {
         let (set_idx, tag) = self.set_and_tag(address);
         let sets = self.geometry.sets();
@@ -194,6 +194,7 @@ impl SetAssociativeCache {
 
     /// True when the line containing `address` is resident.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "set_and_tag bounds set_idx")]
     pub fn contains(&self, address: Address) -> bool {
         let (set_idx, tag) = self.set_and_tag(address);
         self.sets[set_idx].iter().any(|l| l.tag == tag)
@@ -203,6 +204,7 @@ impl SetAssociativeCache {
     /// line's dirty state if it was resident.
     pub fn invalidate(&mut self, address: Address) -> Option<bool> {
         let (set_idx, tag) = self.set_and_tag(address);
+        #[expect(clippy::indexing_slicing, reason = "set_and_tag bounds set_idx")]
         let set = &mut self.sets[set_idx];
         let pos = set.iter().position(|l| l.tag == tag)?;
         // Slot order carries no meaning, so the O(1) removal is safe.
@@ -366,7 +368,6 @@ mod tests {
                 AccessKind::Write
             };
             let res = c.access(Address::new(line * 64), kind);
-            #[allow(clippy::cast_possible_truncation)]
             let (set, tag) = ((line % 2) as usize, line / 2);
             let model = &mut reference[set];
             if let Some(pos) = model.iter().position(|&t| t == tag) {

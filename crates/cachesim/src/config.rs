@@ -99,6 +99,7 @@ impl CotsonConfig {
     /// assert_eq!(c.llc.associativity, 16);
     /// ```
     #[must_use]
+    #[expect(clippy::expect_used, reason = "Table II's geometries are valid")]
     pub fn date2016() -> Self {
         let l1 = CacheGeometry::new(32 * 1024, 4, 64).expect("Table II L1 geometry is valid");
         let llc =

@@ -141,6 +141,7 @@ impl CacheHierarchy {
             }
         }
 
+        #[expect(clippy::indexing_slicing, reason = "core is taken modulo l1d.len()")]
         let l1_result = self.l1d[core].access(access.address, access.kind);
         if let Some(evicted) = l1_result.evicted {
             if evicted.dirty {

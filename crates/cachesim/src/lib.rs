@@ -31,7 +31,16 @@
 //! # Ok::<(), hybridmem_types::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![warn(missing_docs)]
 
 mod cache;

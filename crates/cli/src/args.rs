@@ -5,15 +5,14 @@
 //! four subcommands and a dozen flags, which does not justify a parser
 //! dependency in an otherwise lean workspace.
 
-use std::collections::HashMap;
-
 use hybridmem_types::{Error, Result};
 
 /// Parsed arguments: positionals in order plus `--key value` options.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Args {
     positionals: Vec<String>,
-    options: HashMap<String, String>,
+    /// Options in command-line order; a repeated flag's last value wins.
+    options: Vec<(String, String)>,
 }
 
 impl Args {
@@ -30,7 +29,7 @@ impl Args {
                 let value = iter.next().ok_or_else(|| {
                     Error::invalid_input(format!("flag --{name} requires a value"))
                 })?;
-                args.options.insert(name.to_owned(), value);
+                args.options.push((name.to_owned(), value));
             } else {
                 args.positionals.push(token);
             }
@@ -50,10 +49,14 @@ impl Args {
         self.positionals.get(index..).unwrap_or(&[])
     }
 
-    /// A string option.
+    /// A string option: the last value given for `name`.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.options.get(name).map(String::as_str)
+        self.options
+            .iter()
+            .rev()
+            .find(|(key, _)| key == name)
+            .map(|(_, value)| value.as_str())
     }
 
     /// A string option with a default.
@@ -86,16 +89,18 @@ impl Args {
         }
     }
 
-    /// Names of all provided options (for unknown-flag validation).
+    /// Names of all provided options in command-line order, once per
+    /// use (for unknown-flag validation).
     pub fn option_names(&self) -> impl Iterator<Item = &str> {
-        self.options.keys().map(String::as_str)
+        self.options.iter().map(|(name, _)| name.as_str())
     }
 
     /// Validates that every provided option is in `allowed`.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidInput`] naming the first unknown flag.
+    /// Returns [`Error::InvalidInput`] naming the first unknown flag on the
+    /// command line.
     pub fn reject_unknown(&self, allowed: &[&str]) -> Result<()> {
         for name in self.option_names() {
             if !allowed.contains(&name) {
@@ -162,5 +167,34 @@ mod tests {
         let args = parse(&["--cap", "1", "--bogus", "2"]);
         assert!(args.reject_unknown(&["cap"]).is_err());
         assert!(args.reject_unknown(&["cap", "bogus"]).is_ok());
+    }
+
+    #[test]
+    fn unknown_flag_error_names_the_first_on_the_command_line() {
+        // Repeated parses: an order that hashing chose would vary among them.
+        for _ in 0..64 {
+            let args = parse(&[
+                "generate",
+                "--workload",
+                "bodytrack",
+                "--alpha",
+                "1",
+                "--beta",
+                "2",
+                "--gamma",
+                "3",
+            ]);
+            let err = args
+                .reject_unknown(&["workload", "output", "cap", "seed", "format"])
+                .unwrap_err();
+            assert!(err.to_string().contains("unknown flag --alpha;"), "{err}");
+        }
+    }
+
+    #[test]
+    fn repeated_flag_reads_its_last_value() {
+        let args = parse(&["--cap", "1", "--seed", "7", "--cap", "2"]);
+        assert_eq!(args.get("cap"), Some("2"));
+        assert_eq!(args.get("seed"), Some("7"));
     }
 }

@@ -229,11 +229,6 @@ fn characterize<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
             writeln!(out, "    mean reuse distance   {mean:.1} pages").map_err(io_err)?;
         }
         for fraction in [0.10f64, 0.50, 0.75, 1.00] {
-            #[allow(
-                clippy::cast_precision_loss,
-                clippy::cast_possible_truncation,
-                clippy::cast_sign_loss
-            )]
             let capacity = ((profile.distinct_pages() as f64 * fraction).ceil() as u64).max(1);
             writeln!(
                 out,
@@ -387,11 +382,6 @@ fn observe<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
     };
     let policy = config.build_policy(kind, &spec)?;
     let mut simulator = HybridSimulator::with_date2016_devices(policy);
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
     let warmup_len = (spec.total_accesses() as f64 * warmup) as u64;
     let instrumentation = Instrumentation {
         window: Some(window),
@@ -614,6 +604,7 @@ fn read_analyze_input(path: &str) -> Result<hybridmem_analyze::Loaded> {
 
 /// Rolls one diffable input (windowed metrics or ledgers) into cell
 /// profiles.
+#[expect(clippy::wildcard_enum_match_arm, reason = "the rest are not diffable")]
 fn profile_analyze_input(path: &str, input: Input) -> Result<Vec<CellProfile>> {
     match input {
         Input::Intervals(stats) => Ok(hybridmem_analyze::profile_intervals(&stats)),

@@ -11,7 +11,16 @@
 //! The logic lives in this library crate so it is unit-testable; `main.rs`
 //! is a thin shim.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![warn(missing_docs)]
 
 mod args;

@@ -10,7 +10,6 @@ fn main() {
             return;
         }
         eprintln!("error: {error}");
-        #[allow(clippy::exit)] // the binary's one intentional exit point
         std::process::exit(1);
     }
 }

@@ -431,11 +431,8 @@ impl AuditSink {
         let nvm_read = model.nvm.read_latency.value();
         let nvm_write = model.nvm.write_latency.value();
         let disk = model.disk.access_latency.value();
-        #[allow(clippy::cast_precision_loss)]
         let page_factor = model.page_factor as f64;
-        #[allow(clippy::cast_precision_loss)]
         let priced = |count: u64, unit: f64| count as f64 * unit;
-        #[allow(clippy::cast_precision_loss)]
         let observed = (priced(w.dram_read_hits, dram_read)
             + priced(w.dram_write_hits, dram_write)
             + priced(w.nvm_read_hits, nvm_read)

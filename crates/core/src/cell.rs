@@ -286,6 +286,7 @@ impl CellSink {
 }
 
 impl EventSink for CellSink {
+    #[expect(clippy::panic, reason = "the scheduled cell-panic fault")]
     fn record(&mut self, event: SimEvent) {
         if matches!(event, SimEvent::Served { .. } | SimEvent::Fault { .. }) {
             if self.context.panic_at == Some(self.cursor.accesses) {

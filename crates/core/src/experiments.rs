@@ -250,19 +250,13 @@ impl ExperimentConfig {
 
     /// Number of leading trace accesses driven as warmup.
     fn warmup_len(&self, spec: &WorkloadSpec) -> usize {
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        {
-            (spec.total_accesses() as f64 * self.warmup_fraction) as usize
-        }
+        (spec.total_accesses() as f64 * self.warmup_fraction) as usize
     }
 
     /// Drives one chunk of an incrementally produced trace, resetting the
     /// simulator's accounting exactly at the warmup boundary — the chunked
     /// equivalent of `run(warmup); reset; run(rest)`.
+    #[expect(clippy::indexing_slicing, reason = "take <= slice.len() by the min")]
     fn drive_chunk(
         simulator: &mut HybridSimulator,
         warmup: usize,
@@ -390,7 +384,10 @@ impl ExperimentConfig {
     /// a panic is re-raised with it in a [`CellPanic`] payload (or as it
     /// was, when no flight recorder rides the cell), an error returns it
     /// in the [`CellFailure`].
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "every argument is a per-cell input that its callers set independently"
+    )]
     pub(crate) fn run_cell_driver(
         &self,
         spec: &WorkloadSpec,
@@ -431,10 +428,18 @@ impl ExperimentConfig {
                     let warmup = warmup.min(trace.len());
                     {
                         let _span = span("simulate", format!("warmup {cell}"));
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "warmup <= trace.len() by the min"
+                        )]
                         simulator.run_slice_batched(&trace[..warmup]);
                     }
                     simulator.reset_accounting();
                     let _span = span("simulate", format!("measure {cell}"));
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "warmup <= trace.len() by the min"
+                    )]
                     simulator.run_slice_batched(&trace[warmup..]);
                 }
                 None => {
@@ -663,11 +668,6 @@ mod tests {
     fn run_produces_consistent_reports_for_all_policies() {
         let config = ExperimentConfig::date2016();
         let spec = small_spec();
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
         let warmup = (spec.total_accesses() as f64 * config.warmup_fraction) as u64;
         for kind in PolicyKind::all() {
             let report = config.run(&spec, kind).unwrap();

@@ -83,7 +83,6 @@ pub struct FaultPlan {
     /// Spill write attempts made so far.
     write_attempts: AtomicU64,
     /// Attempts made so far per cell, for the `cell-panic` schedule.
-    // xtask:allow(hot-path-lock, why=one acquisition per matrix-cell attempt, not per simulated access)
     cell_attempts: Mutex<FxHashMap<(String, String), u64>>,
 }
 
@@ -209,8 +208,9 @@ impl FaultPlan {
     ///
     /// Panics if the plan's cell-attempt mutex was poisoned.
     pub fn corrupt_spill_read(&self, bytes: &mut Vec<u8>) -> Result<(), Error> {
-        // xtask:allow(atomic-ordering, why=monotonic attempt counter; per-attempt uniqueness is all that matters)
+        #[expect(clippy::disallowed_methods, reason = "attempts need only be unique")]
         let attempt = self.read_attempts.fetch_add(1, Ordering::Relaxed) + 1;
+        #[expect(clippy::indexing_slicing, reason = "index is taken modulo bytes.len()")]
         for &(at, fault) in &self.read_faults {
             if at != attempt {
                 continue;
@@ -239,7 +239,7 @@ impl FaultPlan {
     /// to fail (the caller counts a `spill_write_errors` and skips the
     /// write).
     pub fn fail_spill_write(&self) -> bool {
-        // xtask:allow(atomic-ordering, why=monotonic attempt counter; per-attempt uniqueness is all that matters)
+        #[expect(clippy::disallowed_methods, reason = "attempts need only be unique")]
         let attempt = self.write_attempts.fetch_add(1, Ordering::Relaxed) + 1;
         self.write_errors.contains(&attempt)
     }
@@ -254,13 +254,18 @@ impl FaultPlan {
     /// Panics deliberately for a scheduled `cell-panic` attempt (that
     /// is the injected fault), and if the cell-attempt mutex was
     /// poisoned.
+    #[expect(clippy::panic, reason = "the scheduled cell-panic fault")]
     pub fn fire_cell_panic(&self, workload: &str, policy: &str) {
         let key = (workload.to_owned(), policy.to_owned());
         let Some(&scheduled) = self.cell_panics.get(&key) else {
             return;
         };
         let attempt = {
-            // xtask:allow(hot-path-lock, why=one acquisition per matrix-cell attempt, not per simulated access)
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::expect_used,
+                reason = "once per cell attempt, released before any panic"
+            )]
             let mut attempts = self.cell_attempts.lock().expect("fault plan poisoned");
             let entry = attempts.entry(key).or_insert(0);
             *entry += 1;

@@ -329,6 +329,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a counter on this thread only")]
     fn typed_errors_are_not_retried() {
         let attempts = AtomicU64::new(0);
         let outcome = run_isolated("w", "p", || {
@@ -353,6 +354,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a counter on this thread only")]
     fn transient_panics_recover_within_the_budget() {
         let attempts = AtomicU64::new(0);
         let outcome = run_isolated("w", "p", || {
@@ -371,6 +373,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a counter on this thread only")]
     fn persistent_panics_are_quarantined_with_the_message() {
         let attempts = AtomicU64::new(0);
         let outcome = run_isolated("bodytrack", "two-lru", || -> Result<(), Error> {
@@ -495,6 +498,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a counter on this thread only")]
     fn recovered_cells_keep_the_report_unclean_but_unfailed() {
         let attempts = AtomicU64::new(0);
         let recovered = run_isolated("w", "p", || {

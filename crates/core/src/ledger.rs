@@ -412,6 +412,7 @@ impl PageLedger {
     /// Deterministically shrinks the detailed set back to `top_k` pages:
     /// most migrations, then most accesses, then smallest page id win.
     fn prune(&mut self) {
+        #[expect(clippy::disallowed_methods, reason = "sorted by retention order next")]
         let mut ranked: Vec<PageId> = self.details.keys().copied().collect();
         let summaries = &self.summaries;
         ranked.sort_by(|a, b| Self::retention_order(summaries, *a, *b));
@@ -452,6 +453,11 @@ impl PageLedger {
             pruned_pages: self.pruned.len() as u64,
             ..LedgerSummary::default()
         };
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "sums, which any order gives alike"
+        )]
         for s in self.summaries.values() {
             summary.promotions_read += s.promotions_read;
             summary.promotions_write += s.promotions_write;
@@ -468,6 +474,7 @@ impl PageLedger {
         summary.resets_write = self.resets_write;
 
         // Final top-K selection over the detailed pages, retention order.
+        #[expect(clippy::disallowed_methods, reason = "sorted by retention order next")]
         let mut ranked: Vec<PageId> = self.details.keys().copied().collect();
         let summaries = &self.summaries;
         ranked.sort_by(|a, b| Self::retention_order(summaries, *a, *b));

@@ -58,10 +58,17 @@
 //! # Ok::<(), hybridmem_types::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod audit;
 mod cell;

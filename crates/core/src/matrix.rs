@@ -563,7 +563,8 @@ where
     T: Send,
     F: Fn(&WorkloadSpec, PolicyKind, usize) -> std::result::Result<T, CellFailure> + Sync,
 {
-    let started = Instant::now(); // xtask:allow(timing) — measures wall clock, never affects results
+    #[expect(clippy::disallowed_methods, reason = "reported wall time only")]
+    let started = Instant::now();
     let cells = specs.len() * kinds.len();
     let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let workers = if cells == 0 {
@@ -575,13 +576,21 @@ where
     let next_cell = AtomicUsize::new(0);
     let in_flight = AtomicUsize::new(0);
     let peak_in_flight = AtomicUsize::new(0);
+    #[expect(clippy::disallowed_methods, reason = "one lock per cell, used once")]
     let slots: Vec<CellSlot<T>> = (0..cells).map(|_| Mutex::new(None)).collect();
 
     let cells_per_worker = std::thread::scope(|scope| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each cell's slot lock is taken once, when the cell finishes"
+        )]
         let worker = |id: usize| {
             let mut claimed = 0u64;
             loop {
-                // xtask:allow(atomic-ordering, why=unique cell claim comes from the atomic RMW itself; no cross-cell ordering needed)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the read-modify-write alone makes each claim unique"
+                )]
                 let index = next_cell.fetch_add(1, Ordering::Relaxed);
                 let (Some(spec), Some(&kind), Some(slot)) = (
                     specs.get(index / kinds.len()),
@@ -591,18 +600,19 @@ where
                     break claimed;
                 };
                 claimed += 1;
-                // xtask:allow(atomic-ordering, why=in-flight depth telemetry; approximate interleaving is fine)
+                #[expect(clippy::disallowed_methods, reason = "telemetry: guards no data")]
                 let depth = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-                // xtask:allow(atomic-ordering, why=peak-depth telemetry; fetch_max tolerates reordering)
+                #[expect(clippy::disallowed_methods, reason = "telemetry: guards no data")]
                 peak_in_flight.fetch_max(depth, Ordering::Relaxed);
                 // Isolation boundary: a panic inside the cell is caught,
                 // retried, and at worst quarantined — the worker (and
                 // every other cell it will claim) survives.
-                let cell_started = Instant::now(); // xtask:allow(timing) — per-cell wall clock only
+                #[expect(clippy::disallowed_methods, reason = "reported wall time only")]
+                let cell_started = Instant::now();
                 let outcome = run_isolated(&spec.name, kind.name(), || run(spec, kind, id));
                 let elapsed = cell_started.elapsed().as_secs_f64();
                 *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some((outcome, elapsed));
-                // xtask:allow(atomic-ordering, why=in-flight depth telemetry; approximate interleaving is fine)
+                #[expect(clippy::disallowed_methods, reason = "telemetry: guards no data")]
                 in_flight.fetch_sub(1, Ordering::Relaxed);
             }
         };

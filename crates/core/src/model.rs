@@ -13,6 +13,17 @@
 //! probabilities back through Eq. 1/Eq. 2 and checks they reproduce the
 //! measured AMAT/APPR.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::cast_lossless,
+        clippy::float_cmp
+    )
+)]
+
 use hybridmem_device::{DiskCharacteristics, MemoryCharacteristics};
 use hybridmem_json::impl_json;
 use hybridmem_types::{Error, Nanojoules, Nanoseconds, Result, PAGE_FACTOR};
@@ -138,7 +149,6 @@ impl ModelParams {
     #[must_use]
     pub fn amat(&self) -> Nanoseconds {
         let p = &self.probabilities;
-        #[allow(clippy::cast_precision_loss)]
         let pf = self.page_factor as f64;
         let dram_hit = p.hit_dram
             * (p.read_given_dram * self.dram.read_latency.value()
@@ -172,7 +182,6 @@ impl ModelParams {
     #[must_use]
     pub fn appr(&self) -> Nanojoules {
         let p = &self.probabilities;
-        #[allow(clippy::cast_precision_loss)]
         let pf = self.page_factor as f64;
         let dram_hit = p.hit_dram
             * (p.read_given_dram * self.dram.read_energy.value()
@@ -194,7 +203,6 @@ impl ModelParams {
     #[must_use]
     pub fn amat_components(&self) -> AmatComponents {
         let p = &self.probabilities;
-        #[allow(clippy::cast_precision_loss)]
         let pf = self.page_factor as f64;
         AmatComponents {
             dram_hits: p.hit_dram
@@ -217,7 +225,6 @@ impl ModelParams {
     #[must_use]
     pub fn appr_components(&self) -> ApprComponents {
         let p = &self.probabilities;
-        #[allow(clippy::cast_precision_loss)]
         let pf = self.page_factor as f64;
         ApprComponents {
             dram_hits: p.hit_dram
@@ -266,7 +273,6 @@ impl ModelParams {
     /// ```
     #[must_use]
     pub fn breakeven_hits_per_promotion(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
         let pf = self.page_factor as f64;
         let swap_cost = pf
             * (self.nvm.read_latency.value()
@@ -399,11 +405,8 @@ impl TimeModel {
     /// Estimated workload duration in nanoseconds.
     #[must_use]
     pub fn duration_ns(&self, footprint_pages: u64, requests: u64) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            footprint_pages as f64 * self.compute_ns_per_page
-                + requests as f64 * self.service_ns_per_request
-        }
+        footprint_pages as f64 * self.compute_ns_per_page
+            + requests as f64 * self.service_ns_per_request
     }
 
     /// Eq. 3: static energy prorated per request.
@@ -421,7 +424,6 @@ impl TimeModel {
             return Nanojoules::ZERO;
         }
         let duration_s = self.duration_ns(footprint_pages, requests) * 1e-9;
-        #[allow(clippy::cast_precision_loss)]
         Nanojoules::new(static_power_nj_s * duration_s / requests as f64)
     }
 }

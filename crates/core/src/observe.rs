@@ -133,9 +133,7 @@ impl WindowTally {
     /// The measured probabilities of a window of `accesses` demand
     /// accesses, as Eq. 1 and Eq. 2 take them.
     pub(crate) fn probabilities(&self, accesses: u64) -> Probabilities {
-        #[allow(clippy::cast_precision_loss)]
         let ratio = |count: u64| count as f64 / accesses as f64;
-        #[allow(clippy::cast_precision_loss)]
         let conditional = |part: u64, whole: u64| {
             if whole == 0 {
                 0.0
@@ -324,7 +322,6 @@ impl WindowedCollector {
         let accesses = window.accesses;
         let model = ModelParams::date2016(c.probabilities(accesses));
         let hits = c.dram_read_hits + c.dram_write_hits + c.nvm_read_hits + c.nvm_write_hits;
-        #[allow(clippy::cast_precision_loss)]
         let hit_ratio = hits as f64 / accesses as f64;
         self.completed.push(IntervalRecord {
             workload: context.workload.clone(),
@@ -363,11 +360,8 @@ impl WindowedCollector {
         registry.add("sim.fills_to_dram", c.fills_to_dram);
         registry.add("sim.fills_to_nvm", c.fills_to_nvm);
         registry.add("sim.evictions_to_disk", c.evictions_to_disk);
-        #[allow(clippy::cast_precision_loss)]
-        {
-            registry.set_gauge("sim.dram_occupancy", cursor.dram_resident as f64);
-            registry.set_gauge("sim.nvm_occupancy", cursor.nvm_resident as f64);
-        }
+        registry.set_gauge("sim.dram_occupancy", cursor.dram_resident as f64);
+        registry.set_gauge("sim.nvm_occupancy", cursor.nvm_resident as f64);
         registry.observe("sim.window.faults", c.faults);
         registry.observe(
             "sim.window.migrations",

@@ -1,5 +1,16 @@
 //! Simulation reports: everything the paper's figures are assembled from.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::cast_lossless,
+        clippy::float_cmp
+    )
+)]
+
 use hybridmem_device::ModuleStats;
 use hybridmem_json::impl_json;
 use hybridmem_types::{Nanojoules, Nanoseconds};
@@ -64,10 +75,7 @@ impl Counts {
         if self.requests == 0 {
             return 0.0;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.hits() as f64 / self.requests as f64
-        }
+        self.hits() as f64 / self.requests as f64
     }
 
     /// Total migrations in both directions.
@@ -233,10 +241,7 @@ impl SimulationReport {
         if self.counts.requests == 0 {
             return Nanoseconds::ZERO;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.latency.total() / self.counts.requests as f64
-        }
+        self.latency.total() / self.counts.requests as f64
     }
 
     /// Average power (energy) per request including the static share
@@ -246,10 +251,7 @@ impl SimulationReport {
         if self.counts.requests == 0 {
             return Nanojoules::ZERO;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.energy.total() / self.counts.requests as f64
-        }
+        self.energy.total() / self.counts.requests as f64
     }
 
     /// Total energy ratio of `self` to `baseline` — the y-axis of
@@ -270,10 +272,7 @@ impl SimulationReport {
     /// and 4b.
     #[must_use]
     pub fn nvm_writes_normalized_to(&self, baseline: &Self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.nvm_writes.total() as f64 / baseline.nvm_writes.total() as f64
-        }
+        self.nvm_writes.total() as f64 / baseline.nvm_writes.total() as f64
     }
 
     /// A multi-line human-readable summary of the run (the format used by
@@ -293,7 +292,6 @@ impl SimulationReport {
     /// ```
     #[must_use]
     pub fn text_summary(&self) -> String {
-        #[allow(clippy::cast_precision_loss)]
         let n = self.counts.requests.max(1) as f64;
         format!(
             "policy {} over {}:\n\
@@ -345,7 +343,6 @@ pub fn geo_mean(values: &[f64]) -> f64 {
             v.ln()
         })
         .sum();
-    #[allow(clippy::cast_precision_loss)]
     (log_sum / values.len() as f64).exp()
 }
 
@@ -357,10 +354,7 @@ pub fn geo_mean(values: &[f64]) -> f64 {
 #[must_use]
 pub fn arith_mean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "arithmetic mean of an empty slice");
-    #[allow(clippy::cast_precision_loss)]
-    {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
+    values.iter().sum::<f64>() / values.len() as f64
 }
 
 #[cfg(test)]

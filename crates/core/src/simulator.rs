@@ -364,6 +364,7 @@ impl HybridSimulator {
                         self.account(access, &AccessOutcome::hit(MemoryKind::Nvm));
                     }
                     BatchStep::Detailed => {
+                        #[expect(clippy::expect_used, reason = "one table entry per Detailed step")]
                         let outcome = detailed
                             .next()
                             .expect("BatchOutcomes tape and table agree by construction");
@@ -378,11 +379,6 @@ impl HybridSimulator {
     #[must_use]
     pub fn into_report(self, workload: impl Into<String>) -> SimulationReport {
         let footprint_pages = self.footprint.len() as u64;
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
         let duration_pages = match self.density_hint {
             Some(density) => (density * self.counts.requests as f64).round() as u64,
             None => footprint_pages,
@@ -396,12 +392,7 @@ impl HybridSimulator {
             static_power_nj_s,
             duration_pages,
             self.counts.requests,
-        ) * {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.counts.requests as f64
-            }
-        };
+        ) * self.counts.requests as f64;
 
         let dynamic = self.dram.stats().request.energy + self.nvm.stats().request.energy;
         let energy = EnergyBreakdown {

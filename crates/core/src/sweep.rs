@@ -39,11 +39,8 @@ impl SweepPoint {
     /// Migrations per thousand requests of the subject policy.
     #[must_use]
     pub fn migrations_per_kreq(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.subject.counts.migrations() as f64 / self.subject.counts.requests.max(1) as f64
-                * 1000.0
-        }
+        self.subject.counts.migrations() as f64 / self.subject.counts.requests.max(1) as f64
+            * 1000.0
     }
 }
 

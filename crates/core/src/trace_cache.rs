@@ -216,7 +216,7 @@ impl TraceCache {
     #[must_use]
     pub fn new(budget_bytes: usize) -> Self {
         Self {
-            // xtask:allow(hot-path-lock, why=single mutex guarding the whole cache map; one acquisition per trace request, not per simulated access)
+            #[expect(clippy::disallowed_methods, reason = "once per trace request")]
             inner: Mutex::new(Inner {
                 entries: FxHashMap::default(),
                 bytes: 0,
@@ -294,8 +294,12 @@ impl TraceCache {
     /// # Panics
     ///
     /// Panics if the cache mutex was poisoned by a panicking generator.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "taken once per trace request; generators run outside it"
+    )]
     fn state(&self) -> MutexGuard<'_, Inner> {
-        // xtask:allow(hot-path-lock, why=one acquisition per trace request or diagnostics call, never per simulated access)
         self.inner.lock().expect("trace cache poisoned")
     }
 
@@ -326,7 +330,7 @@ impl TraceCache {
     pub fn try_get(&self, spec: &WorkloadSpec, seed: u64) -> Option<Arc<[PageAccess]>> {
         let cost = Self::cost_bytes(spec);
         if cost > self.budget_bytes {
-            // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
+            #[expect(clippy::disallowed_methods, reason = "a stats counter: guards no data")]
             self.oversize_rejections.fetch_add(1, Ordering::Relaxed);
             return None;
         }
@@ -356,12 +360,21 @@ impl TraceCache {
                         inner.bytes -= stale.bytes;
                     }
                     while inner.bytes + cost > self.budget_bytes {
+                        #[expect(
+                            clippy::disallowed_methods,
+                            clippy::expect_used,
+                            reason = "over budget implies an entry; unique ticks fix the minimum"
+                        )]
                         let victim = inner
                             .entries
                             .iter()
                             .min_by_key(|(_, entry)| entry.last_used)
                             .map(|(&k, _)| k)
                             .expect("over budget implies a resident entry");
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the victim was just found resident"
+                        )]
                         let evicted = inner.entries.remove(&victim).expect("victim resident");
                         inner.bytes -= evicted.bytes;
                         inner.evictions += 1;
@@ -438,6 +451,7 @@ impl TraceCache {
     /// header naming a different `(spec, seed)` — is a miss, never an
     /// error: the caller falls back to the generator, whose spill write
     /// replaces the file.
+    #[expect(clippy::disallowed_methods, reason = "a stats counter: guards no data")]
     fn try_load_spill(&self, key: u64, spec_json: &str, seed: u64) -> Option<Arc<[PageAccess]>> {
         let path = self.spill_path(key)?;
         let loaded = self
@@ -445,15 +459,12 @@ impl TraceCache {
             .and_then(|bytes| BinTraceReader::from_reader(bytes.as_slice()).ok())
             .filter(|reader| reader.header().matches(spec_json, seed));
         let Some(reader) = loaded else {
-            // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
             self.spill.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
         self.spill.hits.fetch_add(1, Ordering::Relaxed);
         self.spill.bytes_read.fetch_add(
             (reader.records().len() * binfmt::RECORD_BYTES) as u64,
-            // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
             Ordering::Relaxed,
         );
         Some(
@@ -467,7 +478,7 @@ impl TraceCache {
 
     /// Books one failed spill write in the stats.
     fn count_spill_write_error(&self) {
-        // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
+        #[expect(clippy::disallowed_methods, reason = "a stats counter: guards no data")]
         self.spill.write_errors.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -503,7 +514,7 @@ impl TraceCache {
             self.count_spill_write_error();
             return false;
         }
-        // xtask:allow(atomic-ordering, why=the count only has to be unique, which fetch_add guarantees under any ordering)
+        #[expect(clippy::disallowed_methods, reason = "the count only has to be unique")]
         let writer = SPILL_WRITES.fetch_add(1, Ordering::Relaxed);
         let tmp = dir.join(format!(
             "{key:016x}.hmtrace.tmp.{}.{writer}",
@@ -512,9 +523,12 @@ impl TraceCache {
         match binfmt::write_trace_file(&tmp, spec_json, seed, key, accesses) {
             Ok(count) => {
                 if std::fs::rename(&tmp, &path).is_ok() {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "a stats counter: guards no data"
+                    )]
                     self.spill.bytes_written.fetch_add(
                         count.saturating_mul(binfmt::RECORD_BYTES as u64),
-                        // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
                         Ordering::Relaxed,
                     );
                     return true;
@@ -574,21 +588,24 @@ impl TraceCache {
         // time this caller holds the lock, another caller spilled the trace
         // after this one missed it. The count is valid at every step, so a
         // lock poisoned by a panicking writer is taken over, not fatal.
-        // xtask:allow(hot-path-lock, why=one acquisition per stream open, not per simulated access)
+        #[expect(clippy::disallowed_methods, reason = "once per stream open")]
         let landed = *writer.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(stream) = self.open_spill_stream(&path, &spec_json, seed) {
-            // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
+            #[expect(clippy::disallowed_methods, reason = "a stats counter: guards no data")]
             self.spill.hits.fetch_add(1, Ordering::Relaxed);
             return Some(self.count_stream_read(stream));
         }
-        // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
+        #[expect(clippy::disallowed_methods, reason = "a stats counter: guards no data")]
         self.spill.misses.fetch_add(1, Ordering::Relaxed);
         {
             // The first caller generates while the others block here. A
             // waiter that finds the count moved replays the new file; if
             // the write failed, the count has not moved and each waiter
             // generates in turn, as every miss did before.
-            // xtask:allow(hot-path-lock, why=held while one trace is generated to disk, so its other openers wait instead of generating it again)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "held while one trace spills, so other openers wait, not regenerate"
+            )]
             let mut writes = writer.lock().unwrap_or_else(PoisonError::into_inner);
             if *writes == landed
                 && self.try_write_spill(
@@ -608,10 +625,10 @@ impl TraceCache {
     /// The spill-write lock of fingerprint `key` (see `Inner::spill_writers`).
     fn spill_writer(&self, key: u64) -> Arc<Mutex<u64>> {
         let mut inner = self.state();
+        #[expect(clippy::disallowed_methods, reason = "one lock per spilled trace")]
         let writer = inner
             .spill_writers
             .entry(key)
-            // xtask:allow(hot-path-lock, why=one lock per spilled trace, created once per cache)
             .or_insert_with(|| Arc::new(Mutex::new(0)));
         Arc::clone(writer)
     }
@@ -621,11 +638,11 @@ impl TraceCache {
         &self,
         stream: BinTraceStream<SpillSource>,
     ) -> BinTraceStream<SpillSource> {
+        #[expect(clippy::disallowed_methods, reason = "a stats counter: guards no data")]
         self.spill.bytes_read.fetch_add(
             stream
                 .remaining()
                 .saturating_mul(binfmt::RECORD_BYTES as u64),
-            // xtask:allow(atomic-ordering, why=monotonic stats counters; readers tolerate any interleaving)
             Ordering::Relaxed,
         );
         stream
@@ -663,20 +680,21 @@ impl TraceCache {
     ///
     /// Panics if the cache mutex was poisoned.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "stats counters: guard no data")]
     pub fn stats(&self) -> TraceCacheStats {
         let inner = self.state();
         TraceCacheStats {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
-            oversize_rejections: self.oversize_rejections.load(Ordering::Relaxed), // xtask:allow(atomic-ordering, why=relaxed stats snapshot; exactness not required)
+            oversize_rejections: self.oversize_rejections.load(Ordering::Relaxed),
             resident_traces: inner.entries.len() as u64,
             resident_bytes: inner.bytes as u64,
-            spill_hits: self.spill.hits.load(Ordering::Relaxed), // xtask:allow(atomic-ordering, why=relaxed stats snapshot)
-            spill_misses: self.spill.misses.load(Ordering::Relaxed), // xtask:allow(atomic-ordering, why=relaxed stats snapshot)
-            spill_bytes_read: self.spill.bytes_read.load(Ordering::Relaxed), // xtask:allow(atomic-ordering, why=relaxed stats snapshot)
-            spill_bytes_written: self.spill.bytes_written.load(Ordering::Relaxed), // xtask:allow(atomic-ordering, why=relaxed stats snapshot)
-            spill_write_errors: self.spill.write_errors.load(Ordering::Relaxed), // xtask:allow(atomic-ordering, why=relaxed stats snapshot)
+            spill_hits: self.spill.hits.load(Ordering::Relaxed),
+            spill_misses: self.spill.misses.load(Ordering::Relaxed),
+            spill_bytes_read: self.spill.bytes_read.load(Ordering::Relaxed),
+            spill_bytes_written: self.spill.bytes_written.load(Ordering::Relaxed),
+            spill_write_errors: self.spill.write_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -697,11 +715,8 @@ impl TraceCache {
         registry.add("trace_cache.spill_bytes_read", stats.spill_bytes_read);
         registry.add("trace_cache.spill_bytes_written", stats.spill_bytes_written);
         registry.add("trace_cache.spill_write_errors", stats.spill_write_errors);
-        #[allow(clippy::cast_precision_loss)]
-        {
-            registry.set_gauge("trace_cache.resident_traces", stats.resident_traces as f64);
-            registry.set_gauge("trace_cache.resident_bytes", stats.resident_bytes as f64);
-        }
+        registry.set_gauge("trace_cache.resident_traces", stats.resident_traces as f64);
+        registry.set_gauge("trace_cache.resident_bytes", stats.resident_bytes as f64);
     }
 }
 

@@ -82,10 +82,7 @@ impl WearTracker {
         if self.writes.is_empty() {
             return 0.0;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.total as f64 / self.writes.len() as f64
-        }
+        self.total as f64 / self.writes.len() as f64
     }
 
     /// Wear imbalance: max wear / mean wear. 1.0 means perfectly even wear;
@@ -97,10 +94,7 @@ impl WearTracker {
         if mean == 0.0 {
             return 0.0;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.max_wear() as f64 / mean
-        }
+        self.max_wear() as f64 / mean
     }
 
     /// Builds a histogram of page wear with `buckets` equal-width bins
@@ -114,6 +108,7 @@ impl WearTracker {
         assert!(buckets > 0, "histogram needs at least one bucket");
         let max = self.max_wear();
         let mut counts = vec![0u64; buckets];
+        #[expect(clippy::indexing_slicing, reason = "clamped below counts.len()")]
         for &wear in self.writes.values() {
             // Bucket index in [0, buckets-1]; the max value lands in the
             // last bucket. (`max` is non-zero here: `writes` has entries.)
@@ -149,10 +144,8 @@ impl WearTracker {
         if max == 0 || writes_per_second <= 0.0 || writes_per_second.is_nan() {
             return None;
         }
-        #[allow(clippy::cast_precision_loss)]
         let hottest_share = max as f64 / self.total as f64;
         let hottest_rate = writes_per_second * hottest_share;
-        #[allow(clippy::cast_precision_loss)]
         let seconds = cell_endurance as f64 / hottest_rate;
         Some(LifetimeEstimate {
             seconds,

@@ -35,7 +35,16 @@
 //! assert_eq!(cost.energy.value(), 32.0);   // Table IV: PCM write = 32 nJ
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![warn(missing_docs)]
 
 mod characteristics;

@@ -229,7 +229,6 @@ impl MemoryModule {
     /// power is 10× lower than DRAM (Table IV).
     #[must_use]
     pub fn static_power_nj_s(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
         let pages = self.capacity.value() as f64;
         pages * self.characteristics.static_power_per_page_nj_s()
     }
@@ -249,7 +248,6 @@ impl MemoryModule {
         source: AccessSource,
         count: u64,
     ) -> AccessCost {
-        #[allow(clippy::cast_precision_loss)]
         let n = count as f64;
         let cost = AccessCost::new(
             self.characteristics.latency(kind) * n,

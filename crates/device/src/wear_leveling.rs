@@ -151,17 +151,14 @@ impl StartGapLeveler {
         if self.total_writes == 0 {
             return 1.0;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            (self.total_writes + self.gap_moves) as f64 / self.total_writes as f64
-        }
+        (self.total_writes + self.gap_moves) as f64 / self.total_writes as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn rejects_degenerate_configs() {
@@ -173,7 +170,7 @@ mod tests {
     fn mapping_is_injective_at_all_times() {
         let mut leveler = StartGapLeveler::new(16, 1).unwrap();
         for _ in 0..200 {
-            let frames: HashSet<u64> = (0..16)
+            let frames: BTreeSet<u64> = (0..16)
                 .map(|p| leveler.physical_frame(PageId::new(p)))
                 .collect();
             assert_eq!(frames.len(), 16, "mapping must stay injective");
@@ -218,7 +215,7 @@ mod tests {
         // Hammer one logical page; over enough writes its physical frame
         // must visit every slot — the whole point of wear leveling.
         let mut leveler = StartGapLeveler::new(8, 1).unwrap();
-        let mut visited = HashSet::new();
+        let mut visited = BTreeSet::new();
         for _ in 0..200 {
             visited.insert(leveler.physical_frame(PageId::new(0)));
             leveler.record_write();

@@ -118,6 +118,10 @@ fn write_quoted(out: &mut String, text: &str) {
 /// * other values with `-5 < point <= 16` are plain decimals (`12.34`,
 ///   `0.00005`);
 /// * everything else is scientific without a `+` (`1e16`, `1.5e-7`).
+#[expect(
+    clippy::expect_used,
+    reason = "`{:e}` of a finite f64 has an exponent and at most 17 digits"
+)]
 pub(crate) fn shortest_f64(value: f64) -> String {
     if value == 0.0 {
         return if value.is_sign_negative() {

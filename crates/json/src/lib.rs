@@ -42,7 +42,16 @@
 //! assert_eq!(hybridmem_json::from_str::<Cell>(&text).unwrap(), cell);
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
@@ -106,6 +115,7 @@ impl Json {
 
     /// Object field lookup (first match, `None` on non-objects).
     #[must_use]
+    #[expect(clippy::wildcard_enum_match_arm, reason = "other variants answer None")]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Self::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -115,6 +125,7 @@ impl Json {
 
     /// The value as a string slice, when it is one.
     #[must_use]
+    #[expect(clippy::wildcard_enum_match_arm, reason = "other variants answer None")]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Self::String(s) => Some(s),
@@ -124,6 +135,7 @@ impl Json {
 
     /// The value as a bool, when it is one.
     #[must_use]
+    #[expect(clippy::wildcard_enum_match_arm, reason = "other variants answer None")]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Self::Bool(b) => Some(*b),
@@ -133,6 +145,7 @@ impl Json {
 
     /// The number parsed as `f64`, when it is one.
     #[must_use]
+    #[expect(clippy::wildcard_enum_match_arm, reason = "other variants answer None")]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Self::Number(lexeme) => lexeme.parse().ok(),
@@ -143,6 +156,7 @@ impl Json {
     /// The number parsed as `u64`, when it is a plain non-negative
     /// integer lexeme (every counter the simulator emits is one).
     #[must_use]
+    #[expect(clippy::wildcard_enum_match_arm, reason = "other variants answer None")]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Self::Number(lexeme) => lexeme.parse().ok(),
@@ -152,6 +166,7 @@ impl Json {
 
     /// The value as an array slice, when it is one.
     #[must_use]
+    #[expect(clippy::wildcard_enum_match_arm, reason = "other variants answer None")]
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Self::Array(items) => Some(items),
@@ -161,6 +176,7 @@ impl Json {
 
     /// The value's fields, when it is an object.
     #[must_use]
+    #[expect(clippy::wildcard_enum_match_arm, reason = "other variants answer None")]
     pub fn as_object(&self) -> Option<&[(String, Json)]> {
         match self {
             Self::Object(fields) => Some(fields),
@@ -371,6 +387,7 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 impl<T: FromJson> FromJson for Option<T> {
+    #[expect(clippy::wildcard_enum_match_arm, reason = "non-null values are T's")]
     fn from_json(json: &Json) -> Result<Self, String> {
         match json {
             Json::Null => Ok(None),

@@ -54,6 +54,7 @@ impl Parser<'_> {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "pos never passes bytes.len()")]
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -132,6 +133,7 @@ impl Parser<'_> {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "pos never passes bytes.len()")]
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -246,6 +248,7 @@ impl Parser<'_> {
                 return Err(format!("invalid number at byte {start}"));
             }
         }
+        #[expect(clippy::indexing_slicing, reason = "pos never passes bytes.len()")]
         let lexeme = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("invalid number at byte {start}"))?;
         Ok(Json::Number(lexeme.to_owned()))

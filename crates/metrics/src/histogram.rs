@@ -55,7 +55,6 @@ impl Histogram {
         if value == 0 {
             0
         } else {
-            // xtask:allow(lossy-cast, why=64 - leading_zeros is at most 64, within usize on all targets)
             (64 - value.leading_zeros()) as usize
         }
     }
@@ -66,6 +65,7 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+        #[expect(clippy::indexing_slicing, reason = "bucket_index(v) <= 64 < BUCKETS")]
         let bucket = &mut self.buckets[Self::bucket_index(value)];
         *bucket = bucket.saturating_add(1);
     }
@@ -108,10 +108,7 @@ impl Histogram {
         if self.count == 0 {
             return 0.0;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.sum as f64 / self.count as f64
-        }
+        self.sum as f64 / self.count as f64
     }
 
     /// Merges another histogram into this one, bucket by bucket. Counts
@@ -247,6 +244,7 @@ impl HistogramSnapshot {
             max: self.max,
             buckets: [0; BUCKETS],
         };
+        #[expect(clippy::indexing_slicing, reason = "bucket_index(v) <= 64 < BUCKETS")]
         for bucket in &self.buckets {
             histogram.buckets[Histogram::bucket_index(bucket.upper)] += bucket.count;
         }

@@ -15,8 +15,8 @@
 //! The crate's only dependency is the workspace's own JSON writer, and it is fully
 //! deterministic: all storage is `BTreeMap`-backed, so iteration and
 //! serialization order depend only on the metric names, never on insertion
-//! history or hasher state — the property `cargo xtask lint` enforces
-//! across the simulation crates (this one included). There is no global
+//! history or hasher state (`clippy.toml` bans the randomly keyed std
+//! hash collections workspace-wide). There is no global
 //! registry, no wall-clock, and no interior mutability: a
 //! [`MetricsRegistry`] is a plain value owned by whoever is measuring, and
 //! a [`MetricsSnapshot`] is its serializable export.
@@ -25,8 +25,8 @@
 //! [`SpanProfiler`] for harness phases (scheduling, trace
 //! materialization, warmup) with Chrome trace-event export for Perfetto.
 //! Its output sits outside the determinism boundary: it never feeds back
-//! into simulation results, and every `Instant::now` call site carries an
-//! `xtask:allow(timing)` annotation audited by `cargo xtask lint`.
+//! into simulation results, and every `Instant::now` call site carries its
+//! own reasoned `#[expect(clippy::disallowed_methods)]`.
 //! The [`process`] module (peak-RSS introspection for the throughput
 //! harness) sits outside that boundary for the same reason.
 //!
@@ -46,10 +46,27 @@
 //! assert_eq!(snapshot.counters["sim.faults"], 4);
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::cast_lossless,
+        clippy::float_cmp
+    )
+)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod histogram;
 pub mod process;

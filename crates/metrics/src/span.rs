@@ -6,9 +6,9 @@
 //! results, metrics JSONL, or the page ledger — they only describe how
 //! long the *harness* (matrix scheduling, trace materialization, warmup,
 //! measured runs, window flushes) took on this particular machine. Every
-//! `Instant::now` call site below carries an `xtask:allow(timing)`
-//! annotation so `cargo xtask lint` keeps rejecting wall-clock reads
-//! anywhere else in the simulation crates.
+//! `Instant::now` call site below carries its own reasoned
+//! `#[expect(clippy::disallowed_methods)]`, so clippy keeps rejecting
+//! wall-clock reads anywhere else.
 //!
 //! Spans accumulate in a mutex-guarded vector (cheap enough for the
 //! coarse, per-phase granularity used here — this is not a sampling
@@ -69,7 +69,9 @@ impl SpanProfiler {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            epoch: Instant::now(), // xtask:allow(timing)
+            #[expect(clippy::disallowed_methods, reason = "no simulated result reads it")]
+            epoch: Instant::now(),
+            #[expect(clippy::disallowed_methods, reason = "once per closed span or export")]
             spans: Mutex::new(Vec::new()),
         }
     }
@@ -83,7 +85,8 @@ impl SpanProfiler {
             cat,
             name: name.into(),
             tid,
-            start: Instant::now(), // xtask:allow(timing)
+            #[expect(clippy::disallowed_methods, reason = "no simulated result reads it")]
+            start: Instant::now(),
         }
     }
 
@@ -150,6 +153,7 @@ impl SpanProfiler {
 
     /// The span vector, recovered even if a panicking thread poisoned
     /// the mutex — profiling must never abort an experiment.
+    #[expect(clippy::disallowed_methods, reason = "once per closed span or export")]
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<SpanRecord>> {
         self.spans
             .lock()
@@ -176,17 +180,18 @@ pub struct SpanGuard<'a> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let end = Instant::now(); // xtask:allow(timing)
+        #[expect(clippy::disallowed_methods, reason = "no simulated result reads it")]
+        let end = Instant::now();
+        #[expect(clippy::cast_possible_truncation, reason = "clamped to u64::MAX first")]
         let ts = self
             .start
             .duration_since(self.profiler.epoch)
             .as_micros()
-            // xtask:allow(lossy-cast, why=clamped to u64::MAX on the previous line)
             .min(u128::from(u64::MAX)) as u64;
+        #[expect(clippy::cast_possible_truncation, reason = "clamped to u64::MAX first")]
         let dur = end
             .duration_since(self.start)
             .as_micros()
-            // xtask:allow(lossy-cast, why=clamped to u64::MAX on the previous line)
             .min(u128::from(u64::MAX)) as u64;
         self.profiler.record(SpanRecord {
             name: std::mem::take(&mut self.name),

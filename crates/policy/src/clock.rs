@@ -132,6 +132,7 @@ impl<M> ClockRing<M> {
     ///
     /// Panics if the ring is full or the page is already resident; callers
     /// must evict first — eviction policy is theirs, not the ring's.
+    #[expect(clippy::indexing_slicing, reason = "a free frame lies below capacity")]
     pub fn insert(&mut self, page: PageId, meta: M) {
         assert!(
             !self.is_full(),
@@ -160,6 +161,11 @@ impl<M> ClockRing<M> {
 
     /// Sets the reference bit of `page` and returns its metadata for
     /// updating. Returns `None` when the page is not resident.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "the map holds exactly the occupied frames"
+    )]
     pub fn touch(&mut self, page: PageId) -> Option<&mut M> {
         let idx = self.map.get(page)? as usize;
         let frame = self.frames[idx].as_mut().expect("mapped frame is occupied");
@@ -169,6 +175,11 @@ impl<M> ClockRing<M> {
 
     /// Reads the metadata of `page` without touching the reference bit.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "the map holds exactly the occupied frames"
+    )]
     pub fn meta(&self, page: PageId) -> Option<&M> {
         let idx = self.map.get(page)? as usize;
         Some(
@@ -180,6 +191,11 @@ impl<M> ClockRing<M> {
     }
 
     /// Removes `page` from the ring, returning its metadata.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "the map holds exactly the occupied frames"
+    )]
     pub fn remove(&mut self, page: PageId) -> Option<M> {
         let idx = self.map.remove(page)? as usize;
         let frame = self.frames[idx].take().expect("mapped frame is occupied");
@@ -202,6 +218,11 @@ impl<M> ClockRing<M> {
     /// # Panics
     ///
     /// Panics if the ring is empty.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "the hand stays below capacity = frames.len()"
+    )]
     pub fn evict_with<F>(&mut self, mut extra_chance: F) -> (PageId, M)
     where
         F: FnMut(&mut M) -> bool,

@@ -69,7 +69,6 @@ impl ClockDwfPolicy {
                 "DRAM and NVM capacities must both be at least one page",
             ));
         }
-        #[allow(clippy::cast_possible_truncation)]
         Ok(Self {
             dram: ClockRing::new(dram_capacity.value() as usize),
             nvm: ClockRing::new(nvm_capacity.value() as usize),

@@ -79,7 +79,6 @@ impl ClockProPolicy {
                 "DRAM and NVM capacities must both be at least one page",
             ));
         }
-        #[allow(clippy::cast_possible_truncation)]
         Ok(Self {
             hot: ClockRing::new(dram_capacity.value() as usize),
             cold: ClockRing::new(nvm_capacity.value() as usize),

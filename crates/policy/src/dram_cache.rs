@@ -58,7 +58,6 @@ impl DramCachePolicy {
                 "DRAM and NVM capacities must both be at least one page",
             ));
         }
-        #[allow(clippy::cast_possible_truncation)]
         Ok(Self {
             nvm: RankedLru::with_capacity(nvm_capacity.value() as usize),
             cache: RankedLru::with_capacity(dram_capacity.value() as usize),
@@ -69,6 +68,7 @@ impl DramCachePolicy {
 
     /// Drops the cache's LRU copy, writing it back first when dirty.
     fn evict_cache_copy(&mut self, actions: &mut ActionList) {
+        #[expect(clippy::expect_used, reason = "a full cache has a victim")]
         let (victim, dirty) = self.cache.evict_lru().expect("a full cache has a victim");
         if dirty {
             actions.push(PolicyAction::Migrate {
@@ -112,6 +112,7 @@ impl HybridPolicy for DramCachePolicy {
         // Page fault: fill the NVM backing store, then cache the page.
         let mut actions = ActionList::new();
         if self.nvm.len() as u64 >= self.nvm_capacity.value() {
+            #[expect(clippy::expect_used, reason = "a full NVM has a victim")]
             let (out, ()) = self.nvm.evict_lru().expect("a full NVM has a victim");
             // The evicted page's cache copy (if any) dies with it; any
             // dirty data goes to disk with the page, which the model does

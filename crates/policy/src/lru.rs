@@ -66,6 +66,7 @@ impl Fenwick {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "loop guard keeps i < tree.len()")]
     fn add(&mut self, index: usize, delta: i32) {
         let mut i = index + 1;
         while i < self.tree.len() {
@@ -75,6 +76,7 @@ impl Fenwick {
     }
 
     /// Number of occupied slots in `[0, index]`.
+    #[expect(clippy::indexing_slicing, reason = "i <= tree.len() - 1 and falls")]
     fn prefix(&self, index: usize) -> u32 {
         let mut i = (index + 1).min(self.tree.len() - 1);
         let mut sum = 0;
@@ -86,6 +88,7 @@ impl Fenwick {
     }
 
     /// Index of the k-th (1-based) occupied slot, if any.
+    #[expect(clippy::indexing_slicing, reason = "next < tree.len() is checked")]
     fn select(&self, k: u32) -> Option<usize> {
         if k == 0 {
             return None;
@@ -184,6 +187,7 @@ impl<M: Copy> RankedLru<M> {
     ///
     /// Panics if `page` is already in the queue; use [`RankedLru::touch`]
     /// for pages that may be present.
+    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     pub fn insert(&mut self, page: PageId, meta: M) {
         assert!(
             !self.index.contains(page),
@@ -239,6 +243,7 @@ impl<M: Copy> RankedLru<M> {
 
     /// Recency rank of slab entry `entry`: pages with slots *greater* than
     /// its slot are more recent.
+    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     fn rank_of(&self, entry: usize) -> usize {
         let at_or_before = self.fenwick.prefix(self.slots[entry]);
         self.len() - at_or_before as usize
@@ -246,6 +251,7 @@ impl<M: Copy> RankedLru<M> {
 
     /// Moves the slab entry `entry` to a fresh MRU slot in place (no table
     /// traffic). The rank ordering of all other pages is unchanged.
+    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     fn reslot(&mut self, entry: usize) {
         // Allocate first: a compaction renumbers `slots[entry]` too, so the
         // old slot must be read *after* `take_slot`.
@@ -276,6 +282,7 @@ impl<M: Copy> RankedLru<M> {
 
     /// Removes `page` from the queue, returning its metadata when it was
     /// present.
+    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     pub fn remove(&mut self, page: PageId) -> Option<M> {
         let entry = self.index.remove(page)?;
         let slot = self.slots[entry as usize];
@@ -318,6 +325,7 @@ impl<M: Copy> RankedLru<M> {
 
     /// Renumbers all present pages into slots `0..len` (preserving order)
     /// and resizes the slot space to 4× the live population.
+    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     fn compact(&mut self) {
         self.slot_to_entry.retain(|&entry| entry != EMPTY);
         let live = self.slot_to_entry.len();
@@ -424,6 +432,7 @@ impl LinkedLru {
     ///
     /// Panics if `page` is already in the queue; use [`LinkedLru::touch`]
     /// for pages that may be present.
+    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
     pub fn insert(&mut self, page: PageId) {
         assert!(
             !self.index.contains(page),
@@ -468,6 +477,7 @@ impl LinkedLru {
     }
 
     /// Removes and returns the least-recently-used page.
+    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
     pub fn evict_lru(&mut self) -> Option<PageId> {
         let victim = self.tail?;
         let page = self.nodes[victim as usize].page;
@@ -479,6 +489,7 @@ impl LinkedLru {
 
     /// Returns the least-recently-used page without removing it.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
     pub fn peek_lru(&self) -> Option<PageId> {
         self.tail.map(|idx| self.nodes[idx as usize].page)
     }
@@ -496,6 +507,7 @@ impl LinkedLru {
     /// Pages ordered from MRU to LRU. O(n); intended for tests,
     /// debugging, and snapshots rather than per-access use.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
     pub fn pages_by_recency(&self) -> Vec<PageId> {
         let mut out = Vec::with_capacity(self.len());
         let mut cursor = self.head;
@@ -508,6 +520,7 @@ impl LinkedLru {
     }
 
     /// Detaches node `idx` from the list, fixing head/tail.
+    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
     fn unlink(&mut self, idx: u32) {
         let Node { prev, next, .. } = self.nodes[idx as usize];
         if prev == NIL {
@@ -523,6 +536,7 @@ impl LinkedLru {
     }
 
     /// Splices node `idx` to the head (MRU) position.
+    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
     fn move_to_front(&mut self, idx: u32) {
         if self.head == Some(idx) {
             return;

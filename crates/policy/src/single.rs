@@ -44,7 +44,6 @@ impl SingleTierPolicy {
                 "single-tier capacity must be at least one page",
             ));
         }
-        #[allow(clippy::cast_possible_truncation)]
         Ok(Self {
             kind,
             capacity,
@@ -84,6 +83,7 @@ impl HybridPolicy for SingleTierPolicy {
         }
         let mut actions = ActionList::new();
         if self.lru.len() as u64 >= self.capacity.value() {
+            #[expect(clippy::expect_used, reason = "a full queue has a victim")]
             let victim = self.lru.evict_lru().expect("a full queue has a victim");
             actions.push(PolicyAction::EvictToDisk {
                 page: victim,

@@ -43,7 +43,6 @@ impl SingleTierClockPolicy {
                 "single-tier capacity must be at least one page",
             ));
         }
-        #[allow(clippy::cast_possible_truncation)]
         Ok(Self {
             kind,
             capacity,

@@ -108,6 +108,7 @@ impl ActionList {
     /// Panics when the list already holds [`MAX_ACTIONS_PER_ACCESS`]
     /// actions.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "the assert above bounds len")]
     pub fn push(&mut self, action: PolicyAction) {
         assert!(
             (self.len as usize) < MAX_ACTIONS_PER_ACCESS,
@@ -121,6 +122,7 @@ impl ActionList {
     /// The live actions as a slice, in insertion order.
     #[inline]
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "push keeps len within slots")]
     pub fn as_slice(&self) -> &[PolicyAction] {
         &self.slots[..self.len as usize]
     }
@@ -499,6 +501,7 @@ impl BatchOutcomes {
     /// Reconstructs the full [`AccessOutcome`] sequence — the
     /// equivalence oracle batched≡serial tests compare against.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "one table entry per Detailed step")]
     pub fn expand(&self) -> Vec<AccessOutcome> {
         let mut detailed = self.detailed.iter();
         self.steps

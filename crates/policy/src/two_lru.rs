@@ -168,11 +168,6 @@ impl TwoLruConfig {
     }
 
     fn window_pages(capacity: PageCount, fraction: f64) -> usize {
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
         let pages = (capacity.value() as f64 * fraction).ceil() as usize;
         pages.max(1)
     }
@@ -226,7 +221,6 @@ impl TwoLruPolicy {
     /// Creates the policy for the given configuration.
     #[must_use]
     pub fn new(config: TwoLruConfig) -> Self {
-        #[allow(clippy::cast_possible_truncation)]
         Self {
             config,
             dram: LinkedLru::with_capacity(config.dram_capacity.value() as usize),
@@ -304,7 +298,6 @@ impl TwoLruPolicy {
     /// `two_lru.*` namespace: counters `read_window_resets`,
     /// `write_window_resets`, `read_promotions`, `write_promotions`; gauges
     /// `read_window_occupancy`, `write_window_occupancy`, `tracked_pages`.
-    #[allow(clippy::cast_precision_loss)]
     pub fn export_metrics(&self, registry: &mut MetricsRegistry) {
         registry.add("two_lru.read_window_resets", self.stats.read_window_resets);
         registry.add(
@@ -327,6 +320,7 @@ impl TwoLruPolicy {
     /// Handles a hit in the NVM queue (Algorithm 1, lines 6–25); `None`
     /// when `page` is not in NVM. One NVM lookup finds the page's rank and
     /// its counters.
+    #[expect(clippy::expect_used, reason = "a full DRAM queue has a victim")]
     fn on_nvm_hit(&mut self, page: PageId, kind: AccessKind) -> Option<AccessOutcome> {
         let (rank, entry) = self.nvm.touch_ranked(page)?;
         let counters = entry.get_or_insert_with(PageCounters::default);
@@ -409,6 +403,7 @@ impl TwoLruPolicy {
     /// Handles a page fault (Algorithm 1, lines 27–28): fill into DRAM,
     /// demoting DRAM's victim to NVM and evicting NVM's victim to disk as
     /// needed.
+    #[expect(clippy::expect_used, reason = "a full queue has a victim")]
     fn on_fault(&mut self, page: PageId) -> AccessOutcome {
         let mut actions = ActionList::new();
         if self.dram.len() as u64 >= self.config.dram_capacity.value() {

@@ -8,7 +8,7 @@
 //! zeroing after every queue movement — and checks both policies produce
 //! byte-identical [`AccessOutcome`]s on arbitrary access streams.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hybridmem_policy::{AccessOutcome, HybridPolicy, PolicyAction, TwoLruConfig, TwoLruPolicy};
 use hybridmem_types::{for_each_case, AccessKind, MemoryKind, PageAccess, PageCount, PageId};
@@ -18,7 +18,7 @@ struct NaiveTwoLru {
     config: TwoLruConfig,
     dram: Vec<PageId>,
     nvm: Vec<PageId>,
-    counters: HashMap<PageId, (u32, u32)>,
+    counters: BTreeMap<PageId, (u32, u32)>,
 }
 
 impl NaiveTwoLru {
@@ -27,7 +27,7 @@ impl NaiveTwoLru {
             config,
             dram: Vec::new(),
             nvm: Vec::new(),
-            counters: HashMap::new(),
+            counters: BTreeMap::new(),
         }
     }
 

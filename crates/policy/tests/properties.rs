@@ -1,7 +1,7 @@
 //! Property-based tests for the policy crate's data structures and
 //! policies, checking the invariants called out in `DESIGN.md`.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use hybridmem_policy::{
     AccessOutcome, AdaptiveConfig, AdaptiveTwoLruPolicy, ClockDwfPolicy, ClockProPolicy, ClockRing,
@@ -196,7 +196,7 @@ fn two_lru_invariants() {
         let accesses = arb_stream(rng, 32, 1..400);
         let config = TwoLruConfig::new(PageCount::new(dram_cap), PageCount::new(nvm_cap)).unwrap();
         let mut policy = TwoLruPolicy::new(config);
-        let mut resident: HashSet<u64> = HashSet::new();
+        let mut resident: BTreeSet<u64> = BTreeSet::new();
         for (p, is_write) in accesses {
             let page = PageId::new(p);
             let was_resident = resident.contains(&p);
@@ -239,7 +239,7 @@ fn clock_dwf_invariants() {
         let accesses = arb_stream(rng, 32, 1..400);
         let mut policy =
             ClockDwfPolicy::new(PageCount::new(dram_cap), PageCount::new(nvm_cap)).unwrap();
-        let mut resident: HashSet<u64> = HashSet::new();
+        let mut resident: BTreeSet<u64> = BTreeSet::new();
         for (p, is_write) in accesses {
             let page = PageId::new(p);
             let kind = kind_of(is_write);
@@ -427,7 +427,7 @@ fn check_policy_invariants(
     nvm_cap: u64,
     accesses: &[(u64, bool)],
 ) {
-    let mut resident: HashSet<u64> = HashSet::new();
+    let mut resident: BTreeSet<u64> = BTreeSet::new();
     for &(p, is_write) in accesses {
         let page = PageId::new(p);
         let was_resident = resident.contains(&p);

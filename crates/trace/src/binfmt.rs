@@ -489,6 +489,7 @@ impl<R: Read> BinTraceStream<R> {
         }
         self.trailer_checked = true;
         let mut trailer = [0u8; TRAILER_BYTES];
+        #[expect(clippy::wildcard_enum_match_arm, reason = "other kinds pass through")]
         self.source
             .read_exact(&mut trailer)
             .map_err(|e| match e.kind() {
@@ -512,6 +513,11 @@ impl<R: Read> BinTraceStream<R> {
 /// Decodes the whole records in `bytes` onto `out`, folding each into
 /// the trailer checksum `hash` in the same pass, and returns the
 /// updated checksum.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "chunks_exact(RECORD_BYTES) yields 16-byte records"
+)]
 fn decode_records(bytes: &[u8], mut hash: u64, out: &mut Vec<Record>) -> u64 {
     out.extend(bytes.chunks_exact(RECORD_BYTES).map(|raw| {
         let page = u64::from_le_bytes(raw[..8].try_into().expect("8-byte slice"));
@@ -524,6 +530,7 @@ fn decode_records(bytes: &[u8], mut hash: u64, out: &mut Vec<Record>) -> u64 {
 }
 
 /// Reads and validates the fixed header plus the spec JSON.
+#[expect(clippy::expect_used, reason = "constant ranges of the header")]
 fn read_header<R: Read>(reader: &mut R) -> Result<TraceHeader, Error> {
     let mut fixed = [0u8; HEADER_BYTES];
     reader

@@ -143,7 +143,6 @@ const fn hash64(mut x: u64) -> u64 {
 /// The guide-table bucket of a CDF value: monotone non-decreasing in `x`,
 /// which is all the exact walk relies on.
 fn guide_bucket(x: f64, scale: f64, buckets: usize) -> usize {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let bucket = (x * scale) as usize;
     bucket.min(buckets - 1)
 }
@@ -213,11 +212,6 @@ impl PageModel {
         while gcd(perm_a, wss.max(1)) != 1 {
             perm_a = if perm_a + 2 <= wss { perm_a + 2 } else { 1 };
         }
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
         let hot_band = (wss as f64 * HOT_BAND).ceil() as u64;
         Self {
             wss,
@@ -267,14 +261,12 @@ impl PageModel {
         if f <= 0.0 {
             return false;
         }
-        #[allow(clippy::cast_precision_loss)]
         let u = hash64(page.value() ^ self.seed) as f64 / u64::MAX as f64;
         u < f
     }
 
     /// Page-affine core assignment.
     fn core_of(&self, page: PageId) -> CoreId {
-        #[allow(clippy::cast_possible_truncation)]
         CoreId::new((hash64(page.value() ^ 0xc0de) % u64::from(self.cores)) as u16)
     }
 
@@ -348,25 +340,17 @@ impl TraceGenerator {
     pub fn new(spec: WorkloadSpec, seed: u64) -> Self {
         let wss = spec.working_set.value();
         let loc = spec.locality;
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
         let depth = ((wss as f64 * loc.stack_depth_fraction).ceil() as usize).clamp(1, DEPTH_CAP);
         let mut rank_cdf = Vec::with_capacity(depth);
         let mut acc = 0.0;
         for r in 0..depth {
-            #[allow(clippy::cast_precision_loss)]
             let w = 1.0 / ((r + 1) as f64).powf(loc.stack_theta);
             acc += w;
             rank_cdf.push(acc);
         }
         let buckets = depth * GUIDE_BUCKETS_PER_RANK;
-        #[allow(clippy::cast_precision_loss)]
         let guide_scale = buckets as f64 / acc;
         let mut below = 0;
-        #[allow(clippy::cast_possible_truncation)] // at most DEPTH_CAP
         let rank_guide = (0..buckets)
             .map(|bucket| {
                 while rank_cdf
@@ -375,7 +359,7 @@ impl TraceGenerator {
                 {
                     below += 1;
                 }
-                below as u32
+                below as u32 // at most DEPTH_CAP
             })
             .collect();
 
@@ -388,19 +372,12 @@ impl TraceGenerator {
         let p_hot = (m * p_cold).min(1.0);
         let damping = loc.cold_write_damping;
 
-        #[allow(clippy::cast_precision_loss)]
         let fresh_scale = wss as f64 * loc.popularity_span;
         let phase = loc.phase.map(|phase| {
-            #[allow(
-                clippy::cast_precision_loss,
-                clippy::cast_possible_truncation,
-                clippy::cast_sign_loss
-            )]
             let span = ((wss as f64 * phase.footprint_fraction).ceil() as u64).max(1);
             // Keep the phase region inside the popularity span: those
             // pages are memory-resident in steady state, so phase
             // rotation re-focuses traffic without page faults.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let region = (fresh_scale as u64).max(span);
             PhaseState {
                 length: phase.length,
@@ -413,7 +390,6 @@ impl TraceGenerator {
         });
 
         let memo_slots = wss.min(MEMO_SLOTS_MAX).next_power_of_two();
-        #[allow(clippy::cast_possible_truncation)]
         let memo = vec![PageAttrs::EMPTY; memo_slots as usize];
         Self {
             page_model: PageModel::new(&spec, seed),
@@ -452,7 +428,7 @@ impl TraceGenerator {
 
     /// The attributes of `page`, through the memo.
     fn attrs(&mut self, page: PageId) -> PageAttrs {
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(clippy::indexing_slicing, reason = "memo.len() is memo_mask + 1")]
         let slot = &mut self.memo[(page.value() & self.memo_mask) as usize];
         if slot.page != page.value() {
             *slot = self.page_model.attrs(page);
@@ -498,6 +474,10 @@ impl TraceGenerator {
             return (page, attrs);
         }
 
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "recency is non-empty, limit <= depth = rank_cdf.len() and rank < limit"
+        )]
         let mut page = if !self.recency.is_empty() && self.rng.next_f64() < loc.reuse_probability {
             // Reuse: rank-weighted draw from the recency buffer.
             let limit = self.recency.len().min(self.depth);
@@ -513,7 +493,6 @@ impl TraceGenerator {
             // Popularity-skewed fresh page: rank ∝ u^skew within the span,
             // scattered over the id space by the affine permutation.
             let u = self.rng.next_f64();
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let rank = ((self.fresh_scale * u.powf(loc.popularity_skew)) as u64).min(wss - 1);
             self.page_model.page_of_rank(rank)
         };
@@ -587,9 +566,7 @@ impl TraceGenerator {
         // state is write-starved).
         self.write_prob_sum += p_page;
         self.write_prob_count += 1;
-        #[allow(clippy::cast_precision_loss)]
         let mean_p = (self.write_prob_sum / self.write_prob_count as f64).max(1e-12);
-        #[allow(clippy::cast_precision_loss)]
         let remaining_ratio = remaining_writes as f64 / remaining as f64;
         let p = (p_page * remaining_ratio / mean_p).clamp(0.0, 1.0);
         if self.rng.next_f64() < p {
@@ -625,7 +602,6 @@ impl Iterator for TraceGenerator {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        #[allow(clippy::cast_possible_truncation)]
         let remaining = (self.spec.total_accesses() - self.emitted) as usize;
         (remaining, Some(remaining))
     }
@@ -637,7 +613,7 @@ impl ExactSizeIterator for TraceGenerator {}
 mod tests {
     use super::*;
     use crate::LocalityParams;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn spec(wss: u64, reads: u64, writes: u64) -> WorkloadSpec {
         WorkloadSpec::new("test", wss, reads, writes, LocalityParams::balanced()).unwrap()
@@ -684,7 +660,7 @@ mod tests {
     #[test]
     fn cores_are_in_range_and_page_affine() {
         let s = spec(64, 2_000, 0);
-        let mut page_core = std::collections::HashMap::new();
+        let mut page_core = std::collections::BTreeMap::new();
         for a in TraceGenerator::new(s, 5) {
             assert!(a.core.index() < 4);
             let prev = page_core.insert(a.page(), a.core);
@@ -748,7 +724,7 @@ mod tests {
         // Concentration metric: share of accesses landing on the hottest
         // 10% of pages (by access count).
         let concentration = |s: WorkloadSpec| {
-            let mut counts = std::collections::HashMap::new();
+            let mut counts = std::collections::BTreeMap::new();
             let mut total = 0u64;
             for a in TraceGenerator::new(s, 9) {
                 *counts.entry(a.page()).or_insert(0u64) += 1;
@@ -793,8 +769,8 @@ mod tests {
         // Skip the initialization sweep (first `wss` accesses walk the whole
         // footprint); the remainder of phase 0 must stay inside the phase
         // region. Intensity 1.0 with 2% footprint: ≤ 20 pages.
-        let phase0: HashSet<_> = pages[1_000..5_000].iter().collect();
-        let phase1: HashSet<_> = pages[5_000..].iter().collect();
+        let phase0: BTreeSet<_> = pages[1_000..5_000].iter().collect();
+        let phase1: BTreeSet<_> = pages[5_000..].iter().collect();
         assert!(
             phase0.len() <= 20,
             "phase footprint too wide: {}",

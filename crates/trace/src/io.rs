@@ -185,6 +185,7 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<Vec<Access>, Error> {
         ));
     }
     let mut accesses = Vec::with_capacity(bytes.len() / BINARY_RECORD_SIZE);
+    #[expect(clippy::indexing_slicing, reason = "records are 11-byte chunks")]
     for (index, record) in bytes.chunks_exact(BINARY_RECORD_SIZE).enumerate() {
         let short = |field: &str| {
             Error::parse_trace(index as u64 + 1, format!("record too short for {field}"))

@@ -44,6 +44,7 @@ impl ReuseProfile {
         let mut stack = DistanceStack::default();
         for page in pages {
             profile.total += 1;
+            #[expect(clippy::indexing_slicing, reason = "resized to cover distance above")]
             match stack.touch(page) {
                 None => profile.cold_misses += 1,
                 Some(distance) => {
@@ -88,12 +89,8 @@ impl ReuseProfile {
         if self.total == 0 {
             return 1.0;
         }
-        #[allow(clippy::cast_possible_truncation)]
         let hits: u64 = self.histogram.iter().take(capacity as usize).sum();
-        #[allow(clippy::cast_precision_loss)]
-        {
-            (self.total - hits) as f64 / self.total as f64
-        }
+        (self.total - hits) as f64 / self.total as f64
     }
 
     /// The smallest LRU capacity whose miss ratio does not exceed `target`
@@ -105,14 +102,12 @@ impl ReuseProfile {
             return None;
         }
         let mut hits = 0u64;
-        #[allow(clippy::cast_precision_loss)]
         let warm = (self.total - self.cold_misses) as f64;
         if warm == 0.0 {
             return None;
         }
         for (distance, &count) in self.histogram.iter().enumerate() {
             hits += count;
-            #[allow(clippy::cast_precision_loss)]
             let warm_miss = (warm - hits as f64) / warm;
             if warm_miss <= target {
                 return Some(distance as u64 + 1);
@@ -135,7 +130,6 @@ impl ReuseProfile {
             .enumerate()
             .map(|(d, &c)| d as u64 * c)
             .sum();
-        #[allow(clippy::cast_precision_loss)]
         Some(weighted as f64 / reuses as f64)
     }
 }
@@ -154,6 +148,7 @@ struct DistanceStack {
 }
 
 impl DistanceStack {
+    #[expect(clippy::indexing_slicing, reason = "loop guard keeps i < tree.len()")]
     fn add(&mut self, index: usize, delta: i64) {
         let mut i = index + 1;
         while i < self.tree.len() {
@@ -162,6 +157,7 @@ impl DistanceStack {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "i <= tree.len() - 1 and falls")]
     fn prefix(&self, index: usize) -> u64 {
         let mut i = (index + 1).min(self.tree.len().saturating_sub(1));
         let mut sum = 0u64;
@@ -189,7 +185,6 @@ impl DistanceStack {
                 // distinct pages touched since the last access to `page`.
                 let newer = self.prefix(stamp - 1) - self.prefix(previous);
                 self.add(previous, -1);
-                #[allow(clippy::cast_possible_truncation)]
                 Some(newer as usize)
             }
         };
@@ -200,6 +195,7 @@ impl DistanceStack {
     /// Compacts stamps to `0..live` (preserving order) and sizes the tree
     /// to 4× the live population.
     fn grow_or_compact(&mut self) {
+        #[expect(clippy::disallowed_methods, reason = "sorted by unique stamps next")]
         let mut pairs: Vec<(usize, PageId)> = self
             .last_stamp
             .iter()

@@ -79,10 +79,7 @@ impl TraceStats {
         if self.total() == 0 {
             return 0.0;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.reads as f64 / self.total() as f64
-        }
+        self.reads as f64 / self.total() as f64
     }
 
     /// Mean accesses per touched page; 0 for an empty trace.
@@ -91,10 +88,7 @@ impl TraceStats {
         if self.per_page.is_empty() {
             return 0.0;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.total() as f64 / self.per_page.len() as f64
-        }
+        self.total() as f64 / self.per_page.len() as f64
     }
 
     /// Fraction of touched pages that are write-dominant (more writes than
@@ -109,10 +103,7 @@ impl TraceStats {
             .values()
             .filter(|(reads, writes)| writes > reads)
             .count();
-        #[allow(clippy::cast_precision_loss)]
-        {
-            dominant as f64 / self.per_page.len() as f64
-        }
+        dominant as f64 / self.per_page.len() as f64
     }
 }
 

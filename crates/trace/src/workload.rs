@@ -278,20 +278,14 @@ impl WorkloadSpec {
     /// construction.
     #[must_use]
     pub fn nominal_density(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.nominal_working_set.value() as f64 / self.nominal_accesses.max(1) as f64
-        }
+        self.nominal_working_set.value() as f64 / self.nominal_accesses.max(1) as f64
     }
 
     /// The scale applied so far: `working_set / nominal_working_set`, 1.0
     /// for an unscaled spec.
     #[must_use]
     pub fn scale_factor(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.working_set.value() as f64 / self.nominal_working_set.value() as f64
-        }
+        self.working_set.value() as f64 / self.nominal_working_set.value() as f64
     }
 
     /// Validates the specification.
@@ -326,10 +320,7 @@ impl WorkloadSpec {
     /// Fraction of accesses that are writes, in `[0, 1]`.
     #[must_use]
     pub fn write_ratio(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.writes as f64 / self.total_accesses() as f64
-        }
+        self.writes as f64 / self.total_accesses() as f64
     }
 
     /// Returns a proportionally scaled copy: both the access counts and the
@@ -348,11 +339,6 @@ impl WorkloadSpec {
             factor > 0.0 && factor <= 1.0,
             "scale factor must be in (0, 1], got {factor}"
         );
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
         let scale = |v: u64| -> u64 {
             if v == 0 {
                 0
@@ -399,7 +385,6 @@ impl WorkloadSpec {
         if total <= max_accesses {
             return self.clone();
         }
-        #[allow(clippy::cast_precision_loss)]
         let factor = max_accesses as f64 / total as f64;
         let mut scaled = self.scaled(factor);
         let floor = Self::MIN_CAPPED_FOOTPRINT.min(self.working_set.value());

@@ -64,6 +64,7 @@ impl Hasher for FxHasher {
         let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut word = [0u8; 8];
+            #[expect(clippy::indexing_slicing, reason = "a remainder is under 8 bytes")]
             word[..rest.len()].copy_from_slice(rest);
             // Fold the length in so "ab" and "ab\0" hash differently.
             self.add_word(u64::from_le_bytes(word) ^ (rest.len() as u64) << 56);
@@ -92,11 +93,8 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write_u128(&mut self, value: u128) {
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            self.add_word(value as u64);
-            self.add_word((value >> 64) as u64);
-        }
+        self.add_word(value as u64);
+        self.add_word((value >> 64) as u64);
     }
 
     #[inline]
@@ -111,10 +109,12 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using [`FxHasher`]. Drop-in replacement for hot-path maps
 /// keyed by small trusted values.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>; // xtask:allow(default_hasher)
+#[expect(clippy::disallowed_types, reason = "unkeyed hasher, repeatable order")]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>; // xtask:allow(default_hasher)
+#[expect(clippy::disallowed_types, reason = "unkeyed hasher, repeatable order")]
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// Hashes one `Hash` value to a stable `u64` fingerprint with [`FxHasher`].
 ///

@@ -46,6 +46,7 @@ const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 const DOUBLE_ROUNDS: usize = 6;
 
 #[inline(always)]
+#[expect(clippy::indexing_slicing, reason = "callers pass indices below 16")]
 fn quarter_round(x: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
     x[a] = x[a].wrapping_add(x[b]);
     x[d] = (x[d] ^ x[a]).rotate_left(16);
@@ -98,6 +99,7 @@ impl StdRng {
     /// Builds the generator from a 32-byte key (`SeedableRng::from_seed`).
     fn from_seed(seed: [u8; 32]) -> Self {
         let mut key = [0u32; 8];
+        #[expect(clippy::indexing_slicing, reason = "chunks_exact(4) yields 4 bytes")]
         for (word, bytes) in key.iter_mut().zip(seed.chunks_exact(4)) {
             *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
@@ -154,6 +156,7 @@ impl StdRng {
     /// consecutive words, low first, straddling a refill when only one
     /// word is left.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "index < BUFFER_WORDS - 1 checked")]
     pub fn next_u64(&mut self) -> u64 {
         let index = self.index;
         if index < BUFFER_WORDS - 1 {

@@ -132,11 +132,6 @@ impl PageCount {
         if self.0 == 0 || fraction == 0.0 {
             return Self(0);
         }
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
         let scaled = (self.0 as f64 * fraction).round() as u64;
         Self(scaled.max(1))
     }

@@ -39,7 +39,16 @@
 //! # Ok::<(), hybridmem::types::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 #![warn(missing_docs)]
 
 pub use hybridmem_cachesim as cachesim;

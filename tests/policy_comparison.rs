@@ -45,11 +45,6 @@ fn serial_replay(
     let mut simulator = HybridSimulator::with_date2016_devices(policy);
     simulator.set_static_scale(1.0 / spec.scale_factor());
     simulator.set_density_hint(spec.nominal_density());
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
     let warmup = (spec.total_accesses() as f64 * config.warmup_fraction) as usize;
     simulator.run_slice(&trace[..warmup]);
     simulator.reset_accounting();
