@@ -1,13 +1,12 @@
 //! Input loading: format sniffing over the telemetry the engine emits.
 //!
-//! Four producers feed the analyzer, each recognizable without a flag:
+//! Three producers feed the analyzer, each recognizable without a flag:
 //!
 //! * windowed-metrics JSONL — one `IntervalRecord` object per line,
 //!   marked by the `interval` field;
 //! * ledger JSONL — one `LedgerReport` object per line, marked by the
 //!   `summary` field (detail pages are ignored; only the roll-up counts
 //!   feed the diff);
-//! * `BENCH_*.json` — one `hybridmem-stress-v1` trajectory point;
 //! * `throughput.json` / a bare `MetricsSnapshot` — histogram quantiles
 //!   for the `analyze metrics` table.
 //!
@@ -15,6 +14,7 @@
 //! the analyzer reads it structurally so it stays zero-dependency.
 
 use crate::json::{parse, Json};
+use crate::report::ANALYZE_SCHEMA;
 
 /// One windowed-metrics record (the fields the analyzer consumes).
 #[derive(Debug, Clone, PartialEq)]
@@ -76,53 +76,6 @@ pub struct LedgerStat {
     pub ping_pongs: u64,
 }
 
-/// One `hybridmem-stress-v1` trajectory point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchPoint {
-    /// Source label (usually the file name).
-    pub name: String,
-    /// Trajectory index parsed from a `BENCH_<n>.json` name, when the
-    /// label has one — points sort by it, then by name.
-    pub index: Option<u64>,
-    /// Whether the point came from a `--quick` run.
-    pub quick: bool,
-    /// Trace generator seed.
-    pub seed: u64,
-    /// Accesses per workload.
-    pub cap: u64,
-    /// End-to-end wall-clock, seconds.
-    pub wall_seconds: f64,
-    /// Phase totals: `(name, accesses_per_second)`.
-    pub phases: Vec<(String, f64)>,
-    /// Per-policy batched-replay totals: `(name, accesses_per_second)`.
-    pub policies: Vec<(String, f64)>,
-}
-
-impl BenchPoint {
-    /// All throughput series of this point, namespaced for the
-    /// trajectory table (`phase/...`, `policy/...`).
-    #[must_use]
-    pub fn series(&self) -> Vec<(String, f64)> {
-        self.phases
-            .iter()
-            .map(|(name, rate)| (format!("phase/{name}"), *rate))
-            .chain(
-                self.policies
-                    .iter()
-                    .map(|(name, rate)| (format!("policy/{name}"), *rate)),
-            )
-            .collect()
-    }
-
-    /// Two points are comparable when the workload shape matches: same
-    /// quick flag, cap, and seed. Mixing full and `--quick` runs in one
-    /// trajectory would gate noise, not regressions.
-    #[must_use]
-    pub fn comparable(&self, other: &Self) -> bool {
-        self.quick == other.quick && self.cap == other.cap && self.seed == other.seed
-    }
-}
-
 /// One histogram row of a metrics snapshot, quantiles included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramStat {
@@ -163,8 +116,6 @@ pub enum Input {
     Intervals(Vec<IntervalStat>),
     /// Ledger JSONL (roll-ups only).
     Ledgers(Vec<LedgerStat>),
-    /// A `hybridmem-stress-v1` bench point.
-    Bench(BenchPoint),
     /// A metrics snapshot (bare, or inside `throughput.json`).
     Metrics(MetricsStat),
     /// A `hybridmem-analyze-v1` report (for round-trip checking).
@@ -207,10 +158,8 @@ pub fn load(label: &str, text: &str) -> Result<Loaded, String> {
 /// Classifies a single parsed document. `None` = unrecognized;
 /// `Some(Err)` = recognized but malformed.
 fn classify_document(label: &str, doc: &Json) -> Option<Result<Input, String>> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("hybridmem-stress-v1") => return Some(bench_point(label, doc).map(Input::Bench)),
-        Some("hybridmem-analyze-v1") => return Some(Ok(Input::Report(doc.clone()))),
-        _ => {}
+    if doc.get("schema").and_then(Json::as_str) == Some(ANALYZE_SCHEMA) {
+        return Some(Ok(Input::Report(doc.clone())));
     }
     if doc.get("histograms").is_some() {
         return Some(metrics_stat(label, doc).map(Input::Metrics));
@@ -343,47 +292,6 @@ fn ledger_stat(label: &str, doc: &Json) -> Result<LedgerStat, String> {
     })
 }
 
-/// Parses the `<n>` out of a `BENCH_<n>.json` style label (path
-/// prefixes allowed).
-#[must_use]
-pub fn bench_index(label: &str) -> Option<u64> {
-    let file = label.rsplit(['/', '\\']).next().unwrap_or(label);
-    file.strip_prefix("BENCH_")?
-        .strip_suffix(".json")?
-        .parse()
-        .ok()
-}
-
-fn named_rates(label: &str, doc: &Json, key: &str) -> Result<Vec<(String, f64)>, String> {
-    doc.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{label}: missing array field {key:?}"))?
-        .iter()
-        .map(|entry| {
-            Ok((
-                str_field(label, entry, "name")?,
-                f64_field(label, entry, "accesses_per_second")?,
-            ))
-        })
-        .collect()
-}
-
-fn bench_point(label: &str, doc: &Json) -> Result<BenchPoint, String> {
-    Ok(BenchPoint {
-        name: label.to_owned(),
-        index: bench_index(label),
-        quick: doc
-            .get("quick")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("{label}: missing bool field \"quick\""))?,
-        seed: u64_field(label, doc, "seed")?,
-        cap: u64_field(label, doc, "cap")?,
-        wall_seconds: f64_field(label, doc, "wall_seconds")?,
-        phases: named_rates(label, doc, "phases")?,
-        policies: named_rates(label, doc, "policies")?,
-    })
-}
-
 fn metrics_stat(label: &str, doc: &Json) -> Result<MetricsStat, String> {
     let object = |key: &str| -> Result<&[(String, Json)], String> {
         doc.get(key)
@@ -442,21 +350,6 @@ mod tests {
 
     const LEDGER_LINE: &str = r#"{"workload":"bodytrack","policy":"two-lru","accesses":3000,"warmup_accesses":0,"summary":{"pages":128,"faults":200,"promotions_read":4,"promotions_write":6,"promotions_unattributed":1,"demotions_fault":3,"demotions_swap":7,"evictions":150,"resets_read":2,"resets_write":1,"ping_pong_pages":2,"ping_pongs":3,"detailed_pages":64,"pruned_pages":64},"pages":[]}"#;
 
-    fn bench_json(batched: f64) -> String {
-        format!(
-            r#"{{"schema":"hybridmem-stress-v1","quick":true,"seed":42,"cap":60000,
-            "threads":1,"wall_seconds":4.2,"peak_rss_bytes":null,
-            "speedup_batched_vs_reference":2.4,"speedup_spill_vs_reference":2.1,
-            "workloads":[],
-            "phases":[{{"name":"reference","seconds":1.0,"accesses":240000,"accesses_per_second":240000.0}},
-                      {{"name":"replay_batched","seconds":0.5,"accesses":240000,"accesses_per_second":{batched}}}],
-            "policies":[{{"name":"two-lru","seconds":0.5,"accesses":240000,"accesses_per_second":480000.0}}],
-            "trace_cache":{{"hits":1,"misses":4,"evictions":0,"oversize_rejections":0,
-            "resident_traces":4,"resident_bytes":100,"spill_hits":4,"spill_misses":4,
-            "spill_bytes_read":10,"spill_bytes_written":10}}}}"#
-        )
-    }
-
     #[test]
     fn sniffs_interval_jsonl() {
         let text = format!("{INTERVAL_LINE}\n{INTERVAL_LINE}\n");
@@ -479,35 +372,6 @@ mod tests {
         assert_eq!(stats[0].promotions, 11);
         assert_eq!(stats[0].demotions, 10);
         assert_eq!(stats[0].pages, 128);
-    }
-
-    #[test]
-    fn sniffs_bench_points_and_indices() {
-        let Input::Bench(point) = load("runs/BENCH_8.json", &bench_json(480_000.0))
-            .expect("loads")
-            .input
-        else {
-            panic!("expected a bench point");
-        };
-        assert_eq!(point.index, Some(8));
-        assert!(point.quick);
-        assert_eq!(point.cap, 60_000);
-        assert_eq!(point.series().len(), 3);
-        assert_eq!(point.series()[1].0, "phase/replay_batched");
-        assert_eq!(bench_index("BENCH_12.json"), Some(12));
-        assert_eq!(bench_index("BENCH_x.json"), None);
-        assert_eq!(bench_index("throughput.json"), None);
-    }
-
-    #[test]
-    fn comparability_requires_matching_shape() {
-        let Input::Bench(a) = load("BENCH_1.json", &bench_json(1.0)).expect("loads").input else {
-            panic!("bench");
-        };
-        let mut b = a.clone();
-        assert!(a.comparable(&b));
-        b.cap = 1;
-        assert!(!a.comparable(&b));
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Cross-run analytics for the hybrid-memory simulator's telemetry.
 //!
-//! The engine already emits four machine-readable surfaces: windowed
-//! metrics JSONL, page-ledger JSONL, `BENCH_*.json` stress reports, and
-//! metrics snapshots. This crate closes the loop — it ingests any of
-//! them ([`ingest`]), rolls per-cell profiles and A-vs-B deltas
-//! ([`mod@diff`]), judges the committed bench history with a noise-aware
-//! median-of-priors detector ([`trajectory`]), correlates black-box
-//! flight dumps with every other stream into per-cell failure
-//! timelines ([`postmortem`]), and renders the results both as aligned
-//! text tables ([`table`]) and as the stable `hybridmem-analyze-v1`
-//! JSON ([`report`]) that CI gates on.
+//! The engine emits three machine-readable surfaces this crate reads:
+//! windowed metrics JSONL, page-ledger JSONL, and metrics snapshots. It
+//! ingests any of them ([`ingest`]), rolls per-cell profiles and A-vs-B
+//! deltas ([`mod@diff`]), correlates black-box flight dumps with every
+//! other stream into per-cell failure timelines ([`postmortem`]), and
+//! renders the results both as aligned text tables ([`table`]) and as the
+//! stable `hybridmem-analyze-v1` JSON ([`report`]).
+//! Throughput is not judged here: perfbench (`BENCHMARK.json`) is the
+//! benchmark of record.
 //!
 //! The crate needs no registry: it reads and writes JSON
 //! through the workspace's own `hybridmem-json` crate (re-exported as
@@ -34,22 +33,17 @@ pub mod ingest;
 pub mod postmortem;
 pub mod report;
 pub mod table;
-pub mod trajectory;
 
 pub use diff::{
     diff, profile_intervals, profile_ledgers, CellDelta, CellProfile, DiffReport, MetricDelta,
     Worse,
 };
 pub use hybridmem_json as json;
-pub use ingest::{
-    bench_index, load, BenchPoint, HistogramStat, Input, IntervalStat, LedgerStat, Loaded,
-    MetricsStat,
-};
+pub use ingest::{load, HistogramStat, Input, IntervalStat, LedgerStat, Loaded, MetricsStat};
 pub use json::{parse, Json};
 pub use postmortem::{
     correlate, postmortem_report, CellTimeline, PostmortemInputs, PostmortemReport, Signal,
     POSTMORTEM_SCHEMA,
 };
-pub use report::{diff_report, render, round_trips, trajectory_report, ANALYZE_SCHEMA};
-pub use table::{diff_table, metrics_table, postmortem_table, trajectory_table};
-pub use trajectory::{roll, SeriesVerdict, TrajectoryOptions, TrajectoryReport};
+pub use report::{diff_report, render, round_trips, ANALYZE_SCHEMA};
+pub use table::{diff_table, metrics_table, postmortem_table};

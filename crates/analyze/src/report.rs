@@ -1,26 +1,24 @@
 //! The stable `hybridmem-analyze-v1` report.
 //!
-//! Both analyzer modes emit the same envelope so CI can gate on one
-//! shape:
+//! `analyze diff --json` writes it, in an envelope a script can gate on:
 //!
 //! ```json
 //! {
 //!   "schema": "hybridmem-analyze-v1",
-//!   "mode": "diff" | "trajectory",
+//!   "mode": "diff",
 //!   "regressions": 0,
 //!   "clean": true,
-//!   ...mode-specific body...
+//!   ...the diff body...
 //! }
 //! ```
 //!
 //! The emission is canonical ([`render`]: 2-space pretty, insertion-ordered
 //! keys, shortest-round-trip floats, a trailing newline), so emit → parse
 //! → emit is the byte identity — [`round_trips`] checks exactly that, and
-//! CI runs it over every report the pipeline writes.
+//! `hybridmem analyze check` runs it on a report file.
 
 use crate::diff::DiffReport;
 use crate::json::{parse, Json};
-use crate::trajectory::TrajectoryReport;
 
 /// The report schema identifier.
 pub const ANALYZE_SCHEMA: &str = "hybridmem-analyze-v1";
@@ -32,17 +30,6 @@ pub fn render(json: &Json) -> String {
     let mut text = json.emit_pretty();
     text.push('\n');
     text
-}
-
-fn envelope(mode: &str, regressions: u64, body: Vec<(String, Json)>) -> Json {
-    let mut fields = vec![
-        ("schema".to_owned(), Json::str(ANALYZE_SCHEMA)),
-        ("mode".to_owned(), Json::str(mode)),
-        ("regressions".to_owned(), Json::u64(regressions)),
-        ("clean".to_owned(), Json::Bool(regressions == 0)),
-    ];
-    fields.extend(body);
-    Json::Object(fields)
 }
 
 /// Renders a diff comparison as `hybridmem-analyze-v1`.
@@ -83,68 +70,19 @@ pub fn diff_report(
         })
         .collect();
     let labels = |items: &[String]| Json::Array(items.iter().map(Json::str).collect());
-    envelope(
-        "diff",
-        report.regressions,
-        vec![
-            ("a".to_owned(), Json::str(a_label)),
-            ("b".to_owned(), Json::str(b_label)),
-            ("threshold".to_owned(), Json::f64(report.threshold)),
-            ("cells".to_owned(), Json::Array(cells)),
-            ("only_a".to_owned(), labels(&report.only_a)),
-            ("only_b".to_owned(), labels(&report.only_b)),
-            ("ingest_warnings".to_owned(), Json::u64(ingest_warnings)),
-        ],
-    )
-}
-
-/// Renders a rolled trajectory as `hybridmem-analyze-v1`.
-#[must_use]
-pub fn trajectory_report(report: &TrajectoryReport) -> Json {
-    let points = report
-        .points
-        .iter()
-        .map(|p| {
-            Json::Object(vec![
-                ("name".to_owned(), Json::str(&p.name)),
-                ("index".to_owned(), p.index.map_or(Json::Null, Json::u64)),
-                ("quick".to_owned(), Json::Bool(p.quick)),
-                ("cap".to_owned(), Json::u64(p.cap)),
-                ("seed".to_owned(), Json::u64(p.seed)),
-                ("wall_seconds".to_owned(), Json::f64(p.wall_seconds)),
-            ])
-        })
-        .collect();
-    let verdicts = report
-        .verdicts
-        .iter()
-        .map(|v| {
-            Json::Object(vec![
-                ("series".to_owned(), Json::str(&v.series)),
-                ("latest".to_owned(), Json::f64(v.latest)),
-                ("median_prior".to_owned(), Json::f64(v.median_prior)),
-                ("ratio".to_owned(), Json::f64(v.ratio)),
-                ("regressed".to_owned(), Json::Bool(v.regressed)),
-                ("improved".to_owned(), Json::Bool(v.improved)),
-            ])
-        })
-        .collect();
-    envelope(
-        "trajectory",
-        report.regressions,
-        vec![
-            ("threshold".to_owned(), Json::f64(report.threshold)),
-            (
-                "points_total".to_owned(),
-                Json::u64(report.points.len() as u64),
-            ),
-            ("comparable".to_owned(), Json::u64(report.comparable as u64)),
-            ("enforceable".to_owned(), Json::Bool(report.enforceable)),
-            ("gate_fails".to_owned(), Json::Bool(report.gate_fails())),
-            ("points".to_owned(), Json::Array(points)),
-            ("series".to_owned(), Json::Array(verdicts)),
-        ],
-    )
+    Json::Object(vec![
+        ("schema".to_owned(), Json::str(ANALYZE_SCHEMA)),
+        ("mode".to_owned(), Json::str("diff")),
+        ("regressions".to_owned(), Json::u64(report.regressions)),
+        ("clean".to_owned(), Json::Bool(report.regressions == 0)),
+        ("a".to_owned(), Json::str(a_label)),
+        ("b".to_owned(), Json::str(b_label)),
+        ("threshold".to_owned(), Json::f64(report.threshold)),
+        ("cells".to_owned(), Json::Array(cells)),
+        ("only_a".to_owned(), labels(&report.only_a)),
+        ("only_b".to_owned(), labels(&report.only_b)),
+        ("ingest_warnings".to_owned(), Json::u64(ingest_warnings)),
+    ])
 }
 
 /// Verifies that `text` is a `hybridmem-analyze-v1` report whose
@@ -179,8 +117,7 @@ pub fn round_trips(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::diff::{diff, profile_intervals};
-    use crate::ingest::{BenchPoint, IntervalStat};
-    use crate::trajectory::{roll, TrajectoryOptions};
+    use crate::ingest::IntervalStat;
 
     fn interval(amat: f64) -> IntervalStat {
         IntervalStat {
@@ -203,19 +140,6 @@ mod tests {
         }
     }
 
-    fn bench(index: u64, rate: f64) -> BenchPoint {
-        BenchPoint {
-            name: format!("BENCH_{index}.json"),
-            index: Some(index),
-            quick: true,
-            seed: 42,
-            cap: 60_000,
-            wall_seconds: 4.25,
-            phases: vec![("replay_batched".to_owned(), rate)],
-            policies: Vec::new(),
-        }
-    }
-
     #[test]
     fn diff_reports_round_trip() {
         let a = profile_intervals(&[interval(100.0)]);
@@ -228,27 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_reports_round_trip() {
-        let report = roll(
-            vec![
-                bench(1, 400_000.5),
-                bench(2, 410_000.0),
-                bench(3, 120_000.0),
-            ],
-            TrajectoryOptions::default(),
-        );
-        let json = trajectory_report(&report);
-        assert_eq!(json.get("gate_fails"), Some(&Json::Bool(true)));
-        assert_eq!(json.get("comparable").and_then(Json::as_u64), Some(3));
-        round_trips(&render(&json)).expect("byte round-trip");
-    }
-
-    #[test]
     fn round_trip_rejects_foreign_documents() {
         assert!(round_trips("{\"schema\": \"other\"}\n").is_err());
         assert!(round_trips("nonsense").is_err());
         // Same data, different formatting: parses, but is not canonical.
-        let json = trajectory_report(&roll(vec![bench(1, 1.0)], TrajectoryOptions::default()));
+        let a = profile_intervals(&[interval(1.0)]);
+        let json = diff_report("a.jsonl", "a.jsonl", &diff(&a, &a, 0.05), 0);
         let compact = render(&json).replace('\n', "");
         assert!(round_trips(&compact).unwrap_err().contains("byte"));
     }

@@ -9,7 +9,6 @@
 use crate::diff::DiffReport;
 use crate::ingest::MetricsStat;
 use crate::postmortem::PostmortemReport;
-use crate::trajectory::TrajectoryReport;
 
 /// Formats a value: whole numbers without a fraction, others with three
 /// decimals.
@@ -96,49 +95,6 @@ pub fn diff_table(report: &DiffReport) -> String {
         "{} regressed metric(s) at threshold {}\n",
         report.regressions,
         percent(report.threshold)
-    ));
-    out
-}
-
-/// Renders the newest point's trajectory verdicts, one row per series.
-#[must_use]
-pub fn trajectory_table(report: &TrajectoryReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .verdicts
-        .iter()
-        .map(|v| {
-            vec![
-                v.series.clone(),
-                value(v.latest),
-                value(v.median_prior),
-                format!("{:.2}x", v.ratio),
-                if v.regressed {
-                    "REGRESSED"
-                } else if v.improved {
-                    "improved"
-                } else {
-                    "ok"
-                }
-                .to_owned(),
-            ]
-        })
-        .collect();
-    let mut out = render(
-        &["series", "latest/s", "median prior/s", "ratio", "verdict"],
-        1,
-        &rows,
-    );
-    out.push_str(&format!(
-        "{} point(s), {} comparable; gate {}\n",
-        report.points.len(),
-        report.comparable,
-        if !report.enforceable {
-            "advisory (short history)"
-        } else if report.regressions > 0 {
-            "FAILED"
-        } else {
-            "passed"
-        }
     ));
     out
 }
@@ -235,7 +191,6 @@ mod tests {
     use super::*;
     use crate::diff::{diff, profile_intervals};
     use crate::ingest::{HistogramStat, IntervalStat};
-    use crate::trajectory::{roll, TrajectoryOptions};
 
     #[test]
     fn values_print_whole_or_three_decimals() {
@@ -292,27 +247,6 @@ mod tests {
         assert!(out.contains("+50.0%"));
         assert!(out.contains("only in A: w/clock-dwf"));
         assert!(out.contains("1 regressed metric(s)"));
-    }
-
-    #[test]
-    fn trajectory_table_reports_the_gate_state() {
-        let point = |index: u64, rate: f64| crate::ingest::BenchPoint {
-            name: format!("BENCH_{index}.json"),
-            index: Some(index),
-            quick: true,
-            seed: 42,
-            cap: 60_000,
-            wall_seconds: 4.0,
-            phases: vec![("replay_batched".to_owned(), rate)],
-            policies: Vec::new(),
-        };
-        let short = roll(vec![point(1, 100.0)], TrajectoryOptions::default());
-        assert!(trajectory_table(&short).contains("advisory"));
-        let failed = roll(
-            vec![point(1, 400.0), point(2, 400.0), point(3, 100.0)],
-            TrajectoryOptions::default(),
-        );
-        assert!(trajectory_table(&failed).contains("gate FAILED"));
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Tables I, II, and IV — the static configuration tables of the paper,
 //! printed from the constants actually used by this implementation so any
 //! drift between documentation and code is visible.
+//!
+//! ```text
+//! --table N   print only table N (1, 2 or 4; exp_table3 regenerates 3)
+//! ```
 
 use hybridmem_cachesim::CotsonConfig;
+use hybridmem_core::parse_flag;
 use hybridmem_device::{DiskCharacteristics, MemoryCharacteristics};
-use hybridmem_types::{PAGE_FACTOR, PAGE_SIZE};
+use hybridmem_types::{Error, Result, PAGE_FACTOR, PAGE_SIZE};
 
 fn table_i() {
     println!("=== Table I: model parameters (see hybridmem_core::model) ===");
@@ -86,23 +91,80 @@ fn table_iv() {
     }
 }
 
-fn main() {
-    let table: Option<u32> = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--table")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| v.parse().expect("--table expects 1, 2, or 4"))
-    };
+/// Parses the only flag, `--table N`: `None` (no flag) prints every
+/// table.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidInput`] for any other flag, a missing or
+/// non-numeric value, or a table this binary does not print.
+fn parse_table(raw: impl IntoIterator<Item = String>) -> Result<Option<u32>> {
+    let mut table = None;
+    let mut raw = raw.into_iter();
+    while let Some(flag) = raw.next() {
+        if flag != "--table" {
+            return Err(Error::invalid_input(format!(
+                "unknown flag {flag}; expected --table"
+            )));
+        }
+        let value = raw
+            .next()
+            .ok_or_else(|| Error::invalid_input("flag --table requires a value"))?;
+        table = Some(parse_flag("table", Some(&value), 0)?);
+    }
     match table {
-        Some(1) => table_i(),
-        Some(2) => table_ii(),
-        Some(4) => table_iv(),
-        Some(other) => panic!("no table {other}; expected 1, 2, or 4 (3 has its own binary)"),
-        None => {
-            table_i();
-            table_ii();
-            table_iv();
+        None | Some(1 | 2 | 4) => Ok(table),
+        Some(3) => Err(Error::invalid_input(
+            "table 3 is regenerated by exp_table3; --table expects 1, 2 or 4",
+        )),
+        Some(other) => Err(Error::invalid_input(format!(
+            "no table {other}; --table expects 1, 2 or 4"
+        ))),
+    }
+}
+
+fn main() -> Result<()> {
+    let table = parse_table(std::env::args().skip(1))?;
+    if matches!(table, None | Some(1)) {
+        table_i();
+    }
+    if matches!(table, None | Some(2)) {
+        table_ii();
+    }
+    if matches!(table, None | Some(4)) {
+        table_iv();
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_table;
+
+    fn parse(tokens: &[&str]) -> hybridmem_types::Result<Option<u32>> {
+        parse_table(tokens.iter().map(|t| (*t).to_owned()))
+    }
+
+    #[test]
+    fn only_tables_one_two_and_four_are_accepted() {
+        assert_eq!(parse(&[]).unwrap(), None);
+        for n in [1, 2, 4] {
+            assert_eq!(parse(&["--table", &n.to_string()]).unwrap(), Some(n));
+        }
+        for (tokens, message) in [
+            (
+                ["--out", "d"].as_slice(),
+                "unknown flag --out; expected --table",
+            ),
+            (&["--threads", "2"], "unknown flag --threads"),
+            (&["1"], "unknown flag 1"),
+            (&["--table"], "flag --table requires a value"),
+            (&["--table", "x"], "flag --table expects a number"),
+            (&["--table", "9"], "no table 9"),
+            (&["--table", "3"], "exp_table3"),
+        ] {
+            let err = parse(tokens).expect_err(&format!("{tokens:?} must fail"));
+            assert!(err.to_string().contains(message), "{tokens:?}: {err}");
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Shared harness for the figure/table regenerators and the `stress`
-//! throughput harness.
+//! Shared harness for the figure/table regenerators.
 //!
 //! Every exhibit of the paper has a binary in `src/bin/` (see `DESIGN.md`
-//! §4 for the index). All binaries accept the same flags:
+//! §4 for the index). All of them but `exp_tables` (`--table N` only) and
+//! the closed-form `model_explorer` accept the same flags:
 //!
 //! ```text
 //! --cap N             max accesses per workload (default 1_000_000; 0 = full scale)
@@ -53,8 +53,6 @@
     )
 )]
 #![warn(missing_docs)]
-
-pub mod reference;
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -182,8 +180,7 @@ impl SuiteOptions {
 
     /// Runs `kinds` over all 12 workloads, writes every artifact the
     /// matrix flags asked for, then records the run's throughput into
-    /// `throughput.json` (see [`ThroughputSummary`]) so successive runs
-    /// leave a perf trajectory.
+    /// `throughput.json` (see [`ThroughputSummary`]).
     ///
     /// # Errors
     ///
@@ -308,9 +305,10 @@ pub struct PolicyThroughput {
 
 impl_json!(ToJson for PolicyThroughput { policy, accesses, seconds, accesses_per_second });
 
-/// One matrix run's throughput record, written to
-/// `results/throughput.json` by [`SuiteOptions::run_matrix`] so future
-/// changes can track the perf trajectory (`BENCH_*.json` style).
+/// One matrix run's throughput record, written to `throughput.json` by
+/// [`SuiteOptions::run_matrix`]. It records wall time, so it is the one
+/// output that differs between identical runs; perfbench
+/// (`BENCHMARK.json`) is the benchmark of record.
 #[derive(Debug, Clone)]
 pub struct ThroughputSummary {
     /// Worker threads the cell pool used.
@@ -445,8 +443,6 @@ pub fn print_grouped_figure(title: &str, groups: &[(&str, Vec<StackedBar>)]) {
 
 /// Re-exported so the binaries can keep their imports terse.
 pub use hybridmem_core as core_api;
-
-pub use reference::ReferenceTwoLru;
 
 /// Convenience: indexes a report row by policy name.
 ///

@@ -43,12 +43,6 @@ impl Args {
         self.positionals.get(index).map(String::as_str)
     }
 
-    /// All positionals from `index` on (for variadic file lists).
-    #[must_use]
-    pub fn positionals_from(&self, index: usize) -> &[String] {
-        self.positionals.get(index..).unwrap_or(&[])
-    }
-
     /// A string option: the last value given for `name`.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&str> {
@@ -139,8 +133,6 @@ mod tests {
         assert_eq!(args.positional(0), Some("simulate"));
         assert_eq!(args.positional(1), Some("trace.bin"));
         assert_eq!(args.positional(2), None);
-        assert_eq!(args.positionals_from(1), ["trace.bin"]);
-        assert!(args.positionals_from(5).is_empty());
         assert_eq!(args.get("policy"), Some("two-lru"));
         assert_eq!(args.get_or("missing", "x"), "x");
     }

@@ -5,7 +5,7 @@ use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use hybridmem_analyze::{CellProfile, Input, PostmortemInputs, TrajectoryOptions};
+use hybridmem_analyze::{CellProfile, Input, PostmortemInputs};
 use hybridmem_core::{
     positive_flag, write_flight_json, write_jsonl, write_ledger_jsonl, CellContext, CellSink,
     ExperimentConfig, FaultPlan, FlightMatrixReport, HybridSimulator, Instrumentation,
@@ -97,10 +97,6 @@ COMMANDS:
              (A and B are windowed-metrics or ledger JSONL files from
               matching compare/observe runs; --gate true exits non-zero
               when a metric moved beyond F in its worse direction)
-    analyze trajectory <BENCH...>      noise-aware throughput ratchet
-             [--gate true] [--threshold F] [--min-points N] [--json FILE]
-             (judges the newest BENCH_<n>.json against the median of the
-              prior comparable points; short histories stay advisory)
     analyze metrics <FILE>             histogram quantile table (p50/p95/p99)
     analyze check <FILE>               verify a hybridmem-analyze-v1 report
                                        re-emits byte-for-byte
@@ -580,10 +576,9 @@ fn trace_page<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
 /// The `analyze` subcommand family: cross-run analytics over the
 /// telemetry the other commands (and the bench suite) emit.
 fn analyze_command<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
-    const USAGE: &str = "usage: analyze <diff|trajectory|metrics|check> ...";
+    const USAGE: &str = "usage: analyze <diff|metrics|check> ...";
     match args.positional(1) {
         Some("diff") => analyze_diff(args, out),
-        Some("trajectory") => analyze_trajectory(args, out),
         Some("metrics") => analyze_metrics(args, out),
         Some("check") => analyze_check(args, out),
         Some(other) => Err(Error::invalid_input(format!(
@@ -656,41 +651,6 @@ fn analyze_diff<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         return Err(Error::invalid_input(format!(
             "analyze diff gate: {} metric(s) regressed beyond {threshold}",
             report.regressions
-        )));
-    }
-    Ok(())
-}
-
-fn analyze_trajectory<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
-    args.reject_unknown(&["threshold", "min-points", "gate", "json"])?;
-    let files = args.positionals_from(2);
-    if files.is_empty() {
-        return Err(Error::invalid_input(
-            "usage: analyze trajectory <BENCH_*.json>... \
-             [--gate true] [--threshold F] [--min-points N] [--json FILE]",
-        ));
-    }
-    let defaults = TrajectoryOptions::default();
-    let options = TrajectoryOptions {
-        threshold: args.get_parsed_or("threshold", defaults.threshold)?,
-        min_points: args.get_parsed_or("min-points", defaults.min_points)?,
-    };
-    let mut points = Vec::new();
-    for path in files {
-        let Input::Bench(point) = read_analyze_input(path)?.input else {
-            return Err(Error::invalid_input(format!(
-                "{path}: not a hybridmem-stress-v1 report"
-            )));
-        };
-        points.push(point);
-    }
-    let report = hybridmem_analyze::roll(points, options);
-    write!(out, "{}", hybridmem_analyze::trajectory_table(&report)).map_err(io_err)?;
-    write_analyze_json(args, out, &hybridmem_analyze::trajectory_report(&report))?;
-    if args.get("gate").is_some_and(|v| v == "true") && report.gate_fails() {
-        return Err(Error::invalid_input(format!(
-            "analyze trajectory gate: {} series regressed beyond {}",
-            report.regressions, report.threshold
         )));
     }
     Ok(())
@@ -1733,57 +1693,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_trajectory_gates_the_newest_bench_point() {
-        let dir = std::env::temp_dir().join("hybridmem-cli-analyze-traj");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bench = |rate: f64| {
-            format!(
-                r#"{{"schema":"hybridmem-stress-v1","quick":true,"seed":42,"cap":60000,"wall_seconds":4.0,"phases":[{{"name":"replay_batched","seconds":1.0,"accesses":240000,"accesses_per_second":{rate}}}],"policies":[]}}"#
-            )
-        };
-        let mut paths = Vec::new();
-        for (index, rate) in [(1u64, 400_000.0), (2, 410_000.0), (3, 200_000.0)] {
-            let path = dir.join(format!("BENCH_{index}.json"));
-            std::fs::write(&path, bench(rate)).unwrap();
-            paths.push(path);
-        }
-        let files: Vec<&str> = paths.iter().map(|p| p.to_str().unwrap()).collect();
-
-        let report = dir.join("trajectory.json");
-        let mut tokens = vec!["analyze", "trajectory"];
-        tokens.extend(&files);
-        tokens.extend(["--json", report.to_str().unwrap()]);
-        let (result, text) = run_capture(&tokens);
-        assert!(result.is_ok(), "advisory without --gate: {result:?}");
-        assert!(text.contains("gate FAILED"), "{text}");
-
-        tokens.extend(["--gate", "true"]);
-        let (result, _) = run_capture(&tokens);
-        assert!(result.unwrap_err().to_string().contains("trajectory gate"));
-
-        // Dropping the slow newest point makes the gate pass (2 points =
-        // advisory).
-        let (result, text) = run_capture(&[
-            "analyze",
-            "trajectory",
-            files[0],
-            files[1],
-            "--gate",
-            "true",
-        ]);
-        assert!(result.is_ok(), "{result:?}");
-        assert!(text.contains("advisory"), "{text}");
-
-        let (result, text) = run_capture(&["analyze", "check", report.to_str().unwrap()]);
-        assert!(result.is_ok(), "{result:?}");
-        assert!(text.contains("byte-for-byte"), "{text}");
-        for p in paths {
-            let _ = std::fs::remove_file(p);
-        }
-        let _ = std::fs::remove_file(report);
-    }
-
-    #[test]
     fn analyze_metrics_prints_quantiles() {
         let dir = std::env::temp_dir().join("hybridmem-cli-analyze-metrics");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1807,8 +1716,9 @@ mod tests {
         assert!(result.unwrap_err().to_string().contains("usage"));
         let (result, _) = run_capture(&["analyze", "frobnicate"]);
         assert!(result.unwrap_err().to_string().contains("frobnicate"));
-        let (result, _) = run_capture(&["analyze", "trajectory"]);
-        assert!(result.unwrap_err().to_string().contains("BENCH"));
+        let (result, _) = run_capture(&["analyze", "trajectory", "x.json"]);
+        let err = result.unwrap_err().to_string();
+        assert!(err.contains("unknown analyze mode \"trajectory\""), "{err}");
         let (result, _) = run_capture(&["analyze", "check", "/no/such/file"]);
         assert!(result.unwrap_err().to_string().contains("cannot read"));
     }

@@ -172,15 +172,20 @@ impl Parser<'_> {
                         b'u' => {
                             let code = self.hex4()?;
                             // Surrogate pairs: JSON escapes astral chars as
-                            // two \uXXXX units.
+                            // a high unit then a low unit, each \uXXXX.
                             let c = if (0xD800..0xDC00).contains(&code) {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((u32::from(code) - 0xD800) << 10)
-                                        + (u32::from(low) - 0xDC00);
-                                    char::from_u32(combined)
+                                    if (0xDC00..0xE000).contains(&low) {
+                                        char::from_u32(
+                                            0x10000
+                                                + ((u32::from(code) - 0xD800) << 10)
+                                                + (u32::from(low) - 0xDC00),
+                                        )
+                                    } else {
+                                        None
+                                    }
                                 } else {
                                     None
                                 }

@@ -60,6 +60,24 @@ fn emit_parse_emit_is_the_identity() {
 fn surrogate_pairs_and_escapes_decode() {
     let doc = parse(r#""\ud83d\ude00 \u0041\t""#).expect("parses");
     assert_eq!(doc.as_str(), Some("😀 A\t"));
+    // The highest pair: both units at the top of their ranges.
+    let doc = parse(r#""\uDBFF\uDFFF""#).expect("parses");
+    assert_eq!(doc.as_str(), Some("\u{10FFFF}"));
+}
+
+#[test]
+fn a_high_surrogate_must_pair_with_a_low_surrogate() {
+    // The second unit is another high surrogate, lies above the low
+    // range, or is a plain character: none of these is a pair.
+    for bad in [
+        r#""\uD800\uD800""#,
+        r#""\uD800\uDBFF""#,
+        r#""\uD800\uE000""#,
+        r#""\uD800\u0041""#,
+    ] {
+        let err = parse(bad).expect_err(bad);
+        assert!(err.contains("invalid \\u escape"), "{bad}: {err}");
+    }
 }
 
 #[test]

@@ -27,8 +27,8 @@
 //! Its output sits outside the determinism boundary: it never feeds back
 //! into simulation results, and every `Instant::now` call site carries its
 //! own reasoned `#[expect(clippy::disallowed_methods)]`.
-//! The [`process`] module (peak-RSS introspection for the throughput
-//! harness) sits outside that boundary for the same reason.
+//! The [`process`] module (peak-RSS introspection for perfbench) sits
+//! outside that boundary for the same reason.
 //!
 //! # Examples
 //!

@@ -1,4 +1,6 @@
-//! Process-level resource introspection for benchmark harnesses.
+//! Process-level resource introspection for perfbench, the repository's
+//! benchmark (`BENCHMARK.json`), which reports the peak as `peak_rss_mb`.
+//! No workspace crate calls it.
 //!
 //! Like the [`span`](crate::span) profiler, everything here is a
 //! measurement artefact: values vary run to run and machine to machine,
@@ -9,10 +11,9 @@
 /// the platform does not expose it.
 ///
 /// On Linux this is `VmHWM` ("high-water mark") from `/proc/self/status`,
-/// the kernel's running maximum of the process's resident set — exactly
-/// the "peak RSS" column the throughput harness reports. Other platforms
-/// return `None` and harnesses record the value as absent rather than
-/// guessing.
+/// the kernel's running maximum of the process's resident set. Other
+/// platforms return `None`, so a caller records the value as absent
+/// rather than guessing.
 #[must_use]
 pub fn peak_rss_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]
@@ -48,7 +49,7 @@ mod tests {
     #[test]
     fn parses_a_realistic_status_excerpt() {
         let status =
-            "Name:\tstress\nVmPeak:\t  123456 kB\nVmHWM:\t   98304 kB\nVmRSS:\t   65536 kB\n";
+            "Name:\tperfbench\nVmPeak:\t  123456 kB\nVmHWM:\t   98304 kB\nVmRSS:\t   65536 kB\n";
         assert_eq!(parse_vm_hwm(status), Some(98_304 * 1024));
     }
 
