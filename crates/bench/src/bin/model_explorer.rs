@@ -6,9 +6,11 @@
 //! ```text
 //! cargo run --release -p hybridmem-bench --bin model_explorer
 //! ```
+//!
+//! It takes no flags: any argument is an error.
 
 use hybridmem_core::{ModelParams, Probabilities};
-use hybridmem_types::Result;
+use hybridmem_types::{Error, Result};
 
 /// A representative request mix: 95 % DRAM hits, 5 % NVM hits, no faults,
 /// 70 % reads everywhere, symmetric swap migrations.
@@ -26,7 +28,22 @@ fn mix(migration_rate: f64) -> Probabilities {
     }
 }
 
+/// Accepts an empty argument list only.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidInput`] naming the first argument, if any.
+fn no_arguments(mut raw: impl Iterator<Item = String>) -> Result<()> {
+    match raw.next() {
+        None => Ok(()),
+        Some(arg) => Err(Error::invalid_input(format!(
+            "unexpected argument {arg}; model_explorer takes no flags"
+        ))),
+    }
+}
+
 fn main() -> Result<()> {
+    no_arguments(std::env::args().skip(1))?;
     println!("=== Eq. 1 / Eq. 2 sensitivity to the migration rate ===");
     println!("(95% DRAM / 5% NVM hits, no faults, 70% reads, swap migrations)\n");
     println!(
@@ -80,4 +97,35 @@ fn main() -> Result<()> {
          steady state —\nsee DESIGN.md §5."
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::no_arguments;
+
+    fn check(tokens: &[&str]) -> hybridmem_types::Result<()> {
+        no_arguments(tokens.iter().map(|t| (*t).to_owned()))
+    }
+
+    #[test]
+    fn every_argument_is_rejected_by_name() {
+        assert!(check(&[]).is_ok());
+        for (tokens, named) in [
+            (["--bogus", "1"].as_slice(), "--bogus"),
+            (&["--out", "/tmp/x"], "--out"),
+            (&["--threads", "2"], "--threads"),
+            (&["x"], "x"),
+        ] {
+            let err = check(tokens).expect_err(&format!("{tokens:?} must fail"));
+            assert!(
+                matches!(err, hybridmem_types::Error::InvalidInput { .. }),
+                "{tokens:?}: {err:?}"
+            );
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("unexpected argument {named};")),
+                "{tokens:?}: {message}"
+            );
+        }
+    }
 }

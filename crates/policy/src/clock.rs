@@ -161,6 +161,7 @@ impl<M> ClockRing<M> {
 
     /// Sets the reference bit of `page` and returns its metadata for
     /// updating. Returns `None` when the page is not resident.
+    #[inline(always)]
     #[expect(
         clippy::indexing_slicing,
         clippy::expect_used,

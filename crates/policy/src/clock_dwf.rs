@@ -110,6 +110,17 @@ impl ClockDwfPolicy {
         });
     }
 
+    /// Handles an access that hit neither DRAM nor, as a read, NVM: a write
+    /// hit on an NVM page or a page fault.
+    #[inline(never)]
+    fn on_miss(&mut self, page: PageId, kind: AccessKind) -> AccessOutcome {
+        if kind.is_write() && self.nvm.contains(page) {
+            self.on_nvm_write_hit(page)
+        } else {
+            self.on_fault(page, kind)
+        }
+    }
+
     /// Handles a write hit on an NVM page: unconditional migration to DRAM.
     fn on_nvm_write_hit(&mut self, page: PageId) -> AccessOutcome {
         let mut actions = ActionList::new();
@@ -175,23 +186,21 @@ impl ClockDwfPolicy {
 }
 
 impl HybridPolicy for ClockDwfPolicy {
+    /// One ring lookup per hit: `touch` both finds and references. The two
+    /// hits that move no page, any DRAM hit and an NVM read hit, are
+    /// inlined; the default batch loop records them as one-byte steps.
+    #[inline]
     fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
-        // One ring lookup per hit: `touch` both finds and references.
         if let Some(history) = self.dram.touch(access.page) {
             if access.kind.is_write() {
                 history.writes = history.writes.saturating_add(1);
             }
             return AccessOutcome::hit(MemoryKind::Dram);
         }
-        match access.kind {
-            AccessKind::Read if self.nvm.touch(access.page).is_some() => {
-                AccessOutcome::hit(MemoryKind::Nvm)
-            }
-            AccessKind::Write if self.nvm.contains(access.page) => {
-                self.on_nvm_write_hit(access.page)
-            }
-            AccessKind::Read | AccessKind::Write => self.on_fault(access.page, access.kind),
+        if !access.kind.is_write() && self.nvm.touch(access.page).is_some() {
+            return AccessOutcome::hit(MemoryKind::Nvm);
         }
+        self.on_miss(access.page, access.kind)
     }
 
     fn residency(&self, page: PageId) -> Residency {

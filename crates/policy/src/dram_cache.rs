@@ -31,16 +31,16 @@
 
 use hybridmem_types::{Error, MemoryKind, PageAccess, PageCount, PageId, Residency, Result};
 
-use crate::{AccessOutcome, ActionList, HybridPolicy, PolicyAction, RankedLru};
+use crate::{AccessOutcome, ActionList, HybridPolicy, LruQueue, PolicyAction};
 
 /// DRAM-cache-over-NVM policy. See the module documentation (in the
 /// source) for the architecture and cost mapping.
 #[derive(Debug, Clone)]
 pub struct DramCachePolicy {
     /// All resident pages (backing store), LRU-managed.
-    nvm: RankedLru<()>,
+    nvm: LruQueue,
     /// Cached subset, each copy with its dirty bit; invariant: `cache ⊆ nvm`.
-    cache: RankedLru<bool>,
+    cache: LruQueue<bool>,
     dram_capacity: PageCount,
     nvm_capacity: PageCount,
 }
@@ -59,8 +59,8 @@ impl DramCachePolicy {
             ));
         }
         Ok(Self {
-            nvm: RankedLru::with_capacity(nvm_capacity.value() as usize),
-            cache: RankedLru::with_capacity(dram_capacity.value() as usize),
+            nvm: LruQueue::with_capacity(nvm_capacity.value() as usize),
+            cache: LruQueue::with_capacity(dram_capacity.value() as usize),
             dram_capacity,
             nvm_capacity,
         })

@@ -19,9 +19,10 @@
 //!
 //! plus the data structures they are built on:
 //!
-//! * [`RankedLru`] — an LRU queue with O(log n) recency-rank queries and
-//!   per-entry metadata (two-LRU's counters, dram-cache's dirty bits);
-//! * [`LinkedLru`] — an O(1) intrusive-list LRU queue for rank-free tiers;
+//! * [`LruQueue`] — the one slot-ordered LRU queue, with per-entry metadata
+//!   (two-LRU's counters, dram-cache's dirty bits) and a compile-time rank
+//!   index: none ([`NoRanks`]) for every tier but one, and O(log n)
+//!   recency-rank queries ([`RankedLru`]) for two-LRU's NVM queue;
 //! * [`ClockRing`] — a CLOCK (second-chance) ring with per-frame metadata.
 //!
 //! Each of them finds a page through a [`PageTable`](hybridmem_types::PageTable):
@@ -74,7 +75,7 @@ pub use clock::ClockRing;
 pub use clock_dwf::ClockDwfPolicy;
 pub use clock_pro::ClockProPolicy;
 pub use dram_cache::DramCachePolicy;
-pub use lru::{LinkedLru, RankedLru};
+pub use lru::{LruQueue, NoRanks, RankIndex, RankedLru, SlotRanks};
 pub use single::SingleTierPolicy;
 pub use single_clock::SingleTierClockPolicy;
 pub use traits::{

@@ -1,36 +1,40 @@
-//! LRU queues for the migration policies: a ranked queue with O(log n)
-//! recency-rank queries and a plain O(1) linked-list queue.
+//! The LRU queue every LRU-managed tier is built on: one slot-ordered
+//! queue, with recency-rank queries only for the tier that asks for them.
 //!
-//! The proposed migration scheme keeps per-page counters only for pages in
-//! the *top positions* of the NVM LRU queue (Algorithm 1: `readperc` /
-//! `writeperc`). Deciding "is this page within the top k positions?" is a
-//! *recency rank* query, which a plain linked-list LRU answers only in
-//! O(n). [`RankedLru`] answers it in O(log n) using the classic
-//! slot-numbering technique: every touch assigns the page a fresh,
-//! monotonically increasing slot number; a Fenwick (binary indexed) tree
-//! over slot occupancy then yields both rank queries and the
-//! least-recently-used victim in logarithmic time, with periodic O(n log n)
-//! compaction when slot space runs out. Its storage is a structure-of-
-//! arrays slab (parallel `pages`/`slots`/`metas` vectors), so the
-//! touch-heavy hot loop walks dense homogeneous arrays, and
-//! [`RankedLru::touch_ranked`] folds Algorithm 1's rank-query-then-touch
-//! pair into one lookup. Each entry carries `Copy` metadata: two-LRU keeps
-//! its per-page counters there, and the DRAM cache its dirty bits.
+//! Every touch gives its page the next slot number, so the queue's
+//! recency order *is* slot order: the MRU page holds the highest live
+//! slot and the LRU victim the lowest. A touch is one [`PageTable`]
+//! lookup and three stores (the old slot emptied, the new slot filled,
+//! the entry's slot updated), with no links to follow. The victim is
+//! found by a cursor that only moves forward: every slot below it is
+//! empty, so each stale slot is skipped once. When the slot space runs
+//! out, the live pages are renumbered `0..len` in order and the space is
+//! resized to 4× the live population.
 //!
-//! Queues that never ask for ranks — the DRAM recency queue and the
-//! single-tier baselines — don't need any of that machinery:
-//! [`LinkedLru`] is an index-linked doubly linked list over a slab, with
-//! O(1) touch/insert/evict and a single table lookup per operation. The
-//! batched replay path leans on it for its plain-hit fast path.
+//! The proposed migration scheme keeps per-page counters only for pages
+//! in the *top positions* of the NVM queue (Algorithm 1: `readperc` /
+//! `writeperc`). "Is this page within the top k positions?" is a recency
+//! *rank* query, and only that tier asks it, so the rank index is a type
+//! parameter of the queue, chosen at compile time:
 //!
-//! Both queues find a page's slab entry through a [`PageTable`]: an array
-//! index for the dense ids of synthetic traces, and a hash lookup only for
-//! ids at or above [`PageTable::DENSE_BOUND`].
+//! * [`NoRanks`] is zero-sized and its updates compile to nothing. The
+//!   DRAM tiers, the single-tier baselines and the DRAM cache use it.
+//! * [`SlotRanks`] keeps one occupancy bit per slot and a Fenwick tree
+//!   over the popcounts of the 64-slot words. A page's rank is the live
+//!   population minus the occupied slots at or below its own: a Fenwick
+//!   prefix over the words before its slot's word plus a popcount of
+//!   that word. [`RankedLru`] names this queue.
+//!
+//! The pages live in a slab of entries (page, slot, metadata), reused
+//! through a free list, so a touch reads and writes one entry. The
+//! metadata is `Copy`: two-LRU keeps its per-page counters there, and the
+//! DRAM cache its dirty bits. [`RankedLru::touch_ranked`] folds
+//! Algorithm 1's rank-query-then-touch pair into one lookup.
 //!
 //! # Examples
 //!
 //! ```
-//! use hybridmem_policy::RankedLru;
+//! use hybridmem_policy::{LruQueue, RankedLru};
 //! use hybridmem_types::PageId;
 //!
 //! let mut lru = RankedLru::new();
@@ -43,6 +47,13 @@
 //! assert_eq!(lru.touch(PageId::new(1)), Some(&mut 'a'));
 //! assert_eq!(lru.rank(PageId::new(1)), Some(0));
 //! assert_eq!(lru.evict_lru(), Some((PageId::new(2), 'b')));
+//!
+//! // The same queue without a rank index.
+//! let mut plain: LruQueue = LruQueue::new();
+//! plain.insert(PageId::new(1), ());
+//! plain.insert(PageId::new(2), ());
+//! assert!(plain.touch(PageId::new(1)).is_some());
+//! assert_eq!(plain.evict_lru(), Some((PageId::new(2), ())));
 //! ```
 
 use hybridmem_types::{PageId, PageTable};
@@ -53,94 +64,149 @@ const EMPTY: u32 = u32::MAX;
 /// Minimum slot capacity; also the floor after compaction.
 const MIN_SLOTS: usize = 16;
 
-/// Fenwick tree over slot occupancy (1-based internally).
-#[derive(Debug, Clone, Default)]
-struct Fenwick {
+/// What an [`LruQueue`] keeps beside its slot order to answer rank
+/// queries: [`NoRanks`] or [`SlotRanks`].
+pub trait RankIndex: Clone + std::fmt::Debug {
+    /// An index over `slots` slots of which exactly `0..live` are
+    /// occupied.
+    fn filled(slots: usize, live: usize) -> Self;
+
+    /// Marks `slot` occupied.
+    fn occupy(&mut self, slot: usize);
+
+    /// Marks `slot` empty.
+    fn vacate(&mut self, slot: usize);
+}
+
+/// The rank index of a queue that never answers rank queries: zero-sized,
+/// and every update is a no-op.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoRanks;
+
+impl RankIndex for NoRanks {
+    #[inline]
+    fn filled(_slots: usize, _live: usize) -> Self {
+        Self
+    }
+
+    #[inline]
+    fn occupy(&mut self, _slot: usize) {}
+
+    #[inline]
+    fn vacate(&mut self, _slot: usize) {}
+}
+
+/// The rank index of a [`RankedLru`]: one occupancy bit per slot and a
+/// Fenwick (binary indexed) tree over the popcounts of the 64-slot words.
+#[derive(Debug, Clone)]
+pub struct SlotRanks {
+    /// Bit `s % 64` of word `s / 64` is set while slot `s` is occupied.
+    words: Vec<u64>,
+    /// Fenwick tree over the words' popcounts, 1-based: `tree.len()` is
+    /// `words.len() + 1`.
     tree: Vec<u32>,
 }
 
-impl Fenwick {
-    fn with_len(len: usize) -> Self {
-        Self {
-            tree: vec![0; len + 1],
+impl SlotRanks {
+    /// Occupied slots in `[0, slot]`.
+    #[expect(clippy::indexing_slicing, reason = "slot is in the slot space")]
+    fn occupied_through(&self, slot: usize) -> usize {
+        let word = slot / 64;
+        let below = self.words[word] & (u64::MAX >> (63 - slot % 64));
+        let mut sum = below.count_ones();
+        // Fenwick prefix over words `0..word`.
+        let mut i = word;
+        while i > 0 {
+            sum += self.tree[i];
+            i &= i - 1;
         }
+        sum as usize
     }
 
+    /// Adds `delta` to the count of word `word`.
     #[expect(clippy::indexing_slicing, reason = "loop guard keeps i < tree.len()")]
-    fn add(&mut self, index: usize, delta: i32) {
-        let mut i = index + 1;
+    fn add(&mut self, word: usize, delta: u32) {
+        let mut i = word + 1;
         while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(delta as u32);
+            self.tree[i] = self.tree[i].wrapping_add(delta);
             i += i & i.wrapping_neg();
         }
     }
+}
 
-    /// Number of occupied slots in `[0, index]`.
-    #[expect(clippy::indexing_slicing, reason = "i <= tree.len() - 1 and falls")]
-    fn prefix(&self, index: usize) -> u32 {
-        let mut i = (index + 1).min(self.tree.len() - 1);
-        let mut sum = 0;
-        while i > 0 {
-            sum += self.tree[i];
-            i -= i & i.wrapping_neg();
+impl RankIndex for SlotRanks {
+    #[expect(clippy::indexing_slicing, reason = "bounded by the word count")]
+    fn filled(slots: usize, live: usize) -> Self {
+        let mut words = vec![0; slots.div_ceil(64)];
+        words[..live / 64].fill(u64::MAX);
+        if !live.is_multiple_of(64) {
+            words[live / 64] = (1 << (live % 64)) - 1;
         }
-        sum
+        // Linear-time Fenwick construction: each node passes its sum on
+        // to its parent.
+        let mut tree = vec![0; words.len() + 1];
+        for i in 1..tree.len() {
+            tree[i] += words[i - 1].count_ones();
+            let parent = i + (i & i.wrapping_neg());
+            if parent < tree.len() {
+                tree[parent] += tree[i];
+            }
+        }
+        Self { words, tree }
     }
 
-    /// Index of the k-th (1-based) occupied slot, if any.
-    #[expect(clippy::indexing_slicing, reason = "next < tree.len() is checked")]
-    fn select(&self, k: u32) -> Option<usize> {
-        if k == 0 {
-            return None;
-        }
-        let mut remaining = k;
-        let mut pos = 0usize;
-        let mut mask = self.tree.len().next_power_of_two() >> 1;
-        while mask > 0 {
-            let next = pos + mask;
-            if next < self.tree.len() && self.tree[next] < remaining {
-                remaining -= self.tree[next];
-                pos = next;
-            }
-            mask >>= 1;
-        }
-        // pos is now the largest index with prefix < k; the answer is pos
-        // (0-based slot pos, since the tree is 1-based).
-        if pos < self.tree.len() - 1 {
-            Some(pos)
-        } else {
-            None
-        }
+    #[inline]
+    #[expect(clippy::indexing_slicing, reason = "slot is in the slot space")]
+    fn occupy(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
+        self.add(slot / 64, 1);
+    }
+
+    #[inline]
+    #[expect(clippy::indexing_slicing, reason = "slot is in the slot space")]
+    fn vacate(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+        self.add(slot / 64, u32::MAX);
     }
 }
 
-/// An LRU queue over [`PageId`]s with logarithmic recency-rank queries
-/// and `Copy` metadata `M` on every entry.
+/// An LRU queue over [`PageId`]s with `Copy` metadata `M` on every entry
+/// and the rank index `R`.
 ///
-/// Rank 0 is the most recently used page; rank `len() - 1` is the LRU
-/// victim. The metadata travels with its page through touches and
-/// compactions and leaves with it: [`RankedLru::remove`] and
-/// [`RankedLru::evict_lru`] return it. See the module documentation (in
-/// the source) for the data-structure sketch and complexity analysis.
+/// The metadata travels with its page through touches and compactions
+/// and leaves with it: [`LruQueue::remove`] and [`LruQueue::evict_lru`]
+/// return it. See the module documentation (in the source) for the
+/// data-structure sketch.
 #[derive(Debug, Clone)]
-pub struct RankedLru<M> {
+pub struct LruQueue<M = (), R = NoRanks> {
     /// Page → slab entry.
     index: PageTable,
-    /// Slab of pages, parallel to `slots` and `metas` (structure-of-arrays:
-    /// the hot touch path reads only `slots` and `metas`, so page ids stay
-    /// out of its cache lines).
-    pages: Vec<PageId>,
-    /// Current slot number of each slab entry, parallel to `pages`.
-    slots: Vec<usize>,
-    /// Metadata of each slab entry, parallel to `pages`.
-    metas: Vec<M>,
+    /// The slab: each page with its current slot and its metadata.
+    entries: Vec<Entry<M>>,
     free: Vec<u32>,
     slot_to_entry: Vec<u32>,
-    fenwick: Fenwick,
     next_slot: usize,
+    /// Every slot below this one is empty, so the LRU victim holds the
+    /// first occupied slot at or after it.
+    cursor: usize,
+    ranks: R,
 }
 
-impl<M: Copy> RankedLru<M> {
+/// One slab entry of an [`LruQueue`].
+#[derive(Debug, Clone, Copy)]
+struct Entry<M> {
+    page: PageId,
+    slot: usize,
+    meta: M,
+}
+
+/// An [`LruQueue`] that answers recency-rank queries in O(log n).
+///
+/// Rank 0 is the most recently used page; rank `len() - 1` is the LRU
+/// victim.
+pub type RankedLru<M> = LruQueue<M, SlotRanks>;
+
+impl<M: Copy, R: RankIndex> LruQueue<M, R> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
@@ -153,13 +219,12 @@ impl<M: Copy> RankedLru<M> {
         let slots = (capacity * 4).max(MIN_SLOTS);
         Self {
             index: PageTable::with_capacity(capacity),
-            pages: Vec::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            metas: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
             free: Vec::new(),
             slot_to_entry: vec![EMPTY; slots],
-            fenwick: Fenwick::with_len(slots),
             next_slot: 0,
+            cursor: 0,
+            ranks: R::filled(slots, 0),
         }
     }
 
@@ -185,119 +250,102 @@ impl<M: Copy> RankedLru<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `page` is already in the queue; use [`RankedLru::touch`]
+    /// Panics if `page` is already in the queue; use [`LruQueue::touch`]
     /// for pages that may be present.
-    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "free entries and new slots are in range"
+    )]
     pub fn insert(&mut self, page: PageId, meta: M) {
         assert!(
             !self.index.contains(page),
             "page {page} is already in the LRU queue"
         );
         let slot = self.take_slot();
+        let new = Entry { page, slot, meta };
         let entry = if let Some(entry) = self.free.pop() {
-            let i = entry as usize;
-            self.pages[i] = page;
-            self.slots[i] = slot;
-            self.metas[i] = meta;
+            self.entries[entry as usize] = new;
             entry
         } else {
             assert!(
-                self.pages.len() < EMPTY as usize,
-                "RankedLru slab exceeds u32 indexing"
+                self.entries.len() < EMPTY as usize,
+                "LRU queue slab exceeds u32 indexing"
             );
-            self.pages.push(page);
-            self.slots.push(slot);
-            self.metas.push(meta);
-            self.pages.len() as u32 - 1
+            self.entries.push(new);
+            self.entries.len() as u32 - 1
         };
         self.slot_to_entry[slot] = entry;
-        self.fenwick.add(slot, 1);
+        self.ranks.occupy(slot);
         self.index.insert(page, entry);
     }
 
     /// Moves `page` to the MRU position and returns its metadata for
     /// updating, or `None` when the page is absent.
+    #[inline(always)]
     pub fn touch(&mut self, page: PageId) -> Option<&mut M> {
         let entry = self.index.get(page)? as usize;
         self.reslot(entry);
-        self.metas.get_mut(entry)
-    }
-
-    /// Returns the recency rank `page` held *before* this touch (0 =
-    /// MRU) with its metadata, and moves it to the MRU position —
-    /// Algorithm 1's rank-query-then-touch pair in a single lookup.
-    ///
-    /// The rank is the one `rank(page)` gives before `touch(page)`.
-    pub fn touch_ranked(&mut self, page: PageId) -> Option<(usize, &mut M)> {
-        let entry = self.index.get(page)? as usize;
-        let rank = self.rank_of(entry);
-        self.reslot(entry);
-        Some((rank, self.metas.get_mut(entry)?))
+        self.entries.get_mut(entry).map(|entry| &mut entry.meta)
     }
 
     /// The metadata of `page`, without touching it.
     #[must_use]
     pub fn meta(&self, page: PageId) -> Option<&M> {
-        self.metas.get(self.index.get(page)? as usize)
-    }
-
-    /// Recency rank of slab entry `entry`: pages with slots *greater* than
-    /// its slot are more recent.
-    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
-    fn rank_of(&self, entry: usize) -> usize {
-        let at_or_before = self.fenwick.prefix(self.slots[entry]);
-        self.len() - at_or_before as usize
+        self.entries
+            .get(self.index.get(page)? as usize)
+            .map(|entry| &entry.meta)
     }
 
     /// Moves the slab entry `entry` to a fresh MRU slot in place (no table
-    /// traffic). The rank ordering of all other pages is unchanged.
+    /// traffic). The order of all other pages is unchanged.
+    #[inline(always)]
     #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     fn reslot(&mut self, entry: usize) {
         // Allocate first: a compaction renumbers `slots[entry]` too, so the
         // old slot must be read *after* `take_slot`.
         let new_slot = self.take_slot();
-        let old_slot = self.slots[entry];
-        self.fenwick.add(old_slot, -1);
+        let old_slot = std::mem::replace(&mut self.entries[entry].slot, new_slot);
         self.slot_to_entry[old_slot] = EMPTY;
-        self.slots[entry] = new_slot;
+        self.ranks.vacate(old_slot);
         self.slot_to_entry[new_slot] = entry as u32;
-        self.fenwick.add(new_slot, 1);
+        self.ranks.occupy(new_slot);
     }
 
     /// Removes and returns the least-recently-used page with its metadata.
+    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     pub fn evict_lru(&mut self) -> Option<(PageId, M)> {
-        let victim = self.peek_lru()?;
-        let meta = self.remove(victim)?;
-        Some((victim, meta))
-    }
-
-    /// Returns the least-recently-used page without removing it.
-    #[must_use]
-    pub fn peek_lru(&self) -> Option<PageId> {
-        let slot = self.fenwick.select(1)?;
-        let entry = *self.slot_to_entry.get(slot)?;
-        debug_assert_ne!(entry, EMPTY);
-        self.pages.get(entry as usize).copied()
+        let offset = self.slot_to_entry[self.cursor..self.next_slot]
+            .iter()
+            .position(|&entry| entry != EMPTY);
+        let Some(offset) = offset else {
+            self.cursor = self.next_slot;
+            return None;
+        };
+        let slot = self.cursor + offset;
+        let entry = self.slot_to_entry[slot];
+        let page = self.entries[entry as usize].page;
+        self.index.remove(page);
+        let meta = self.release(entry);
+        self.cursor = slot + 1;
+        Some((page, meta))
     }
 
     /// Removes `page` from the queue, returning its metadata when it was
     /// present.
-    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     pub fn remove(&mut self, page: PageId) -> Option<M> {
         let entry = self.index.remove(page)?;
-        let slot = self.slots[entry as usize];
-        self.fenwick.add(slot, -1);
-        self.slot_to_entry[slot] = EMPTY;
-        self.free.push(entry);
-        self.metas.get(entry as usize).copied()
+        Some(self.release(entry))
     }
 
-    /// Recency rank of `page`: 0 for the MRU page, `len() - 1` for the LRU
-    /// page, `None` when absent.
-    #[must_use]
-    pub fn rank(&self, page: PageId) -> Option<usize> {
-        let entry = self.index.get(page)?;
-        Some(self.rank_of(entry as usize))
+    /// Empties the slot of the slab entry `entry`, already gone from the
+    /// index, and frees the entry.
+    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
+    fn release(&mut self, entry: u32) -> M {
+        let Entry { slot, meta, .. } = self.entries[entry as usize];
+        self.slot_to_entry[slot] = EMPTY;
+        self.ranks.vacate(slot);
+        self.free.push(entry);
+        meta
     }
 
     /// Pages ordered from MRU to LRU: the slot space walked downwards.
@@ -309,11 +357,12 @@ impl<M: Copy> RankedLru<M> {
             .iter()
             .rev()
             .filter(|&&entry| entry != EMPTY)
-            .filter_map(|&entry| self.pages.get(entry as usize).copied())
+            .filter_map(|&entry| self.entries.get(entry as usize).map(|e| e.page))
             .collect()
     }
 
     /// Allocates a fresh MRU slot, compacting the slot space when full.
+    #[inline(always)]
     fn take_slot(&mut self) -> usize {
         if self.next_slot == self.slot_to_entry.len() {
             self.compact();
@@ -325,233 +374,60 @@ impl<M: Copy> RankedLru<M> {
 
     /// Renumbers all present pages into slots `0..len` (preserving order)
     /// and resizes the slot space to 4× the live population.
+    #[cold]
+    #[inline(never)]
     #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     fn compact(&mut self) {
-        self.slot_to_entry.retain(|&entry| entry != EMPTY);
-        let live = self.slot_to_entry.len();
-        for (slot, &entry) in self.slot_to_entry.iter().enumerate() {
-            self.slots[entry as usize] = slot;
+        let mut live = 0;
+        for slot in self.cursor..self.next_slot {
+            let entry = self.slot_to_entry[slot];
+            if entry != EMPTY {
+                self.slot_to_entry[live] = entry;
+                self.entries[entry as usize].slot = live;
+                live += 1;
+            }
         }
         let new_len = (live * 4).max(MIN_SLOTS);
+        self.slot_to_entry.truncate(live);
         self.slot_to_entry.resize(new_len, EMPTY);
-        self.fenwick = Fenwick::with_len(new_len);
-        for slot in 0..live {
-            self.fenwick.add(slot, 1);
-        }
+        self.ranks = R::filled(new_len, live);
         self.next_slot = live;
+        self.cursor = 0;
     }
 }
 
-impl<M: Copy> Default for RankedLru<M> {
+impl<M: Copy> RankedLru<M> {
+    /// Returns the recency rank `page` held *before* this touch (0 =
+    /// MRU) with its metadata, and moves it to the MRU position —
+    /// Algorithm 1's rank-query-then-touch pair in a single lookup.
+    ///
+    /// The rank is the one `rank(page)` gives before `touch(page)`.
+    pub fn touch_ranked(&mut self, page: PageId) -> Option<(usize, &mut M)> {
+        let entry = self.index.get(page)? as usize;
+        let rank = self.rank_of(entry);
+        self.reslot(entry);
+        Some((rank, &mut self.entries.get_mut(entry)?.meta))
+    }
+
+    /// Recency rank of `page`: 0 for the MRU page, `len() - 1` for the LRU
+    /// page, `None` when absent.
+    #[must_use]
+    pub fn rank(&self, page: PageId) -> Option<usize> {
+        let entry = self.index.get(page)?;
+        Some(self.rank_of(entry as usize))
+    }
+
+    /// Recency rank of slab entry `entry`: pages with slots *greater* than
+    /// its slot are more recent.
+    #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
+    fn rank_of(&self, entry: usize) -> usize {
+        self.len() - self.ranks.occupied_through(self.entries[entry].slot)
+    }
+}
+
+impl<M: Copy, R: RankIndex> Default for LruQueue<M, R> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Sentinel link for "no node" in [`LinkedLru`].
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    page: PageId,
-    prev: u32,
-    next: u32,
-}
-
-/// A plain LRU queue with O(1) touch/insert/evict and exactly one
-/// [`PageTable`] lookup per operation.
-///
-/// The queue is an index-linked doubly linked list over a slab of
-/// `Node`s: `head` is the MRU end, `tail` the LRU victim. It answers
-/// everything the DRAM recency queue and the single-tier baselines need;
-/// use [`RankedLru`] when recency-*rank* queries are required (the NVM
-/// counter windows of Algorithm 1).
-///
-/// # Examples
-///
-/// ```
-/// use hybridmem_policy::LinkedLru;
-/// use hybridmem_types::PageId;
-///
-/// let mut lru = LinkedLru::new();
-/// lru.insert(PageId::new(1));
-/// lru.insert(PageId::new(2));
-/// assert!(lru.touch(PageId::new(1)));
-/// assert_eq!(lru.evict_lru(), Some(PageId::new(2)));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct LinkedLru {
-    /// Page → slab node.
-    index: PageTable,
-    nodes: Vec<Node>,
-    free: Vec<u32>,
-    head: Option<u32>,
-    tail: Option<u32>,
-}
-
-impl LinkedLru {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty queue pre-sized for about `capacity` pages.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            index: PageTable::with_capacity(capacity),
-            nodes: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            head: None,
-            tail: None,
-        }
-    }
-
-    /// Number of pages in the queue.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True when the queue holds no pages.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// True when `page` is in the queue.
-    #[must_use]
-    pub fn contains(&self, page: PageId) -> bool {
-        self.index.contains(page)
-    }
-
-    /// Inserts `page` at the MRU position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is already in the queue; use [`LinkedLru::touch`]
-    /// for pages that may be present.
-    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
-    pub fn insert(&mut self, page: PageId) {
-        assert!(
-            !self.index.contains(page),
-            "page {page} is already in the LRU queue"
-        );
-        let old_head = self.head;
-        let node = Node {
-            page,
-            prev: NIL,
-            next: old_head.unwrap_or(NIL),
-        };
-        let idx = if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            assert!(
-                self.nodes.len() < NIL as usize,
-                "LinkedLru slab exceeds u32 indexing"
-            );
-            self.nodes.push(node);
-            self.nodes.len() as u32 - 1
-        };
-        if let Some(head) = old_head {
-            self.nodes[head as usize].prev = idx;
-        }
-        self.head = Some(idx);
-        if self.tail.is_none() {
-            self.tail = Some(idx);
-        }
-        self.index.insert(page, idx);
-    }
-
-    /// Moves `page` to the MRU position. Returns true when the page was
-    /// present (and was therefore moved).
-    #[inline]
-    pub fn touch(&mut self, page: PageId) -> bool {
-        let Some(idx) = self.index.get(page) else {
-            return false;
-        };
-        self.move_to_front(idx);
-        true
-    }
-
-    /// Removes and returns the least-recently-used page.
-    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
-    pub fn evict_lru(&mut self) -> Option<PageId> {
-        let victim = self.tail?;
-        let page = self.nodes[victim as usize].page;
-        self.unlink(victim);
-        self.free.push(victim);
-        self.index.remove(page);
-        Some(page)
-    }
-
-    /// Returns the least-recently-used page without removing it.
-    #[must_use]
-    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
-    pub fn peek_lru(&self) -> Option<PageId> {
-        self.tail.map(|idx| self.nodes[idx as usize].page)
-    }
-
-    /// Removes `page` from the queue. Returns true when it was present.
-    pub fn remove(&mut self, page: PageId) -> bool {
-        let Some(idx) = self.index.remove(page) else {
-            return false;
-        };
-        self.unlink(idx);
-        self.free.push(idx);
-        true
-    }
-
-    /// Pages ordered from MRU to LRU. O(n); intended for tests,
-    /// debugging, and snapshots rather than per-access use.
-    #[must_use]
-    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
-    pub fn pages_by_recency(&self) -> Vec<PageId> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut cursor = self.head;
-        while let Some(idx) = cursor {
-            let node = self.nodes[idx as usize];
-            out.push(node.page);
-            cursor = (node.next != NIL).then_some(node.next);
-        }
-        out
-    }
-
-    /// Detaches node `idx` from the list, fixing head/tail.
-    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
-    fn unlink(&mut self, idx: u32) {
-        let Node { prev, next, .. } = self.nodes[idx as usize];
-        if prev == NIL {
-            self.head = (next != NIL).then_some(next);
-        } else {
-            self.nodes[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = (prev != NIL).then_some(prev);
-        } else {
-            self.nodes[next as usize].prev = prev;
-        }
-    }
-
-    /// Splices node `idx` to the head (MRU) position.
-    #[expect(clippy::indexing_slicing, reason = "every stored link names a node")]
-    fn move_to_front(&mut self, idx: u32) {
-        if self.head == Some(idx) {
-            return;
-        }
-        self.unlink(idx);
-        let old_head = self.head.unwrap_or(NIL);
-        self.nodes[idx as usize].prev = NIL;
-        self.nodes[idx as usize].next = old_head;
-        if old_head != NIL {
-            self.nodes[old_head as usize].prev = idx;
-        }
-        self.head = Some(idx);
-        if self.tail.is_none() {
-            self.tail = Some(idx);
-        }
     }
 }
 
@@ -616,13 +492,6 @@ mod tests {
         assert_eq!(lru.evict_lru(), Some((page(0), 0)));
         assert_eq!(lru.evict_lru(), None);
         assert!(lru.is_empty());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let lru = ranked(3);
-        assert_eq!(lru.peek_lru(), Some(page(0)));
-        assert_eq!(lru.len(), 3);
     }
 
     #[test]
@@ -691,22 +560,28 @@ mod tests {
     #[test]
     fn sparse_ids_rank_like_dense_ones() {
         let shift = 1 << 40;
+        let sparse_id = |n: u64| page(n + shift * (n % 2));
         let mut dense = ranked(12);
         let mut sparse = RankedLru::new();
+        let mut plain = LruQueue::<u64>::new();
         for n in 0..12 {
-            sparse.insert(page(n + shift * (n % 2)), n);
+            sparse.insert(sparse_id(n), n);
+            plain.insert(sparse_id(n), n);
         }
         for n in [3u64, 8, 3, 11, 0] {
             let want = dense.touch_ranked(page(n)).map(|(r, m)| (r, *m));
-            let got = sparse
-                .touch_ranked(page(n + shift * (n % 2)))
-                .map(|(r, m)| (r, *m));
+            let got = sparse.touch_ranked(sparse_id(n)).map(|(r, m)| (r, *m));
             assert_eq!(got, want);
+            assert_eq!(plain.touch(sparse_id(n)).copied(), want.map(|(_, m)| m));
         }
         let unshift = |p: &PageId| p.value() % shift;
         let want: Vec<u64> = dense.pages_by_recency().iter().map(unshift).collect();
         let got: Vec<u64> = sparse.pages_by_recency().iter().map(unshift).collect();
         assert_eq!(got, want);
+        let got: Vec<u64> = plain.pages_by_recency().iter().map(unshift).collect();
+        assert_eq!(got, want);
+        let evicted = plain.evict_lru().map(|(p, m)| (unshift(&p), m));
+        assert_eq!(evicted, dense.evict_lru().map(|(p, m)| (p.value(), m)));
     }
 
     #[test]
@@ -738,89 +613,49 @@ mod tests {
     }
 
     #[test]
-    fn linked_lru_matches_ranked_lru_order() {
-        let mut linked = LinkedLru::new();
-        let mut ranked = RankedLru::new();
-        for n in 0..12 {
-            linked.insert(page(n));
-            ranked.insert(page(n), ());
-        }
-        for round in 0..300u64 {
-            match round % 5 {
-                0..=2 => {
-                    let n = (round * 11) % 12;
-                    assert_eq!(linked.touch(page(n)), ranked.touch(page(n)).is_some());
-                }
-                3 => {
-                    assert_eq!(linked.peek_lru(), ranked.peek_lru());
-                    assert_eq!(linked.evict_lru(), ranked.evict_lru().map(|(p, ())| p));
-                }
-                _ => {
-                    let n = (round * 13) % 24; // half the ids are absent
-                    if !linked.contains(page(n)) {
-                        linked.insert(page(n));
-                        ranked.insert(page(n), ());
-                    } else {
-                        assert_eq!(linked.remove(page(n)), ranked.remove(page(n)).is_some());
-                    }
-                }
-            }
-            assert_eq!(linked.len(), ranked.len());
-            assert_eq!(linked.pages_by_recency(), ranked.pages_by_recency());
-        }
-    }
-
-    #[test]
-    fn linked_lru_basics() {
-        let mut lru = LinkedLru::with_capacity(4);
+    fn unranked_queue_basics() {
+        assert_eq!(std::mem::size_of::<NoRanks>(), 0);
+        let mut lru: LruQueue = LruQueue::with_capacity(4);
         assert!(lru.is_empty());
         assert_eq!(lru.evict_lru(), None);
-        assert_eq!(lru.peek_lru(), None);
-        assert!(!lru.touch(page(1)));
-        assert!(!lru.remove(page(1)));
+        assert!(lru.touch(page(1)).is_none());
+        assert_eq!(lru.remove(page(1)), None);
 
-        lru.insert(page(1));
+        lru.insert(page(1), ());
         assert_eq!(lru.pages_by_recency(), vec![page(1)]);
-        assert!(lru.touch(page(1)), "touching the sole page is a no-op move");
-        assert_eq!(lru.evict_lru(), Some(page(1)));
+        assert!(lru.touch(page(1)).is_some(), "touching the sole page");
+        assert_eq!(lru.evict_lru(), Some((page(1), ())));
         assert!(lru.is_empty());
 
         for n in 0..4 {
-            lru.insert(page(n));
+            lru.insert(page(n), ());
         }
         lru.touch(page(0)); // order (MRU..LRU): 0,3,2,1
         assert_eq!(
             lru.pages_by_recency(),
             vec![page(0), page(3), page(2), page(1)]
         );
-        assert!(lru.remove(page(2)), "unlink from the middle");
-        assert_eq!(lru.evict_lru(), Some(page(1)));
-        assert_eq!(lru.evict_lru(), Some(page(3)));
-        assert_eq!(lru.evict_lru(), Some(page(0)));
+        assert_eq!(lru.remove(page(2)), Some(()), "remove from the middle");
+        assert_eq!(lru.evict_lru(), Some((page(1), ())));
+        assert_eq!(lru.evict_lru(), Some((page(3), ())));
+        assert_eq!(lru.evict_lru(), Some((page(0), ())));
         assert_eq!(lru.evict_lru(), None);
     }
 
     #[test]
-    #[should_panic(expected = "already in the LRU queue")]
-    fn linked_lru_double_insert_panics() {
-        let mut lru = LinkedLru::new();
-        lru.insert(page(1));
-        lru.insert(page(1));
-    }
-
-    #[test]
-    fn linked_lru_reuses_slab_slots() {
-        let mut lru = LinkedLru::new();
+    fn lru_reuses_slab_entries() {
+        let mut lru: LruQueue = LruQueue::new();
         for n in 0..8 {
-            lru.insert(page(n));
+            lru.insert(page(n), ());
         }
         for _ in 0..4 {
             lru.evict_lru();
         }
         for n in 100..104 {
-            lru.insert(page(n));
+            lru.insert(page(n), ());
         }
         assert_eq!(lru.len(), 8);
-        assert_eq!(lru.nodes.len(), 8, "freed slab nodes are reused");
+        assert_eq!(lru.entries.len(), 8, "freed slab entries are reused");
+        assert!(lru.free.is_empty());
     }
 }

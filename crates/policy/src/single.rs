@@ -21,15 +21,15 @@
 
 use hybridmem_types::{Error, MemoryKind, PageAccess, PageCount, PageId, Residency, Result};
 
-use crate::{AccessOutcome, ActionList, BatchOutcomes, HybridPolicy, LinkedLru, PolicyAction};
+use crate::{AccessOutcome, ActionList, HybridPolicy, LruQueue, PolicyAction};
 
 /// An LRU-managed main memory made of a single technology.
 #[derive(Debug, Clone)]
 pub struct SingleTierPolicy {
     kind: MemoryKind,
     capacity: PageCount,
-    // Plain LRU needs no rank queries, so the O(1) linked queue suffices.
-    lru: LinkedLru,
+    // Plain LRU needs no rank queries, so the queue keeps no rank index.
+    lru: LruQueue,
 }
 
 impl SingleTierPolicy {
@@ -47,7 +47,7 @@ impl SingleTierPolicy {
         Ok(Self {
             kind,
             capacity,
-            lru: LinkedLru::with_capacity(capacity.value() as usize),
+            lru: LruQueue::with_capacity(capacity.value() as usize),
         })
     }
 
@@ -74,44 +74,38 @@ impl SingleTierPolicy {
     pub const fn kind(&self) -> MemoryKind {
         self.kind
     }
-}
 
-impl HybridPolicy for SingleTierPolicy {
-    fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
-        if self.lru.touch(access.page) {
-            return AccessOutcome::hit(self.kind);
-        }
+    /// Handles a page fault: fill `page`, evicting the LRU page to disk
+    /// when the memory is full.
+    #[inline(never)]
+    fn on_fault(&mut self, page: PageId) -> AccessOutcome {
         let mut actions = ActionList::new();
         if self.lru.len() as u64 >= self.capacity.value() {
             #[expect(clippy::expect_used, reason = "a full queue has a victim")]
-            let victim = self.lru.evict_lru().expect("a full queue has a victim");
+            let (victim, ()) = self.lru.evict_lru().expect("a full queue has a victim");
             actions.push(PolicyAction::EvictToDisk {
                 page: victim,
                 from: self.kind,
             });
         }
-        self.lru.insert(access.page);
+        self.lru.insert(page, ());
         actions.push(PolicyAction::FillFromDisk {
-            page: access.page,
+            page,
             into: self.kind,
         });
         AccessOutcome::fault_with(actions)
     }
+}
 
-    fn on_access_batch(&mut self, batch: &[PageAccess], out: &mut BatchOutcomes) {
-        // Hits in a warm single-tier memory are the common case; compress
-        // them to one-byte steps and fall back to `on_access` for faults.
-        for access in batch {
-            if self.lru.touch(access.page) {
-                match self.kind {
-                    MemoryKind::Dram => out.push_dram_hit(),
-                    MemoryKind::Nvm => out.push_nvm_hit(),
-                }
-            } else {
-                let outcome = self.on_access(*access);
-                out.push_detailed(outcome);
-            }
+impl HybridPolicy for SingleTierPolicy {
+    /// A hit, the common case in a warm memory, is inlined; the default
+    /// batch loop records it as a one-byte step.
+    #[inline]
+    fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
+        if self.lru.touch(access.page).is_some() {
+            return AccessOutcome::hit(self.kind);
         }
+        self.on_fault(access.page)
     }
 
     fn residency(&self, page: PageId) -> Residency {

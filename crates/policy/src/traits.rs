@@ -321,6 +321,7 @@ pub struct AccessOutcome {
 
 impl AccessOutcome {
     /// An outcome for a plain hit in `kind` with no side effects.
+    #[inline]
     #[must_use]
     pub fn hit(kind: MemoryKind) -> Self {
         Self {
@@ -446,7 +447,7 @@ impl BatchOutcomes {
     }
 
     /// Records a full outcome (fault, promotion, probed hit, …).
-    #[inline]
+    #[inline(always)]
     pub fn push_detailed(&mut self, outcome: AccessOutcome) {
         self.steps.push(BatchStep::Detailed);
         self.detailed.push(outcome);
@@ -455,7 +456,7 @@ impl BatchOutcomes {
     /// Records `outcome` compactly when it is a plain hit, in full
     /// otherwise — what the default [`HybridPolicy::on_access_batch`]
     /// uses, so any policy's batch path is at worst the serial path.
-    #[inline]
+    #[inline(always)]
     pub fn push_outcome(&mut self, outcome: AccessOutcome) {
         if outcome.actions.is_empty() && !outcome.fault && outcome.probe.is_none() {
             match outcome.served_from {
@@ -540,10 +541,12 @@ pub trait HybridPolicy {
     /// **identical** to calling [`HybridPolicy::on_access`] on each
     /// access in order — the serial path stays the determinism oracle,
     /// and `tests/policy_comparison.rs` compares full reports both ways.
-    /// Overriding is purely a throughput lever: it amortizes the virtual
-    /// dispatch to one call per batch and lets a policy keep its hot
-    /// lookups in registers across accesses (see the two-LRU and
-    /// single-tier overrides).
+    /// The default body amortizes the virtual dispatch to one call per
+    /// batch. A policy whose `on_access` is `#[inline]`, with its hit path
+    /// first and its faults out of line, needs no override: the hit path
+    /// compiles into this loop, and [`BatchOutcomes::push_outcome`]'s
+    /// checks fold on its constant outcome, so a hit records a one-byte
+    /// step with no function call.
     fn on_access_batch(&mut self, batch: &[PageAccess], out: &mut BatchOutcomes) {
         for access in batch {
             let outcome = self.on_access(*access);

@@ -52,8 +52,8 @@ use hybridmem_types::{
 };
 
 use crate::{
-    AccessOutcome, ActionList, BatchOutcomes, CounterKind, HybridPolicy, LinkedLru,
-    NvmCounterProbe, PolicyAction, RankedLru,
+    AccessOutcome, ActionList, CounterKind, HybridPolicy, LruQueue, NvmCounterProbe, PolicyAction,
+    RankedLru,
 };
 
 /// Configuration of the proposed two-LRU migration scheme.
@@ -207,12 +207,16 @@ pub struct TwoLruStats {
 #[derive(Debug, Clone)]
 pub struct TwoLruPolicy {
     config: TwoLruConfig,
+    /// `config.read_window_pages()`, fixed by the NVM capacity.
+    read_window: usize,
+    /// `config.write_window_pages()`, fixed by the NVM capacity.
+    write_window: usize,
     // DRAM hits need no recency rank, only a move-to-front, so the DRAM
-    // queue is the O(1) [`LinkedLru`]; NVM stays on the Fenwick-backed
-    // [`RankedLru`] because the counter windows are rank queries. Each
-    // NVM entry carries the page's counters: `None` until its first NVM
-    // hit, so they live exactly as long as the page stays in NVM.
-    dram: LinkedLru,
+    // queue keeps no rank index; NVM does, because the counter windows
+    // are rank queries. Each NVM entry carries the page's counters: `None`
+    // until its first NVM hit, so they live exactly as long as the page
+    // stays in NVM.
+    dram: LruQueue,
     nvm: RankedLru<Option<PageCounters>>,
     stats: TwoLruStats,
 }
@@ -223,7 +227,9 @@ impl TwoLruPolicy {
     pub fn new(config: TwoLruConfig) -> Self {
         Self {
             config,
-            dram: LinkedLru::with_capacity(config.dram_capacity.value() as usize),
+            read_window: config.read_window_pages(),
+            write_window: config.write_window_pages(),
+            dram: LruQueue::with_capacity(config.dram_capacity.value() as usize),
             nvm: RankedLru::with_capacity(config.nvm_capacity.value() as usize),
             stats: TwoLruStats::default(),
         }
@@ -274,13 +280,13 @@ impl TwoLruPolicy {
     /// queue's occupancy while it is still filling).
     #[must_use]
     pub fn read_window_occupancy(&self) -> usize {
-        self.config.read_window_pages().min(self.nvm.len())
+        self.read_window.min(self.nvm.len())
     }
 
     /// Pages currently inside the write-counter window.
     #[must_use]
     pub fn write_window_occupancy(&self) -> usize {
-        self.config.write_window_pages().min(self.nvm.len())
+        self.write_window.min(self.nvm.len())
     }
 
     /// NVM-resident pages that currently carry read/write counters. O(n):
@@ -317,9 +323,16 @@ impl TwoLruPolicy {
         registry.set_gauge("two_lru.tracked_pages", self.tracked_pages() as f64);
     }
 
-    /// Handles a hit in the NVM queue (Algorithm 1, lines 6–25); `None`
-    /// when `page` is not in NVM. One NVM lookup finds the page's rank and
-    /// its counters.
+    /// Handles an access that missed DRAM: an NVM hit (Algorithm 1, lines
+    /// 6–25) or, when `page` is not in NVM either, a page fault.
+    #[inline(never)]
+    fn on_dram_miss(&mut self, page: PageId, kind: AccessKind) -> AccessOutcome {
+        self.on_nvm_hit(page, kind)
+            .unwrap_or_else(|| self.on_fault(page))
+    }
+
+    /// Handles a hit in the NVM queue; `None` when `page` is not in NVM.
+    /// One NVM lookup finds the page's rank and its counters.
     #[expect(clippy::expect_used, reason = "a full DRAM queue has a victim")]
     fn on_nvm_hit(&mut self, page: PageId, kind: AccessKind) -> Option<AccessOutcome> {
         let (rank, entry) = self.nvm.touch_ranked(page)?;
@@ -329,14 +342,14 @@ impl TwoLruPolicy {
         // Only resets that discard accumulated progress count as resets.
         let mut read_lost = 0;
         let mut write_lost = 0;
-        if rank >= self.config.read_window_pages() {
+        if rank >= self.read_window {
             if counters.reads != 0 {
                 self.stats.read_window_resets += 1;
                 read_lost = counters.reads;
             }
             counters.reads = 0;
         }
-        if rank >= self.config.write_window_pages() {
+        if rank >= self.write_window {
             if counters.writes != 0 {
                 self.stats.write_window_resets += 1;
                 write_lost = counters.writes;
@@ -380,7 +393,7 @@ impl TwoLruPolicy {
         let mut actions = ActionList::new();
         self.nvm.remove(page);
         if self.dram.len() as u64 >= self.config.dram_capacity.value() {
-            let victim = self
+            let (victim, ()) = self
                 .dram
                 .evict_lru()
                 .expect("a full DRAM queue has a victim");
@@ -391,7 +404,7 @@ impl TwoLruPolicy {
                 to: MemoryKind::Nvm,
             });
         }
-        self.dram.insert(page);
+        self.dram.insert(page, ());
         actions.push(PolicyAction::Migrate {
             page,
             from: MemoryKind::Nvm,
@@ -414,7 +427,7 @@ impl TwoLruPolicy {
                     from: MemoryKind::Nvm,
                 });
             }
-            let victim = self
+            let (victim, ()) = self
                 .dram
                 .evict_lru()
                 .expect("a full DRAM queue has a victim");
@@ -425,7 +438,7 @@ impl TwoLruPolicy {
                 to: MemoryKind::Nvm,
             });
         }
-        self.dram.insert(page);
+        self.dram.insert(page, ());
         actions.push(PolicyAction::FillFromDisk {
             page,
             into: MemoryKind::Dram,
@@ -435,33 +448,17 @@ impl TwoLruPolicy {
 }
 
 impl HybridPolicy for TwoLruPolicy {
+    /// Algorithm 1: search DRAM first ("DRAM contains the most hot data
+    /// pages"), then NVM, else fault. Each touch doubles as the membership
+    /// probe, so a hit costs one lookup per queue searched. The DRAM hit,
+    /// the common case once the queues are warm, is inlined; the default
+    /// batch loop records it as a one-byte step.
+    #[inline]
     fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
-        // Algorithm 1: search DRAM first ("DRAM contains the most hot data
-        // pages"), then NVM, else fault. Each touch doubles as the
-        // membership probe, so a hit costs one lookup per queue searched.
-        if self.dram.touch(access.page) {
-            AccessOutcome::hit(MemoryKind::Dram)
-        } else if let Some(outcome) = self.on_nvm_hit(access.page, access.kind) {
-            outcome
-        } else {
-            self.on_fault(access.page)
+        if self.dram.touch(access.page).is_some() {
+            return AccessOutcome::hit(MemoryKind::Dram);
         }
-    }
-
-    fn on_access_batch(&mut self, batch: &[PageAccess], out: &mut BatchOutcomes) {
-        // Same decision tree as `on_access`, amortising the virtual dispatch
-        // over the batch. DRAM hits — the overwhelmingly common case once
-        // the queues are warm — compress to a one-byte step.
-        for access in batch {
-            if self.dram.touch(access.page) {
-                out.push_dram_hit();
-            } else if let Some(outcome) = self.on_nvm_hit(access.page, access.kind) {
-                out.push_outcome(outcome);
-            } else {
-                let outcome = self.on_fault(access.page);
-                out.push_detailed(outcome);
-            }
-        }
+        self.on_dram_miss(access.page, access.kind)
     }
 
     fn residency(&self, page: PageId) -> Residency {

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use hybridmem_policy::{
     AccessOutcome, AdaptiveConfig, AdaptiveTwoLruPolicy, ClockDwfPolicy, ClockProPolicy, ClockRing,
-    DramCachePolicy, HybridPolicy, PolicyAction, RankedLru, SingleTierClockPolicy,
+    DramCachePolicy, HybridPolicy, LruQueue, PolicyAction, RankedLru, SingleTierClockPolicy,
     SingleTierPolicy, TwoLruConfig, TwoLruPolicy,
 };
 use hybridmem_types::{
@@ -15,7 +15,7 @@ use hybridmem_types::{
 /// Cases per property.
 const CASES: u64 = 256;
 
-/// Operations applied to both `RankedLru` and a naive Vec-backed model.
+/// Operations applied to the LRU queues and a naive Vec-backed model.
 /// Inserts carry a metadata value; touches add to it.
 #[derive(Debug, Clone)]
 enum LruOp {
@@ -23,17 +23,25 @@ enum LruOp {
     TouchRanked(u64, u64),
     Insert(u64, u64),
     EvictLru,
+    /// Removes the `n` least recently used pages one by one, then evicts:
+    /// the victim search must skip the slots the removals freed.
+    EvictAfterRemovingOldest(usize),
     Remove(u64),
 }
 
+/// A random operation; inserts are as likely as all removals together,
+/// so the queue fills about half of `page_universe`.
 fn arb_lru_op(rng: &mut StdRng, page_universe: u64) -> LruOp {
     let page = rng.gen_range(0..page_universe);
     let value = rng.gen_range(0..1000);
-    match rng.gen_range(0..5) {
-        0 => LruOp::Touch(page, value),
-        1 => LruOp::TouchRanked(page, value),
-        2 => LruOp::Insert(page, value),
-        3 => LruOp::EvictLru,
+    match rng.gen_range(0..10) {
+        0 | 1 => LruOp::Touch(page, value),
+        2 | 3 => LruOp::TouchRanked(page, value),
+        4..=7 => LruOp::Insert(page, value),
+        8 if rng.gen_range(0..4) == 0 => {
+            LruOp::EvictAfterRemovingOldest(rng.gen_range(1..4) as usize)
+        }
+        8 => LruOp::EvictLru,
         _ => LruOp::Remove(page),
     }
 }
@@ -93,68 +101,112 @@ impl NaiveLru {
     fn by_recency(&self) -> Vec<u64> {
         self.0.iter().rev().map(|&(x, _)| x).collect()
     }
+
+    /// The `n` least recently used pages, LRU first.
+    fn oldest(&self, n: usize) -> Vec<u64> {
+        self.0.iter().take(n).map(|&(x, _)| x).collect()
+    }
 }
 
-/// `RankedLru` is observationally identical to the naive model under
-/// arbitrary operation sequences, including rank queries, and each
-/// page's metadata follows it across touches, compactions and slab
-/// reuse.
+/// `RankedLru` and the rank-free `LruQueue` are observationally
+/// identical to the naive model under arbitrary operation sequences (the
+/// rank-free queue skips the rank queries), and each page's metadata
+/// follows it across touches, compactions and slab reuse.
+///
+/// Two universes: 16 pages, whose slot space stays within one 64-slot
+/// word, and 300 pages over thousands of operations, whose live slots
+/// span many words and pass through many compactions.
 #[test]
 fn ranked_lru_matches_naive_model() {
-    for_each_case(CASES, |rng| {
-        let ops: Vec<LruOp> = (0..rng.gen_range(1..300))
-            .map(|_| arb_lru_op(rng, 16))
-            .collect();
-        let mut lru = RankedLru::new();
-        let mut model = NaiveLru::default();
-        for op in ops {
-            match op {
-                LruOp::Touch(p, add) => {
-                    let got = lru.touch(PageId::new(p)).map(|meta| {
-                        *meta += add;
-                        *meta
-                    });
-                    let want = model.touch(p).map(|meta| {
-                        *meta += add;
-                        *meta
-                    });
-                    assert_eq!(got, want);
+    for (cases, universe, op_count) in [(CASES, 16, 1..300), (8, 300, 3000..5000)] {
+        for_each_case(cases, |rng| {
+            let ops: Vec<LruOp> = (0..rng.gen_range(op_count.clone()))
+                .map(|_| arb_lru_op(rng, universe))
+                .collect();
+            let mut ranked = RankedLru::new();
+            let mut plain = LruQueue::<u64>::new();
+            let mut model = NaiveLru::default();
+            let mut peak = 0;
+            for op in ops {
+                apply_lru_op(op, &mut ranked, &mut plain, &mut model);
+                peak = peak.max(model.0.len());
+                assert_eq!(ranked.len(), model.0.len());
+                assert_eq!(plain.len(), model.0.len());
+                for (rank, &(p, meta)) in model.0.iter().rev().enumerate() {
+                    let page = PageId::new(p);
+                    assert_eq!(ranked.rank(page), Some(rank));
+                    assert_eq!(ranked.meta(page), Some(&meta));
+                    assert_eq!(plain.meta(page), Some(&meta));
                 }
-                LruOp::TouchRanked(p, add) => {
-                    let rank = model.rank(p);
-                    let got = lru.touch_ranked(PageId::new(p)).map(|(rank, meta)| {
-                        *meta += add;
-                        (rank, *meta)
-                    });
-                    let want = model.touch(p).map(|meta| {
-                        *meta += add;
-                        (rank.unwrap(), *meta)
-                    });
-                    assert_eq!(got, want);
-                }
-                LruOp::Insert(p, meta) => {
-                    if !model.contains(p) {
-                        lru.insert(PageId::new(p), meta);
-                        model.insert(p, meta);
-                    }
-                }
-                LruOp::EvictLru => {
-                    let got = lru.evict_lru().map(|(p, meta)| (p.value(), meta));
-                    assert_eq!(got, model.evict());
-                }
-                LruOp::Remove(p) => {
-                    assert_eq!(lru.remove(PageId::new(p)), model.remove(p));
-                }
+                let want = model.by_recency();
+                let got: Vec<u64> = ranked
+                    .pages_by_recency()
+                    .iter()
+                    .map(|p| p.value())
+                    .collect();
+                assert_eq!(got, want);
+                let got: Vec<u64> = plain.pages_by_recency().iter().map(|p| p.value()).collect();
+                assert_eq!(got, want);
             }
-            assert_eq!(lru.len(), model.0.len());
-            for &(p, meta) in &model.0 {
-                assert_eq!(lru.rank(PageId::new(p)), model.rank(p));
-                assert_eq!(lru.meta(PageId::new(p)), Some(&meta));
+            if universe > 64 {
+                assert!(peak >= 100, "the queue peaked at {peak} pages");
             }
-            let got: Vec<u64> = lru.pages_by_recency().iter().map(|p| p.value()).collect();
-            assert_eq!(got, model.by_recency());
+        });
+    }
+}
+
+/// Applies `op` to both queues and the model, checking what each returns.
+fn apply_lru_op(
+    op: LruOp,
+    ranked: &mut RankedLru<u64>,
+    plain: &mut LruQueue<u64>,
+    model: &mut NaiveLru,
+) {
+    let bump = |meta: &mut u64, add: u64| {
+        *meta += add;
+        *meta
+    };
+    match op {
+        LruOp::Touch(p, add) => {
+            let want = model.touch(p).map(|meta| bump(meta, add));
+            assert_eq!(ranked.touch(PageId::new(p)).map(|m| bump(m, add)), want);
+            assert_eq!(plain.touch(PageId::new(p)).map(|m| bump(m, add)), want);
         }
-    });
+        LruOp::TouchRanked(p, add) => {
+            let rank = model.rank(p);
+            let want = model.touch(p).map(|meta| bump(meta, add));
+            let got = ranked
+                .touch_ranked(PageId::new(p))
+                .map(|(rank, meta)| (rank, bump(meta, add)));
+            assert_eq!(got, want.map(|meta| (rank.unwrap(), meta)));
+            assert_eq!(plain.touch(PageId::new(p)).map(|m| bump(m, add)), want);
+        }
+        LruOp::Insert(p, meta) => {
+            if !model.contains(p) {
+                ranked.insert(PageId::new(p), meta);
+                plain.insert(PageId::new(p), meta);
+                model.insert(p, meta);
+            }
+        }
+        LruOp::EvictAfterRemovingOldest(n) => {
+            for p in model.oldest(n) {
+                let want = model.remove(p);
+                assert_eq!(ranked.remove(PageId::new(p)), want);
+                assert_eq!(plain.remove(PageId::new(p)), want);
+            }
+            apply_lru_op(LruOp::EvictLru, ranked, plain, model);
+        }
+        LruOp::EvictLru => {
+            let want = model.evict();
+            assert_eq!(ranked.evict_lru().map(|(p, m)| (p.value(), m)), want);
+            assert_eq!(plain.evict_lru().map(|(p, m)| (p.value(), m)), want);
+        }
+        LruOp::Remove(p) => {
+            let want = model.remove(p);
+            assert_eq!(ranked.remove(PageId::new(p)), want);
+            assert_eq!(plain.remove(PageId::new(p)), want);
+        }
+    }
 }
 
 /// `SingleTierPolicy` produces exactly the hit/miss/eviction sequence of

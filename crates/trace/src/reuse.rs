@@ -3,8 +3,9 @@
 //! The reuse-distance histogram is the canonical locality fingerprint: the
 //! hit ratio of *any* LRU memory of capacity `c` equals the fraction of
 //! accesses with reuse distance `< c`. This module computes exact
-//! page-granular reuse distances in O(log n) per access (the same
-//! Fenwick-over-slots technique as `hybridmem-policy`'s `RankedLru`) and
+//! page-granular reuse distances in O(log n) per access (a Fenwick tree
+//! over per-access timestamps, the slot order `hybridmem-policy`'s
+//! `RankedLru` keeps too, though that queue counts 64-slot words) and
 //! derives miss-ratio curves from them — the tool used to calibrate the
 //! PARSEC profiles against the paper's near-zero steady-state fault rates.
 //!
