@@ -69,6 +69,23 @@ impl Args {
             .ok_or_else(|| Error::invalid_input(format!("missing required flag --{name}")))
     }
 
+    /// A boolean option: `true` or `false`, and false when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] naming the flag when its value is
+    /// anything else, so a typo such as `--gate yes` cannot silently turn
+    /// a check off.
+    pub fn get_bool(&self, name: &str) -> Result<bool> {
+        match self.get(name) {
+            None | Some("false") => Ok(false),
+            Some("true") => Ok(true),
+            Some(text) => Err(Error::invalid_input(format!(
+                "flag --{name} expects true or false, got {text:?}"
+            ))),
+        }
+    }
+
     /// A parsed numeric option with a default.
     ///
     /// # Errors
@@ -152,6 +169,19 @@ mod tests {
         assert_eq!(args.get_parsed_or("seed", 42u64).unwrap(), 42);
         let bad = parse(&["--cap", "ten"]);
         assert!(bad.get_parsed_or("cap", 0u64).is_err());
+    }
+
+    #[test]
+    fn booleans_accept_only_true_and_false() {
+        let args = parse(&["--json", "true", "--deep", "false"]);
+        assert!(args.get_bool("json").unwrap());
+        assert!(!args.get_bool("deep").unwrap());
+        assert!(!args.get_bool("gate").unwrap(), "absent means false");
+        for bad in ["yes", "1", "TRUE", "--policy"] {
+            let err = parse(&["--gate", bad]).get_bool("gate").unwrap_err();
+            assert!(err.to_string().contains("--gate"), "{err}");
+            assert!(err.to_string().contains(bad), "{err}");
+        }
     }
 
     #[test]

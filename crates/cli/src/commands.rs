@@ -34,7 +34,7 @@ COMMANDS:
     characterize <trace>               Table III-style statistics of a trace
              [--format text|binary] [--deep true]   (reuse-distance analysis)
     simulate <trace> --policy P        run one policy over a trace file
-             [--memory-fraction F] [--dram-fraction F] [--json]
+             [--memory-fraction F] [--dram-fraction F] [--json true]
     compare <trace>                    run all policies over a trace file
              [--memory-fraction F] [--dram-fraction F] [--threads N]
              [--metrics-out FILE] [--metrics-window N]
@@ -88,10 +88,10 @@ COMMANDS:
               --json writes the stable hybridmem-postmortem-v1 report)
     ledger <workload>                  per-page journey ledger (top-K pages)
              [--policy P] [--cap N] [--seed N] [--top K] [--max-events N]
-             [--memory-fraction F] [--dram-fraction F] [--json]
+             [--memory-fraction F] [--dram-fraction F] [--json true]
     trace-page <workload> <page>       one page's full journey
              [--policy P] [--cap N] [--seed N] [--max-events N]
-             [--memory-fraction F] [--dram-fraction F] [--json]
+             [--memory-fraction F] [--dram-fraction F] [--json true]
     analyze diff <A> <B>               per-cell deltas between two runs
              [--threshold F] [--json FILE] [--gate true]
              (A and B are windowed-metrics or ledger JSONL files from
@@ -114,6 +114,11 @@ to guessing from the file extension (`.trace`/`.bin` = binary).
 /// Returns an [`Error`] for invalid arguments, unreadable traces, or
 /// simulation failures; `main` prints it and exits non-zero.
 pub fn run<W: std::io::Write>(raw: Vec<String>, out: &mut W) -> Result<()> {
+    // `--help` is the one flag that takes no value.
+    if raw.first().is_some_and(|arg| arg == "--help") {
+        write_usage(out);
+        return Ok(());
+    }
     let args = Args::parse(raw)?;
     let Some(command) = args.positional(0) else {
         write_usage(out);
@@ -130,7 +135,7 @@ pub fn run<W: std::io::Write>(raw: Vec<String>, out: &mut W) -> Result<()> {
         "ledger" => ledger(&args, out),
         "trace-page" => trace_page(&args, out),
         "analyze" => analyze_command(&args, out),
-        "help" | "--help" | "-h" => {
+        "help" | "-h" => {
             write_usage(out);
             Ok(())
         }
@@ -192,6 +197,7 @@ fn generate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
 
 fn characterize<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
     args.reject_unknown(&["format", "deep"])?;
+    let deep = args.get_bool("deep")?;
     let (path, trace) = load_trace(args)?;
     let stats = TraceStats::from_accesses(trace.iter().copied());
     writeln!(out, "trace {path}:").map_err(io_err)?;
@@ -218,7 +224,7 @@ fn characterize<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         stats.write_dominant_page_ratio() * 100.0
     )
     .map_err(io_err)?;
-    if args.get("deep").is_some_and(|v| v == "true") {
+    if deep {
         let profile = ReuseProfile::from_pages(trace.iter().map(|a| a.page()));
         writeln!(out, "  reuse analysis:").map_err(io_err)?;
         if let Some(mean) = profile.mean_distance() {
@@ -253,11 +259,12 @@ fn simulate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         "json",
         "format",
     ])?;
+    let json = args.get_bool("json")?;
     let kind = parse_policy(args.require("policy")?)?;
     let run = MatrixRun::new(trace_config(args)?)?;
     let (spec, pages) = load_recorded(args)?;
     let report = only_run(run.run_trace(&spec, &pages, &[kind])?)?.report;
-    if args.get("json").is_some_and(|v| v == "true") {
+    if json {
         writeln!(out, "{}", hybridmem_json::to_string_pretty(&report)).map_err(io_err)?;
     } else {
         write_report(out, &report)?;
@@ -284,7 +291,7 @@ fn compare<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
     // A run set up to degrade (a fault plan, a journal or a health
     // report) completes around its failed cells unless --strict; a plain
     // run fails on them.
-    let strict = args.get("strict").is_some_and(|v| v == "true");
+    let strict = args.get_bool("strict")?;
     let degrade = run.fault_plan.is_some() || run.resume.is_some() || run.outputs.health.is_some();
     let (spec, pages) = load_recorded(args)?;
     let outcome = run.run_trace(&spec, &pages, &PolicyKind::all())?;
@@ -473,8 +480,9 @@ fn ledger<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         "dram-fraction",
         "json",
     ])?;
+    let json = args.get_bool("json")?;
     let report = run_ledger_report(args, None, 32)?;
-    if args.get("json").is_some_and(|v| v == "true") {
+    if json {
         write_ledger_jsonl(out, &report).map_err(io_err)?;
         return Ok(());
     }
@@ -517,6 +525,7 @@ fn trace_page<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         "dram-fraction",
         "json",
     ])?;
+    let json = args.get_bool("json")?;
     let page_arg = args
         .positional(2)
         .ok_or_else(|| Error::invalid_input("usage: trace-page <workload> <page>"))?;
@@ -535,7 +544,7 @@ fn trace_page<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         .map_err(io_err)?;
         return Ok(());
     };
-    if args.get("json").is_some_and(|v| v == "true") {
+    if json {
         writeln!(out, "{}", hybridmem_json::to_string(record)).map_err(io_err)?;
         return Ok(());
     }
@@ -632,6 +641,7 @@ fn analyze_diff<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         ));
     };
     let threshold: f64 = args.get_parsed_or("threshold", 0.05)?;
+    let gate = args.get_bool("gate")?;
     let loaded_a = read_analyze_input(path_a)?;
     let loaded_b = read_analyze_input(path_b)?;
     let ingest_warnings = (loaded_a.warnings.len() + loaded_b.warnings.len()) as u64;
@@ -647,7 +657,7 @@ fn analyze_diff<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         out,
         &hybridmem_analyze::diff_report(path_a, path_b, &report, ingest_warnings),
     )?;
-    if args.get("gate").is_some_and(|v| v == "true") && report.regressions > 0 {
+    if gate && report.regressions > 0 {
         return Err(Error::invalid_input(format!(
             "analyze diff gate: {} metric(s) regressed beyond {threshold}",
             report.regressions
@@ -949,6 +959,49 @@ mod tests {
         let (result, text) = run_capture(&[]);
         assert!(result.is_ok());
         assert!(text.contains("USAGE"));
+    }
+
+    #[test]
+    fn help_flag_prints_usage() {
+        for flag in ["--help", "help", "-h"] {
+            let (result, text) = run_capture(&[flag]);
+            assert!(result.is_ok(), "{flag}");
+            assert_eq!(text, USAGE, "{flag}");
+        }
+    }
+
+    #[test]
+    fn boolean_flags_reject_anything_but_true_and_false() {
+        for (tokens, flag) in [
+            (
+                &[
+                    "simulate", "t.trace", "--policy", "two-lru", "--json", "yes",
+                ][..],
+                "--json",
+            ),
+            (&["characterize", "t.trace", "--deep", "1"], "--deep"),
+            (&["compare", "t.trace", "--strict", "on"], "--strict"),
+            (&["ledger", "bodytrack", "--json", "yes"], "--json"),
+            (
+                &["trace-page", "bodytrack", "7", "--json", "TRUE"],
+                "--json",
+            ),
+            (&["analyze", "diff", "a", "b", "--gate", "1"], "--gate"),
+        ] {
+            let err = run_capture(tokens).0.unwrap_err().to_string();
+            assert!(err.contains(flag), "{tokens:?}: {err}");
+        }
+        // A bare `--json` before another flag takes that flag as its value.
+        let err = run_capture(&["simulate", "t.trace", "--json", "--policy", "two-lru"])
+            .0
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--json"), "{err}");
+        let err = run_capture(&["simulate", "t.trace", "--json"])
+            .0
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--json"), "{err}");
     }
 
     #[test]

@@ -37,7 +37,8 @@ use hybridmem_types::{
     AccessKind, Error, MemoryKind, PageAccess, PageCount, PageId, Residency, Result,
 };
 
-use crate::{AccessOutcome, ActionList, ClockRing, HybridPolicy, PolicyAction};
+use crate::traits::miss_actions;
+use crate::{AccessOutcome, ClockRing, HybridPolicy, PolicyAction};
 
 /// Per-frame metadata of the DRAM ring: the page's write history.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,118 +90,104 @@ impl ClockDwfPolicy {
         }
     }
 
-    /// Frees one DRAM frame by demoting the scan victim to NVM, evicting an
-    /// NVM page to disk first when NVM is also full. Returns the actions in
-    /// execution order.
-    fn make_dram_room(&mut self, actions: &mut ActionList) {
-        debug_assert!(self.dram.is_full());
-        if self.nvm.is_full() {
-            let (out, ()) = self.nvm.evict_with(|()| false);
-            actions.push(PolicyAction::EvictToDisk {
-                page: out,
-                from: MemoryKind::Nvm,
-            });
-        }
-        let (victim, _history) = self.dram.evict_with(Self::spare_write_dominant);
-        self.nvm.insert(victim, ());
-        actions.push(PolicyAction::Migrate {
-            page: victim,
-            from: MemoryKind::Dram,
-            to: MemoryKind::Nvm,
-        });
+    /// Evicts the NVM ring's victim to disk when the ring is full, and
+    /// returns it.
+    fn make_nvm_room(&mut self) -> Option<PageId> {
+        self.nvm
+            .is_full()
+            .then(|| self.nvm.evict_with(|()| false).0)
     }
 
-    /// Handles an access that hit neither DRAM nor, as a read, NVM: a write
-    /// hit on an NVM page or a page fault.
+    /// Handles an access that hit neither DRAM nor, as a read, NVM, and
+    /// returns what moved: the module filled from disk (`None` for a write
+    /// hit on an NVM page, which migrates the page to DRAM instead), the
+    /// NVM page evicted to disk and the DRAM page demoted to NVM.
+    ///
+    /// On a fault, a write fills DRAM and a read fills NVM unless DRAM
+    /// still has free frames. Whatever enters a full DRAM first demotes the
+    /// scan victim to NVM, evicting an NVM page to disk first when NVM is
+    /// full too. A promotion has just freed an NVM frame, so it never
+    /// evicts.
     #[inline(never)]
-    fn on_miss(&mut self, page: PageId, kind: AccessKind) -> AccessOutcome {
-        if kind.is_write() && self.nvm.contains(page) {
-            self.on_nvm_write_hit(page)
+    fn on_miss(
+        &mut self,
+        page: PageId,
+        kind: AccessKind,
+    ) -> (Option<MemoryKind>, Option<PageId>, Option<PageId>) {
+        let write = kind.is_write();
+        let filled = if write && self.nvm.remove(page).is_some() {
+            None
+        } else if write || !self.dram.is_full() {
+            Some(MemoryKind::Dram)
         } else {
-            self.on_fault(page, kind)
+            Some(MemoryKind::Nvm)
+        };
+        if filled == Some(MemoryKind::Nvm) {
+            let evicted = self.make_nvm_room();
+            self.nvm.insert(page, ());
+            return (filled, evicted, None);
         }
-    }
-
-    /// Handles a write hit on an NVM page: unconditional migration to DRAM.
-    fn on_nvm_write_hit(&mut self, page: PageId) -> AccessOutcome {
-        let mut actions = ActionList::new();
-        self.nvm.remove(page);
-        if self.dram.is_full() {
-            // The promotion frees an NVM slot, so the demoted DRAM victim
-            // always fits without a disk eviction.
+        let (evicted, demoted) = if self.dram.is_full() {
+            let evicted = self.make_nvm_room();
             let (victim, _history) = self.dram.evict_with(Self::spare_write_dominant);
             self.nvm.insert(victim, ());
-            actions.push(PolicyAction::Migrate {
-                page: victim,
-                from: MemoryKind::Dram,
-                to: MemoryKind::Nvm,
-            });
-        }
-        self.dram.insert(page, WriteHistory { writes: 1 });
-        actions.push(PolicyAction::Migrate {
-            page,
-            from: MemoryKind::Nvm,
-            to: MemoryKind::Dram,
-        });
-        // The write is ultimately serviced by DRAM — CLOCK-DWF never lets a
-        // demand write reach NVM.
-        AccessOutcome::hit_with(MemoryKind::Dram, actions)
-    }
-
-    /// Handles a page fault: writes fill DRAM; reads fill NVM unless DRAM
-    /// still has free frames.
-    fn on_fault(&mut self, page: PageId, kind: AccessKind) -> AccessOutcome {
-        let mut actions = ActionList::new();
-        let into = match kind {
-            AccessKind::Write => MemoryKind::Dram,
-            AccessKind::Read => {
-                if self.dram.is_full() {
-                    MemoryKind::Nvm
-                } else {
-                    MemoryKind::Dram
-                }
-            }
+            (evicted, Some(victim))
+        } else {
+            (None, None)
         };
-        match into {
-            MemoryKind::Dram => {
-                if self.dram.is_full() {
-                    self.make_dram_room(&mut actions);
-                }
-                let writes = u32::from(kind.is_write());
-                self.dram.insert(page, WriteHistory { writes });
-            }
-            MemoryKind::Nvm => {
-                if self.nvm.is_full() {
-                    let (out, ()) = self.nvm.evict_with(|()| false);
-                    actions.push(PolicyAction::EvictToDisk {
-                        page: out,
-                        from: MemoryKind::Nvm,
-                    });
-                }
-                self.nvm.insert(page, ());
-            }
-        }
-        actions.push(PolicyAction::FillFromDisk { page, into });
-        AccessOutcome::fault_with(actions)
+        self.dram.insert(
+            page,
+            WriteHistory {
+                writes: u32::from(write),
+            },
+        );
+        (filled, evicted, demoted)
     }
 }
 
 impl HybridPolicy for ClockDwfPolicy {
     /// One ring lookup per hit: `touch` both finds and references. The two
     /// hits that move no page, any DRAM hit and an NVM read hit, are
-    /// inlined; the default batch loop records them as one-byte steps.
+    /// inlined, and a DRAM hit adds the write to the page's history
+    /// without a branch; the default batch loop records them as one-byte
+    /// steps. Misses run out of line and return only the pages they moved.
     #[inline]
     fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
-        if let Some(history) = self.dram.touch(access.page) {
-            if access.kind.is_write() {
-                history.writes = history.writes.saturating_add(1);
-            }
+        let page = access.page;
+        let write = access.kind.is_write();
+        if let Some(history) = self.dram.touch(page) {
+            history.writes = history.writes.saturating_add(u32::from(write));
             return AccessOutcome::hit(MemoryKind::Dram);
         }
-        if !access.kind.is_write() && self.nvm.touch(access.page).is_some() {
+        if !write && self.nvm.touch(page).is_some() {
             return AccessOutcome::hit(MemoryKind::Nvm);
         }
-        self.on_miss(access.page, access.kind)
+        let (filled, evicted, demoted) = self.on_miss(page, access.kind);
+        let actions = miss_actions(
+            evicted.map(|page| PolicyAction::EvictToDisk {
+                page,
+                from: MemoryKind::Nvm,
+            }),
+            demoted.map(|page| PolicyAction::Migrate {
+                page,
+                from: MemoryKind::Dram,
+                to: MemoryKind::Nvm,
+            }),
+            match filled {
+                Some(into) => PolicyAction::FillFromDisk { page, into },
+                None => PolicyAction::Migrate {
+                    page,
+                    from: MemoryKind::Nvm,
+                    to: MemoryKind::Dram,
+                },
+            },
+        );
+        match filled {
+            Some(_) => AccessOutcome::fault_with(actions),
+            // The write is ultimately serviced by DRAM — CLOCK-DWF never
+            // lets a demand write reach NVM.
+            None => AccessOutcome::hit_with(MemoryKind::Dram, actions),
+        }
     }
 
     fn residency(&self, page: PageId) -> Residency {

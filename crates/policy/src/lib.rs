@@ -12,8 +12,7 @@
 //! * [`DramCachePolicy`] — the DRAM-as-a-cache organization of the other
 //!   branch of related work the paper surveys;
 //! * [`SingleTierPolicy`] — DRAM-only and NVM-only LRU baselines used for
-//!   normalization ([`SingleTierClockPolicy`] is the CLOCK-managed
-//!   equivalent);
+//!   normalization;
 //! * [`AdaptiveTwoLruPolicy`] — the adaptive-threshold extension the paper
 //!   lists as future work;
 //!
@@ -66,7 +65,6 @@ mod clock_pro;
 mod dram_cache;
 mod lru;
 mod single;
-mod single_clock;
 mod traits;
 mod two_lru;
 
@@ -77,7 +75,6 @@ pub use clock_pro::ClockProPolicy;
 pub use dram_cache::DramCachePolicy;
 pub use lru::{LruQueue, NoRanks, RankIndex, RankedLru, SlotRanks};
 pub use single::SingleTierPolicy;
-pub use single_clock::SingleTierClockPolicy;
 pub use traits::{
     AccessOutcome, ActionList, BatchOutcomes, BatchStep, CounterKind, HybridPolicy,
     NvmCounterProbe, PolicyAction, MAX_ACTIONS_PER_ACCESS,

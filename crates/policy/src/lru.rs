@@ -9,7 +9,10 @@
 //! found by a cursor that only moves forward: every slot below it is
 //! empty, so each stale slot is skipped once. When the slot space runs
 //! out, the live pages are renumbered `0..len` in order and the space is
-//! resized to 4× the live population.
+//! resized to 4× the live population. That compaction is branch-free:
+//! it copies every slot down and advances its write position by
+//! whether the slot was live, so the stale three slots in four cost no
+//! mispredicted branch.
 //!
 //! The proposed migration scheme keeps per-page counters only for pages
 //! in the *top positions* of the NVM queue (Algorithm 1: `readperc` /
@@ -374,18 +377,24 @@ impl<M: Copy, R: RankIndex> LruQueue<M, R> {
 
     /// Renumbers all present pages into slots `0..len` (preserving order)
     /// and resizes the slot space to 4× the live population.
+    ///
+    /// About three slots in four are stale here, so a test per slot would
+    /// mispredict on most of them. Instead every slot's entry is copied
+    /// down and the write position advances only past live ones; a second
+    /// pass then tells each live entry its new slot.
     #[cold]
     #[inline(never)]
     #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     fn compact(&mut self) {
         let mut live = 0;
         for slot in self.cursor..self.next_slot {
+            // `live <= slot`, so this never overwrites a slot still unread.
             let entry = self.slot_to_entry[slot];
-            if entry != EMPTY {
-                self.slot_to_entry[live] = entry;
-                self.entries[entry as usize].slot = live;
-                live += 1;
-            }
+            self.slot_to_entry[live] = entry;
+            live += usize::from(entry != EMPTY);
+        }
+        for (slot, &entry) in self.slot_to_entry[..live].iter().enumerate() {
+            self.entries[entry as usize].slot = slot;
         }
         let new_len = (live * 4).max(MIN_SLOTS);
         self.slot_to_entry.truncate(live);

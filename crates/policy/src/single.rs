@@ -21,7 +21,8 @@
 
 use hybridmem_types::{Error, MemoryKind, PageAccess, PageCount, PageId, Residency, Result};
 
-use crate::{AccessOutcome, ActionList, HybridPolicy, LruQueue, PolicyAction};
+use crate::traits::miss_actions;
+use crate::{AccessOutcome, HybridPolicy, LruQueue, PolicyAction};
 
 /// An LRU-managed main memory made of a single technology.
 #[derive(Debug, Clone)]
@@ -75,37 +76,37 @@ impl SingleTierPolicy {
         self.kind
     }
 
-    /// Handles a page fault: fill `page`, evicting the LRU page to disk
-    /// when the memory is full.
+    /// Handles a page fault: fills `page`, evicting the LRU page to disk
+    /// when the memory is full, and returns the evicted page.
     #[inline(never)]
-    fn on_fault(&mut self, page: PageId) -> AccessOutcome {
-        let mut actions = ActionList::new();
-        if self.lru.len() as u64 >= self.capacity.value() {
-            #[expect(clippy::expect_used, reason = "a full queue has a victim")]
-            let (victim, ()) = self.lru.evict_lru().expect("a full queue has a victim");
-            actions.push(PolicyAction::EvictToDisk {
-                page: victim,
-                from: self.kind,
-            });
-        }
+    fn on_fault(&mut self, page: PageId) -> Option<PageId> {
+        let evicted = if self.lru.len() as u64 >= self.capacity.value() {
+            self.lru.evict_lru().map(|(victim, ())| victim)
+        } else {
+            None
+        };
         self.lru.insert(page, ());
-        actions.push(PolicyAction::FillFromDisk {
-            page,
-            into: self.kind,
-        });
-        AccessOutcome::fault_with(actions)
+        evicted
     }
 }
 
 impl HybridPolicy for SingleTierPolicy {
     /// A hit, the common case in a warm memory, is inlined; the default
-    /// batch loop records it as a one-byte step.
+    /// batch loop records it as a one-byte step. The fault runs out of
+    /// line and returns only the evicted page.
     #[inline]
     fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
-        if self.lru.touch(access.page).is_some() {
+        let page = access.page;
+        if self.lru.touch(page).is_some() {
             return AccessOutcome::hit(self.kind);
         }
-        self.on_fault(access.page)
+        let from = self.kind;
+        let evicted = self.on_fault(page);
+        AccessOutcome::fault_with(miss_actions(
+            evicted.map(|page| PolicyAction::EvictToDisk { page, from }),
+            None,
+            PolicyAction::FillFromDisk { page, into: from },
+        ))
     }
 
     fn residency(&self, page: PageId) -> Residency {

@@ -84,19 +84,21 @@ pub struct ActionList {
     len: u8,
 }
 
-/// Placeholder occupying unused slots; never observable through the public
-/// API (every accessor is bounded by `len`).
-const UNUSED_SLOT: PolicyAction = PolicyAction::EvictToDisk {
-    page: PageId::new(0),
-    from: MemoryKind::Dram,
-};
-
 impl ActionList {
     /// An empty list.
     #[must_use]
     pub const fn new() -> Self {
+        // The placeholder in unused slots is never observable: every
+        // accessor is bounded by `len`. It is built here rather than named
+        // as a `const` item, because a const is copied from a global whose
+        // padding bytes the optimizer then stores on every path that makes
+        // an empty list, a policy's hit path included.
+        let unused = PolicyAction::EvictToDisk {
+            page: PageId::new(0),
+            from: MemoryKind::Dram,
+        };
         Self {
-            slots: [UNUSED_SLOT; MAX_ACTIONS_PER_ACCESS],
+            slots: [unused; MAX_ACTIONS_PER_ACCESS],
             len: 0,
         }
     }
@@ -108,13 +110,9 @@ impl ActionList {
     /// Panics when the list already holds [`MAX_ACTIONS_PER_ACCESS`]
     /// actions.
     #[inline]
-    #[expect(clippy::indexing_slicing, reason = "the assert above bounds len")]
+    #[expect(clippy::indexing_slicing, reason = "the check above bounds len")]
     pub fn push(&mut self, action: PolicyAction) {
-        assert!(
-            (self.len as usize) < MAX_ACTIONS_PER_ACCESS,
-            "ActionList overflow: a policy emitted more than \
-             {MAX_ACTIONS_PER_ACCESS} actions for one access"
-        );
+        check_fits(self.len as usize + 1);
         self.slots[self.len as usize] = action;
         self.len += 1;
     }
@@ -126,6 +124,16 @@ impl ActionList {
     pub fn as_slice(&self) -> &[PolicyAction] {
         &self.slots[..self.len as usize]
     }
+}
+
+/// Panics unless `len` actions fit in one [`ActionList`].
+#[inline(always)]
+fn check_fits(len: usize) {
+    assert!(
+        len <= MAX_ACTIONS_PER_ACCESS,
+        "ActionList overflow: a policy emitted more than \
+         {MAX_ACTIONS_PER_ACCESS} actions for one access"
+    );
 }
 
 impl Default for ActionList {
@@ -221,10 +229,35 @@ impl From<Vec<PolicyAction>> for ActionList {
 }
 
 impl<const N: usize> From<[PolicyAction; N]> for ActionList {
-    /// Converts from a fixed-size array (panics at runtime when
-    /// `N > MAX_ACTIONS_PER_ACCESS`).
+    /// Converts from a fixed-size array, filling slots `0..N` (panics at
+    /// runtime when `N > MAX_ACTIONS_PER_ACCESS`).
+    #[inline]
     fn from(actions: [PolicyAction; N]) -> Self {
-        actions.into_iter().collect()
+        check_fits(N);
+        let mut list = Self::new();
+        for (slot, action) in list.slots.iter_mut().zip(actions) {
+            *slot = action;
+        }
+        list.len = N as u8;
+        list
+    }
+}
+
+/// The actions of a miss, in execution order: an eviction to disk and a
+/// DRAM→NVM demotion, each when it happened, then `last` (the fill or the
+/// promotion). Every policy miss has this shape, so the policies' miss
+/// paths return only the pages they moved and the inlined `on_access`
+/// assembles the list at fixed indices.
+#[inline]
+pub(crate) fn miss_actions(
+    evicted: Option<PolicyAction>,
+    demoted: Option<PolicyAction>,
+    last: PolicyAction,
+) -> ActionList {
+    match (evicted, demoted) {
+        (None, None) => [last].into(),
+        (Some(first), None) | (None, Some(first)) => [first, last].into(),
+        (Some(evicted), Some(demoted)) => [evicted, demoted, last].into(),
     }
 }
 
@@ -543,10 +576,12 @@ pub trait HybridPolicy {
     /// and `tests/policy_comparison.rs` compares full reports both ways.
     /// The default body amortizes the virtual dispatch to one call per
     /// batch. A policy whose `on_access` is `#[inline]`, with its hit path
-    /// first and its faults out of line, needs no override: the hit path
-    /// compiles into this loop, and [`BatchOutcomes::push_outcome`]'s
-    /// checks fold on its constant outcome, so a hit records a one-byte
-    /// step with no function call.
+    /// first and its misses out of line, needs no override: the hit path
+    /// compiles into this loop. The out-of-line miss paths return only the
+    /// pages they moved, and `on_access` builds every outcome itself, so no
+    /// outcome passes through memory: [`BatchOutcomes::push_outcome`]'s
+    /// checks fold on a hit's constant outcome, and a hit stores nothing
+    /// but its one-byte step.
     fn on_access_batch(&mut self, batch: &[PageAccess], out: &mut BatchOutcomes) {
         for access in batch {
             let outcome = self.on_access(*access);
@@ -619,6 +654,31 @@ mod tests {
         for page in 0..=MAX_ACTIONS_PER_ACCESS as u64 {
             list.push(evict(page));
         }
+    }
+
+    #[test]
+    fn action_list_from_array_equals_the_pushed_list() {
+        fn pushed(n: u64) -> ActionList {
+            let mut list = ActionList::new();
+            for page in 1..=n {
+                list.push(evict(page));
+            }
+            list
+        }
+        assert_eq!(ActionList::from([]), pushed(0));
+        assert_eq!(ActionList::from([evict(1)]), pushed(1));
+        assert_eq!(ActionList::from([evict(1), evict(2)]), pushed(2));
+        assert_eq!(ActionList::from([evict(1), evict(2), evict(3)]), pushed(3));
+        assert_eq!(
+            ActionList::from([evict(1), evict(2), evict(3), evict(4)]),
+            pushed(4)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ActionList overflow")]
+    fn action_list_from_an_oversize_array_panics() {
+        let _ = ActionList::from([evict(1), evict(2), evict(3), evict(4), evict(5)]);
     }
 
     #[test]

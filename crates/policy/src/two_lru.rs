@@ -46,14 +46,14 @@
 //! # Ok::<(), hybridmem_types::Error>(())
 //! ```
 
-use hybridmem_metrics::MetricsRegistry;
-use hybridmem_types::{
-    AccessKind, Error, MemoryKind, PageAccess, PageCount, PageId, Residency, Result,
-};
+use std::hint::select_unpredictable;
 
+use hybridmem_metrics::MetricsRegistry;
+use hybridmem_types::{Error, MemoryKind, PageAccess, PageCount, PageId, Residency, Result};
+
+use crate::traits::miss_actions;
 use crate::{
-    AccessOutcome, ActionList, CounterKind, HybridPolicy, LruQueue, NvmCounterProbe, PolicyAction,
-    RankedLru,
+    AccessOutcome, CounterKind, HybridPolicy, LruQueue, NvmCounterProbe, PolicyAction, RankedLru,
 };
 
 /// Configuration of the proposed two-LRU migration scheme.
@@ -323,142 +323,135 @@ impl TwoLruPolicy {
         registry.set_gauge("two_lru.tracked_pages", self.tracked_pages() as f64);
     }
 
-    /// Handles an access that missed DRAM: an NVM hit (Algorithm 1, lines
-    /// 6–25) or, when `page` is not in NVM either, a page fault.
+    /// Promotes `page`, just removed from NVM, to DRAM (Algorithm 1,
+    /// lines 20–24) and returns DRAM's victim when DRAM was full: the
+    /// promotion is then a swap, and the victim lands in the NVM slot the
+    /// promotion freed.
     #[inline(never)]
-    fn on_dram_miss(&mut self, page: PageId, kind: AccessKind) -> AccessOutcome {
-        self.on_nvm_hit(page, kind)
-            .unwrap_or_else(|| self.on_fault(page))
-    }
-
-    /// Handles a hit in the NVM queue; `None` when `page` is not in NVM.
-    /// One NVM lookup finds the page's rank and its counters.
-    #[expect(clippy::expect_used, reason = "a full DRAM queue has a victim")]
-    fn on_nvm_hit(&mut self, page: PageId, kind: AccessKind) -> Option<AccessOutcome> {
-        let (rank, entry) = self.nvm.touch_ranked(page)?;
-        let counters = entry.get_or_insert_with(PageCounters::default);
-        // Lazy boundary reset (see module docs): a rank at or past a window
-        // means the page crossed that window's boundary since its last hit.
-        // Only resets that discard accumulated progress count as resets.
-        let mut read_lost = 0;
-        let mut write_lost = 0;
-        if rank >= self.read_window {
-            if counters.reads != 0 {
-                self.stats.read_window_resets += 1;
-                read_lost = counters.reads;
-            }
-            counters.reads = 0;
-        }
-        if rank >= self.write_window {
-            if counters.writes != 0 {
-                self.stats.write_window_resets += 1;
-                write_lost = counters.writes;
-            }
-            counters.writes = 0;
-        }
-        let hot = match kind {
-            AccessKind::Read => {
-                counters.reads += 1;
-                counters.reads > self.config.read_threshold
-            }
-            AccessKind::Write => {
-                counters.writes += 1;
-                counters.writes > self.config.write_threshold
-            }
-        };
-        let probe = NvmCounterProbe {
-            rank: rank as u64,
-            reads: counters.reads,
-            writes: counters.writes,
-            read_lost,
-            write_lost,
-            read_threshold: self.config.read_threshold,
-            write_threshold: self.config.write_threshold,
-            fired: hot.then_some(match kind {
-                AccessKind::Read => CounterKind::Read,
-                AccessKind::Write => CounterKind::Write,
-            }),
-        };
-
-        if !hot {
-            return Some(AccessOutcome::hit(MemoryKind::Nvm).with_counter_probe(probe));
-        }
-        match kind {
-            AccessKind::Read => self.stats.read_promotions += 1,
-            AccessKind::Write => self.stats.write_promotions += 1,
-        }
-
-        // Promote to DRAM; when DRAM is full this is a swap with DRAM's LRU
-        // victim, which lands in the NVM slot the promotion frees.
-        let mut actions = ActionList::new();
+    fn promote(&mut self, page: PageId) -> Option<PageId> {
         self.nvm.remove(page);
-        if self.dram.len() as u64 >= self.config.dram_capacity.value() {
-            let (victim, ()) = self
-                .dram
-                .evict_lru()
-                .expect("a full DRAM queue has a victim");
-            self.nvm.insert(victim, None);
-            actions.push(PolicyAction::Migrate {
-                page: victim,
-                from: MemoryKind::Dram,
-                to: MemoryKind::Nvm,
-            });
-        }
+        let demoted = self.demote_if_full();
         self.dram.insert(page, ());
-        actions.push(PolicyAction::Migrate {
-            page,
-            from: MemoryKind::Nvm,
-            to: MemoryKind::Dram,
-        });
-        Some(AccessOutcome::hit_with(MemoryKind::Nvm, actions).with_counter_probe(probe))
+        demoted
     }
 
-    /// Handles a page fault (Algorithm 1, lines 27–28): fill into DRAM,
-    /// demoting DRAM's victim to NVM and evicting NVM's victim to disk as
-    /// needed.
-    #[expect(clippy::expect_used, reason = "a full queue has a victim")]
-    fn on_fault(&mut self, page: PageId) -> AccessOutcome {
-        let mut actions = ActionList::new();
-        if self.dram.len() as u64 >= self.config.dram_capacity.value() {
-            if self.nvm.len() as u64 >= self.config.nvm_capacity.value() {
-                let (out, _) = self.nvm.evict_lru().expect("a full NVM queue has a victim");
-                actions.push(PolicyAction::EvictToDisk {
-                    page: out,
-                    from: MemoryKind::Nvm,
-                });
-            }
-            let (victim, ()) = self
-                .dram
-                .evict_lru()
-                .expect("a full DRAM queue has a victim");
-            self.nvm.insert(victim, None);
-            actions.push(PolicyAction::Migrate {
-                page: victim,
-                from: MemoryKind::Dram,
-                to: MemoryKind::Nvm,
-            });
-        }
+    /// Handles a page fault (Algorithm 1, lines 27–28): fills `page` into
+    /// DRAM, demoting DRAM's victim to NVM and evicting NVM's victim to
+    /// disk as needed. Returns the evicted and the demoted page.
+    #[inline(never)]
+    fn on_fault(&mut self, page: PageId) -> (Option<PageId>, Option<PageId>) {
+        let evicted = if self.dram.len() as u64 >= self.config.dram_capacity.value()
+            && self.nvm.len() as u64 >= self.config.nvm_capacity.value()
+        {
+            self.nvm.evict_lru().map(|(out, _)| out)
+        } else {
+            None
+        };
+        let demoted = self.demote_if_full();
         self.dram.insert(page, ());
-        actions.push(PolicyAction::FillFromDisk {
-            page,
-            into: MemoryKind::Dram,
-        });
-        AccessOutcome::fault_with(actions)
+        (evicted, demoted)
+    }
+
+    /// Moves DRAM's LRU victim to the MRU end of NVM when DRAM is full,
+    /// and returns it.
+    fn demote_if_full(&mut self) -> Option<PageId> {
+        if (self.dram.len() as u64) < self.config.dram_capacity.value() {
+            return None;
+        }
+        let (victim, ()) = self.dram.evict_lru()?;
+        self.nvm.insert(victim, None);
+        Some(victim)
+    }
+}
+
+/// A DRAM→NVM demotion of `page`.
+fn demotion(page: PageId) -> PolicyAction {
+    PolicyAction::Migrate {
+        page,
+        from: MemoryKind::Dram,
+        to: MemoryKind::Nvm,
     }
 }
 
 impl HybridPolicy for TwoLruPolicy {
     /// Algorithm 1: search DRAM first ("DRAM contains the most hot data
     /// pages"), then NVM, else fault. Each touch doubles as the membership
-    /// probe, so a hit costs one lookup per queue searched. The DRAM hit,
-    /// the common case once the queues are warm, is inlined; the default
-    /// batch loop records it as a one-byte step.
+    /// probe, so a hit costs one lookup per queue searched. Both hits are
+    /// inlined, the NVM hit with its counter updates as selects rather
+    /// than branches; the default batch loop records a DRAM hit as a
+    /// one-byte step. The promotion and the fault run out of line and
+    /// return only the pages they moved.
     #[inline]
     fn on_access(&mut self, access: PageAccess) -> AccessOutcome {
-        if self.dram.touch(access.page).is_some() {
+        let page = access.page;
+        if self.dram.touch(page).is_some() {
             return AccessOutcome::hit(MemoryKind::Dram);
         }
-        self.on_dram_miss(access.page, access.kind)
+        // An NVM hit (Algorithm 1, lines 6–25): one lookup finds the page's
+        // rank and its counters.
+        let Some((rank, entry)) = self.nvm.touch_ranked(page) else {
+            let (evicted, demoted) = self.on_fault(page);
+            return AccessOutcome::fault_with(miss_actions(
+                evicted.map(|page| PolicyAction::EvictToDisk {
+                    page,
+                    from: MemoryKind::Nvm,
+                }),
+                demoted.map(demotion),
+                PolicyAction::FillFromDisk {
+                    page,
+                    into: MemoryKind::Dram,
+                },
+            ));
+        };
+        let write = access.kind.is_write();
+        let PageCounters { reads, writes } = entry.unwrap_or_default();
+        // Lazy boundary reset (see module docs): a rank at or past a window
+        // means the page crossed that window's boundary since its last hit.
+        // Only resets that discard accumulated progress count as resets.
+        let read_lost = if rank >= self.read_window { reads } else { 0 };
+        let write_lost = if rank >= self.write_window { writes } else { 0 };
+        self.stats.read_window_resets += u64::from(read_lost != 0);
+        self.stats.write_window_resets += u64::from(write_lost != 0);
+        let reads = reads - read_lost + u32::from(!write);
+        let writes = writes - write_lost + u32::from(write);
+        *entry = Some(PageCounters { reads, writes });
+        let (read_threshold, write_threshold) =
+            (self.config.read_threshold, self.config.write_threshold);
+        // The counter of this access's kind decides. The kind is a coin flip
+        // no predictor learns, so it selects rather than branches.
+        let hot = select_unpredictable(write, writes > write_threshold, reads > read_threshold);
+        let kind = select_unpredictable(write, CounterKind::Write, CounterKind::Read);
+        let probe = NvmCounterProbe {
+            rank: rank as u64,
+            reads,
+            writes,
+            read_lost,
+            write_lost,
+            read_threshold,
+            write_threshold,
+            fired: hot.then_some(kind),
+        };
+        if !hot {
+            return AccessOutcome::hit(MemoryKind::Nvm).with_counter_probe(probe);
+        }
+        match kind {
+            CounterKind::Read => self.stats.read_promotions += 1,
+            CounterKind::Write => self.stats.write_promotions += 1,
+        }
+        let demoted = self.promote(page);
+        AccessOutcome::hit_with(
+            MemoryKind::Nvm,
+            miss_actions(
+                None,
+                demoted.map(demotion),
+                PolicyAction::Migrate {
+                    page,
+                    from: MemoryKind::Nvm,
+                    to: MemoryKind::Dram,
+                },
+            ),
+        )
+        .with_counter_probe(probe)
     }
 
     fn residency(&self, page: PageId) -> Residency {
@@ -497,6 +490,7 @@ impl HybridPolicy for TwoLruPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridmem_types::AccessKind;
 
     fn page(n: u64) -> PageId {
         PageId::new(n)

@@ -5,8 +5,8 @@ use std::collections::BTreeSet;
 
 use hybridmem_policy::{
     AccessOutcome, AdaptiveConfig, AdaptiveTwoLruPolicy, ClockDwfPolicy, ClockProPolicy, ClockRing,
-    DramCachePolicy, HybridPolicy, LruQueue, PolicyAction, RankedLru, SingleTierClockPolicy,
-    SingleTierPolicy, TwoLruConfig, TwoLruPolicy,
+    DramCachePolicy, HybridPolicy, LruQueue, PolicyAction, RankedLru, SingleTierPolicy,
+    TwoLruConfig, TwoLruPolicy,
 };
 use hybridmem_types::{
     for_each_case, AccessKind, MemoryKind, PageAccess, PageCount, PageId, Residency, StdRng,
@@ -407,7 +407,6 @@ fn every_policy(dram: u64, nvm: u64) -> Vec<Box<dyn HybridPolicy>> {
         Box::new(DramCachePolicy::new(d, n).unwrap()),
         Box::new(SingleTierPolicy::dram_only(total).unwrap()),
         Box::new(SingleTierPolicy::nvm_only(total).unwrap()),
-        Box::new(SingleTierClockPolicy::new(MemoryKind::Dram, total).unwrap()),
     ]
 }
 
