@@ -1,12 +1,15 @@
-//! Tables I, II, and IV — the static configuration tables of the paper,
-//! printed from the constants actually used by this implementation so any
-//! drift between documentation and code is visible.
+//! Tables I, II, and IV — the static configuration tables of the paper.
+//! Tables I and IV print the constants this implementation uses, so any
+//! drift between documentation and code is visible. Table II prints the
+//! paper's COTSon host from literals: its caches sit in front of the
+//! memory traces the paper measured, and the trace generator is
+//! calibrated to those memory-level counts (Table III), so only the disk
+//! is modelled here.
 //!
 //! ```text
 //! --table N   print only table N (1, 2 or 4; exp_table3 regenerates 3)
 //! ```
 
-use hybridmem_cachesim::CotsonConfig;
 use hybridmem_core::parse_flag;
 use hybridmem_device::{DiskCharacteristics, MemoryCharacteristics};
 use hybridmem_types::{Error, Result, PAGE_FACTOR, PAGE_SIZE};
@@ -41,26 +44,23 @@ fn table_i() {
     );
 }
 
+/// Table II's cache line size, the same at every level.
+const LINE_BYTES: u64 = 64;
+
+/// Table II's caches: name, capacity in KB and associativity.
+const CACHES: [(&str, u64, u64); 3] = [
+    ("L1 data cache", 32, 4),
+    ("L1 instr cache", 32, 4),
+    ("Last-level cache", 2048, 16),
+];
+
 fn table_ii() {
-    let config = CotsonConfig::date2016();
     let disk = DiskCharacteristics::hdd_date2016();
-    println!("=== Table II: COTSon configuration (hybridmem_cachesim) ===");
-    println!(
-        "  CPU                {} cores (write-invalidate coherence)",
-        config.cores
-    );
-    for (name, geometry) in [
-        ("L1 data cache", config.l1d),
-        ("L1 instr cache", config.l1i),
-        ("Last-level cache", config.llc),
-    ] {
-        println!(
-            "  {name:<18} {} KB, {}-way, {} B lines ({} sets)",
-            geometry.size_bytes / 1024,
-            geometry.associativity,
-            geometry.line_size,
-            geometry.sets(),
-        );
+    println!("=== Table II: COTSon configuration (paper; only the disk is modelled) ===");
+    println!("  CPU                4 cores (write-invalidate coherence)");
+    for (name, kb, ways) in CACHES {
+        let sets = kb * 1024 / (ways * LINE_BYTES);
+        println!("  {name:<18} {kb} KB, {ways}-way, {LINE_BYTES} B lines ({sets} sets)");
     }
     println!("  Main memory        2x 2GB DDR2 (modelled per Table IV)");
     println!(

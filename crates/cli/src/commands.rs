@@ -261,7 +261,7 @@ fn simulate<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
     ])?;
     let json = args.get_bool("json")?;
     let kind = parse_policy(args.require("policy")?)?;
-    let run = MatrixRun::new(trace_config(args)?)?;
+    let run = MatrixRun::new(memory_config(args)?)?;
     let (spec, pages) = load_recorded(args)?;
     let report = only_run(run.run_trace(&spec, &pages, &[kind])?)?.report;
     if json {
@@ -283,7 +283,7 @@ fn compare<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
     ];
     flags.extend(MatrixRun::FLAGS);
     args.reject_unknown(&flags)?;
-    let mut run = MatrixRun::from_flags(trace_config(args)?, |flag| args.get(flag))?;
+    let mut run = MatrixRun::from_flags(memory_config(args)?, |flag| args.get(flag))?;
     if let Some(spec) = args.get("fault-plan") {
         run.fault_plan = Some(Arc::new(FaultPlan::parse(spec)?));
     }
@@ -377,11 +377,9 @@ fn observe<W: std::io::Write>(args: &Args, out: &mut W) -> Result<()> {
         )));
     }
     let config = ExperimentConfig {
-        memory_fraction: args.get_parsed_or("memory-fraction", 0.75)?,
-        dram_fraction: args.get_parsed_or("dram-fraction", 0.10)?,
         seed,
         warmup_fraction: warmup,
-        ..ExperimentConfig::date2016()
+        ..memory_config(args)?
     };
     let policy = config.build_policy(kind, &spec)?;
     let mut simulator = HybridSimulator::with_date2016_devices(policy);
@@ -724,11 +722,8 @@ fn run_ledger_report(
     };
     // The journey covers the whole trace: no warmup prefix.
     let config = ExperimentConfig {
-        memory_fraction: args.get_parsed_or("memory-fraction", 0.75)?,
-        dram_fraction: args.get_parsed_or("dram-fraction", 0.10)?,
         seed: args.get_parsed_or("seed", 42)?,
-        warmup_fraction: 0.0,
-        ..ExperimentConfig::date2016()
+        ..memory_config(args)?
     };
     let run = MatrixRun {
         instrumentation: Instrumentation::default().with_ledger(options),
@@ -832,10 +827,10 @@ fn format_page_event(event: &PageEvent) -> String {
     }
 }
 
-/// The paper-style configuration for replaying a trace file: memory
-/// sized from the trace's own footprint, and every access measured (a
-/// recorded trace has no warmup prefix).
-fn trace_config(args: &Args) -> Result<ExperimentConfig> {
+/// The paper-style configuration under the `--memory-fraction` and
+/// `--dram-fraction` flags, with every access measured: a recorded trace
+/// has no warmup prefix.
+fn memory_config(args: &Args) -> Result<ExperimentConfig> {
     Ok(ExperimentConfig {
         memory_fraction: args.get_parsed_or("memory-fraction", 0.75)?,
         dram_fraction: args.get_parsed_or("dram-fraction", 0.10)?,
@@ -1922,6 +1917,49 @@ two-lru-adaptive     66.67%            0      1666700         548.62            
         assert!(result.unwrap_err().to_string().contains("nope"));
         let (result, _) = run_capture(&["observe"]);
         assert!(result.unwrap_err().to_string().contains("workload"));
+    }
+
+    #[test]
+    fn out_of_range_fractions_fail_before_any_cell_runs() {
+        let dir = std::env::temp_dir().join("hybridmem-cli-fractions");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.trace");
+        let path = path.to_str().unwrap();
+        let (result, _) = run_capture(&[
+            "generate",
+            "--workload",
+            "bodytrack",
+            "--output",
+            path,
+            "--cap",
+            "5000",
+        ]);
+        assert!(result.is_ok(), "{result:?}");
+        let commands: [&[&str]; 4] = [
+            &["simulate", path, "--policy", "two-lru"],
+            &["compare", path],
+            &["observe", "bodytrack", "--cap", "5000"],
+            &["ledger", "bodytrack", "--cap", "5000"],
+        ];
+        for command in commands {
+            for (flag, value, field) in [
+                ("--dram-fraction", "1.5", "dram_fraction"),
+                ("--dram-fraction", "-0.1", "dram_fraction"),
+                ("--memory-fraction", "-0.5", "memory_fraction"),
+                ("--memory-fraction", "nan", "memory_fraction"),
+            ] {
+                let tokens = [command, &[flag, value]].concat();
+                let (result, text) = run_capture(&tokens);
+                let err = result.unwrap_err().to_string();
+                assert!(err.contains(field), "{tokens:?}: {err}");
+                assert!(!err.contains("cells failed"), "{tokens:?}: {err}");
+                assert!(text.is_empty(), "{tokens:?}: {text}");
+            }
+            let tokens = [command, &["--dram-fraction", "1.0"]].concat();
+            let (result, _) = run_capture(&tokens);
+            assert!(result.is_ok(), "{tokens:?}: {result:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

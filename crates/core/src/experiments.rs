@@ -162,11 +162,39 @@ impl ExperimentConfig {
         }
     }
 
+    /// Checks the fractions every cell sizes its memory from.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the field when
+    /// `memory_fraction` is not finite and positive, or `dram_fraction` is
+    /// not in `[0, 1]`.
+    pub fn validate(&self) -> Result<()> {
+        if !(self.memory_fraction.is_finite() && self.memory_fraction > 0.0) {
+            return Err(Error::invalid_config(format!(
+                "memory_fraction must be finite and > 0, got {}",
+                self.memory_fraction
+            )));
+        }
+        if !(0.0..=1.0).contains(&self.dram_fraction) {
+            return Err(Error::invalid_config(format!(
+                "dram_fraction must be in [0, 1], got {}",
+                self.dram_fraction
+            )));
+        }
+        Ok(())
+    }
+
     /// Memory sizes for a workload: `(dram_pages, nvm_pages, total_pages)`.
     ///
     /// Total memory is `memory_fraction` of the footprint; DRAM is
     /// `dram_fraction` of that; NVM is the remainder. Every size is at
     /// least one page.
+    ///
+    /// # Panics
+    ///
+    /// Fractions that [`ExperimentConfig::validate`] rejects may panic or
+    /// give meaningless sizes.
     #[must_use]
     pub fn memory_sizes(&self, spec: &WorkloadSpec) -> (PageCount, PageCount, PageCount) {
         let total = spec.working_set.scaled(self.memory_fraction);
@@ -180,13 +208,15 @@ impl ExperimentConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] when the derived sizes or the
-    /// configured thresholds are invalid.
+    /// Returns [`Error::InvalidConfig`] when [`ExperimentConfig::validate`]
+    /// rejects the config, or the derived sizes or the configured
+    /// thresholds are invalid.
     pub fn build_policy(
         &self,
         kind: PolicyKind,
         spec: &WorkloadSpec,
     ) -> Result<Box<dyn HybridPolicy>> {
+        self.validate()?;
         let (dram, nvm, total) = self.memory_sizes(spec);
         let two_lru_config = TwoLruConfig::with_thresholds(
             dram,
@@ -713,6 +743,49 @@ mod tests {
             .unwrap();
         assert_eq!(reports[0].policy, "clock-dwf");
         assert_eq!(reports[1].policy, "two-lru");
+    }
+
+    fn bodytrack() -> WorkloadSpec {
+        hybridmem_trace::parsec::spec("bodytrack")
+            .unwrap()
+            .capped(15_000)
+    }
+
+    #[test]
+    fn threshold_sweep_orders_migrations() {
+        let spec = bodytrack();
+        let per_kreq: Vec<f64> = [(1, 1), (2, 4), (16, 32)]
+            .into_iter()
+            .map(|(read_threshold, write_threshold)| {
+                let config = ExperimentConfig {
+                    read_threshold,
+                    write_threshold,
+                    ..ExperimentConfig::date2016()
+                };
+                let reports = config.compare(&spec, &[PolicyKind::TwoLru]).unwrap();
+                let counts = &reports[0].counts;
+                counts.migrations() as f64 / counts.requests.max(1) as f64 * 1000.0
+            })
+            .collect();
+        // Migration volume is monotone non-increasing in the thresholds.
+        assert!(per_kreq.windows(2).all(|w| w[0] >= w[1]), "{per_kreq:?}");
+    }
+
+    #[test]
+    fn dram_fraction_sweep_scales_static_power() {
+        let spec = bodytrack();
+        let [small, large] = [0.05, 0.5].map(|dram_fraction| {
+            ExperimentConfig {
+                dram_fraction,
+                ..ExperimentConfig::date2016()
+            }
+            .compare(&spec, &[PolicyKind::TwoLru, PolicyKind::DramOnly])
+            .unwrap()
+        });
+        // More DRAM ⇒ more static energy for the hybrid.
+        assert!(large[0].energy.static_energy > small[0].energy.static_energy);
+        // The DRAM-only baseline is unaffected by the split.
+        assert_eq!(small[1].energy.static_energy, large[1].energy.static_energy);
     }
 
     #[test]

@@ -84,7 +84,6 @@ pub mod model;
 pub mod observe;
 mod report;
 mod simulator;
-mod sweep;
 mod trace_cache;
 
 pub use audit::{write_audit_json, AuditMatrixReport, AuditReport, AuditViolation, AUDIT_SCHEMA};
@@ -115,5 +114,4 @@ pub use report::{
     SimulationReport, WearSummary,
 };
 pub use simulator::HybridSimulator;
-pub use sweep::{sweep_dram_fractions, sweep_thresholds, sweep_windows, SweepPoint};
 pub use trace_cache::{SpillSource, TraceCache, TraceCacheStats, DEFAULT_BUDGET_BYTES};

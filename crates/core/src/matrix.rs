@@ -219,9 +219,11 @@ impl MatrixRun {
     ///
     /// # Errors
     ///
-    /// Returns the journal's error when `resume` cannot be opened (I/O,
-    /// or a journal written for a different matrix). Cell failures never
-    /// fail the run; they are quarantined into the outcome.
+    /// Returns [`Error::InvalidConfig`] before any cell runs when
+    /// [`ExperimentConfig::validate`] rejects `config`, and the journal's
+    /// error when `resume` cannot be opened (I/O, or a journal written for
+    /// a different matrix). Cell failures never fail the run; they are
+    /// quarantined into the outcome.
     pub fn run(&self, specs: &[WorkloadSpec], kinds: &[PolicyKind]) -> Result<MatrixOutcome> {
         self.run_source(specs, kinds, TraceSource::Cache(TraceCache::global()))
     }
@@ -269,6 +271,7 @@ impl MatrixRun {
         kinds: &[PolicyKind],
         source: TraceSource<'_>,
     ) -> Result<MatrixOutcome> {
+        self.config.validate()?;
         let journal = self
             .resume
             .as_ref()

@@ -266,8 +266,8 @@ impl TraceCache {
     }
 
     /// The process-wide cache used by
-    /// [`ExperimentConfig::compare`](crate::ExperimentConfig::compare), the
-    /// parallel matrix runner, and the sweep helpers, with
+    /// [`ExperimentConfig::compare`](crate::ExperimentConfig::compare) and
+    /// the parallel matrix runner, with
     /// [`DEFAULT_BUDGET_BYTES`] of capacity and the environment-selected
     /// spill directory (see `default_spill_dir` in the source).
     #[must_use]

@@ -15,7 +15,7 @@
 //!   costs [`PAGE_FACTOR`](hybridmem_types::PAGE_FACTOR) reads of the source
 //!   plus as many writes of the destination (Eqs. 1–2, last two terms);
 //! * [`WearTracker`] — per-page NVM write counters for the endurance
-//!   analysis (Fig. 2c / Fig. 4b) and lifetime estimation;
+//!   analysis (Fig. 2c / Fig. 4b);
 //! * [`StartGapLeveler`] — optional Start-Gap wear leveling under the NVM
 //!   module, for the `ext_wear_leveling` extension experiment.
 //!
@@ -55,6 +55,6 @@ mod wear_leveling;
 
 pub use characteristics::{DiskCharacteristics, MemoryCharacteristics};
 pub use dma::{MigrationEngine, PageMoveCost};
-pub use endurance::{LifetimeEstimate, WearHistogram, WearTracker, DEFAULT_PCM_CELL_ENDURANCE};
+pub use endurance::{WearTracker, DEFAULT_PCM_CELL_ENDURANCE};
 pub use module::{AccessCost, AccessSource, MemoryModule, ModuleStats, SourceStats};
 pub use wear_leveling::StartGapLeveler;

@@ -87,15 +87,14 @@ fn migration_costs_scale_with_page_factor() {
     });
 }
 
-/// Wear bookkeeping: the total equals the sum over pages, the maximum
-/// bounds the mean, and the histogram partitions the touched pages.
+/// Wear bookkeeping: the total equals the sum over pages, and the maximum
+/// bounds the mean.
 #[test]
 fn wear_tracker_is_consistent() {
     for_each_case(CASES, |rng| {
         let writes: Vec<(u64, u64)> = (0..rng.gen_range(1..150))
             .map(|_| (rng.gen_range(0..64), rng.gen_range(1..1_000)))
             .collect();
-        let buckets = usize::try_from(rng.gen_range(1..16)).unwrap();
         let mut wear = WearTracker::new();
         let mut expected_total = 0u64;
         for &(page, count) in &writes {
@@ -105,12 +104,5 @@ fn wear_tracker_is_consistent() {
         assert_eq!(wear.total_writes(), expected_total);
         assert!(wear.max_wear() as f64 >= wear.mean_wear());
         assert!(wear.imbalance() >= 1.0);
-        let histogram = wear.histogram(buckets);
-        assert_eq!(histogram.total_pages(), wear.pages_touched() as u64);
-        assert_eq!(histogram.counts.len(), buckets);
-
-        let lifetime = wear.lifetime(100_000_000, 1e6).expect("writes recorded");
-        assert!(lifetime.seconds > 0.0);
-        assert!(lifetime.hottest_share > 0.0 && lifetime.hottest_share <= 1.0);
     });
 }

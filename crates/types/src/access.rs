@@ -64,8 +64,8 @@ impl fmt::Display for AccessKind {
     }
 }
 
-/// One CPU-level memory access, as produced by the trace generator and
-/// consumed by the cache simulator.
+/// One byte-addressed memory access, as produced by the trace generator
+/// and stored in trace files; the simulator replays its [`PageAccess`].
 ///
 /// # Examples
 ///
@@ -81,7 +81,7 @@ pub struct Access {
     pub address: Address,
     /// Load or store.
     pub kind: AccessKind,
-    /// Core issuing the request (selects the private L1 in the cache sim).
+    /// Core issuing the request. Trace files record it; no model reads it.
     pub core: CoreId,
 }
 

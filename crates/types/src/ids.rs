@@ -4,8 +4,8 @@ use std::fmt;
 
 /// A byte address in the simulated physical address space.
 ///
-/// Addresses are what trace generators emit and what the cache simulator
-/// consumes; page-level components work with [`PageId`] instead (see
+/// Addresses are what trace generators emit and trace files store;
+/// page-level components work with [`PageId`] instead (see
 /// [`crate::page_of`]).
 ///
 /// # Examples
@@ -143,7 +143,7 @@ impl From<PageId> for u64 {
 /// A CPU core identifier in the simulated multi-core system.
 ///
 /// The DATE 2016 evaluation uses a quad-core configuration (Table II); the
-/// cache simulator keeps one private L1 pair per core, indexed by `CoreId`.
+/// generator gives each page a stable core, which only trace files record.
 ///
 /// # Examples
 ///

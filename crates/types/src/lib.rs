@@ -8,7 +8,7 @@
 //! * identifier newtypes — [`Address`], [`PageId`], [`CoreId`] — that keep
 //!   byte addresses, page numbers, and CPU cores statically distinct;
 //! * the memory-access vocabulary — [`AccessKind`], [`Access`],
-//!   [`PageAccess`] — used by trace generators, the cache simulator, and the
+//!   [`PageAccess`] — used by trace generators, trace files, and the
 //!   page-migration policies;
 //! * the memory-tier vocabulary — [`MemoryKind`], [`Residency`] — naming the
 //!   DRAM and NVM modules and where a page currently lives;

@@ -5,8 +5,8 @@
 //! (Salkhordeh & Asadi, DATE 2016): an OS-level page-migration policy for
 //! hybrid DRAM+NVM main memories, the CLOCK-DWF baseline it is compared
 //! against, the analytical performance/power/endurance models, and every
-//! substrate needed to regenerate the paper's figures — a PARSEC-calibrated
-//! trace generator, a multi-core cache-hierarchy simulator, and
+//! substrate needed to regenerate the paper's figures — a trace generator
+//! calibrated to the memory-level PARSEC counts of Table III, and
 //! DRAM/PCM/disk device models.
 //!
 //! This crate is a facade: it re-exports the workspace crates under stable
@@ -17,7 +17,6 @@
 //! |---|---|---|
 //! | [`types`] | `hybridmem-types` | ids, access/memory vocabulary, quantities |
 //! | [`trace`] | `hybridmem-trace` | workload specs, PARSEC profiles, generator, trace I/O |
-//! | [`cachesim`] | `hybridmem-cachesim` | Table II cache hierarchy (COTSon substitute) |
 //! | [`device`] | `hybridmem-device` | Table IV DRAM/PCM models, DMA, endurance |
 //! | [`policy`] | `hybridmem-policy` | two-LRU scheme, CLOCK-DWF, baselines, adaptive extension |
 //! | [`sim`] | `hybridmem-core` | simulator, Eq. 1–3 models, experiment runners |
@@ -51,7 +50,6 @@
 )]
 #![warn(missing_docs)]
 
-pub use hybridmem_cachesim as cachesim;
 pub use hybridmem_core as sim;
 pub use hybridmem_device as device;
 pub use hybridmem_metrics as metrics;

@@ -1,49 +1,10 @@
-//! End-to-end integration tests: trace generation → (optional cache
-//! filtering) → policy → simulator → report.
+//! End-to-end integration tests: trace generation → policy → simulator →
+//! report.
 
-use hybridmem::cachesim::{filter_to_memory_trace, CotsonConfig};
 use hybridmem::policy::{HybridPolicy, TwoLruConfig, TwoLruPolicy};
-use hybridmem::sim::{ExperimentConfig, HybridSimulator, PolicyKind};
+use hybridmem::sim::{ExperimentConfig, MatrixRun, PolicyKind};
 use hybridmem::trace::{parsec, LocalityParams, TraceGenerator, TraceStats, WorkloadSpec};
-use hybridmem::types::{MemoryKind, PageAccess, PageCount};
-
-#[test]
-fn full_pipeline_cpu_trace_through_caches_to_hybrid_memory() {
-    // CPU-level trace → Table II cache hierarchy → page-level memory trace
-    // → proposed policy → device accounting. This is the COTSon-substitute
-    // path described in DESIGN.md.
-    let spec = parsec::spec("ferret").unwrap().capped(30_000);
-    let cpu_trace = TraceGenerator::new(spec.clone(), 11);
-    let (memory_trace, cache_stats) =
-        filter_to_memory_trace(cpu_trace, CotsonConfig::date2016()).unwrap();
-
-    assert!(
-        cache_stats.l1.hit_ratio() > 0.3,
-        "a locality-heavy trace must hit L1 substantially, got {:.3}",
-        cache_stats.l1.hit_ratio()
-    );
-    assert_eq!(memory_trace.len() as u64, cache_stats.memory_accesses());
-    assert!(
-        (memory_trace.len() as u64) < spec.total_accesses(),
-        "caches must absorb traffic"
-    );
-
-    let dram = PageCount::new((spec.working_set.value() / 14).max(1));
-    let nvm = PageCount::new((spec.working_set.value() / 2).max(1));
-    let config = TwoLruConfig::new(dram, nvm).unwrap();
-    let mut sim = HybridSimulator::with_date2016_devices(Box::new(TwoLruPolicy::new(config)));
-    sim.run(memory_trace.iter().copied());
-    let report = sim.into_report("ferret-filtered");
-
-    assert_eq!(report.counts.requests, memory_trace.len() as u64);
-    assert_eq!(
-        report.counts.hits() + report.counts.faults,
-        report.counts.requests,
-        "every request either hits or faults"
-    );
-    assert!(report.amat().value() > 0.0);
-    assert!(report.appr().value() > 0.0);
-}
+use hybridmem::types::{Error, MemoryKind, PageAccess, PageCount};
 
 #[test]
 fn experiment_runner_is_deterministic_across_calls() {
@@ -97,28 +58,59 @@ fn trace_stats_match_spec_budgets_exactly() {
 }
 
 #[test]
-fn policy_state_survives_cache_filtered_and_direct_paths() {
-    // The same spec driven directly (page level) and through the caches
-    // exercises the same policy machinery without panics and with
-    // consistent occupancy invariants.
+fn two_lru_occupancy_stays_within_capacity_on_a_generated_trace() {
     let spec = WorkloadSpec::new("mixed", 600, 40_000, 12_000, LocalityParams::balanced()).unwrap();
     let dram = PageCount::new(45);
     let nvm = PageCount::new(405);
 
-    let mut direct = TwoLruPolicy::new(TwoLruConfig::new(dram, nvm).unwrap());
-    for access in TraceGenerator::new(spec.clone(), 3) {
-        direct.on_access(PageAccess::from(access));
-        assert!(direct.occupancy(MemoryKind::Dram) <= dram.value());
-        assert!(direct.occupancy(MemoryKind::Nvm) <= nvm.value());
+    let mut policy = TwoLruPolicy::new(TwoLruConfig::new(dram, nvm).unwrap());
+    for access in TraceGenerator::new(spec, 3) {
+        policy.on_access(PageAccess::from(access));
+        assert!(policy.occupancy(MemoryKind::Dram) <= dram.value());
+        assert!(policy.occupancy(MemoryKind::Nvm) <= nvm.value());
+    }
+}
+
+#[test]
+fn out_of_range_fractions_are_rejected_before_any_cell_runs() {
+    let spec = parsec::spec("bodytrack").unwrap().capped(5_000);
+    let base = ExperimentConfig::default();
+    let memory = |memory_fraction| ExperimentConfig {
+        memory_fraction,
+        ..base
+    };
+    let dram = |dram_fraction| ExperimentConfig {
+        dram_fraction,
+        ..base
+    };
+    for (config, field) in [
+        (memory(-0.5), "memory_fraction"),
+        (memory(0.0), "memory_fraction"),
+        (memory(f64::NAN), "memory_fraction"),
+        (memory(f64::INFINITY), "memory_fraction"),
+        (dram(-0.1), "dram_fraction"),
+        (dram(1.5), "dram_fraction"),
+        (dram(f64::NAN), "dram_fraction"),
+    ] {
+        let rejected =
+            |err: Error| matches!(&err, Error::InvalidConfig { reason } if reason.contains(field));
+        for kind in PolicyKind::all() {
+            let err = config.build_policy(kind, &spec).err();
+            assert!(err.is_some_and(rejected), "{field}: build_policy({kind})");
+        }
+        let matrix = MatrixRun::new(config)
+            .unwrap()
+            .run(std::slice::from_ref(&spec), &PolicyKind::all());
+        assert!(matrix.err().is_some_and(rejected), "{field}: MatrixRun");
     }
 
-    let (filtered, _) =
-        filter_to_memory_trace(TraceGenerator::new(spec, 3), CotsonConfig::date2016()).unwrap();
-    let mut through_caches = TwoLruPolicy::new(TwoLruConfig::new(dram, nvm).unwrap());
-    for access in filtered {
-        through_caches.on_access(access);
+    // An all-DRAM split keeps one NVM page, and every policy builds on it.
+    let all_dram = dram(1.0);
+    let (dram, nvm, total) = all_dram.memory_sizes(&spec);
+    assert_eq!((dram, nvm), (total, PageCount::new(1)));
+    for kind in PolicyKind::all() {
+        assert!(all_dram.build_policy(kind, &spec).is_ok(), "{kind}");
     }
-    assert!(through_caches.occupancy(MemoryKind::Dram) <= dram.value());
 }
 
 #[test]
