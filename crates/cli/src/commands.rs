@@ -1947,6 +1947,7 @@ two-lru-adaptive     66.67%            0      1666700         548.62            
                 ("--dram-fraction", "-0.1", "dram_fraction"),
                 ("--memory-fraction", "-0.5", "memory_fraction"),
                 ("--memory-fraction", "nan", "memory_fraction"),
+                ("--memory-fraction", "1e300", "memory_fraction"),
             ] {
                 let tokens = [command, &[flag, value]].concat();
                 let (result, text) = run_capture(&tokens);

@@ -13,7 +13,7 @@ use hybridmem_json::impl_json;
 use hybridmem_metrics::{MetricsSnapshot, SpanProfiler};
 use hybridmem_policy::{
     AdaptiveConfig, AdaptiveTwoLruPolicy, ClockDwfPolicy, ClockProPolicy, DramCachePolicy,
-    HybridPolicy, SingleTierPolicy, TwoLruConfig, TwoLruPolicy,
+    HybridPolicy, SingleTierPolicy, TwoLruConfig, TwoLruPolicy, MAX_QUEUE_PAGES,
 };
 use hybridmem_trace::binfmt::BinTraceStream;
 use hybridmem_trace::{TraceGenerator, WorkloadSpec};
@@ -185,6 +185,33 @@ impl ExperimentConfig {
         Ok(())
     }
 
+    /// [`ExperimentConfig::memory_sizes`] after
+    /// [`ExperimentConfig::validate`], refusing a memory larger than a
+    /// policy queue can index.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the field when
+    /// [`ExperimentConfig::validate`] rejects the config, or when
+    /// `memory_fraction` sizes `spec`'s memory above [`MAX_QUEUE_PAGES`]
+    /// pages (a single-tier policy holds all of it in one queue).
+    pub fn checked_memory_sizes(
+        &self,
+        spec: &WorkloadSpec,
+    ) -> Result<(PageCount, PageCount, PageCount)> {
+        self.validate()?;
+        let sizes = self.memory_sizes(spec);
+        let total = sizes.2.value();
+        if total > MAX_QUEUE_PAGES {
+            return Err(Error::invalid_config(format!(
+                "memory_fraction is too large: it sizes {}'s memory at {total} pages, \
+                 above the {MAX_QUEUE_PAGES} a policy queue can index",
+                spec.name
+            )));
+        }
+        Ok(sizes)
+    }
+
     /// Memory sizes for a workload: `(dram_pages, nvm_pages, total_pages)`.
     ///
     /// Total memory is `memory_fraction` of the footprint; DRAM is
@@ -194,7 +221,9 @@ impl ExperimentConfig {
     /// # Panics
     ///
     /// Fractions that [`ExperimentConfig::validate`] rejects may panic or
-    /// give meaningless sizes.
+    /// give meaningless sizes, and sizes that
+    /// [`ExperimentConfig::checked_memory_sizes`] rejects are too large for
+    /// any policy.
     #[must_use]
     pub fn memory_sizes(&self, spec: &WorkloadSpec) -> (PageCount, PageCount, PageCount) {
         let total = spec.working_set.scaled(self.memory_fraction);
@@ -208,16 +237,15 @@ impl ExperimentConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] when [`ExperimentConfig::validate`]
-    /// rejects the config, or the derived sizes or the configured
-    /// thresholds are invalid.
+    /// Returns [`Error::InvalidConfig`] when
+    /// [`ExperimentConfig::checked_memory_sizes`] rejects the config, or the
+    /// derived sizes or the configured thresholds are invalid.
     pub fn build_policy(
         &self,
         kind: PolicyKind,
         spec: &WorkloadSpec,
     ) -> Result<Box<dyn HybridPolicy>> {
-        self.validate()?;
-        let (dram, nvm, total) = self.memory_sizes(spec);
+        let (dram, nvm, total) = self.checked_memory_sizes(spec)?;
         let two_lru_config = TwoLruConfig::with_thresholds(
             dram,
             nvm,
@@ -683,6 +711,36 @@ mod tests {
         assert_eq!(dram, PageCount::new(15)); // 10% of 150
         assert_eq!(nvm, PageCount::new(135));
         assert_eq!(dram + nvm, total);
+    }
+
+    #[test]
+    fn memory_beyond_queue_indexing_is_rejected() {
+        let config = ExperimentConfig {
+            memory_fraction: 1.0,
+            ..ExperimentConfig::date2016()
+        };
+        let at = |pages| WorkloadSpec::new("big", pages, 10, 0, LocalityParams::balanced());
+        let (_, _, total) = config
+            .checked_memory_sizes(&at(MAX_QUEUE_PAGES).unwrap())
+            .unwrap();
+        assert_eq!(total.value(), MAX_QUEUE_PAGES);
+        for (config, spec) in [
+            (config, at(MAX_QUEUE_PAGES + 1).unwrap()),
+            (
+                ExperimentConfig {
+                    memory_fraction: 1e300,
+                    ..config
+                },
+                small_spec(),
+            ),
+        ] {
+            let err = config.checked_memory_sizes(&spec).unwrap_err();
+            assert!(
+                matches!(&err, Error::InvalidConfig { reason } if reason.contains("memory_fraction")),
+                "{err}"
+            );
+            assert!(config.build_policy(PolicyKind::DramOnly, &spec).is_err());
+        }
     }
 
     #[test]

@@ -220,7 +220,9 @@ impl MatrixRun {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] before any cell runs when
-    /// [`ExperimentConfig::validate`] rejects `config`, and the journal's
+    /// [`ExperimentConfig::validate`] rejects `config` or
+    /// [`ExperimentConfig::checked_memory_sizes`] rejects it for one of
+    /// `specs`, and the journal's
     /// error when `resume` cannot be opened (I/O, or a journal written for
     /// a different matrix). Cell failures never fail the run; they are
     /// quarantined into the outcome.
@@ -272,6 +274,9 @@ impl MatrixRun {
         source: TraceSource<'_>,
     ) -> Result<MatrixOutcome> {
         self.config.validate()?;
+        for spec in specs {
+            self.config.checked_memory_sizes(spec)?;
+        }
         let journal = self
             .resume
             .as_ref()

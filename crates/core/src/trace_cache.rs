@@ -22,7 +22,8 @@
 //! # Memory bounds
 //!
 //! The cache holds at most `budget_bytes` of trace data (the byte cost of
-//! a trace is known up front: `total_accesses × size_of::<PageAccess>()`).
+//! a trace is known up front: `total_accesses × size_of::<PageAccess>()`,
+//! 9 bytes an access, since `PageId` is byte-aligned).
 //! Inserting past the budget evicts least-recently-used entries first. A
 //! single trace larger than the whole budget is never materialized —
 //! [`TraceCache::try_get`] returns `None` and callers fall back to
@@ -44,10 +45,13 @@
 //! `{fingerprint:016x}.hmtrace`. Later processes — repeated CLI runs, the
 //! bench harness, CI — load the spill instead of re-generating, and
 //! *oversize* traces that can never be materialized replay straight from
-//! the file in fixed-size chunks via [`TraceCache::open_stream`]. Spill
-//! files carry the full spec JSON and seed in their header and are
-//! verified on load, so a stale or colliding file degrades to regeneration
-//! rather than replaying the wrong workload.
+//! the file in fixed-size chunks via [`TraceCache::open_stream`]. A load
+//! streams the file too: its 16-byte records decode chunk by chunk into
+//! the 9-byte accesses of one buffer sized from the spec, so it never
+//! holds the file. Spill files carry the full spec JSON and seed in their
+//! header and are verified on load (and so are their record count and
+//! their end), so a stale, colliding or damaged file degrades to
+//! regeneration rather than replaying the wrong workload.
 
 use std::fs::File;
 use std::io::{BufReader, Cursor, Read};
@@ -57,25 +61,25 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use hybridmem_json::impl_json;
 use hybridmem_metrics::MetricsRegistry;
-use hybridmem_trace::binfmt::{self, BinTraceReader, BinTraceStream};
+use hybridmem_trace::binfmt::{self, BinTraceStream};
 use hybridmem_trace::{TraceGenerator, WorkloadSpec};
 use hybridmem_types::{fx_hash_one, FxHashMap, PageAccess};
 
 use crate::faultinject::FaultPlan;
 
 /// Default byte budget of the global cache: enough for the full default
-/// 1M-access × 12-workload suite (~192 MB) with headroom for sweeps.
+/// 1M-access × 12-workload suite (~99 MB at 9 bytes an access) with
+/// headroom for sweeps.
 pub const DEFAULT_BUDGET_BYTES: usize = 1 << 30;
 
 /// Spill writes started by this process; each numbers its temp file, so
 /// two writers of one trace never share one.
 static SPILL_WRITES: AtomicU64 = AtomicU64::new(0);
 
-/// Byte source behind a spill replay stream. Production replays stream
-/// from the file; with a [`FaultPlan`] installed the file is pre-read so
-/// the scripted read faults can corrupt the in-memory image before the
-/// format layer sees it (exactly how `TraceCache::try_load_spill`
-/// injects faults on the materialization path).
+/// Byte source behind a spill stream, for loads and replays alike.
+/// Production streams from the file; with a [`FaultPlan`] installed the
+/// file is pre-read so the scripted read faults can corrupt the in-memory
+/// image before the format layer sees it.
 pub enum SpillSource {
     /// Buffered read straight from the spill file (no fault plan).
     File(BufReader<File>),
@@ -153,8 +157,9 @@ pub struct TraceCacheStats {
     /// Materializations and streams that found no usable spill file and
     /// had to generate.
     pub spill_misses: u64,
-    /// Bytes of spilled trace data loaded into memory (the safe stand-in
-    /// for "bytes mmapped": the binary file is read and decoded in bulk).
+    /// Bytes of spilled records loaded or opened for replay (the safe
+    /// stand-in for "bytes mmapped": the binary file is read and decoded
+    /// in 64 KiB pieces).
     pub spill_bytes_read: u64,
     /// Bytes of trace data written to spill files by this process.
     pub spill_bytes_written: u64,
@@ -408,7 +413,8 @@ impl TraceCache {
     fn materialize(&self, key: u64, slot: &TraceSlot) -> Arc<[PageAccess]> {
         Arc::clone(slot.trace.get_or_init(|| {
             let spec_json = Self::spec_json(&slot.spec);
-            if let Some(trace) = self.try_load_spill(key, &spec_json, slot.seed) {
+            let accesses = slot.spec.total_accesses();
+            if let Some(trace) = self.try_load_spill(key, &spec_json, slot.seed, accesses) {
                 return trace;
             }
             let trace: Arc<[PageAccess]> = TraceGenerator::new(slot.spec.clone(), slot.seed)
@@ -433,47 +439,54 @@ impl TraceCache {
             .map(|dir| dir.join(format!("{key:016x}.hmtrace")))
     }
 
-    /// Reads the spill file at `path` into memory, applying any
-    /// injected read faults to the image first. `None` means the file
-    /// is unreadable — really or by script; the caller cannot tell the
-    /// difference, which is the point.
-    fn read_spill_image(&self, path: &Path) -> Option<Vec<u8>> {
-        let mut bytes = std::fs::read(path).ok()?;
-        if let Some(plan) = &self.fault_plan {
-            plan.corrupt_spill_read(&mut bytes).ok()?;
-        }
-        Some(bytes)
-    }
-
-    /// Loads and verifies the spill file for `key`, counting a spill hit
-    /// or miss. Any failure — absent file, truncation, bit-flip (caught
-    /// by the checksum trailer), a file in an older format version, or a
-    /// header naming a different `(spec, seed)` — is a miss, never an
+    /// Loads and verifies the spill file for `key`, which must hold
+    /// `accesses` records, counting a spill hit or miss. The file streams
+    /// through [`Self::open_spill_stream`] in chunks straight into one
+    /// buffer of `accesses`, so the load holds the decoded trace and one
+    /// chunk, never the file. Any failure — absent file, truncation, bit-flip
+    /// (caught by the checksum trailer), a file in an older format
+    /// version, a header naming a different `(spec, seed)` or another
+    /// record count, or bytes after the trailer — is a miss, never an
     /// error: the caller falls back to the generator, whose spill write
     /// replaces the file.
     #[expect(clippy::disallowed_methods, reason = "a stats counter: guards no data")]
-    fn try_load_spill(&self, key: u64, spec_json: &str, seed: u64) -> Option<Arc<[PageAccess]>> {
-        let path = self.spill_path(key)?;
+    fn try_load_spill(
+        &self,
+        key: u64,
+        spec_json: &str,
+        seed: u64,
+        accesses: u64,
+    ) -> Option<Arc<[PageAccess]>> {
         let loaded = self
-            .read_spill_image(&path)
-            .and_then(|bytes| BinTraceReader::from_reader(bytes.as_slice()).ok())
-            .filter(|reader| reader.header().matches(spec_json, seed));
-        let Some(reader) = loaded else {
+            .spill_path(key)
+            .and_then(|path| self.open_spill_stream(&path, spec_json, seed))
+            .filter(|stream| stream.header().count == accesses)
+            .and_then(|stream| Self::drain_spill(stream, accesses));
+        let Some(trace) = loaded else {
             self.spill.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
         self.spill.hits.fetch_add(1, Ordering::Relaxed);
         self.spill.bytes_read.fetch_add(
-            (reader.records().len() * binfmt::RECORD_BYTES) as u64,
+            accesses.saturating_mul(binfmt::RECORD_BYTES as u64),
             Ordering::Relaxed,
         );
-        Some(
-            reader
-                .records()
-                .iter()
-                .map(|record| record.access())
-                .collect(),
-        )
+        Some(trace)
+    }
+
+    /// Decodes every record of a verified spill stream whose header
+    /// declares `accesses`, or `None` if the body or trailer is corrupt
+    /// or bytes follow the trailer.
+    fn drain_spill(
+        mut stream: BinTraceStream<SpillSource>,
+        accesses: u64,
+    ) -> Option<Arc<[PageAccess]>> {
+        let mut trace = Vec::with_capacity(usize::try_from(accesses).ok()?);
+        while let Some(chunk) = stream.next_chunk().ok()? {
+            trace.extend(chunk.iter().map(|record| record.access()));
+        }
+        stream.finish().ok()?;
+        Some(trace.into())
     }
 
     /// Books one failed spill write in the stats.
@@ -547,17 +560,22 @@ impl TraceCache {
     /// Opens a verified spill stream at `path`. Without a fault plan
     /// this streams straight from the file; with one installed the
     /// whole file is pre-read so the scripted read faults can apply to
-    /// the image, mirroring [`Self::read_spill_image`].
+    /// the image. `None` means the file is unreadable (really or by
+    /// script; the caller cannot tell the difference, which is the
+    /// point) or its header names another trace.
     fn open_spill_stream(
         &self,
         path: &Path,
         spec_json: &str,
         seed: u64,
     ) -> Option<BinTraceStream<SpillSource>> {
-        let source = if self.fault_plan.is_some() {
-            SpillSource::Memory(Cursor::new(self.read_spill_image(path)?))
-        } else {
-            SpillSource::File(BufReader::new(File::open(path).ok()?))
+        let source = match &self.fault_plan {
+            Some(plan) => {
+                let mut bytes = std::fs::read(path).ok()?;
+                plan.corrupt_spill_read(&mut bytes).ok()?;
+                SpillSource::Memory(Cursor::new(bytes))
+            }
+            None => SpillSource::File(BufReader::new(File::open(path).ok()?)),
         };
         BinTraceStream::from_reader(source, binfmt::STREAM_CHUNK_RECORDS)
             .ok()
@@ -956,7 +974,7 @@ mod tests {
         let expected: Vec<PageAccess> = TraceGenerator::new(s.clone(), 42)
             .map(PageAccess::from)
             .collect();
-        type Corrupt = Box<dyn Fn(&Path)>;
+        type Corrupt<'a> = Box<dyn Fn(&Path) + 'a>;
         let corruptions: Vec<(&str, Corrupt)> = vec![
             (
                 "truncated",
@@ -995,6 +1013,29 @@ mod tests {
             (
                 "zero-length",
                 Box::new(|path| std::fs::write(path, []).unwrap()),
+            ),
+            (
+                "wrong-count",
+                Box::new(|path| {
+                    // A valid file for this very (spec, seed), one record
+                    // short: only the count check tells it from the trace.
+                    binfmt::write_trace_file(
+                        path,
+                        &TraceCache::spec_json(&s),
+                        42,
+                        TraceCache::fingerprint(&s, 42),
+                        expected[1..].iter().copied(),
+                    )
+                    .unwrap();
+                }),
+            ),
+            (
+                "trailing-byte",
+                Box::new(|path| {
+                    let mut bytes = std::fs::read(path).unwrap();
+                    bytes.push(0);
+                    std::fs::write(path, &bytes).unwrap();
+                }),
             ),
         ];
         for (tag, corrupt) in corruptions {

@@ -73,7 +73,7 @@ pub use clock::ClockRing;
 pub use clock_dwf::ClockDwfPolicy;
 pub use clock_pro::ClockProPolicy;
 pub use dram_cache::DramCachePolicy;
-pub use lru::{LruQueue, NoRanks, RankIndex, RankedLru, SlotRanks};
+pub use lru::{LruQueue, NoRanks, RankIndex, RankedLru, SlotRanks, MAX_QUEUE_PAGES};
 pub use single::SingleTierPolicy;
 pub use traits::{
     AccessOutcome, ActionList, BatchOutcomes, BatchStep, CounterKind, HybridPolicy,

@@ -67,6 +67,12 @@ const EMPTY: u32 = u32::MAX;
 /// Minimum slot capacity; also the floor after compaction.
 const MIN_SLOTS: usize = 16;
 
+/// The most pages one policy queue can hold: an [`LruQueue`] keeps four
+/// `u32` slots per page (and a [`ClockRing`](crate::ClockRing) one `u32`
+/// frame index), so a larger tier cannot be indexed. Configurations size
+/// their tiers at or below it.
+pub const MAX_QUEUE_PAGES: u64 = (u32::MAX / 4) as u64;
+
 /// What an [`LruQueue`] keeps beside its slot order to answer rank
 /// queries: [`NoRanks`] or [`SlotRanks`].
 pub trait RankIndex: Clone + std::fmt::Debug {

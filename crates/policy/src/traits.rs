@@ -40,6 +40,10 @@ pub enum PolicyAction {
     },
 }
 
+// A byte-aligned `PageId` leaves an action no padding: one tag byte, the
+// 8-byte page and at most two `MemoryKind` bytes.
+const _: () = assert!(std::mem::size_of::<PolicyAction>() == 10);
+
 /// Maximum number of [`PolicyAction`]s one access can trigger.
 ///
 /// The worst case across every policy in the repository is four — a
@@ -351,6 +355,10 @@ pub struct AccessOutcome {
     /// policy ([`NvmCounterProbe`]); `None` everywhere else.
     pub probe: Option<NvmCounterProbe>,
 }
+
+// The probe's 8-byte rank sets the alignment: 40 bytes of probe, 41 of
+// actions and two flag bytes round up to 88.
+const _: () = assert!(std::mem::size_of::<AccessOutcome>() == 88);
 
 impl AccessOutcome {
     /// An outcome for a plain hit in `kind` with no side effects.

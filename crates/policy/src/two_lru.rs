@@ -175,6 +175,11 @@ impl TwoLruConfig {
 
 /// Per-page read/write counters ("Additional Information" in Fig. 3),
 /// kept in the page's NVM queue entry.
+///
+/// `(0, 0)` means "no counters yet": every NVM hit adds one to one of the
+/// two, so a page that has been hit in NVM never reads `(0, 0)`. Keeping
+/// the pair always initialized, rather than in an `Option`, lets an NVM hit
+/// load it without first testing a tag.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PageCounters {
     reads: u32,
@@ -213,11 +218,11 @@ pub struct TwoLruPolicy {
     write_window: usize,
     // DRAM hits need no recency rank, only a move-to-front, so the DRAM
     // queue keeps no rank index; NVM does, because the counter windows
-    // are rank queries. Each NVM entry carries the page's counters: `None`
+    // are rank queries. Each NVM entry carries the page's counters: `(0, 0)`
     // until its first NVM hit, so they live exactly as long as the page
     // stays in NVM.
     dram: LruQueue,
-    nvm: RankedLru<Option<PageCounters>>,
+    nvm: RankedLru<PageCounters>,
     stats: TwoLruStats,
 }
 
@@ -266,8 +271,8 @@ impl TwoLruPolicy {
     /// Exposed for inspection and tests; the simulator does not need it.
     #[must_use]
     pub fn counters_of(&self, page: PageId) -> Option<(u32, u32)> {
-        let counters = (*self.nvm.meta(page)?)?;
-        Some((counters.reads, counters.writes))
+        let counters = *self.nvm.meta(page)?;
+        (counters != PageCounters::default()).then_some((counters.reads, counters.writes))
     }
 
     /// Counter-window statistics accumulated so far.
@@ -359,7 +364,7 @@ impl TwoLruPolicy {
             return None;
         }
         let (victim, ()) = self.dram.evict_lru()?;
-        self.nvm.insert(victim, None);
+        self.nvm.insert(victim, PageCounters::default());
         Some(victim)
     }
 }
@@ -404,7 +409,7 @@ impl HybridPolicy for TwoLruPolicy {
             ));
         };
         let write = access.kind.is_write();
-        let PageCounters { reads, writes } = entry.unwrap_or_default();
+        let PageCounters { reads, writes } = *entry;
         // Lazy boundary reset (see module docs): a rank at or past a window
         // means the page crossed that window's boundary since its last hit.
         // Only resets that discard accumulated progress count as resets.
@@ -414,7 +419,7 @@ impl HybridPolicy for TwoLruPolicy {
         self.stats.write_window_resets += u64::from(write_lost != 0);
         let reads = reads - read_lost + u32::from(!write);
         let writes = writes - write_lost + u32::from(write);
-        *entry = Some(PageCounters { reads, writes });
+        *entry = PageCounters { reads, writes };
         let (read_threshold, write_threshold) =
             (self.config.read_threshold, self.config.write_threshold);
         // The counter of this access's kind decides. The kind is a coin flip
@@ -683,10 +688,14 @@ mod tests {
         let mut p = policy(1, 10);
         fill(&mut p, 0, 11);
         let target = page(5);
+        // A demoted page carries no counters until its first NVM hit.
+        assert_eq!(p.counters_of(target), None);
+        assert_eq!(p.tracked_pages(), 0);
         // Two reads: counter reaches 2 (= threshold, not above).
         p.on_access(PageAccess::read(target));
         p.on_access(PageAccess::read(target));
         assert_eq!(p.counters_of(target), Some((2, 0)));
+        assert_eq!(p.tracked_pages(), 1);
         // Push `target` out of the 1-page read window with other NVM hits.
         p.on_access(PageAccess::read(page(6)));
         p.on_access(PageAccess::read(page(7)));

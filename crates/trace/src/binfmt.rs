@@ -57,17 +57,18 @@
 //! the same collision discipline the in-memory
 //! `TraceCache` applies to its slots.
 //!
-//! # Zero-copy replay
+//! # Streamed replay
 //!
 //! The workspace forbids `unsafe`, so the reader does not `mmap`.
-//! [`BinTraceStream`] is the one decoder: it reads the body one
-//! fixed-size chunk at a time into a reused buffer and decodes each
-//! chunk in a single pass, which oversize traces replay from directly.
-//! [`BinTraceReader`] drains a stream into one `Box<[Record]>`, after
-//! which [`BinTraceReader::records`] hands out borrowed `&[Record]`
-//! slices — no per-access decode, no per-access allocation. Lengths in
-//! the header are unverified input, so both allocate for at most one
-//! chunk plus the records actually decoded, never for the declared
+//! [`BinTraceStream`] is the one decoder: it hands out the body one
+//! fixed-size chunk of records at a time from a reused buffer, which
+//! oversize traces replay from directly, and reads each chunk's bytes in
+//! pieces of at most 64 KiB through one fixed staging buffer, decoding
+//! each piece in a single pass. A caller that wants the whole trace (the
+//! trace cache's spill load) drains the chunks into its own buffer and
+//! calls [`BinTraceStream::finish`], which also rejects bytes after the
+//! trailer. Lengths in the header are unverified input, so a stream
+//! allocates for at most one chunk and one piece, never for the declared
 //! `count` or `spec_len`.
 
 use std::fs::File;
@@ -308,82 +309,25 @@ where
     writer.finish()
 }
 
-/// Whole-trace reader: drains a [`BinTraceStream`] into one record
-/// slice, then hands out borrowed zero-copy record slices.
-#[derive(Debug)]
-pub struct BinTraceReader {
-    header: TraceHeader,
-    records: Box<[Record]>,
-}
-
-impl BinTraceReader {
-    /// Opens and fully decodes the trace file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidInput`] for I/O failures and
-    /// [`Error::ParseTrace`] for a corrupt header, a truncated body, a
-    /// checksum mismatch or bytes after the trailer.
-    pub fn open(path: &Path) -> Result<Self, Error> {
-        let file = File::open(path).map_err(io_err)?;
-        Self::from_reader(file)
-    }
-
-    /// Decodes a trace from any byte source.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BinTraceReader::open`].
-    pub fn from_reader<R: Read>(reader: R) -> Result<Self, Error> {
-        let mut stream = BinTraceStream::from_reader(reader, STREAM_CHUNK_RECORDS)?;
-        let mut records = Vec::new();
-        while let Some(chunk) = stream.next_chunk()? {
-            records.extend_from_slice(chunk);
-        }
-        let mut trailing = [0u8; 1];
-        if stream.source.read(&mut trailing).map_err(io_err)? != 0 {
-            return Err(Error::parse_trace(
-                stream.header.count + 1,
-                "trailing bytes after the declared record count",
-            ));
-        }
-        Ok(Self {
-            header: stream.header,
-            records: records.into_boxed_slice(),
-        })
-    }
-
-    /// The file's identity header.
-    #[must_use]
-    pub fn header(&self) -> &TraceHeader {
-        &self.header
-    }
-
-    /// All records, borrowed — replay iterates this slice directly.
-    #[must_use]
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
-    /// Consumes the reader, returning the decoded records.
-    #[must_use]
-    pub fn into_records(self) -> Box<[Record]> {
-        self.records
-    }
-}
-
 /// Default chunk size (in records) for [`BinTraceStream`].
 pub const STREAM_CHUNK_RECORDS: usize = 1 << 16;
 
+/// Most record-body bytes a stream reads at a time: 4 096 records.
+const PIECE_BYTES: usize = 64 << 10;
+
 /// Chunked reader: replays the file through one reused fixed-size
-/// buffer. Traces too large to hold in memory replay from it directly;
-/// [`BinTraceReader`] drains it.
+/// buffer. Traces too large to hold in memory replay from it directly,
+/// and a whole-trace load drains it and then calls
+/// [`BinTraceStream::finish`].
 #[derive(Debug)]
 pub struct BinTraceStream<R: Read = BufReader<File>> {
     source: R,
     header: TraceHeader,
     remaining: u64,
     chunk_records: usize,
+    /// Staging buffer for one piece of a chunk's bytes: a whole number of
+    /// records, at most [`PIECE_BYTES`] and at most one chunk, allocated
+    /// once.
     bytes: Vec<u8>,
     chunk: Vec<Record>,
     /// Trailer checksum folded over the records decoded so far.
@@ -416,12 +360,13 @@ impl<R: Read> BinTraceStream<R> {
     pub fn from_reader(mut source: R, chunk_records: usize) -> Result<Self, Error> {
         let header = read_header(&mut source)?;
         let chunk_records = chunk_records.max(1);
+        let piece_records = chunk_records.min(PIECE_BYTES / RECORD_BYTES);
         Ok(Self {
             remaining: header.count,
             header,
             source,
             chunk_records,
-            bytes: Vec::new(),
+            bytes: vec![0; piece_records * RECORD_BYTES],
             chunk: Vec::new(),
             checksum: FNV1A64_SEED,
             trailer_checked: false,
@@ -440,8 +385,9 @@ impl<R: Read> BinTraceStream<R> {
         self.remaining
     }
 
-    /// Reads the next chunk into the reused buffer, returning `None`
-    /// once the declared record count has been delivered.
+    /// Reads the next chunk into the reused buffer, 64 KiB of file at a
+    /// time, returning `None` once the declared record count has been
+    /// delivered.
     ///
     /// # Errors
     ///
@@ -451,34 +397,65 @@ impl<R: Read> BinTraceStream<R> {
     /// I/O failures. The trailer check runs as soon as the declared
     /// count is exhausted, so the final chunk is only handed out once
     /// the whole body has verified.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a piece fits the staging buffer, and `fill` reads at most the piece"
+    )]
     pub fn next_chunk(&mut self) -> Result<Option<&[Record]>, Error> {
         if self.remaining == 0 {
             self.check_trailer()?;
             return Ok(None);
         }
-        let take = (self.chunk_records as u64).min(self.remaining);
-        let len = take
-            .checked_mul(RECORD_BYTES as u64)
-            .and_then(|len| usize::try_from(len).ok())
-            .ok_or_else(|| Error::parse_trace(0, "record count overflows the address space"))?;
-        // `take` ≤ `chunk_records` bounds this reservation, so the buffer
-        // is sized once here rather than grown by the read.
-        self.bytes.clear();
-        self.bytes.reserve_exact(len);
-        if !read_declared(&mut self.source, len as u64, &mut self.bytes)? {
-            let complete = (self.bytes.len() / RECORD_BYTES) as u64;
-            return Err(Error::parse_trace(
-                self.header.count - self.remaining + complete + 1,
-                "truncated record body",
-            ));
-        }
+        // `take` ≤ `chunk_records` bounds this reservation, so the chunk is
+        // sized once here, never from the header's unverified count.
+        let take = self.remaining.min(self.chunk_records as u64) as usize;
         self.chunk.clear();
-        self.checksum = decode_records(&self.bytes, self.checksum, &mut self.chunk);
-        self.remaining -= take;
+        self.chunk.reserve_exact(take);
+        let piece_records = self.bytes.len() / RECORD_BYTES;
+        while self.chunk.len() < take {
+            let piece =
+                &mut self.bytes[..(take - self.chunk.len()).min(piece_records) * RECORD_BYTES];
+            let read = fill(&mut self.source, piece)?;
+            self.checksum = decode_records(&piece[..read], self.checksum, &mut self.chunk);
+            if read < piece.len() {
+                return Err(Error::parse_trace(
+                    self.header.count - self.remaining + self.chunk.len() as u64 + 1,
+                    "truncated record body",
+                ));
+            }
+        }
+        self.remaining -= take as u64;
         if self.remaining == 0 {
             self.check_trailer()?;
         }
         Ok(Some(&self.chunk))
+    }
+
+    /// Ends a stream whose records have all been delivered and returns its
+    /// header: checks the trailer (if [`next_chunk`](Self::next_chunk) has
+    /// not yet) and that no byte follows it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ParseTrace`] when the trailer is missing or does
+    /// not match or a byte follows it, and [`Error::InvalidInput`] for I/O
+    /// failures or when records remain undelivered.
+    pub fn finish(mut self) -> Result<TraceHeader, Error> {
+        if self.remaining != 0 {
+            return Err(Error::invalid_input(format!(
+                "stream finished with {} of its records undelivered",
+                self.remaining
+            )));
+        }
+        self.check_trailer()?;
+        let mut trailing = [0u8; 1];
+        if self.source.read(&mut trailing).map_err(io_err)? != 0 {
+            return Err(Error::parse_trace(
+                self.header.count + 1,
+                "trailing bytes after the declared record count",
+            ));
+        }
+        Ok(self.header)
     }
 
     /// Reads the trailer and compares it against the checksum folded
@@ -564,6 +541,21 @@ fn read_header<R: Read>(reader: &mut R) -> Result<TraceHeader, Error> {
     })
 }
 
+/// Reads into `buf` until it is full or the input ends, and returns how
+/// many bytes it read.
+fn fill<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<usize, Error> {
+    let mut read = 0;
+    while let Some(rest) = buf.get_mut(read..).filter(|rest| !rest.is_empty()) {
+        match reader.read(rest) {
+            Ok(0) => break,
+            Ok(n) => read += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_err(e)),
+        }
+    }
+    Ok(read)
+}
+
 /// Appends up to `len` bytes from `reader` to `buf` and reports whether
 /// all `len` were there. Header lengths are unverified, so `buf` grows
 /// with the bytes actually read instead of being allocated from `len`
@@ -618,6 +610,17 @@ mod tests {
         }
     }
 
+    /// Reads a whole trace as the trace cache loads a spill: every chunk
+    /// at the default size, then `finish`.
+    fn read_whole<R: Read>(source: R) -> Result<(TraceHeader, Vec<PageAccess>), Error> {
+        let mut stream = BinTraceStream::from_reader(source, STREAM_CHUNK_RECORDS)?;
+        let mut accesses = Vec::new();
+        while let Some(chunk) = stream.next_chunk()? {
+            accesses.extend(chunk.iter().map(|r| r.access()));
+        }
+        Ok((stream.finish()?, accesses))
+    }
+
     /// The error a stream over `bytes` in `chunk`-record chunks stops with.
     fn stream_error(bytes: &[u8], chunk: usize) -> Error {
         match BinTraceStream::from_reader(bytes, chunk) {
@@ -636,21 +639,20 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_through_reader() {
+    fn roundtrip_through_a_whole_read() {
         let trace = sample(1000);
         let bytes = encode(&trace, "{\"spec\":1}", 42, 0xfeed);
         assert_eq!(
             bytes.len(),
             HEADER_BYTES + "{\"spec\":1}".len() + trace.len() * RECORD_BYTES + TRAILER_BYTES
         );
-        let reader = BinTraceReader::from_reader(bytes.as_slice()).unwrap();
-        assert_eq!(reader.header().seed, 42);
-        assert_eq!(reader.header().fingerprint, 0xfeed);
-        assert_eq!(reader.header().count, 1000);
-        assert!(reader.header().matches("{\"spec\":1}", 42));
-        assert!(!reader.header().matches("{\"spec\":1}", 43));
-        assert!(!reader.header().matches("{\"spec\":2}", 42));
-        let back: Vec<PageAccess> = reader.records().iter().map(|r| r.access()).collect();
+        let (header, back) = read_whole(bytes.as_slice()).unwrap();
+        assert_eq!(header.seed, 42);
+        assert_eq!(header.fingerprint, 0xfeed);
+        assert_eq!(header.count, 1000);
+        assert!(header.matches("{\"spec\":1}", 42));
+        assert!(!header.matches("{\"spec\":1}", 43));
+        assert!(!header.matches("{\"spec\":2}", 42));
         assert_eq!(back, trace);
     }
 
@@ -673,8 +675,8 @@ mod tests {
     #[test]
     fn empty_trace_roundtrips() {
         let bytes = encode(&[], "{}", 0, 0);
-        let reader = BinTraceReader::from_reader(bytes.as_slice()).unwrap();
-        assert!(reader.records().is_empty());
+        let (_, back) = read_whole(bytes.as_slice()).unwrap();
+        assert!(back.is_empty());
         let mut stream = BinTraceStream::from_reader(bytes.as_slice(), 8).unwrap();
         assert!(stream.next_chunk().unwrap().is_none());
     }
@@ -700,7 +702,7 @@ mod tests {
     fn bad_magic_is_rejected() {
         let mut bytes = encode(&sample(3), "{}", 1, 2);
         bytes[0] ^= 0xff;
-        let err = BinTraceReader::from_reader(bytes.as_slice()).unwrap_err();
+        let err = read_whole(bytes.as_slice()).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
@@ -729,7 +731,7 @@ mod tests {
             downgrade(current, 2, 2),
             future,
         ] {
-            let err = BinTraceReader::from_reader(bytes.as_slice()).unwrap_err();
+            let err = read_whole(bytes.as_slice()).unwrap_err();
             assert!(
                 err.to_string().contains("unsupported format version"),
                 "{err}"
@@ -745,7 +747,7 @@ mod tests {
     #[test]
     fn truncated_header_is_rejected() {
         let bytes = encode(&sample(3), "{}", 1, 2);
-        let err = BinTraceReader::from_reader(&bytes[..HEADER_BYTES - 5]).unwrap_err();
+        let err = read_whole(&bytes[..HEADER_BYTES - 5]).unwrap_err();
         assert!(err.to_string().contains("truncated header"), "{err}");
     }
 
@@ -758,7 +760,7 @@ mod tests {
         let mut huge = bytes;
         huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         for bytes in [cut, huge] {
-            let err = BinTraceReader::from_reader(bytes.as_slice()).unwrap_err();
+            let err = read_whole(bytes.as_slice()).unwrap_err();
             assert!(matches!(err, Error::ParseTrace { .. }), "{err}");
             assert!(err.to_string().contains("truncated spec JSON"), "{err}");
             let err = stream_error(&bytes, 2);
@@ -767,11 +769,11 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_rejected_by_reader_and_stream() {
+    fn truncated_body_is_rejected() {
         let bytes = encode(&sample(10), "{}", 1, 2);
         // Cut past the trailer and into the last record.
         let cut = &bytes[..bytes.len() - TRAILER_BYTES - 7];
-        let err = BinTraceReader::from_reader(cut).unwrap_err();
+        let err = read_whole(cut).unwrap_err();
         assert!(err.to_string().contains("truncated record body"), "{err}");
         assert!(err.to_string().contains("at record 10"), "{err}");
 
@@ -781,10 +783,10 @@ mod tests {
     }
 
     #[test]
-    fn truncated_trailer_is_rejected_by_reader_and_stream() {
+    fn truncated_trailer_is_rejected() {
         let bytes = encode(&sample(6), "{}", 1, 2);
         let cut = &bytes[..bytes.len() - 3];
-        let err = BinTraceReader::from_reader(cut).unwrap_err();
+        let err = read_whole(cut).unwrap_err();
         assert!(
             err.to_string().contains("truncated checksum trailer"),
             "{err}"
@@ -798,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn every_single_bit_flip_is_detected_by_reader_and_stream() {
+    fn every_single_bit_flip_is_detected() {
         let bytes = encode(&sample(4), "{}", 1, 2);
         let body = HEADER_BYTES + "{}".len();
         assert_eq!(bytes.len(), body + 4 * RECORD_BYTES + TRAILER_BYTES);
@@ -806,7 +808,7 @@ mod tests {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
                 flipped[at] ^= 1 << bit;
-                let err = BinTraceReader::from_reader(flipped.as_slice()).unwrap_err();
+                let err = read_whole(flipped.as_slice()).unwrap_err();
                 assert!(
                     matches!(err, Error::ParseTrace { .. }),
                     "byte {at} bit {bit}"
@@ -830,13 +832,13 @@ mod tests {
     }
 
     #[test]
-    fn count_larger_than_body_is_rejected_by_reader_and_stream() {
+    fn count_larger_than_body_is_rejected() {
         // 1 << 44 records would be a 256 TiB body: the readers must
         // report the short read instead of allocating for it.
         for count in [6, 1 << 44] {
             let mut bytes = encode(&sample(5), "{}", 1, 2);
             patch_count(&mut bytes, count);
-            let err = BinTraceReader::from_reader(bytes.as_slice()).unwrap_err();
+            let err = read_whole(bytes.as_slice()).unwrap_err();
             assert!(matches!(err, Error::ParseTrace { .. }), "{err}");
             assert!(err.to_string().contains("truncated record body"), "{err}");
 
@@ -849,14 +851,14 @@ mod tests {
     }
 
     #[test]
-    fn count_smaller_than_body_is_rejected_by_reader_and_stream() {
+    fn count_smaller_than_body_is_rejected() {
         let trace = sample(5);
         let mut bytes = encode(&trace, "{}", 1, 2);
         patch_count(&mut bytes, 4);
-        // Both readers stop at the declared four records, so the bytes
+        // Both reads stop at the declared four records, so the bytes
         // where the trailer should sit are the undeclared fifth record
         // — the checksum check rejects the file.
-        let err = BinTraceReader::from_reader(bytes.as_slice()).unwrap_err();
+        let err = read_whole(bytes.as_slice()).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
 
         let mut stream = BinTraceStream::from_reader(bytes.as_slice(), 3).unwrap();
@@ -870,8 +872,56 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut bytes = encode(&sample(4), "{}", 1, 2);
         bytes.push(0);
-        let err = BinTraceReader::from_reader(bytes.as_slice()).unwrap_err();
+        let err = read_whole(bytes.as_slice()).unwrap_err();
         assert!(err.to_string().contains("trailing bytes"), "{err}");
+    }
+
+    #[test]
+    fn finish_before_the_last_record_is_refused() {
+        let bytes = encode(&sample(5), "{}", 1, 2);
+        let mut stream = BinTraceStream::from_reader(bytes.as_slice(), 3).unwrap();
+        stream.next_chunk().unwrap();
+        let err = stream.finish().unwrap_err();
+        assert!(
+            err.to_string().contains("2 of its records undelivered"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_cut_in_a_later_piece_names_its_record() {
+        // A chunk of 65 536 records is read in 4 096-record pieces: cut 7
+        // bytes into record 5 000, inside the second piece.
+        let bytes = encode(&sample(10_000), "{}", 1, 2);
+        let body = HEADER_BYTES + "{}".len();
+        let cut = &bytes[..body + 5_000 * RECORD_BYTES + 7];
+        for err in [read_whole(cut).unwrap_err(), stream_error(cut, 6_000)] {
+            assert!(err.to_string().contains("truncated record body"), "{err}");
+            assert!(err.to_string().contains("at record 5001"), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_staging_buffer_stays_one_piece_over_whole_chunks() {
+        let trace = sample(3 * STREAM_CHUNK_RECORDS as u64);
+        let bytes = encode(&trace, "{}", 1, 2);
+        let mut stream =
+            BinTraceStream::from_reader(bytes.as_slice(), STREAM_CHUNK_RECORDS).unwrap();
+        let mut chunks = 0;
+        let mut back = Vec::with_capacity(trace.len());
+        while let Some(chunk) = stream.next_chunk().unwrap() {
+            assert_eq!(chunk.len(), STREAM_CHUNK_RECORDS);
+            back.extend(chunk.iter().map(|r| r.access()));
+            chunks += 1;
+            assert!(
+                stream.bytes.capacity() <= 64 << 10,
+                "{}",
+                stream.bytes.capacity()
+            );
+        }
+        assert_eq!(chunks, 3);
+        assert_eq!(stream.finish().unwrap().count, trace.len() as u64);
+        assert_eq!(back, trace);
     }
 
     #[test]
@@ -879,7 +929,7 @@ mod tests {
         let mut bytes = encode(&sample(2), "ab", 1, 2);
         bytes[HEADER_BYTES] = 0xff;
         bytes[HEADER_BYTES + 1] = 0xfe;
-        let err = BinTraceReader::from_reader(bytes.as_slice()).unwrap_err();
+        let err = read_whole(bytes.as_slice()).unwrap_err();
         assert!(err.to_string().contains("not valid UTF-8"), "{err}");
     }
 
@@ -891,9 +941,8 @@ mod tests {
         let trace = sample(123);
         let written = write_trace_file(&path, "{\"w\":true}", 5, 6, trace.iter().copied()).unwrap();
         assert_eq!(written, 123);
-        let reader = BinTraceReader::open(&path).unwrap();
-        assert!(reader.header().matches("{\"w\":true}", 5));
-        let back: Vec<PageAccess> = reader.records().iter().map(|r| r.access()).collect();
+        let (header, back) = read_whole(File::open(&path).unwrap()).unwrap();
+        assert!(header.matches("{\"w\":true}", 5));
         assert_eq!(back, trace);
         let mut stream = BinTraceStream::open(&path, 50).unwrap();
         let mut streamed = Vec::new();
@@ -955,10 +1004,9 @@ mod tests {
                 let spec = format!("{{\"seed\":{seed}}}");
                 let bytes = encode(&trace, &spec, seed, fp);
 
-                let reader = BinTraceReader::from_reader(bytes.as_slice()).unwrap();
-                assert_eq!(reader.header().count, trace.len() as u64);
-                assert!(reader.header().matches(&spec, seed));
-                let back: Vec<PageAccess> = reader.records().iter().map(|r| r.access()).collect();
+                let (header, back) = read_whole(bytes.as_slice()).unwrap();
+                assert_eq!(header.count, trace.len() as u64);
+                assert!(header.matches(&spec, seed));
                 assert_eq!(&back, &trace);
 
                 let mut stream = BinTraceStream::from_reader(bytes.as_slice(), chunk).unwrap();
@@ -976,7 +1024,7 @@ mod tests {
                 let trace = arb_trace(rng, 1..64);
                 let bytes = encode(&trace, "{}", 3, 4);
                 let cut = arb_usize(rng, 0..bytes.len() as u64);
-                assert!(BinTraceReader::from_reader(&bytes[..cut]).is_err());
+                assert!(read_whole(&bytes[..cut]).is_err());
             });
         }
 

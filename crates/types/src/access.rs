@@ -126,6 +126,8 @@ impl fmt::Display for Access {
 ///
 /// This is the unit Algorithm 1 of the paper operates on: "in case of
 /// arriving a request", where the request names a page and a direction.
+/// A materialized trace is a slice of these, 9 bytes each: [`PageId`] is
+/// byte-aligned, so the kind's byte follows the id with no padding.
 ///
 /// # Examples
 ///
@@ -136,12 +138,20 @@ impl fmt::Display for Access {
 /// assert!(pa.kind.is_write());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+// Page first, as declared: a 9-byte access is passed to a non-inlined
+// `on_access` through a stack copy made as one 8-byte and one 1-byte
+// store, and with the kind first the callee's 8-byte load of the page
+// would straddle both stores and miss store-to-load forwarding.
+#[repr(C)]
 pub struct PageAccess {
     /// Page being requested.
     pub page: PageId,
     /// Load or store.
     pub kind: AccessKind,
 }
+
+const _: () = assert!(std::mem::size_of::<PageAccess>() == 9);
+const _: () = assert!(std::mem::offset_of!(PageAccess, page) == 0);
 
 impl PageAccess {
     /// Creates a page access record.

@@ -84,6 +84,12 @@ impl From<Address> for u64 {
 /// granularity, so `PageId` is the key used by LRU queues, clock rings,
 /// page tables, and endurance counters.
 ///
+/// The id is byte-aligned: `packed` drops its alignment to 1, so a
+/// [`PageAccess`](crate::PageAccess) takes 9 bytes instead of 16 and a
+/// materialized trace carries no padding. Every derived trait reads the
+/// field by copy, so values, hashes, ordering and `Debug` output are those
+/// of the `u64`.
+///
 /// # Examples
 ///
 /// ```
@@ -92,7 +98,11 @@ impl From<Address> for u64 {
 /// assert_eq!(page_of(Address::new(3 * PAGE_SIZE as u64)), PageId::new(3));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(C, packed)]
 pub struct PageId(u64);
+
+const _: () = assert!(std::mem::size_of::<PageId>() == 8);
+const _: () = assert!(std::mem::align_of::<PageId>() == 1);
 
 impl PageId {
     /// Creates a page id from a raw page number.
@@ -124,7 +134,9 @@ impl PageId {
 
 impl fmt::Display for PageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "page#{}", self.0)
+        // A packed field cannot be borrowed, and `write!` borrows.
+        let value = self.0;
+        write!(f, "page#{value}")
     }
 }
 
@@ -220,6 +232,21 @@ mod tests {
     fn page_id_ordering_follows_value() {
         assert!(PageId::new(1) < PageId::new(2));
         assert_eq!(PageId::new(5).value(), 5);
+    }
+
+    #[test]
+    fn byte_aligned_page_id_hashes_orders_and_prints_as_its_u64() {
+        let values = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 52) + 7, u64::MAX];
+        for a in values {
+            let page = PageId::new(a);
+            assert_eq!(crate::fx_hash_one(&page), crate::fx_hash_one(&a), "{a}");
+            assert_eq!(format!("{page:?}"), format!("PageId({a:?})"));
+            assert_eq!(format!("{page}"), format!("page#{a}"));
+            for b in values {
+                assert_eq!(page.cmp(&PageId::new(b)), a.cmp(&b), "{a} vs {b}");
+                assert_eq!(page == PageId::new(b), a == b, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

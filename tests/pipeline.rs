@@ -88,6 +88,7 @@ fn out_of_range_fractions_are_rejected_before_any_cell_runs() {
         (memory(0.0), "memory_fraction"),
         (memory(f64::NAN), "memory_fraction"),
         (memory(f64::INFINITY), "memory_fraction"),
+        (memory(1e300), "memory_fraction"),
         (dram(-0.1), "dram_fraction"),
         (dram(1.5), "dram_fraction"),
         (dram(f64::NAN), "dram_fraction"),
