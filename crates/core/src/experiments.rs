@@ -288,14 +288,7 @@ impl ExperimentConfig {
         nominal: bool,
     ) -> Result<HybridSimulator> {
         let policy = self.build_policy(kind, spec)?;
-        let mut simulator = HybridSimulator::new(
-            policy,
-            hybridmem_device::MemoryCharacteristics::dram_date2016(),
-            hybridmem_device::MemoryCharacteristics::pcm_date2016(),
-            hybridmem_device::DiskCharacteristics::hdd_date2016(),
-            hybridmem_device::MigrationEngine::new(),
-            self.time_model,
-        );
+        let mut simulator = HybridSimulator::new(policy, self.time_model);
         if nominal {
             // A scaled-down trace runs against a proportionally scaled
             // memory; report static power as if at nominal size, over the

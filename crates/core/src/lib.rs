@@ -5,11 +5,13 @@
 //! *"An Operating System Level Data Migration Scheme in Hybrid DRAM-NVM
 //! Memory Architecture"* (Salkhordeh & Asadi, DATE 2016):
 //!
-//! * [`model`] — Table I parameters with Eq. 1 (AMAT), Eq. 2 (APPR), and
-//!   Eq. 3 (prorated static power) in closed form;
+//! * [`model`] — the cost model: a run's event counts priced through
+//!   Table IV/II and `PageFactor`, and Table I parameters with Eq. 1
+//!   (AMAT), Eq. 2 (APPR), and Eq. 3 (prorated static power) in closed
+//!   form;
 //! * [`HybridSimulator`] — replays page-granular traces through any
-//!   [`HybridPolicy`](hybridmem_policy::HybridPolicy) and charges every
-//!   hit, fault, fill, and migration against the device models;
+//!   [`HybridPolicy`](hybridmem_policy::HybridPolicy) and counts every
+//!   hit, fault, fill, and migration, and the NVM wear they cause;
 //! * [`SimulationReport`] — the measured breakdowns behind every figure
 //!   (power: static/dynamic/page-fault/migration; AMAT: requests vs
 //!   migrations; NVM writes: requests/page-fault/migration);
@@ -110,8 +112,8 @@ pub use matrix::{
 pub use model::{AmatComponents, ApprComponents, ModelParams, Probabilities, TimeModel};
 pub use observe::{write_jsonl, IntervalRecord};
 pub use report::{
-    arith_mean, geo_mean, Counts, EnergyBreakdown, LatencyBreakdown, NvmWriteBreakdown,
-    SimulationReport, WearSummary,
+    arith_mean, geo_mean, Counts, EnergyBreakdown, LatencyBreakdown, ModuleStats,
+    NvmWriteBreakdown, SimulationReport, SourceStats, WearSummary,
 };
 pub use simulator::HybridSimulator;
 pub use trace_cache::{SpillSource, TraceCache, TraceCacheStats, DEFAULT_BUDGET_BYTES};

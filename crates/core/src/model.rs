@@ -1,17 +1,21 @@
-//! The paper's analytical performance and power models (Section II).
+//! The paper's cost model (Section II): Table IV/II constants and
+//! `PageFactor` applied to event counts.
+//!
+//! The simulator (`crate::HybridSimulator`) only counts events; its
+//! report prices the counts once, here (`price`, the one cost model), as
+//! run totals: Eq. 1's latency terms and Eq. 2's energy terms, each class
+//! of device access priced as count × constant. `static_power_nj_s` gives
+//! Eq. 3's static power of the provisioned pages, and [`TimeModel`] the
+//! workload duration that Eq. 3's proration needs.
 //!
 //! [`ModelParams`] mirrors Table I: per-technology latencies and energies,
 //! hit/miss/migration probabilities, and `PageFactor`. [`ModelParams::amat`]
-//! implements Eq. 1 and [`ModelParams::appr`] implements Eq. 2 verbatim;
-//! [`TimeModel`] supplies the workload duration that Eq. 3's prorated
-//! static power needs.
-//!
-//! The simulator (`crate::HybridSimulator`) measures the same quantities by
-//! direct accounting; these closed forms exist to (a) document the model,
-//! (b) unit-test the algebra on hand-computed fixtures, and (c)
-//! cross-validate the simulator — a property test feeds measured
-//! probabilities back through Eq. 1/Eq. 2 and checks they reproduce the
-//! measured AMAT/APPR.
+//! implements Eq. 1 and [`ModelParams::appr`] implements Eq. 2 verbatim, as
+//! means per request. They exist to (a) document the model, (b) unit-test
+//! the algebra on hand-computed fixtures, (c) price the windowed
+//! telemetry's intervals, and (d) cross-check `price`: a property test
+//! feeds a run's measured probabilities back through Eq. 1/Eq. 2 and
+//! checks they reproduce the report's AMAT and dynamic APPR.
 
 #![cfg_attr(
     not(test),
@@ -27,6 +31,97 @@
 use hybridmem_device::{DiskCharacteristics, MemoryCharacteristics};
 use hybridmem_json::impl_json;
 use hybridmem_types::{Error, Nanojoules, Nanoseconds, Result, PAGE_FACTOR};
+
+use crate::{
+    Counts, EnergyBreakdown, LatencyBreakdown, ModuleStats, NvmWriteBreakdown, SourceStats,
+};
+
+/// A run's [`Counts`] priced by [`price`]: every total of a
+/// [`SimulationReport`](crate::SimulationReport) that follows from its
+/// counts.
+#[derive(Debug)]
+pub(crate) struct PricedCounts {
+    /// Eq. 1's terms as run totals: demand service, disk time, migrations.
+    pub(crate) latency: LatencyBreakdown,
+    /// Eq. 2's terms as run totals, beside the Eq. 3 static share.
+    pub(crate) energy: EnergyBreakdown,
+    /// Physical NVM writes by cause.
+    pub(crate) nvm_writes: NvmWriteBreakdown,
+    /// DRAM device accesses by cause.
+    pub(crate) dram_stats: ModuleStats,
+    /// NVM device accesses by cause.
+    pub(crate) nvm_stats: ModuleStats,
+}
+
+/// Prices a run's event counts through Table IV/II and `PageFactor`.
+///
+/// Each module's device accesses follow from the counts: a demand hit is
+/// one access of its kind; a fill writes `PageFactor` accesses into its
+/// module; a migration reads `PageFactor` from its source module and
+/// writes as many to its destination. Each class is priced once, count ×
+/// Table IV constant. Latency follows Eq. 1: a fault costs the disk's
+/// 5 ms, and its fill overlaps the transfer, so fills add module busy
+/// time but no latency. Energy follows Eq. 2, fills and migrations
+/// included. `static_energy` is Eq. 3's share, which depends on the run's
+/// duration rather than its counts; it is passed through.
+pub(crate) fn price(counts: &Counts, static_energy: Nanojoules) -> PricedCounts {
+    let dram = MemoryCharacteristics::dram_date2016();
+    let nvm = MemoryCharacteristics::pcm_date2016();
+    let disk = DiskCharacteristics::hdd_date2016();
+    let pages = |moves: u64| moves * PAGE_FACTOR;
+    let class = |device: &MemoryCharacteristics, reads: u64, writes: u64| SourceStats {
+        reads,
+        writes,
+        energy: device.read_energy * reads as f64 + device.write_energy * writes as f64,
+        busy_time: device.read_latency * reads as f64 + device.write_latency * writes as f64,
+    };
+    let dram_stats = ModuleStats {
+        request: class(&dram, counts.dram_read_hits, counts.dram_write_hits),
+        page_fault: class(&dram, 0, pages(counts.fills_to_dram)),
+        migration: class(
+            &dram,
+            pages(counts.migrations_to_nvm),
+            pages(counts.migrations_to_dram),
+        ),
+    };
+    let nvm_stats = ModuleStats {
+        request: class(&nvm, counts.nvm_read_hits, counts.nvm_write_hits),
+        page_fault: class(&nvm, 0, pages(counts.fills_to_nvm)),
+        migration: class(
+            &nvm,
+            pages(counts.migrations_to_dram),
+            pages(counts.migrations_to_nvm),
+        ),
+    };
+    PricedCounts {
+        latency: LatencyBreakdown {
+            requests: dram_stats.request.busy_time + nvm_stats.request.busy_time,
+            faults: disk.access_latency * counts.faults as f64,
+            migrations: dram_stats.migration.busy_time + nvm_stats.migration.busy_time,
+        },
+        energy: EnergyBreakdown {
+            static_energy,
+            dynamic: dram_stats.request.energy + nvm_stats.request.energy,
+            page_faults: dram_stats.page_fault.energy + nvm_stats.page_fault.energy,
+            migrations: dram_stats.migration.energy + nvm_stats.migration.energy,
+        },
+        nvm_writes: NvmWriteBreakdown {
+            requests: counts.nvm_write_hits,
+            page_faults: nvm_stats.page_fault.writes,
+            migrations: nvm_stats.migration.writes,
+        },
+        dram_stats,
+        nvm_stats,
+    }
+}
+
+/// Static power of `dram_pages` DRAM and `nvm_pages` NVM pages under
+/// Table IV, in nanojoules per second: Eq. 3's `StperPage` summed over
+/// the provisioned memory.
+pub(crate) fn static_power_nj_s(dram_pages: u64, nvm_pages: u64) -> f64 {
+    dram_pages as f64 * MemoryCharacteristics::dram_date2016().static_power_per_page_nj_s()
+        + nvm_pages as f64 * MemoryCharacteristics::pcm_date2016().static_power_per_page_nj_s()
+}
 
 /// Probability inputs of Eq. 1 / Eq. 2, per Table I.
 ///

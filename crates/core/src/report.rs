@@ -11,7 +11,6 @@
     )
 )]
 
-use hybridmem_device::ModuleStats;
 use hybridmem_json::impl_json;
 use hybridmem_types::{Nanojoules, Nanoseconds};
 
@@ -169,6 +168,52 @@ pub struct WearSummary {
 }
 
 impl_json!(ToJson, FromJson for WearSummary { max_page_wear, mean_page_wear, imbalance });
+
+/// The device accesses of one cause within one module, priced.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SourceStats {
+    /// Number of read accesses.
+    pub reads: u64,
+    /// Number of write accesses.
+    pub writes: u64,
+    /// Total dynamic energy of these accesses.
+    pub energy: Nanojoules,
+    /// Total device busy time of these accesses.
+    pub busy_time: Nanoseconds,
+}
+
+impl_json!(ToJson, FromJson for SourceStats { reads, writes, energy, busy_time });
+
+impl SourceStats {
+    /// Total accesses (reads + writes).
+    #[must_use]
+    pub const fn accesses(&self) -> u64 {
+        self.reads + self.writes
+    }
+}
+
+/// One module's device accesses, split by cause: demand requests,
+/// page-fault fills from disk, and migration traffic between the modules
+/// (the causes behind Figs. 1, 2 and 4).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ModuleStats {
+    /// Demand-request accesses.
+    pub request: SourceStats,
+    /// Page-fault fill accesses.
+    pub page_fault: SourceStats,
+    /// Migration traffic accesses.
+    pub migration: SourceStats,
+}
+
+impl_json!(ToJson, FromJson for ModuleStats { request, page_fault, migration });
+
+impl ModuleStats {
+    /// Total accesses across all causes.
+    #[must_use]
+    pub const fn total_accesses(&self) -> u64 {
+        self.request.accesses() + self.page_fault.accesses() + self.migration.accesses()
+    }
+}
 
 /// The complete result of one simulation run.
 ///

@@ -1,26 +1,21 @@
 //! The hybrid-memory simulator: replays a page-granular trace through a
-//! policy and charges every consequence against the device models.
+//! policy and counts every consequence.
 
-use hybridmem_device::{
-    AccessSource, DiskCharacteristics, MemoryCharacteristics, MemoryModule, MigrationEngine,
-    WearTracker,
-};
+use hybridmem_device::WearTracker;
 use hybridmem_policy::{AccessOutcome, BatchOutcomes, BatchStep, HybridPolicy, PolicyAction};
-use hybridmem_types::{AccessKind, MemoryKind, Nanoseconds, PageAccess, PageCount, PageTable};
+use hybridmem_types::{AccessKind, MemoryKind, PageAccess, PageCount, PageTable, PAGE_FACTOR};
 
-use crate::{
-    Counts, EnergyBreakdown, EventSink, LatencyBreakdown, NvmWriteBreakdown, SimEvent,
-    SimulationReport, TimeModel, WearSummary,
-};
+use crate::{model, Counts, EventSink, SimEvent, SimulationReport, TimeModel, WearSummary};
 
 /// Trace-driven simulator for one policy over one hybrid memory.
 ///
 /// The simulator is the *accountant*: the policy decides placement and
-/// migration; the simulator prices each decision using the
-/// [`MemoryModule`]s, the [`MigrationEngine`], and the disk model, and
-/// tracks NVM wear. Latency follows Eq. 1's structure (hit service time,
-/// disk time on faults, `PageFactor` accesses per migration) and energy
-/// follows Eq. 2 + Eq. 3.
+/// migration; the simulator counts each decision's consequences in
+/// [`Counts`] and tracks NVM wear. [`into_report`](Self::into_report)
+/// prices the counts once, through the one cost model in
+/// [`model`](crate::model): latency follows Eq. 1's structure (hit service
+/// time, disk time on faults, `PageFactor` accesses per migration) and
+/// energy follows Eq. 2 + Eq. 3.
 ///
 /// # Examples
 ///
@@ -40,17 +35,9 @@ use crate::{
 /// ```
 pub struct HybridSimulator {
     policy: Box<dyn HybridPolicy>,
-    dram: MemoryModule,
-    nvm: MemoryModule,
-    disk: DiskCharacteristics,
-    engine: MigrationEngine,
     wear: WearTracker,
     time_model: TimeModel,
     counts: Counts,
-    latency: LatencyBreakdown,
-    energy_page_faults_nj: f64,
-    energy_migrations_nj: f64,
-    nvm_writes: NvmWriteBreakdown,
     /// Distinct pages accessed since the last reset: a set, every value 0.
     footprint: PageTable,
     static_scale: f64,
@@ -59,41 +46,18 @@ pub struct HybridSimulator {
 }
 
 impl HybridSimulator {
-    /// Creates a simulator with explicit device models. Module capacities
-    /// are taken from the policy's [`HybridPolicy::capacity`].
+    /// Creates a simulator for `policy`, whose
+    /// [`HybridPolicy::capacity`] sizes the memory, with `time_model`
+    /// supplying Eq. 3's workload duration.
     #[must_use]
-    pub fn new(
-        policy: Box<dyn HybridPolicy>,
-        dram_characteristics: MemoryCharacteristics,
-        nvm_characteristics: MemoryCharacteristics,
-        disk: DiskCharacteristics,
-        engine: MigrationEngine,
-        time_model: TimeModel,
-    ) -> Self {
-        let dram = MemoryModule::new(
-            MemoryKind::Dram,
-            policy.capacity(MemoryKind::Dram),
-            dram_characteristics,
-        );
-        let nvm = MemoryModule::new(
-            MemoryKind::Nvm,
-            policy.capacity(MemoryKind::Nvm),
-            nvm_characteristics,
-        );
-        let frames = dram.capacity().value() + nvm.capacity().value();
+    pub fn new(policy: Box<dyn HybridPolicy>, time_model: TimeModel) -> Self {
+        let frames =
+            policy.capacity(MemoryKind::Dram).value() + policy.capacity(MemoryKind::Nvm).value();
         Self {
             policy,
-            dram,
-            nvm,
-            disk,
-            engine,
             wear: WearTracker::new(),
             time_model,
             counts: Counts::default(),
-            latency: LatencyBreakdown::default(),
-            energy_page_faults_nj: 0.0,
-            energy_migrations_nj: 0.0,
-            nvm_writes: NvmWriteBreakdown::default(),
             footprint: PageTable::with_capacity(usize::try_from(frames).unwrap_or(usize::MAX)),
             static_scale: 1.0,
             density_hint: None,
@@ -159,36 +123,23 @@ impl HybridSimulator {
         self.static_scale = scale;
     }
 
-    /// Resets all accounting (counters, latency, energy, wear, module
-    /// statistics, and the observed footprint) while keeping the policy and
-    /// memory state. Call after driving warmup traffic so reports reflect
-    /// the steady state — mirroring the paper's use of "the largest dataset
-    /// available in order to minimize the effect of starting from cold
-    /// memory".
+    /// Resets all accounting (counters, wear, and the observed footprint)
+    /// while keeping the policy and memory state. Call after driving
+    /// warmup traffic so reports reflect the steady state — mirroring the
+    /// paper's use of "the largest dataset available in order to minimize
+    /// the effect of starting from cold memory".
     pub fn reset_accounting(&mut self) {
         self.counts = Counts::default();
-        self.latency = LatencyBreakdown::default();
-        self.energy_page_faults_nj = 0.0;
-        self.energy_migrations_nj = 0.0;
-        self.nvm_writes = NvmWriteBreakdown::default();
         self.wear = WearTracker::new();
         self.footprint.clear();
-        self.dram.reset_stats();
-        self.nvm.reset_stats();
     }
 
-    /// Creates a simulator with the paper's Table IV / Table II device
-    /// constants and the default [`TimeModel`].
+    /// Creates a simulator with the default [`TimeModel`]. Every
+    /// simulator prices its counts with the paper's Table IV / Table II
+    /// device constants.
     #[must_use]
     pub fn with_date2016_devices(policy: Box<dyn HybridPolicy>) -> Self {
-        Self::new(
-            policy,
-            MemoryCharacteristics::dram_date2016(),
-            MemoryCharacteristics::pcm_date2016(),
-            DiskCharacteristics::hdd_date2016(),
-            MigrationEngine::new(),
-            TimeModel::date2016(),
-        )
+        Self::new(policy, TimeModel::date2016())
     }
 
     /// The policy under simulation.
@@ -197,25 +148,18 @@ impl HybridSimulator {
         self.policy.as_ref()
     }
 
-    fn module_mut(&mut self, kind: MemoryKind) -> &mut MemoryModule {
-        match kind {
-            MemoryKind::Dram => &mut self.dram,
-            MemoryKind::Nvm => &mut self.nvm,
-        }
-    }
-
     /// Drives one demand access through the policy and accounts for it.
     pub fn step(&mut self, access: PageAccess) {
         let outcome = self.policy.on_access(access);
         self.account(access, &outcome);
     }
 
-    /// Charges one decided access against the device models. Shared by the
-    /// serial ([`step`](Self::step)) and batched
+    /// Counts one decided access. Shared by the serial
+    /// ([`step`](Self::step)) and batched
     /// ([`run_slice_batched`](Self::run_slice_batched)) drivers so both
-    /// perform the identical per-access accounting — same floating-point
-    /// accumulation order, same event-emission order — and stay
-    /// byte-identical in every output.
+    /// perform the identical per-access accounting — same counts, same
+    /// wear, same event-emission order — and stay byte-identical in every
+    /// output.
     fn account(&mut self, access: PageAccess, outcome: &AccessOutcome) {
         self.counts.requests += 1;
         match access.kind {
@@ -228,26 +172,21 @@ impl HybridSimulator {
         match outcome.served_from {
             Some(kind) => {
                 self.emit(SimEvent::Served { access, from: kind });
-                let cost = self
-                    .module_mut(kind)
-                    .record_access(access.kind, AccessSource::Request);
-                self.latency.requests += cost.latency;
                 match (kind, access.kind) {
                     (MemoryKind::Dram, AccessKind::Read) => self.counts.dram_read_hits += 1,
                     (MemoryKind::Dram, AccessKind::Write) => self.counts.dram_write_hits += 1,
                     (MemoryKind::Nvm, AccessKind::Read) => self.counts.nvm_read_hits += 1,
                     (MemoryKind::Nvm, AccessKind::Write) => {
                         self.counts.nvm_write_hits += 1;
-                        self.nvm_writes.requests += 1;
                         self.wear.record_page_write(access.page, 1);
                     }
                 }
             }
             None => {
-                // Page fault: the OS sees the disk latency (Eq. 1, term 3).
+                // Page fault: the OS sees only the disk latency (Eq. 1,
+                // term 3), which `price` charges per fault.
                 debug_assert!(outcome.fault);
                 self.emit(SimEvent::Fault { access });
-                self.latency.faults += self.disk.access_latency;
             }
         }
         if outcome.fault {
@@ -259,48 +198,28 @@ impl HybridSimulator {
             self.emit(SimEvent::CounterProbe { access, probe });
         }
 
-        // Physical consequences.
+        // Physical consequences. A page moved or filled into NVM writes
+        // `PageFactor` accesses' worth of it.
         for action in &outcome.actions {
             self.emit(SimEvent::Action { action: *action });
             match *action {
-                PolicyAction::Migrate { page, from, to } => {
-                    let cost = match (from, to) {
-                        (MemoryKind::Nvm, MemoryKind::Dram) => {
-                            self.counts.migrations_to_dram += 1;
-                            self.engine.migrate_page(&mut self.nvm, &mut self.dram)
-                        }
-                        (MemoryKind::Dram, MemoryKind::Nvm) => {
-                            self.counts.migrations_to_nvm += 1;
-                            let cost = self.engine.migrate_page(&mut self.dram, &mut self.nvm);
-                            self.nvm_writes.migrations += cost.destination_accesses;
-                            self.wear.record_page_write(page, cost.destination_accesses);
-                            cost
-                        }
-                        // Same-module "migrations" are policy bugs; charge
-                        // nothing but keep the run alive in release builds.
-                        _ => {
-                            debug_assert!(false, "migration within one module: {action:?}");
-                            continue;
-                        }
-                    };
-                    self.latency.migrations += cost.latency;
-                    self.energy_migrations_nj += cost.energy.value();
-                }
-                PolicyAction::FillFromDisk { page, into } => {
-                    match into {
-                        MemoryKind::Dram => self.counts.fills_to_dram += 1,
-                        MemoryKind::Nvm => self.counts.fills_to_nvm += 1,
+                PolicyAction::Migrate { page, from, to } => match (from, to) {
+                    (MemoryKind::Nvm, MemoryKind::Dram) => self.counts.migrations_to_dram += 1,
+                    (MemoryKind::Dram, MemoryKind::Nvm) => {
+                        self.counts.migrations_to_nvm += 1;
+                        self.wear.record_page_write(page, PAGE_FACTOR);
                     }
-                    let engine = self.engine;
-                    let cost = engine.fill_from_disk(self.module_mut(into));
-                    if into == MemoryKind::Nvm {
-                        self.nvm_writes.page_faults += cost.destination_accesses;
-                        self.wear.record_page_write(page, cost.destination_accesses);
+                    // Same-module "migrations" are policy bugs; count
+                    // nothing but keep the run alive in release builds.
+                    _ => debug_assert!(false, "migration within one module: {action:?}"),
+                },
+                PolicyAction::FillFromDisk { page, into } => match into {
+                    MemoryKind::Dram => self.counts.fills_to_dram += 1,
+                    MemoryKind::Nvm => {
+                        self.counts.fills_to_nvm += 1;
+                        self.wear.record_page_write(page, PAGE_FACTOR);
                     }
-                    // Fill latency is overlapped with the disk transfer
-                    // (already charged as fault latency); energy counts.
-                    self.energy_page_faults_nj += cost.energy.value();
-                }
+                },
                 PolicyAction::EvictToDisk { .. } => {
                     // Page-out via DMA overlapped with the disk write; the
                     // paper charges no memory-side cost for it.
@@ -336,11 +255,10 @@ impl HybridSimulator {
     ///
     /// Produces output **byte-identical** to [`run_slice`](Self::run_slice):
     /// every access still flows through the same per-access accounting
-    /// (`account`), in trace order, so counters, float accumulation, and
-    /// event emission are exactly those of the serial driver — only the
-    /// policy dispatch is amortized. The serial path remains the
-    /// determinism oracle; `tests/policy_comparison.rs` asserts equality
-    /// over the paper matrix.
+    /// (`account`), in trace order, so counters, wear, and event emission
+    /// are exactly those of the serial driver — only the policy dispatch
+    /// is amortized. The serial path remains the determinism oracle;
+    /// `tests/policy_comparison.rs` asserts equality over the paper matrix.
     pub fn run_slice_batched(&mut self, trace: &[PageAccess]) {
         let mut out = BatchOutcomes::with_capacity(Self::BATCH_RECORDS);
         for chunk in trace.chunks(Self::BATCH_RECORDS) {
@@ -375,9 +293,12 @@ impl HybridSimulator {
         }
     }
 
-    /// Finishes the run and produces the report.
+    /// Finishes the run and produces the report, pricing its counts once
+    /// through Table IV/II and `PageFactor`.
     #[must_use]
     pub fn into_report(self, workload: impl Into<String>) -> SimulationReport {
+        let dram_pages = self.dram_capacity().value();
+        let nvm_pages = self.nvm_capacity().value();
         let footprint_pages = self.footprint.len() as u64;
         let duration_pages = match self.density_hint {
             Some(density) => (density * self.counts.requests as f64).round() as u64,
@@ -386,21 +307,13 @@ impl HybridSimulator {
         let duration_ns = self
             .time_model
             .duration_ns(duration_pages, self.counts.requests);
-        let static_power_nj_s =
-            (self.dram.static_power_nj_s() + self.nvm.static_power_nj_s()) * self.static_scale;
+        let static_power_nj_s = model::static_power_nj_s(dram_pages, nvm_pages) * self.static_scale;
         let static_energy = self.time_model.static_energy_per_request(
             static_power_nj_s,
             duration_pages,
             self.counts.requests,
         ) * self.counts.requests as f64;
-
-        let dynamic = self.dram.stats().request.energy + self.nvm.stats().request.energy;
-        let energy = EnergyBreakdown {
-            static_energy,
-            dynamic,
-            page_faults: hybridmem_types::Nanojoules::new(self.energy_page_faults_nj),
-            migrations: hybridmem_types::Nanojoules::new(self.energy_migrations_nj),
-        };
+        let priced = model::price(&self.counts, static_energy);
 
         let wear = WearSummary {
             max_page_wear: self.wear.max_wear(),
@@ -411,16 +324,16 @@ impl HybridSimulator {
         SimulationReport {
             policy: self.policy.name().to_owned(),
             workload: workload.into(),
-            dram_pages: self.dram.capacity().value(),
-            nvm_pages: self.nvm.capacity().value(),
+            dram_pages,
+            nvm_pages,
             footprint_pages,
             counts: self.counts,
-            latency: self.latency,
-            energy,
-            nvm_writes: self.nvm_writes,
+            latency: priced.latency,
+            energy: priced.energy,
+            nvm_writes: priced.nvm_writes,
             wear,
-            dram_stats: *self.dram.stats(),
-            nvm_stats: *self.nvm.stats(),
+            dram_stats: priced.dram_stats,
+            nvm_stats: priced.nvm_stats,
             duration_ns,
         }
     }
@@ -428,20 +341,13 @@ impl HybridSimulator {
     /// DRAM capacity (pages) of the simulated memory.
     #[must_use]
     pub fn dram_capacity(&self) -> PageCount {
-        self.dram.capacity()
+        self.policy.capacity(MemoryKind::Dram)
     }
 
     /// NVM capacity (pages) of the simulated memory.
     #[must_use]
     pub fn nvm_capacity(&self) -> PageCount {
-        self.nvm.capacity()
-    }
-
-    /// Latency accounted so far (diagnostics; totals move as the run
-    /// progresses).
-    #[must_use]
-    pub fn latency_so_far(&self) -> Nanoseconds {
-        self.latency.total()
+        self.policy.capacity(MemoryKind::Nvm)
     }
 }
 
@@ -449,8 +355,8 @@ impl std::fmt::Debug for HybridSimulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HybridSimulator")
             .field("policy", &self.policy.name())
-            .field("dram_pages", &self.dram.capacity().value())
-            .field("nvm_pages", &self.nvm.capacity().value())
+            .field("dram_pages", &self.dram_capacity().value())
+            .field("nvm_pages", &self.nvm_capacity().value())
             .field("requests", &self.counts.requests)
             .finish_non_exhaustive()
     }
@@ -587,7 +493,6 @@ mod tests {
     fn run_consumes_an_iterator_and_counts_everything() {
         let mut sim = two_lru(2, 8);
         sim.run((0..50u64).map(|i| PageAccess::read(PageId::new(i % 12))));
-        assert!(sim.latency_so_far().value() > 0.0);
         let report = sim.into_report("t");
         assert_eq!(report.counts.requests, 50);
         assert_eq!(report.counts.reads, 50);

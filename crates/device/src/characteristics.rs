@@ -1,6 +1,6 @@
 //! Per-technology latency, energy, and static-power characteristics.
 
-use hybridmem_types::{AccessKind, Error, Nanojoules, Nanoseconds, Result, PAGE_SIZE};
+use hybridmem_types::{Error, Nanojoules, Nanoseconds, Result, PAGE_SIZE};
 
 /// Bytes per gibibyte, used to convert Table IV's J/(GB·s) static power into
 /// a per-page figure.
@@ -20,11 +20,10 @@ const BYTES_PER_GIB: f64 = (1u64 << 30) as f64;
 ///
 /// ```
 /// use hybridmem_device::MemoryCharacteristics;
-/// use hybridmem_types::AccessKind;
 ///
 /// let pcm = MemoryCharacteristics::pcm_date2016();
-/// assert_eq!(pcm.latency(AccessKind::Read).value(), 100.0);
-/// assert_eq!(pcm.energy(AccessKind::Write).value(), 32.0);
+/// assert_eq!(pcm.read_latency.value(), 100.0);
+/// assert_eq!(pcm.write_energy.value(), 32.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryCharacteristics {
@@ -98,24 +97,6 @@ impl MemoryCharacteristics {
             read_energy: Nanojoules::new(6.4),
             write_energy: Nanojoules::new(32.0),
             static_power_j_per_gib_s: 0.1,
-        }
-    }
-
-    /// Returns the latency of an access of the given kind.
-    #[must_use]
-    pub const fn latency(&self, kind: AccessKind) -> Nanoseconds {
-        match kind {
-            AccessKind::Read => self.read_latency,
-            AccessKind::Write => self.write_latency,
-        }
-    }
-
-    /// Returns the dynamic energy of an access of the given kind.
-    #[must_use]
-    pub const fn energy(&self, kind: AccessKind) -> Nanojoules {
-        match kind {
-            AccessKind::Read => self.read_energy,
-            AccessKind::Write => self.write_energy,
         }
     }
 
@@ -203,20 +184,20 @@ mod tests {
     #[test]
     fn table_iv_dram_constants() {
         let d = MemoryCharacteristics::dram_date2016();
-        assert_eq!(d.latency(AccessKind::Read).value(), 50.0);
-        assert_eq!(d.latency(AccessKind::Write).value(), 50.0);
-        assert_eq!(d.energy(AccessKind::Read).value(), 3.2);
-        assert_eq!(d.energy(AccessKind::Write).value(), 3.2);
+        assert_eq!(d.read_latency.value(), 50.0);
+        assert_eq!(d.write_latency.value(), 50.0);
+        assert_eq!(d.read_energy.value(), 3.2);
+        assert_eq!(d.write_energy.value(), 3.2);
         assert_eq!(d.static_power_j_per_gib_s, 1.0);
     }
 
     #[test]
     fn table_iv_pcm_constants() {
         let p = MemoryCharacteristics::pcm_date2016();
-        assert_eq!(p.latency(AccessKind::Read).value(), 100.0);
-        assert_eq!(p.latency(AccessKind::Write).value(), 350.0);
-        assert_eq!(p.energy(AccessKind::Read).value(), 6.4);
-        assert_eq!(p.energy(AccessKind::Write).value(), 32.0);
+        assert_eq!(p.read_latency.value(), 100.0);
+        assert_eq!(p.write_latency.value(), 350.0);
+        assert_eq!(p.read_energy.value(), 6.4);
+        assert_eq!(p.write_energy.value(), 32.0);
         assert_eq!(p.static_power_j_per_gib_s, 0.1);
     }
 

@@ -7,9 +7,7 @@
 //! per-page view needed to estimate device lifetime, since lifetime is
 //! bounded by the *most*-written page absent wear leveling.
 
-use std::collections::BTreeMap;
-
-use hybridmem_types::PageId;
+use hybridmem_types::{PageId, PageTable};
 
 /// Conventional PCM cell endurance used for lifetime estimates:
 /// 10⁸ writes per cell (mid-range of published PCM figures).
@@ -30,11 +28,14 @@ pub const DEFAULT_PCM_CELL_ENDURANCE: u64 = 100_000_000;
 /// assert_eq!(wear.total_writes(), 1025);
 /// assert_eq!(wear.max_wear(), 1024);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    /// A `BTreeMap` so the tracker iterates pages in sorted order
-    /// (hash-map order would depend on insertion history).
-    writes: BTreeMap<PageId, u64>,
+    /// Each written page's index into `wear`. Dense ids are found by
+    /// array index, sparse ones by the table's hash fallback.
+    slots: PageTable,
+    /// Writes per page, in the order pages were first written. The
+    /// summaries below are order-independent folds over it.
+    wear: Vec<u64>,
     total: u64,
 }
 
@@ -46,8 +47,24 @@ impl WearTracker {
     }
 
     /// Records `count` physical writes to `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a new page once `u32::MAX` distinct pages are tracked:
+    /// a [`PageTable`] value cannot index more.
+    #[inline]
     pub fn record_page_write(&mut self, page: PageId, count: u64) {
-        *self.writes.entry(page).or_insert(0) += count;
+        match self
+            .slots
+            .get(page)
+            .and_then(|slot| self.wear.get_mut(slot as usize))
+        {
+            Some(wear) => *wear += count,
+            None => {
+                self.slots.insert(page, self.wear.len() as u32);
+                self.wear.push(count);
+            }
+        }
         self.total += count;
     }
 
@@ -60,16 +77,16 @@ impl WearTracker {
     /// The wear of the most-written page (0 when nothing was written).
     #[must_use]
     pub fn max_wear(&self) -> u64 {
-        self.writes.values().copied().max().unwrap_or(0)
+        self.wear.iter().copied().max().unwrap_or(0)
     }
 
     /// Mean writes per touched page (0.0 when nothing was written).
     #[must_use]
     pub fn mean_wear(&self) -> f64 {
-        if self.writes.is_empty() {
+        if self.wear.is_empty() {
             return 0.0;
         }
-        self.total as f64 / self.writes.len() as f64
+        self.total as f64 / self.wear.len() as f64
     }
 
     /// Wear imbalance: max wear / mean wear. 1.0 means perfectly even wear;

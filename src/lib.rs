@@ -7,7 +7,7 @@
 //! against, the analytical performance/power/endurance models, and every
 //! substrate needed to regenerate the paper's figures — a trace generator
 //! calibrated to the memory-level PARSEC counts of Table III, and
-//! DRAM/PCM/disk device models.
+//! DRAM/PCM/disk device constants.
 //!
 //! This crate is a facade: it re-exports the workspace crates under stable
 //! names. Depend on it to get everything, or on the individual
@@ -17,9 +17,9 @@
 //! |---|---|---|
 //! | [`types`] | `hybridmem-types` | ids, access/memory vocabulary, quantities |
 //! | [`trace`] | `hybridmem-trace` | workload specs, PARSEC profiles, generator, trace I/O |
-//! | [`device`] | `hybridmem-device` | Table IV DRAM/PCM models, DMA, endurance |
+//! | [`device`] | `hybridmem-device` | Table II/IV DRAM/PCM/disk constants, endurance, wear leveling |
 //! | [`policy`] | `hybridmem-policy` | two-LRU scheme, CLOCK-DWF, baselines, adaptive extension |
-//! | [`sim`] | `hybridmem-core` | simulator, Eq. 1–3 models, experiment runners |
+//! | [`sim`] | `hybridmem-core` | simulator, the cost model and Eq. 1–3, experiment runners |
 //! | [`metrics`] | `hybridmem-metrics` | deterministic counters/gauges/histograms for telemetry |
 //!
 //! # Quickstart
