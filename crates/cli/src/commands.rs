@@ -12,9 +12,8 @@ use hybridmem_core::{
     InstrumentedRun, LedgerOptions, LedgerReport, MatrixOutcome, MatrixRun, PageEvent, PageRecord,
     PolicyKind, SimulationReport,
 };
-use hybridmem_trace::{
-    io as trace_io, parsec, ReuseProfile, TraceGenerator, TraceStats, WorkloadSpec,
-};
+use hybridmem_policy::ReuseProfile;
+use hybridmem_trace::{io as trace_io, parsec, TraceGenerator, TraceStats, WorkloadSpec};
 use hybridmem_types::{Access, Error, PageAccess, PageId, Result};
 
 use crate::Args;

@@ -221,8 +221,9 @@ impl AdaptiveTwoLruPolicy {
         let wasted_frac = f64::from(self.window_wasted) / total;
         let (read, write) = self.thresholds();
         if wasted_frac > self.adaptive.raise_above {
-            let read = (read * 2).min(self.adaptive.max_threshold);
-            let write = (write * 2).min(self.adaptive.max_threshold);
+            // A zero baseline (promote on the first NVM hit) rises to 1.
+            let read = (read * 2).max(1).min(self.adaptive.max_threshold);
+            let write = (write * 2).max(1).min(self.adaptive.max_threshold);
             self.inner.set_thresholds(read, write);
             self.stats.raises += 1;
         } else if wasted_frac < self.adaptive.lower_below {
@@ -323,6 +324,29 @@ mod tests {
         assert!(p.stats().wasted_promotions > 0);
         assert!(p.stats().raises > 0);
         assert!(read1 > read0 && write1 > write0, "{read1} {write1}");
+    }
+
+    #[test]
+    fn zero_thresholds_rise_to_one() {
+        let adaptive = AdaptiveConfig {
+            benefit_floor: 100,
+            adjust_interval: 2,
+            ..AdaptiveConfig::default()
+        };
+        let config =
+            TwoLruConfig::with_thresholds(PageCount::new(1), PageCount::new(16), 0, 0, 0.05, 0.15)
+                .unwrap();
+        let mut p = AdaptiveTwoLruPolicy::new(config, adaptive);
+        for i in 0..10 {
+            p.on_access(PageAccess::read(page(i)));
+        }
+        // Each NVM hit promotes and demotes the previous promotion unused:
+        // the third completes two wasted promotions.
+        for i in 0..3 {
+            p.on_access(PageAccess::read(page(i)));
+        }
+        assert_eq!(p.stats().raises, 1);
+        assert_eq!(p.thresholds(), (1, 1));
     }
 
     #[test]

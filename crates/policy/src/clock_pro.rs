@@ -35,13 +35,9 @@
 //! # Ok::<(), hybridmem_types::Error>(())
 //! ```
 
-use std::collections::VecDeque;
+use hybridmem_types::{Error, MemoryKind, PageAccess, PageCount, PageId, Residency, Result};
 
-use hybridmem_types::{
-    Error, FxHashSet, MemoryKind, PageAccess, PageCount, PageId, Residency, Result,
-};
-
-use crate::{AccessOutcome, ActionList, ClockRing, HybridPolicy, PolicyAction};
+use crate::{AccessOutcome, ActionList, ClockRing, HybridPolicy, LruQueue, PolicyAction};
 
 /// Per-frame state of a cold (NVM-resident) page.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,11 +52,10 @@ struct ColdMeta {
 pub struct ClockProPolicy {
     hot: ClockRing<()>,
     cold: ClockRing<ColdMeta>,
-    /// Recently evicted pages ("non-resident cold pages" in CLOCK-Pro);
-    /// bounded FIFO + membership set.
-    ghost_queue: VecDeque<PageId>,
-    ghost_set: FxHashSet<PageId>,
-    ghost_capacity: usize,
+    /// Recently evicted pages ("non-resident cold pages" in CLOCK-Pro), at
+    /// most as many as NVM holds. Ghosts are never touched, so the queue's
+    /// LRU end is the page evicted longest ago, and it leaves first.
+    ghosts: LruQueue,
     dram_capacity: PageCount,
     nvm_capacity: PageCount,
 }
@@ -82,31 +77,19 @@ impl ClockProPolicy {
         Ok(Self {
             hot: ClockRing::new(dram_capacity.value() as usize),
             cold: ClockRing::new(nvm_capacity.value() as usize),
-            ghost_queue: VecDeque::new(),
-            ghost_set: FxHashSet::default(),
-            ghost_capacity: nvm_capacity.value() as usize,
+            ghosts: LruQueue::new(),
             dram_capacity,
             nvm_capacity,
         })
     }
 
+    /// Remembers `page`, just evicted, dropping the oldest ghost past
+    /// capacity. A resident page is never a ghost: a ghost's refault
+    /// forgets it.
     fn remember_ghost(&mut self, page: PageId) {
-        if self.ghost_set.insert(page) {
-            self.ghost_queue.push_back(page);
-            while self.ghost_queue.len() > self.ghost_capacity {
-                if let Some(old) = self.ghost_queue.pop_front() {
-                    self.ghost_set.remove(&old);
-                }
-            }
-        }
-    }
-
-    fn forget_ghost(&mut self, page: PageId) -> bool {
-        if self.ghost_set.remove(&page) {
-            self.ghost_queue.retain(|&p| p != page);
-            true
-        } else {
-            false
+        self.ghosts.insert(page, ());
+        if self.ghosts.len() as u64 > self.nvm_capacity.value() {
+            self.ghosts.evict_lru();
         }
     }
 
@@ -182,7 +165,7 @@ impl HybridPolicy for ClockProPolicy {
 
         // Page fault. A ghost hit proves reuse across eviction: admit hot.
         let mut actions = ActionList::new();
-        if self.forget_ghost(page) {
+        if self.ghosts.remove(page).is_some() {
             if self.hot.is_full() {
                 self.demote_hot_victim(&mut actions);
             }
@@ -320,8 +303,37 @@ mod tests {
         for n in 0..100u64 {
             p.on_access(PageAccess::read(page(n)));
         }
-        assert!(p.ghost_queue.len() <= 2);
-        assert_eq!(p.ghost_queue.len(), p.ghost_set.len());
+        assert!(p.ghosts.len() <= 2);
+    }
+
+    #[test]
+    fn ghosts_leave_oldest_first() {
+        let mut p = policy(1, 2);
+        let mut evicted = Vec::new();
+        for n in 0..6u64 {
+            let out = p.on_access(PageAccess::read(page(n)));
+            for action in &out.actions {
+                if let PolicyAction::EvictToDisk { page, .. } = *action {
+                    evicted.push(page);
+                }
+            }
+        }
+        // Six cold fills into two NVM frames evict four pages; the two
+        // ghost slots keep the last two, newest first.
+        assert_eq!(evicted.len(), 4);
+        let kept: Vec<PageId> = evicted.iter().rev().take(2).copied().collect();
+        assert_eq!(p.ghosts.pages_by_recency(), kept);
+        // A retained ghost refaults hot; one dropped past capacity cold.
+        let out = p.on_access(PageAccess::read(kept[1]));
+        assert!(out.actions.contains(&PolicyAction::FillFromDisk {
+            page: kept[1],
+            into: MemoryKind::Dram
+        }));
+        let out = p.on_access(PageAccess::read(evicted[0]));
+        assert!(out.actions.contains(&PolicyAction::FillFromDisk {
+            page: evicted[0],
+            into: MemoryKind::Nvm
+        }));
     }
 
     #[test]

@@ -21,12 +21,18 @@
 //! * [`LruQueue`] — the one slot-ordered LRU queue, with per-entry metadata
 //!   (two-LRU's counters, dram-cache's dirty bits) and a compile-time rank
 //!   index: none ([`NoRanks`]) for every tier but one, and O(log n)
-//!   recency-rank queries ([`RankedLru`]) for two-LRU's NVM queue;
+//!   recency-rank queries ([`RankedLru`]) for two-LRU's NVM queue. It also
+//!   keeps CLOCK-Pro's ghost list;
 //! * [`ClockRing`] — a CLOCK (second-chance) ring with per-frame metadata.
 //!
 //! Each of them finds a page through a [`PageTable`](hybridmem_types::PageTable):
 //! an array index for the dense page ids of synthetic traces, a hash
 //! lookup for the sparse ids of imported ones.
+//!
+//! [`ReuseProfile`] reads exact LRU reuse distances off a [`RankedLru`]
+//! and derives miss-ratio curves from them: the calibration instrument
+//! behind the PARSEC profiles, and the oracle the LRU tiers are tested
+//! against.
 //!
 //! Policies are pure bookkeeping: they decide *what happens* to pages and
 //! report it as [`PolicyAction`]s; charging latency, energy, and wear
@@ -64,6 +70,7 @@ mod clock_dwf;
 mod clock_pro;
 mod dram_cache;
 mod lru;
+mod reuse;
 mod single;
 mod traits;
 mod two_lru;
@@ -74,6 +81,7 @@ pub use clock_dwf::ClockDwfPolicy;
 pub use clock_pro::ClockProPolicy;
 pub use dram_cache::DramCachePolicy;
 pub use lru::{LruQueue, NoRanks, RankIndex, RankedLru, SlotRanks, MAX_QUEUE_PAGES};
+pub use reuse::ReuseProfile;
 pub use single::SingleTierPolicy;
 pub use traits::{
     AccessOutcome, ActionList, BatchOutcomes, BatchStep, CounterKind, HybridPolicy,

@@ -2,29 +2,33 @@
 //!
 //! The reuse-distance histogram is the canonical locality fingerprint: the
 //! hit ratio of *any* LRU memory of capacity `c` equals the fraction of
-//! accesses with reuse distance `< c`. This module computes exact
-//! page-granular reuse distances in O(log n) per access (a Fenwick tree
-//! over per-access timestamps, the slot order `hybridmem-policy`'s
-//! `RankedLru` keeps too, though that queue counts 64-slot words) and
-//! derives miss-ratio curves from them — the tool used to calibrate the
-//! PARSEC profiles against the paper's near-zero steady-state fault rates.
+//! accesses with reuse distance `< c`. An access's reuse distance is the
+//! recency rank its page holds just before the access, so this module
+//! reads it from the policies' own [`RankedLru`]: one
+//! [`touch_ranked`](RankedLru::touch_ranked) per access, O(log n), and a
+//! first touch inserts the page as a cold miss. The miss-ratio curves
+//! derived from it are the tool used to calibrate the PARSEC profiles
+//! against the paper's near-zero steady-state fault rates.
 //!
 //! # Examples
 //!
 //! ```
-//! use hybridmem_trace::{parsec, ReuseProfile, TraceGenerator};
+//! use hybridmem_policy::ReuseProfile;
+//! use hybridmem_types::PageId;
 //!
-//! let spec = parsec::spec("bodytrack")?.capped(20_000);
-//! let profile = ReuseProfile::from_pages(
-//!     TraceGenerator::new(spec, 1).map(|a| a.page()),
-//! );
-//! // An LRU memory holding 75% of the footprint misses almost never.
-//! let capacity = (profile.distinct_pages() as f64 * 0.75) as u64;
-//! assert!(profile.miss_ratio(capacity) < 0.1);
-//! # Ok::<(), hybridmem_types::Error>(())
+//! // Four pages cycled ten times: every re-reference has distance 3.
+//! let profile = ReuseProfile::from_pages((0..40).map(|i| PageId::new(i % 4)));
+//! assert_eq!(profile.cold_misses(), 4);
+//! assert_eq!(profile.histogram(), &[0, 0, 0, 36]);
+//! // An LRU memory of four pages misses only the first touches; one of
+//! // three pages misses every access.
+//! assert_eq!(profile.miss_ratio(4), 0.1);
+//! assert_eq!(profile.miss_ratio(3), 1.0);
 //! ```
 
-use hybridmem_types::{FxHashMap, PageId};
+use hybridmem_types::PageId;
+
+use crate::RankedLru;
 
 /// Exact page-granular reuse-distance profile of one access stream.
 #[derive(Debug, Clone, Default)]
@@ -42,13 +46,16 @@ impl ReuseProfile {
     #[must_use]
     pub fn from_pages<I: IntoIterator<Item = PageId>>(pages: I) -> Self {
         let mut profile = Self::default();
-        let mut stack = DistanceStack::default();
+        let mut stack = RankedLru::<()>::new();
         for page in pages {
             profile.total += 1;
             #[expect(clippy::indexing_slicing, reason = "resized to cover distance above")]
-            match stack.touch(page) {
-                None => profile.cold_misses += 1,
-                Some(distance) => {
+            match stack.touch_ranked(page) {
+                None => {
+                    profile.cold_misses += 1;
+                    stack.insert(page, ());
+                }
+                Some((distance, _)) => {
                     if profile.histogram.len() <= distance {
                         profile.histogram.resize(distance + 1, 0);
                     }
@@ -135,87 +142,10 @@ impl ReuseProfile {
     }
 }
 
-/// O(log n) exact stack-distance tracker: pages get monotonically
-/// increasing timestamps; the distance of a re-reference is the number of
-/// pages with a newer timestamp, counted by a Fenwick tree over timestamp
-/// occupancy (with periodic compaction).
-#[derive(Debug, Default)]
-struct DistanceStack {
-    last_stamp: FxHashMap<PageId, usize>,
-    /// `occupied[t]` = 1 when some page's most recent access is stamp `t`.
-    tree: Vec<u64>,
-    next_stamp: usize,
-    live: usize,
-}
-
-impl DistanceStack {
-    #[expect(clippy::indexing_slicing, reason = "loop guard keeps i < tree.len()")]
-    fn add(&mut self, index: usize, delta: i64) {
-        let mut i = index + 1;
-        while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(delta as u64);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    #[expect(clippy::indexing_slicing, reason = "i <= tree.len() - 1 and falls")]
-    fn prefix(&self, index: usize) -> u64 {
-        let mut i = (index + 1).min(self.tree.len().saturating_sub(1));
-        let mut sum = 0u64;
-        while i > 0 {
-            sum = sum.wrapping_add(self.tree[i]);
-            i -= i & i.wrapping_neg();
-        }
-        sum
-    }
-
-    /// Touches `page`, returning its reuse distance (None on first touch).
-    fn touch(&mut self, page: PageId) -> Option<usize> {
-        if self.next_stamp + 1 >= self.tree.len() {
-            self.grow_or_compact();
-        }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        let distance = match self.last_stamp.insert(page, stamp) {
-            None => {
-                self.live += 1;
-                None
-            }
-            Some(previous) => {
-                // Pages with stamps in (previous, stamp) are exactly the
-                // distinct pages touched since the last access to `page`.
-                let newer = self.prefix(stamp - 1) - self.prefix(previous);
-                self.add(previous, -1);
-                Some(newer as usize)
-            }
-        };
-        self.add(stamp, 1);
-        distance
-    }
-
-    /// Compacts stamps to `0..live` (preserving order) and sizes the tree
-    /// to 4× the live population.
-    fn grow_or_compact(&mut self) {
-        #[expect(clippy::disallowed_methods, reason = "sorted by unique stamps next")]
-        let mut pairs: Vec<(usize, PageId)> = self
-            .last_stamp
-            .iter()
-            .map(|(&page, &stamp)| (stamp, page))
-            .collect();
-        pairs.sort_unstable_by_key(|&(stamp, _)| stamp);
-        let new_len = (pairs.len() * 4).max(64);
-        self.tree = vec![0; new_len + 1];
-        for (new_stamp, (_, page)) in pairs.iter().enumerate() {
-            self.last_stamp.insert(*page, new_stamp);
-            self.add(new_stamp, 1);
-        }
-        self.next_stamp = pairs.len();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridmem_types::PageTable;
 
     fn pages(ids: &[u64]) -> Vec<PageId> {
         ids.iter().map(|&i| PageId::new(i)).collect()
@@ -289,13 +219,17 @@ mod tests {
 
     #[test]
     fn matches_naive_reference_on_random_streams() {
+        // Unshifted ids are found by array index; ids shifted past the
+        // dense bound take the page table's hash fallback.
         let mut rng = hybridmem_types::StdRng::seed_from_u64(99);
         for _ in 0..20 {
             let stream: Vec<u64> = (0..400).map(|_| rng.gen_range(0..40)).collect();
-            let fast = ReuseProfile::from_pages(pages(&stream));
             let (cold, histogram) = naive_profile(&stream);
-            assert_eq!(fast.cold_misses(), cold);
-            assert_eq!(fast.histogram(), &histogram[..]);
+            for shift in [0, PageTable::DENSE_BOUND as u64] {
+                let fast = ReuseProfile::from_pages(stream.iter().map(|&i| PageId::new(i + shift)));
+                assert_eq!(fast.cold_misses(), cold, "shift {shift}");
+                assert_eq!(fast.histogram(), &histogram[..], "shift {shift}");
+            }
         }
     }
 

@@ -70,9 +70,12 @@ pub struct TwoLruConfig {
     pub dram_capacity: PageCount,
     /// NVM queue capacity in pages (≥ 1).
     pub nvm_capacity: PageCount,
-    /// Reads (within the read window) needed before promotion; ≥ 1.
+    /// A read hit promotes its page once the page's read count within
+    /// the read window exceeds this (Algorithm 1's `counter > threshold`),
+    /// so 0 promotes on the first NVM read hit.
     pub read_threshold: u32,
-    /// Writes (within the write window) needed before promotion; ≥ 1.
+    /// As [`TwoLruConfig::read_threshold`], for writes within the write
+    /// window.
     pub write_threshold: u32,
     /// `readperc`: fraction of the NVM queue (from the MRU end) in which
     /// read counters are maintained; in `(0, 1]`.
@@ -118,8 +121,9 @@ impl TwoLruConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] when a capacity is zero, a threshold
-    /// is zero, or a window fraction is outside `(0, 1]`.
+    /// Returns [`Error::InvalidConfig`] when a capacity is zero or a window
+    /// fraction is outside `(0, 1]`. A threshold may be zero: the page then
+    /// promotes on its first NVM hit of that kind.
     pub fn with_thresholds(
         dram_capacity: PageCount,
         nvm_capacity: PageCount,
@@ -131,11 +135,6 @@ impl TwoLruConfig {
         if dram_capacity.is_zero() || nvm_capacity.is_zero() {
             return Err(Error::invalid_config(
                 "DRAM and NVM capacities must both be at least one page",
-            ));
-        }
-        if read_threshold == 0 || write_threshold == 0 {
-            return Err(Error::invalid_config(
-                "read and write thresholds must be at least 1",
             ));
         }
         for (name, w) in [("read_window", read_window), ("write_window", write_window)] {
@@ -533,11 +532,11 @@ mod tests {
             PageCount::new(1),
             PageCount::new(1),
             0,
-            1,
+            0,
             0.5,
             0.5
         )
-        .is_err());
+        .is_ok());
         assert!(TwoLruConfig::with_thresholds(
             PageCount::new(1),
             PageCount::new(1),
@@ -680,6 +679,30 @@ mod tests {
             2,
             "third read in window exceeds threshold 2"
         );
+    }
+
+    #[test]
+    fn threshold_zero_promotes_on_the_first_nvm_hit() {
+        let config =
+            TwoLruConfig::with_thresholds(PageCount::new(1), PageCount::new(10), 0, 0, 0.10, 0.30)
+                .unwrap();
+        let mut p = TwoLruPolicy::new(config);
+        fill(&mut p, 0, 11);
+        for access in [PageAccess::read(page(5)), PageAccess::write(page(6))] {
+            assert_eq!(
+                p.residency(access.page),
+                Residency::InMemory(MemoryKind::Nvm)
+            );
+            let out = p.on_access(access);
+            assert_eq!(out.served_from, Some(MemoryKind::Nvm));
+            assert_eq!(out.migrations(), 2, "the first NVM hit swaps with DRAM");
+            assert_eq!(
+                p.residency(access.page),
+                Residency::InMemory(MemoryKind::Dram)
+            );
+        }
+        assert_eq!(p.stats().read_promotions, 1);
+        assert_eq!(p.stats().write_promotions, 1);
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn lazy_and_eager_resets_are_observationally_identical() {
     for_each_case(128, |rng| {
         let dram_cap = rng.gen_range(1..6);
         let nvm_cap = rng.gen_range(1..16);
-        let read_threshold = u32::try_from(rng.gen_range(1..5)).unwrap();
+        let read_threshold = u32::try_from(rng.gen_range(0..5)).unwrap();
         let write_threshold = read_threshold + u32::try_from(rng.gen_range(0..5)).unwrap();
         let read_window = 0.05 + 0.85 * rng.next_f64();
         let write_window = (read_window + 0.05 + 0.45 * rng.next_f64()).min(1.0);

@@ -14,11 +14,13 @@
 //! * [`TraceGenerator`] — the seeded generator (an [`Iterator`] over
 //!   [`Access`](hybridmem_types::Access)es);
 //! * [`TraceStats`] — measurements used to regenerate Table III;
-//! * [`ReuseProfile`] — exact LRU reuse-distance analysis and miss-ratio
-//!   curves (the calibration instrument behind the profiles);
 //! * [`io`] — text and binary trace formats for interoperability;
 //! * [`binfmt`] — the fixed-record page-trace format the trace cache
 //!   spills to for zero-copy cached replay.
+//!
+//! The reuse-distance analysis that calibrates the profiles is
+//! `hybridmem_policy::ReuseProfile`: it runs on the policies' own LRU
+//! queue.
 //!
 //! # Examples
 //!
@@ -49,11 +51,9 @@ pub mod binfmt;
 mod generator;
 pub mod io;
 pub mod parsec;
-mod reuse;
 mod stats;
 mod workload;
 
 pub use generator::TraceGenerator;
-pub use reuse::ReuseProfile;
 pub use stats::TraceStats;
 pub use workload::{LocalityParams, PhaseParams, WorkloadSpec, WorkloadSpecBuilder};

@@ -10,7 +10,8 @@
 //! cargo run --release --example reuse_analysis [max_accesses]
 //! ```
 
-use hybridmem::trace::{parsec, ReuseProfile, TraceGenerator};
+use hybridmem::policy::ReuseProfile;
+use hybridmem::trace::{parsec, TraceGenerator};
 use hybridmem::types::Error;
 
 fn main() -> Result<(), Error> {
