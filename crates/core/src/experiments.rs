@@ -162,13 +162,14 @@ impl ExperimentConfig {
         }
     }
 
-    /// Checks the fractions every cell sizes its memory from.
+    /// Checks the fractions every cell sizes its memory from, and the
+    /// adaptive controller's knobs.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] naming the field when
-    /// `memory_fraction` is not finite and positive, or `dram_fraction` is
-    /// not in `[0, 1]`.
+    /// `memory_fraction` is not finite and positive, `dram_fraction` is
+    /// not in `[0, 1]`, or [`AdaptiveConfig::validate`] rejects `adaptive`.
     pub fn validate(&self) -> Result<()> {
         if !(self.memory_fraction.is_finite() && self.memory_fraction > 0.0) {
             return Err(Error::invalid_config(format!(
@@ -182,7 +183,7 @@ impl ExperimentConfig {
                 self.dram_fraction
             )));
         }
-        Ok(())
+        self.adaptive.validate()
     }
 
     /// [`ExperimentConfig::memory_sizes`] after

@@ -33,7 +33,9 @@
 //! ```
 
 use hybridmem_json::impl_json;
-use hybridmem_types::{FxHashMap, MemoryKind, PageAccess, PageCount, PageId, Residency};
+use hybridmem_types::{
+    Error, FxHashMap, MemoryKind, PageAccess, PageCount, PageId, Residency, Result,
+};
 
 use crate::{AccessOutcome, HybridPolicy, PolicyAction, TwoLruConfig, TwoLruPolicy};
 
@@ -75,6 +77,39 @@ impl AdaptiveConfig {
             max_threshold: 64,
         }
     }
+
+    /// Checks the knobs the controller divides by and clamps to.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the field when
+    /// `adjust_interval` is zero (the wasted fraction would be `0/0`),
+    /// `max_threshold` is zero (a raise would set a zero threshold, which
+    /// [`TwoLruPolicy::set_thresholds`] refuses), or `raise_above` or
+    /// `lower_below` is not in `[0, 1]`.
+    pub fn validate(&self) -> Result<()> {
+        for (field, value) in [
+            ("adjust_interval", self.adjust_interval),
+            ("max_threshold", self.max_threshold),
+        ] {
+            if value == 0 {
+                return Err(Error::invalid_config(format!(
+                    "adaptive.{field} must be at least 1, got 0"
+                )));
+            }
+        }
+        for (field, value) in [
+            ("raise_above", self.raise_above),
+            ("lower_below", self.lower_below),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(Error::invalid_config(format!(
+                    "adaptive.{field} must be in [0, 1], got {value}"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for AdaptiveConfig {
@@ -115,6 +150,11 @@ pub struct AdaptiveTwoLruPolicy {
 
 impl AdaptiveTwoLruPolicy {
     /// Creates the adaptive policy around a fresh [`TwoLruPolicy`].
+    ///
+    /// # Panics
+    ///
+    /// A config that [`AdaptiveConfig::validate`] rejects may panic when
+    /// the controller adjusts the thresholds.
     #[must_use]
     pub fn new(config: TwoLruConfig, adaptive: AdaptiveConfig) -> Self {
         Self {

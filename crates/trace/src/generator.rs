@@ -60,8 +60,8 @@
 //!   std leaves that choice unspecified, so the rule is written out here
 //!   and tested against std.
 //! * **Per access**: every `next_u64` draw, in order (a draw costs about
-//!   11 ns, and an access makes 4.05–6.33 of them at the 1M cap, about two
-//!   for the rejection-sampled word offset), `powf` on the fresh path
+//!   6 ns, and an access makes 4.05–6.33 of them at the 1M cap, about
+//!   two for the rejection-sampled word offset), `powf` on the fresh path
 //!   (glibc's `pow`, reproduced bit for bit), `next_kind`'s three
 //!   divisions, which round the write decision, and the recency push.
 //!

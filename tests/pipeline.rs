@@ -1,7 +1,7 @@
 //! End-to-end integration tests: trace generation → policy → simulator →
 //! report.
 
-use hybridmem::policy::{HybridPolicy, TwoLruConfig, TwoLruPolicy};
+use hybridmem::policy::{AdaptiveConfig, HybridPolicy, TwoLruConfig, TwoLruPolicy};
 use hybridmem::sim::{ExperimentConfig, MatrixRun, PolicyKind};
 use hybridmem::trace::{parsec, LocalityParams, TraceGenerator, TraceStats, WorkloadSpec};
 use hybridmem::types::{Error, MemoryKind, PageAccess, PageCount};
@@ -71,6 +71,21 @@ fn two_lru_occupancy_stays_within_capacity_on_a_generated_trace() {
     }
 }
 
+/// Asserts that `config` fails with an `InvalidConfig` naming `field`
+/// when building every policy kind, and before any cell of a matrix runs.
+fn assert_rejected(config: ExperimentConfig, spec: &WorkloadSpec, field: &str) {
+    let rejected =
+        |err: Error| matches!(&err, Error::InvalidConfig { reason } if reason.contains(field));
+    for kind in PolicyKind::all() {
+        let err = config.build_policy(kind, spec).err();
+        assert!(err.is_some_and(rejected), "{field}: build_policy({kind})");
+    }
+    let matrix = MatrixRun::new(config)
+        .unwrap()
+        .run(std::slice::from_ref(spec), &PolicyKind::all());
+    assert!(matrix.err().is_some_and(rejected), "{field}: MatrixRun");
+}
+
 #[test]
 fn out_of_range_fractions_are_rejected_before_any_cell_runs() {
     let spec = parsec::spec("bodytrack").unwrap().capped(5_000);
@@ -93,16 +108,7 @@ fn out_of_range_fractions_are_rejected_before_any_cell_runs() {
         (dram(1.5), "dram_fraction"),
         (dram(f64::NAN), "dram_fraction"),
     ] {
-        let rejected =
-            |err: Error| matches!(&err, Error::InvalidConfig { reason } if reason.contains(field));
-        for kind in PolicyKind::all() {
-            let err = config.build_policy(kind, &spec).err();
-            assert!(err.is_some_and(rejected), "{field}: build_policy({kind})");
-        }
-        let matrix = MatrixRun::new(config)
-            .unwrap()
-            .run(std::slice::from_ref(&spec), &PolicyKind::all());
-        assert!(matrix.err().is_some_and(rejected), "{field}: MatrixRun");
+        assert_rejected(config, &spec, field);
     }
 
     // An all-DRAM split keeps one NVM page, and every policy builds on it.
@@ -112,6 +118,38 @@ fn out_of_range_fractions_are_rejected_before_any_cell_runs() {
     for kind in PolicyKind::all() {
         assert!(all_dram.build_policy(kind, &spec).is_ok(), "{kind}");
     }
+}
+
+#[test]
+fn invalid_adaptive_knobs_are_rejected_before_any_cell_runs() {
+    // Unchecked, a zero `max_threshold` panics at the first raise and a
+    // zero `adjust_interval` divides 0 by 0 at every access.
+    let spec = parsec::spec("bodytrack").unwrap().capped(5_000);
+    let base = ExperimentConfig::default();
+    let adaptive = |edit: fn(&mut AdaptiveConfig)| {
+        let mut config = base;
+        edit(&mut config.adaptive);
+        config
+    };
+    for (config, field) in [
+        (adaptive(|a| a.max_threshold = 0), "max_threshold"),
+        (adaptive(|a| a.adjust_interval = 0), "adjust_interval"),
+        (adaptive(|a| a.raise_above = f64::NAN), "raise_above"),
+        (adaptive(|a| a.raise_above = 1.5), "raise_above"),
+        (adaptive(|a| a.lower_below = -0.1), "lower_below"),
+        (adaptive(|a| a.lower_below = f64::INFINITY), "lower_below"),
+    ] {
+        assert_rejected(config, &spec, field);
+    }
+
+    // The bounds themselves are valid.
+    let edges = adaptive(|a| {
+        a.max_threshold = 1;
+        a.adjust_interval = 1;
+        a.raise_above = 0.0;
+        a.lower_below = 1.0;
+    });
+    assert!(edges.run(&spec, PolicyKind::AdaptiveTwoLru).is_ok());
 }
 
 #[test]
