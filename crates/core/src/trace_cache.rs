@@ -46,7 +46,7 @@
 //! bench harness, CI — load the spill instead of re-generating, and
 //! *oversize* traces that can never be materialized replay straight from
 //! the file in fixed-size chunks via [`TraceCache::open_stream`]. A load
-//! streams the file too: its 16-byte records decode chunk by chunk into
+//! streams the file too: its 8-byte records decode chunk by chunk into
 //! the 9-byte accesses of one buffer sized from the spec, so it never
 //! holds the file. Spill files carry the full spec JSON and seed in their
 //! header and are verified on load (and so are their record count and
@@ -752,6 +752,7 @@ impl std::fmt::Debug for TraceCache {
 mod tests {
     use super::*;
     use hybridmem_trace::parsec;
+    use hybridmem_types::PageId;
 
     fn spec(cap: u64) -> WorkloadSpec {
         parsec::spec("bodytrack").unwrap().capped(cap)
@@ -887,7 +888,7 @@ mod tests {
         let stats = second.stats();
         assert_eq!(stats.spill_hits, 1);
         assert_eq!(stats.spill_misses, 0);
-        assert_eq!(stats.spill_bytes_read, 3_000 * 16);
+        assert_eq!(stats.spill_bytes_read, 3_000 * binfmt::RECORD_BYTES as u64);
     }
 
     #[test]
@@ -1059,8 +1060,8 @@ mod tests {
     }
 
     #[test]
-    fn stale_version2_spill_is_regenerated_as_version3() {
-        let dir = SpillDir::new("stale-v2");
+    fn stale_version3_spill_is_regenerated_as_version4() {
+        let dir = SpillDir::new("stale-v3");
         let s = spec(2_000);
         let key = TraceCache::fingerprint(&s, 42);
         let expected: Vec<PageAccess> = TraceGenerator::new(s.clone(), 42)
@@ -1069,8 +1070,9 @@ mod tests {
         let cache = TraceCache::with_spill_dir(64 << 20, &dir.0);
         let path = cache.spill_path(key).unwrap();
 
-        // A version-2 file at the fingerprint path: the same layout with
-        // version 2 in the header and a byte-wise FNV-1a 64 trailer.
+        // A version-3 file at the fingerprint path: the same header with
+        // version 3, then 16-byte `{ page, flags }` records under one
+        // word-wise FNV-1a 64 chain.
         std::fs::create_dir_all(&dir.0).unwrap();
         binfmt::write_trace_file(
             &path,
@@ -1081,11 +1083,18 @@ mod tests {
         )
         .unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let trailer = bytes.len() - binfmt::TRAILER_BYTES;
-        let body = trailer - expected.len() * binfmt::RECORD_BYTES;
-        let bytewise = binfmt::fnv1a64_update(binfmt::FNV1A64_SEED, &bytes[body..trailer]);
-        bytes[trailer..].copy_from_slice(&bytewise.to_le_bytes());
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let body = bytes.len() - binfmt::TRAILER_BYTES - expected.len() * binfmt::RECORD_BYTES;
+        bytes.truncate(body);
+        let mut trailer = binfmt::FNV1A64_SEED;
+        for access in &expected {
+            for word in [access.page.value(), u64::from(access.kind.is_write())] {
+                bytes.extend(word.to_le_bytes());
+                // One FNV-1a 64 step (its prime) with a word for a byte.
+                trailer = (trailer ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        bytes.extend(trailer.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
 
         let replayed = cache.try_get(&s, 42).unwrap();
@@ -1192,6 +1201,25 @@ mod tests {
     }
 
     #[test]
+    fn a_page_no_record_holds_is_one_spill_write_error() {
+        let dir = SpillDir::new("wide-page");
+        let cache = TraceCache::with_spill_dir(64 << 20, &dir.0);
+        let accesses = [
+            PageAccess::read(PageId::new(binfmt::MAX_PAGE)),
+            PageAccess::write(PageId::new(binfmt::MAX_PAGE + 1)),
+        ];
+        assert!(!cache.try_write_spill(7, "{}", 42, accesses));
+        let stats = cache.stats();
+        assert_eq!(stats.spill_write_errors, 1);
+        assert_eq!(stats.spill_bytes_written, 0);
+        let left: Vec<_> = std::fs::read_dir(&dir.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(left.is_empty(), "files left: {left:?}");
+    }
+
+    #[test]
     fn spill_write_errors_export_under_trace_cache_names() {
         let dir = SpillDir::new("fault-export");
         let plan = Arc::new(FaultPlan::parse("spill-write-error@1").unwrap());
@@ -1231,7 +1259,10 @@ mod tests {
         });
         let stats = cache.stats();
         assert_eq!(stats.spill_write_errors, 0);
-        assert_eq!(stats.spill_bytes_written, 2 * 4_000 * 16);
+        assert_eq!(
+            stats.spill_bytes_written,
+            2 * 4_000 * binfmt::RECORD_BYTES as u64
+        );
         let mut stream = cache.open_stream(&s, 42).expect("spill file landed");
         let mut streamed = Vec::new();
         while let Some(chunk) = stream.next_chunk().unwrap() {
@@ -1279,7 +1310,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(
             stats.spill_bytes_written,
-            20_000 * 16,
+            20_000 * binfmt::RECORD_BYTES as u64,
             "one writer generated"
         );
         assert_eq!(stats.spill_write_errors, 0);

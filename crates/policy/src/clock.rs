@@ -8,12 +8,14 @@
 //!
 //! An insertion takes the lowest-index free frame. That rule fixes where a
 //! page sits relative to the hand, and so the scan order and every later
-//! victim. The ring keeps it without scanning: frames at or past a cursor
-//! have never held a page, and frames freed by
-//! [`remove`](ClockRing::remove) or [`evict_with`](ClockRing::evict_with)
-//! wait in a min-heap. Every freed frame lies below the cursor, so the
-//! lowest free frame is the heap's minimum when the heap is non-empty and
-//! the cursor otherwise.
+//! victim. The ring keeps it without scanning: it stores only the frames
+//! that have ever held a page (those beyond them, up to the capacity, are
+//! empty), and frames freed by [`remove`](ClockRing::remove) or
+//! [`evict_with`](ClockRing::evict_with) wait in a min-heap. So the lowest
+//! free frame is the heap's minimum when the heap is non-empty, and
+//! otherwise a new frame pushed at the end. A ring allocates for at most
+//! [`PageTable::DENSE_BOUND`] frames up front and grows as pages arrive,
+//! however large its capacity.
 //!
 //! A [`PageTable`] maps each page to its frame, so finding a page with a
 //! dense id is an array index.
@@ -40,6 +42,8 @@ use std::collections::BinaryHeap;
 
 use hybridmem_types::{PageId, PageTable};
 
+use crate::lru::PRESIZE_PAGES;
+
 #[derive(Debug, Clone)]
 struct Frame<M> {
     page: PageId,
@@ -53,14 +57,14 @@ struct Frame<M> {
 /// lowest index first; the clock hand skips empty slots.
 #[derive(Debug, Clone)]
 pub struct ClockRing<M> {
+    /// The frames that have ever held a page; the rest, up to `capacity`,
+    /// are empty.
     frames: Vec<Option<Frame<M>>>,
     /// Page → frame.
     map: PageTable,
     hand: usize,
     capacity: usize,
-    /// Frames from here on have never held a page.
-    unused: usize,
-    /// Frames freed by `remove` and `evict_with`, all below `unused`.
+    /// Frames freed by `remove` and `evict_with`.
     freed: BinaryHeap<Reverse<usize>>,
 }
 
@@ -78,11 +82,10 @@ impl<M> ClockRing<M> {
             "clock ring capacity exceeds u32 indexing"
         );
         Self {
-            frames: (0..capacity).map(|_| None).collect(),
+            frames: Vec::with_capacity(capacity.min(PRESIZE_PAGES)),
             map: PageTable::with_capacity(capacity),
             hand: 0,
             capacity,
-            unused: 0,
             freed: BinaryHeap::new(),
         }
     }
@@ -132,7 +135,10 @@ impl<M> ClockRing<M> {
     ///
     /// Panics if the ring is full or the page is already resident; callers
     /// must evict first — eviction policy is theirs, not the ring's.
-    #[expect(clippy::indexing_slicing, reason = "a free frame lies below capacity")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a freed frame is an existing frame"
+    )]
     pub fn insert(&mut self, page: PageId, meta: M) {
         assert!(
             !self.is_full(),
@@ -142,20 +148,22 @@ impl<M> ClockRing<M> {
             !self.map.contains(page),
             "page {page} is already in the clock ring"
         );
-        // The lowest free frame (module docs).
-        let idx = match self.freed.pop() {
-            Some(Reverse(idx)) => idx,
-            None => {
-                let idx = self.unused;
-                self.unused += 1;
-                idx
-            }
-        };
-        self.frames[idx] = Some(Frame {
+        let frame = Some(Frame {
             page,
             referenced: true,
             meta,
         });
+        // The lowest free frame (module docs).
+        let idx = match self.freed.pop() {
+            Some(Reverse(idx)) => {
+                self.frames[idx] = frame;
+                idx
+            }
+            None => {
+                self.frames.push(frame);
+                self.frames.len() - 1
+            }
+        };
         self.map.insert(page, idx as u32);
     }
 
@@ -219,11 +227,7 @@ impl<M> ClockRing<M> {
     /// # Panics
     ///
     /// Panics if the ring is empty.
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::expect_used,
-        reason = "the hand stays below capacity = frames.len()"
-    )]
+    #[expect(clippy::expect_used, reason = "the frame was checked occupied")]
     pub fn evict_with<F>(&mut self, mut extra_chance: F) -> (PageId, M)
     where
         F: FnMut(&mut M) -> bool,
@@ -232,7 +236,12 @@ impl<M> ClockRing<M> {
         loop {
             let idx = self.hand;
             self.hand = (self.hand + 1) % self.capacity;
-            let Some(frame) = self.frames[idx].as_mut() else {
+            let Some(slot) = self.frames.get_mut(idx) else {
+                // Past the last frame every frame is empty: wrap at once.
+                self.hand = 0;
+                continue;
+            };
+            let Some(frame) = slot.as_mut() else {
                 continue;
             };
             if frame.referenced {
@@ -242,7 +251,7 @@ impl<M> ClockRing<M> {
             if extra_chance(&mut frame.meta) {
                 continue;
             }
-            let frame = self.frames[idx].take().expect("frame checked above");
+            let frame = slot.take().expect("frame checked above");
             self.map.remove(frame.page);
             self.freed.push(Reverse(idx));
             return (frame.page, frame.meta);
@@ -390,6 +399,24 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_capacity_panics() {
         let _: ClockRing<()> = ClockRing::new(0);
+    }
+
+    #[test]
+    fn a_huge_ring_presizes_at_most_the_dense_bound() {
+        let mut ring: ClockRing<u32> = ClockRing::new(crate::MAX_QUEUE_PAGES as usize);
+        assert!(ring.frames.is_empty());
+        assert_eq!(ring.frames.capacity(), PageTable::DENSE_BOUND);
+        for n in 1..=3 {
+            ring.insert(page(n), 0);
+        }
+        assert_eq!(ring.frames.len(), 3, "a frame per page that arrived");
+        // The first scan clears all three bits, wraps at the last frame
+        // rather than at the capacity, and evicts page 1.
+        assert_eq!(ring.evict_with(|_| false), (page(1), 0));
+        assert_eq!(ring.hand(), 1);
+        ring.insert(page(4), 0);
+        assert_eq!(ring.pages(), vec![page(4), page(2), page(3)]);
+        assert_eq!(ring.evict_with(|_| false), (page(2), 0));
     }
 
     /// A reference ring that finds the free frame by a linear scan from

@@ -22,11 +22,21 @@
 //!
 //! * [`NoRanks`] is zero-sized and its updates compile to nothing. The
 //!   DRAM tiers, the single-tier baselines and the DRAM cache use it.
-//! * [`SlotRanks`] keeps one occupancy bit per slot and a Fenwick tree
-//!   over the popcounts of the 64-slot words. A page's rank is the live
-//!   population minus the occupied slots at or below its own: a Fenwick
-//!   prefix over the words before its slot's word plus a popcount of
-//!   that word. [`RankedLru`] names this queue.
+//! * [`SlotRanks`] counts *stale* slots: those whose page has moved to a
+//!   newer slot or left. Every slot below the next free one is live or
+//!   stale, so a page's rank is the number of slots above its own minus
+//!   the stale ones among them. The index keeps one stale bit per slot
+//!   and, for each level *k*, the stale counts of the aligned blocks of
+//!   2^k 64-slot words. The stale slots above a slot are those above it
+//!   in its own word (a popcount) plus, for each level *k* where bit *k*
+//!   of the word's index is 0, the whole next block at level *k*. Each
+//!   level stores that count in the entry of the lower block of the pair
+//!   and 0 in the upper one's, so a query adds one entry per level with
+//!   no test and no chain between the steps, and vacating a slot sets
+//!   its bit and adds its block's oddness to one entry per level. A new
+//!   slot is live, so filling it costs nothing. The levels sit in one
+//!   flat `Vec`, which a compaction zeroes in place. [`RankedLru`] names
+//!   this queue.
 //!
 //! The pages live in a slab of entries (page, slot, metadata), reused
 //! through a free list, so a touch reads and writes one entry. The
@@ -68,22 +78,25 @@ const EMPTY: u32 = u32::MAX;
 const MIN_SLOTS: usize = 16;
 
 /// The most pages one policy queue can hold: an [`LruQueue`] keeps four
-/// `u32` slots per page (and a [`ClockRing`](crate::ClockRing) one `u32`
-/// frame index), so a larger tier cannot be indexed. Configurations size
-/// their tiers at or below it.
+/// slots per page, numbered in a `u32`'s range (and a
+/// [`ClockRing`](crate::ClockRing) one `u32` frame index), so a larger
+/// tier cannot be indexed. Configurations size their tiers at or below it.
 pub const MAX_QUEUE_PAGES: u64 = (u32::MAX / 4) as u64;
+
+/// The most pages a queue or ring allocates for up front. A tier can be
+/// configured far larger than the pages a trace brings (a memory fraction
+/// of 1e5 sizes one at ~10^8 pages), so the structures pre-size for at
+/// most the page table's dense bound and grow as pages arrive.
+pub(crate) const PRESIZE_PAGES: usize = PageTable::DENSE_BOUND;
 
 /// What an [`LruQueue`] keeps beside its slot order to answer rank
 /// queries: [`NoRanks`] or [`SlotRanks`].
-pub trait RankIndex: Clone + std::fmt::Debug {
-    /// An index over `slots` slots of which exactly `0..live` are
-    /// occupied.
-    fn filled(slots: usize, live: usize) -> Self;
+pub trait RankIndex: Clone + std::fmt::Debug + Default {
+    /// Empties the index and sizes it for a slot space of `slots` slots,
+    /// none of them stale. Buffers are reused, not rebuilt.
+    fn reset(&mut self, slots: usize);
 
-    /// Marks `slot` occupied.
-    fn occupy(&mut self, slot: usize);
-
-    /// Marks `slot` empty.
+    /// Marks `slot` stale: its page moved to a newer slot or left.
     fn vacate(&mut self, slot: usize);
 }
 
@@ -94,88 +107,84 @@ pub struct NoRanks;
 
 impl RankIndex for NoRanks {
     #[inline]
-    fn filled(_slots: usize, _live: usize) -> Self {
-        Self
-    }
-
-    #[inline]
-    fn occupy(&mut self, _slot: usize) {}
+    fn reset(&mut self, _slots: usize) {}
 
     #[inline]
     fn vacate(&mut self, _slot: usize) {}
 }
 
-/// The rank index of a [`RankedLru`]: one occupancy bit per slot and a
-/// Fenwick (binary indexed) tree over the popcounts of the 64-slot words.
-#[derive(Debug, Clone)]
+/// The rank index of a [`RankedLru`]: one stale bit per slot and, for each
+/// level *k*, the stale count of every aligned block of 2^k 64-slot words
+/// that lies just above its sibling (module docs).
+#[derive(Debug, Clone, Default)]
 pub struct SlotRanks {
-    /// Bit `s % 64` of word `s / 64` is set while slot `s` is occupied.
-    words: Vec<u64>,
-    /// Fenwick tree over the words' popcounts, 1-based: `tree.len()` is
-    /// `words.len() + 1`.
-    tree: Vec<u32>,
+    /// Bit `s % 64` of word `s / 64` is set once slot `s` is stale.
+    stale: Vec<u64>,
+    /// One entry per block of every level, level after level. The entry
+    /// of an even block *b* holds the stale count of block *b* + 1, the
+    /// block just above it in their pair; an odd block's entry stays 0.
+    /// So the query adds one entry per level with no test, and a vacated
+    /// slot adds its block's oddness to its pair's entry. A slot space
+    /// holds at most `4 * MAX_QUEUE_PAGES` slots, so a count fits a `u32`.
+    counts: Vec<u32>,
+    /// Where each level starts in `counts`. Levels run while a block is
+    /// smaller than the whole slot space.
+    starts: Vec<usize>,
 }
 
 impl SlotRanks {
-    /// Occupied slots in `[0, slot]`.
-    #[expect(clippy::indexing_slicing, reason = "slot is in the slot space")]
-    fn occupied_through(&self, slot: usize) -> usize {
+    /// Stale slots above `slot`, which is live: those above it in its own
+    /// word, and at each level the upper sibling of the block holding it
+    /// when that block is a lower one.
+    #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot is in the slot space, and a level holds an entry per block"
+    )]
+    fn stale_above(&self, slot: usize) -> usize {
         let word = slot / 64;
-        let below = self.words[word] & (u64::MAX >> (63 - slot % 64));
-        let mut sum = below.count_ones();
-        // Fenwick prefix over words `0..word`.
-        let mut i = word;
-        while i > 0 {
-            sum += self.tree[i];
-            i &= i - 1;
+        // The slot's own bit is clear, so the shift may keep it.
+        let mut stale = (self.stale[word] >> (slot % 64)).count_ones();
+        let mut block = word;
+        for &start in &self.starts {
+            stale += self.counts[start + block];
+            block >>= 1;
         }
-        sum as usize
-    }
-
-    /// Adds `delta` to the count of word `word`.
-    #[expect(clippy::indexing_slicing, reason = "loop guard keeps i < tree.len()")]
-    fn add(&mut self, word: usize, delta: u32) {
-        let mut i = word + 1;
-        while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(delta);
-            i += i & i.wrapping_neg();
-        }
+        stale as usize
     }
 }
 
 impl RankIndex for SlotRanks {
-    #[expect(clippy::indexing_slicing, reason = "bounded by the word count")]
-    fn filled(slots: usize, live: usize) -> Self {
-        let mut words = vec![0; slots.div_ceil(64)];
-        words[..live / 64].fill(u64::MAX);
-        if !live.is_multiple_of(64) {
-            words[live / 64] = (1 << (live % 64)) - 1;
+    fn reset(&mut self, slots: usize) {
+        let words = slots.div_ceil(64);
+        self.stale.clear();
+        self.stale.resize(words, 0);
+        self.starts.clear();
+        let (mut start, mut blocks) = (0, words);
+        while blocks > 1 {
+            self.starts.push(start);
+            start += blocks;
+            blocks = blocks.div_ceil(2);
         }
-        // Linear-time Fenwick construction: each node passes its sum on
-        // to its parent.
-        let mut tree = vec![0; words.len() + 1];
-        for i in 1..tree.len() {
-            tree[i] += words[i - 1].count_ones();
-            let parent = i + (i & i.wrapping_neg());
-            if parent < tree.len() {
-                tree[parent] += tree[i];
-            }
-        }
-        Self { words, tree }
+        self.counts.clear();
+        self.counts.resize(start, 0);
     }
 
     #[inline]
-    #[expect(clippy::indexing_slicing, reason = "slot is in the slot space")]
-    fn occupy(&mut self, slot: usize) {
-        self.words[slot / 64] |= 1 << (slot % 64);
-        self.add(slot / 64, 1);
-    }
-
-    #[inline]
-    #[expect(clippy::indexing_slicing, reason = "slot is in the slot space")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot is in the slot space, and a level holds an entry per block"
+    )]
     fn vacate(&mut self, slot: usize) {
-        self.words[slot / 64] &= !(1 << (slot % 64));
-        self.add(slot / 64, u32::MAX);
+        let word = slot / 64;
+        self.stale[word] |= 1 << (slot % 64);
+        let mut block = word;
+        for &start in &self.starts {
+            // An upper block's count lives in its pair's even entry; a
+            // lower block's is counted nowhere at this level.
+            self.counts[start + (block & !1)] += (block & 1) as u32;
+            block >>= 1;
+        }
     }
 }
 
@@ -222,10 +231,15 @@ impl<M: Copy, R: RankIndex> LruQueue<M, R> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue pre-sized for about `capacity` pages.
+    /// Creates an empty queue pre-sized for about `capacity` pages, or
+    /// for [`PageTable::DENSE_BOUND`] pages when `capacity` is larger: the
+    /// queue grows as pages arrive.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.min(PRESIZE_PAGES);
         let slots = (capacity * 4).max(MIN_SLOTS);
+        let mut ranks = R::default();
+        ranks.reset(slots);
         Self {
             index: PageTable::with_capacity(capacity),
             entries: Vec::with_capacity(capacity),
@@ -233,7 +247,7 @@ impl<M: Copy, R: RankIndex> LruQueue<M, R> {
             slot_to_entry: vec![EMPTY; slots],
             next_slot: 0,
             cursor: 0,
-            ranks: R::filled(slots, 0),
+            ranks,
         }
     }
 
@@ -253,6 +267,13 @@ impl<M: Copy, R: RankIndex> LruQueue<M, R> {
     #[must_use]
     pub fn contains(&self, page: PageId) -> bool {
         self.index.contains(page)
+    }
+
+    /// Size of the slot space: four slots per live page after a
+    /// compaction. Exposed for diagnostics and invariant tests.
+    #[must_use]
+    pub fn slot_space(&self) -> usize {
+        self.slot_to_entry.len()
     }
 
     /// Inserts `page` with its metadata at the MRU position.
@@ -277,14 +298,13 @@ impl<M: Copy, R: RankIndex> LruQueue<M, R> {
             entry
         } else {
             assert!(
-                self.entries.len() < EMPTY as usize,
-                "LRU queue slab exceeds u32 indexing"
+                (self.entries.len() as u64) < MAX_QUEUE_PAGES,
+                "LRU queue exceeds MAX_QUEUE_PAGES pages"
             );
             self.entries.push(new);
             self.entries.len() as u32 - 1
         };
         self.slot_to_entry[slot] = entry;
-        self.ranks.occupy(slot);
         self.index.insert(page, entry);
     }
 
@@ -317,7 +337,6 @@ impl<M: Copy, R: RankIndex> LruQueue<M, R> {
         self.slot_to_entry[old_slot] = EMPTY;
         self.ranks.vacate(old_slot);
         self.slot_to_entry[new_slot] = entry as u32;
-        self.ranks.occupy(new_slot);
     }
 
     /// Removes and returns the least-recently-used page with its metadata.
@@ -405,7 +424,7 @@ impl<M: Copy, R: RankIndex> LruQueue<M, R> {
         let new_len = (live * 4).max(MIN_SLOTS);
         self.slot_to_entry.truncate(live);
         self.slot_to_entry.resize(new_len, EMPTY);
-        self.ranks = R::filled(new_len, live);
+        self.ranks.reset(new_len);
         self.next_slot = live;
         self.cursor = 0;
     }
@@ -432,11 +451,13 @@ impl<M: Copy> RankedLru<M> {
         Some(self.rank_of(entry as usize))
     }
 
-    /// Recency rank of slab entry `entry`: pages with slots *greater* than
-    /// its slot are more recent.
+    /// Recency rank of slab entry `entry`: the pages in slots *above* its
+    /// slot are more recent. Every slot below `next_slot` is live or
+    /// stale, so they are the slots above it less the stale ones.
     #[expect(clippy::indexing_slicing, reason = "stored entries and slots are live")]
     fn rank_of(&self, entry: usize) -> usize {
-        self.len() - self.ranks.occupied_through(self.entries[entry].slot)
+        let slot = self.entries[entry].slot;
+        self.next_slot - 1 - slot - self.ranks.stale_above(slot)
     }
 }
 
@@ -570,6 +591,46 @@ mod tests {
             a.insert(page(n), n);
         }
         assert_eq!(a.pages_by_recency(), b.pages_by_recency());
+    }
+
+    #[test]
+    fn a_huge_capacity_presizes_at_most_the_dense_bound() {
+        let lru = RankedLru::<u64>::with_capacity(MAX_QUEUE_PAGES as usize);
+        assert_eq!(lru.slot_space(), 4 * PageTable::DENSE_BOUND);
+        assert_eq!(lru.entries.capacity(), PageTable::DENSE_BOUND);
+        assert_eq!(lru.ranks.stale.len(), PageTable::DENSE_BOUND / 16);
+        let small = LruQueue::<()>::with_capacity(100);
+        assert_eq!(small.slot_space(), 400);
+        assert_eq!(small.entries.capacity(), 100);
+    }
+
+    #[test]
+    fn a_queue_grows_past_its_presize() {
+        let mut lru = RankedLru::with_capacity(4);
+        for n in 0..1000 {
+            lru.insert(page(n), n);
+        }
+        assert!(lru.slot_space() >= 1000, "{}", lru.slot_space());
+        assert_eq!(lru.rank(page(0)), Some(999));
+        assert_eq!(lru.evict_lru(), Some((page(0), 0)));
+    }
+
+    #[test]
+    fn levels_run_until_one_block_covers_the_words() {
+        let mut ranks = SlotRanks::default();
+        for (slots, starts, entries) in [
+            (64, &[][..], 0),
+            (128, &[0][..], 2),
+            (192, &[0, 3][..], 5),
+            (64 * 5, &[0, 5, 8][..], 10),
+            (64 * 8, &[0, 8, 12][..], 14),
+            (64 * 9, &[0, 9, 14, 17][..], 19),
+        ] {
+            ranks.reset(slots);
+            assert_eq!(ranks.stale.len(), slots / 64, "{slots} slots");
+            assert_eq!(ranks.starts, starts, "{slots} slots");
+            assert_eq!(ranks.counts.len(), entries, "{slots} slots");
+        }
     }
 
     #[test]

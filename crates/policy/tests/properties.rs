@@ -108,14 +108,84 @@ impl NaiveLru {
     }
 }
 
+/// A random operation over only the `hot` lowest pages: inserts and
+/// touches, and one eviction in ten, so about two thirds of them stay
+/// queued and about half the ops take a slot.
+fn arb_hot_op(rng: &mut StdRng, hot: u64) -> LruOp {
+    let page = rng.gen_range(0..hot);
+    let value = rng.gen_range(0..1000);
+    match rng.gen_range(0..10) {
+        0..=2 => LruOp::Insert(page, value),
+        3..=5 => LruOp::Touch(page, value),
+        6..=8 => LruOp::TouchRanked(page, value),
+        _ => LruOp::EvictLru,
+    }
+}
+
+/// What [`replay_lru_ops`] saw of the queue's shape.
+struct LruRun {
+    /// Most pages the queue held.
+    peak: usize,
+    /// The slot spaces, in the order they appeared.
+    slot_spaces: Vec<usize>,
+}
+
+/// Applies `ops` to a ranked queue, a rank-free queue and the naive model,
+/// checking each op's results, and every page's rank and metadata and the
+/// recency order after every `check_every`-th op and after the last.
+fn replay_lru_ops(ops: Vec<LruOp>, check_every: usize) -> LruRun {
+    let mut ranked = RankedLru::new();
+    let mut plain = LruQueue::<u64>::new();
+    let mut model = NaiveLru::default();
+    let mut run = LruRun {
+        peak: 0,
+        slot_spaces: vec![ranked.slot_space()],
+    };
+    let count = ops.len();
+    for (step, op) in ops.into_iter().enumerate() {
+        apply_lru_op(op, &mut ranked, &mut plain, &mut model);
+        run.peak = run.peak.max(model.0.len());
+        if run.slot_spaces.last() != Some(&ranked.slot_space()) {
+            run.slot_spaces.push(ranked.slot_space());
+        }
+        assert_eq!(ranked.len(), model.0.len());
+        assert_eq!(plain.len(), model.0.len());
+        if (step + 1) % check_every != 0 && step + 1 != count {
+            continue;
+        }
+        for (rank, &(p, meta)) in model.0.iter().rev().enumerate() {
+            let page = PageId::new(p);
+            assert_eq!(ranked.rank(page), Some(rank), "step {step}");
+            assert_eq!(ranked.meta(page), Some(&meta));
+            assert_eq!(plain.meta(page), Some(&meta));
+        }
+        let want = model.by_recency();
+        let got: Vec<u64> = ranked
+            .pages_by_recency()
+            .iter()
+            .map(|p| p.value())
+            .collect();
+        assert_eq!(got, want);
+        let got: Vec<u64> = plain.pages_by_recency().iter().map(|p| p.value()).collect();
+        assert_eq!(got, want);
+    }
+    run
+}
+
 /// `RankedLru` and the rank-free `LruQueue` are observationally
 /// identical to the naive model under arbitrary operation sequences (the
 /// rank-free queue skips the rank queries), and each page's metadata
 /// follows it across touches, compactions and slab reuse.
 ///
-/// Two universes: 16 pages, whose slot space stays within one 64-slot
-/// word, and 300 pages over thousands of operations, whose live slots
-/// span many words and pass through many compactions.
+/// Three universes:
+/// - 16 pages, whose slot space stays within one 64-slot word;
+/// - 300 pages over thousands of operations, whose live slots span many
+///   words and pass through many compactions;
+/// - 8,000 pages, whose queue grows to thousands of pages, so the slot
+///   space spans at least 8 levels of the rank index and its word count
+///   is not a power of two, and then empties and refills with a few
+///   hundred pages until a compaction shrinks the slot space. Its ranks
+///   are checked every 250 operations.
 #[test]
 fn ranked_lru_matches_naive_model() {
     for (cases, universe, op_count) in [(CASES, 16, 1..300), (8, 300, 3000..5000)] {
@@ -123,36 +193,28 @@ fn ranked_lru_matches_naive_model() {
             let ops: Vec<LruOp> = (0..rng.gen_range(op_count.clone()))
                 .map(|_| arb_lru_op(rng, universe))
                 .collect();
-            let mut ranked = RankedLru::new();
-            let mut plain = LruQueue::<u64>::new();
-            let mut model = NaiveLru::default();
-            let mut peak = 0;
-            for op in ops {
-                apply_lru_op(op, &mut ranked, &mut plain, &mut model);
-                peak = peak.max(model.0.len());
-                assert_eq!(ranked.len(), model.0.len());
-                assert_eq!(plain.len(), model.0.len());
-                for (rank, &(p, meta)) in model.0.iter().rev().enumerate() {
-                    let page = PageId::new(p);
-                    assert_eq!(ranked.rank(page), Some(rank));
-                    assert_eq!(ranked.meta(page), Some(&meta));
-                    assert_eq!(plain.meta(page), Some(&meta));
-                }
-                let want = model.by_recency();
-                let got: Vec<u64> = ranked
-                    .pages_by_recency()
-                    .iter()
-                    .map(|p| p.value())
-                    .collect();
-                assert_eq!(got, want);
-                let got: Vec<u64> = plain.pages_by_recency().iter().map(|p| p.value()).collect();
-                assert_eq!(got, want);
-            }
+            let run = replay_lru_ops(ops, 1);
             if universe > 64 {
-                assert!(peak >= 100, "the queue peaked at {peak} pages");
+                assert!(run.peak >= 100, "the queue peaked at {} pages", run.peak);
             }
         });
     }
+    for_each_case(2, |rng| {
+        // Grow to thousands of pages, evict them all, then take slots
+        // with a few hundred pages until the slot space runs out.
+        let mut ops: Vec<LruOp> = (0..36_000).map(|_| arb_lru_op(rng, 8_000)).collect();
+        ops.extend((0..8_000).map(|_| LruOp::EvictLru));
+        ops.extend((0..25_000).map(|_| arb_hot_op(rng, 200)));
+        let run = replay_lru_ops(ops, 250);
+        let widest = run.slot_spaces.iter().copied().max().unwrap();
+        let words = widest.div_ceil(64);
+        // Levels run while a block of 2^k words is smaller than the space.
+        let levels = words.next_power_of_two().trailing_zeros();
+        assert!(levels >= 8, "{words} words span {levels} levels");
+        assert!(!words.is_power_of_two(), "{words} words");
+        let shrank = run.slot_spaces.windows(2).any(|pair| pair[1] < pair[0]);
+        assert!(shrank, "slot spaces {:?}", run.slot_spaces);
+    });
 }
 
 /// Applies `op` to both queues and the model, checking what each returns.

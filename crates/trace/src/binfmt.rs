@@ -10,47 +10,52 @@
 //! # Layout
 //!
 //! All integers are little-endian. A file is a 40-byte header, the
-//! canonical spec JSON, `count` fixed 16-byte records, and an 8-byte
+//! canonical spec JSON, `count` fixed 8-byte records, and an 8-byte
 //! checksum trailer over the records:
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic        b"HMTRACE1"
-//!      8     4  version      format version (currently 3)
+//!      8     4  version      format version (currently 4)
 //!     12     4  spec_len     byte length of the spec JSON that follows
 //!     16     8  seed         generator seed the trace was produced with
 //!     24     8  fingerprint  cache key of (spec JSON, seed)
 //!     32     8  count        number of records
 //!     40   spec_len          canonical spec JSON (collision verification)
-//!     40+spec_len  16*count  records
-//!     then     8  checksum   FNV-1a 64 over the records' u64 words
+//!     40+spec_len   8*count  records
+//!     then     8  checksum   four-lane FNV-1a 64 over the records
 //! ```
 //!
-//! Each record is `{ page: u64, flags: u64 }` with flag bit 0 carrying
-//! the op (0 = read, 1 = write); the remaining flag bits are reserved
-//! for future op/size packing and must be zero.
+//! Each record is one `u64`, `page << 1 | write`: bit 0 carries the op
+//! (0 = read, 1 = write) and the upper 63 bits the page id, so a record
+//! holds page ids up to [`MAX_PAGE`] (2^63 − 1). Generated traces number
+//! their pages below their working set and imported ones by
+//! `address / 4096`, below 2^52.
 //!
 //! # Checksum trailer
 //!
-//! The trailer folds the body as little-endian `u64` words — each
-//! record's `page`, then its `flags` — into FNV-1a 64: starting from
-//! [`FNV1A64_SEED`], every word does `h = (h ^ word) * prime`. Writer
-//! and readers fold each record as they encode or decode it, so the
-//! check costs two multiplies per record and no second pass over the
-//! bytes. Each step is a bijection of `h` (xor with a fixed word, then
-//! multiplication by an odd constant modulo 2^64), so two bodies that
-//! differ in a single word always digest differently: every single-bit
-//! flip is caught. A bit-flipped, mid-record-truncated or over-long
-//! body is reported as [`Error::ParseTrace`] — the trace cache counts
-//! that as a spill miss and regenerates instead of trusting a corrupt
-//! file.
+//! The trailer runs four FNV-1a 64 chains with a word in place of a
+//! byte. Each lane starts at [`FNV1A64_SEED`], and record *i* folds into
+//! lane *i* mod 4: `lane = (lane ^ word) * prime`. The trailer then folds
+//! the four lanes, in order, into [`FNV1A64_SEED`] with the same step.
+//! Writer and readers fold each record as they encode or decode it, and
+//! the four chains do not wait on each other, so the check costs about
+//! one multiply per record with no serial chain through the body. Each
+//! step is a bijection of its lane and of its word (xor with a fixed
+//! value, then multiplication by an odd constant modulo 2^64), so two
+//! bodies that differ in a single word end in different lanes and
+//! different trailers: every single-bit flip is caught. A bit-flipped,
+//! mid-record-truncated or over-long body is reported as
+//! [`Error::ParseTrace`] — the trace cache counts that as a spill miss
+//! and regenerates instead of trusting a corrupt file.
 //!
-//! Readers accept exactly version 3. Version 1 (no trailer) and
-//! version 2 (FNV-1a 64 over the body's *bytes*, 16 dependent
-//! multiplies per record) fail with "unsupported format version". These
-//! files are trace-cache spills, which the generator can always
-//! reproduce, so the cache counts a miss, regenerates the trace and
-//! renames a version-3 file over the old one.
+//! Readers accept exactly version 4. Version 1 (no trailer), version 2
+//! (16-byte records under FNV-1a 64 over the body's *bytes*) and
+//! version 3 (16-byte `{ page, flags }` records under one word-wise
+//! FNV-1a 64 chain) fail with "unsupported format version". These files
+//! are trace-cache spills, which the generator can always reproduce, so
+//! the cache counts a miss, regenerates the trace and renames a
+//! version-4 file over the old one.
 //!
 //! The full spec JSON rides in the header (not just its fingerprint) so
 //! a reader can verify the file really holds the trace it asked for —
@@ -63,10 +68,11 @@
 //! [`BinTraceStream`] is the one decoder: it hands out the body one
 //! fixed-size chunk of records at a time from a reused buffer, which
 //! oversize traces replay from directly, and reads each chunk's bytes in
-//! pieces of at most 64 KiB through one fixed staging buffer, decoding
-//! each piece in a single pass. A caller that wants the whole trace (the
-//! trace cache's spill load) drains the chunks into its own buffer and
-//! calls [`BinTraceStream::finish`], which also rejects bytes after the
+//! pieces of at most 64 KiB (8 192 records) through one fixed staging
+//! buffer, decoding each piece and then folding it into the lanes. A
+//! caller that wants the whole trace (the trace cache's spill load)
+//! drains the chunks into its own buffer and calls
+//! [`BinTraceStream::finish`], which also rejects bytes after the
 //! trailer. Lengths in the header are unverified input, so a stream
 //! allocates for at most one chunk and one piece, never for the declared
 //! `count` or `spec_len`.
@@ -81,16 +87,19 @@ use hybridmem_types::{AccessKind, Error, PageAccess, PageId};
 pub const MAGIC: [u8; 8] = *b"HMTRACE1";
 
 /// Format version, the only one the readers accept.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Size of the fixed header in bytes (the spec JSON follows it).
 pub const HEADER_BYTES: usize = 40;
 
 /// Size of one record in bytes.
-pub const RECORD_BYTES: usize = 16;
+pub const RECORD_BYTES: usize = 8;
 
 /// Size of the checksum trailer.
 pub const TRAILER_BYTES: usize = 8;
+
+/// The largest page id a record holds: bit 0 of the word is the op.
+pub const MAX_PAGE: u64 = u64::MAX >> 1;
 
 /// FNV-1a 64 offset basis — the seed of an incremental checksum.
 pub const FNV1A64_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -111,32 +120,39 @@ pub fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Record flag bit 0: the access is a write.
-const FLAG_WRITE: u64 = 1;
-
-/// One fixed-size trace record: a page id plus packed op flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Record {
-    /// Page id of the access.
-    pub page: u64,
-    /// Packed fields; bit 0 is the op (0 = read, 1 = write).
-    pub flags: u64,
+/// One FNV-1a 64 step with a whole word in place of a byte.
+const fn fold_word(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(FNV1A64_PRIME)
 }
+
+/// One fixed-size trace record: the word `page << 1 | write`, in memory
+/// as on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record(u64);
+
+const _: () = assert!(std::mem::size_of::<Record>() == RECORD_BYTES);
 
 impl Record {
     /// Packs a page access into a record.
-    #[must_use]
-    pub fn from_access(access: PageAccess) -> Self {
-        Self {
-            page: access.page.value(),
-            flags: u64::from(access.kind.is_write()) * FLAG_WRITE,
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] when the page id exceeds
+    /// [`MAX_PAGE`].
+    pub fn from_access(access: PageAccess) -> Result<Self, Error> {
+        let page = access.page.value();
+        if page > MAX_PAGE {
+            return Err(Error::invalid_input(format!(
+                "page {page} exceeds the largest page id a trace record holds, {MAX_PAGE}"
+            )));
         }
+        Ok(Self(page << 1 | u64::from(access.kind.is_write())))
     }
 
     /// True when the record is a write.
     #[must_use]
     pub const fn is_write(self) -> bool {
-        self.flags & FLAG_WRITE != 0
+        self.0 & 1 != 0
     }
 
     /// Unpacks the record back into a page access.
@@ -147,26 +163,58 @@ impl Record {
         } else {
             AccessKind::Read
         };
-        PageAccess::new(PageId::new(self.page), kind)
-    }
-
-    /// Folds the record's two words, `page` then `flags`, into the
-    /// trailer checksum: FNV-1a 64 with a word in place of a byte.
-    fn fold_into(self, hash: u64) -> u64 {
-        let hash = (hash ^ self.page).wrapping_mul(FNV1A64_PRIME);
-        (hash ^ self.flags).wrapping_mul(FNV1A64_PRIME)
-    }
-}
-
-impl From<PageAccess> for Record {
-    fn from(access: PageAccess) -> Self {
-        Self::from_access(access)
+        PageAccess::new(PageId::new(self.0 >> 1), kind)
     }
 }
 
 impl From<Record> for PageAccess {
     fn from(record: Record) -> Self {
         record.access()
+    }
+}
+
+/// The trailer checksum's four FNV-1a 64 lanes: record *i* of the body
+/// folds into lane *i* mod 4.
+#[derive(Debug, Clone, Copy)]
+struct Lanes([u64; 4]);
+
+impl Lanes {
+    const fn new() -> Self {
+        Self([FNV1A64_SEED; 4])
+    }
+
+    /// Folds `records`, the body's records from position `first` on.
+    /// The lanes are rotated so that `records[0]`'s lane comes first, and
+    /// each group of four then folds into the four lanes in order.
+    #[expect(clippy::indexing_slicing, reason = "groups of exactly four records")]
+    fn fold(&mut self, first: u64, records: &[Record]) {
+        let shift = (first % 4) as usize;
+        let mut lanes = self.0;
+        lanes.rotate_left(shift);
+        let mut groups = records.chunks_exact(4);
+        for group in &mut groups {
+            lanes[0] = fold_word(lanes[0], group[0].0);
+            lanes[1] = fold_word(lanes[1], group[1].0);
+            lanes[2] = fold_word(lanes[2], group[2].0);
+            lanes[3] = fold_word(lanes[3], group[3].0);
+        }
+        for (lane, record) in lanes.iter_mut().zip(groups.remainder()) {
+            *lane = fold_word(*lane, record.0);
+        }
+        lanes.rotate_right(shift);
+        self.0 = lanes;
+    }
+
+    /// Folds the one record at position `index` of the body.
+    #[expect(clippy::indexing_slicing, reason = "index % 4 picks one of four lanes")]
+    fn fold_one(&mut self, index: u64, record: Record) {
+        let lane = &mut self.0[(index % 4) as usize];
+        *lane = fold_word(*lane, record.0);
+    }
+
+    /// The trailer: the four lanes folded in order into [`FNV1A64_SEED`].
+    fn digest(self) -> u64 {
+        self.0.into_iter().fold(FNV1A64_SEED, fold_word)
     }
 }
 
@@ -198,18 +246,18 @@ impl TraceHeader {
 /// The record count is not known up front, so `create` writes a header
 /// with a zero count and [`TraceWriter::finish`] seeks back to patch it
 /// — which is why the sink must implement [`Seek`]. Records are staged
-/// through an internal buffer, so wrapping the sink in a `BufWriter` is
-/// unnecessary.
+/// through an internal 64 KiB buffer, so wrapping the sink in a
+/// `BufWriter` is unnecessary.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write + Seek> {
     sink: W,
     count: u64,
     buffer: Vec<u8>,
-    checksum: u64,
+    lanes: Lanes,
 }
 
-/// Records staged in the writer's buffer before a flush.
-const WRITER_BUFFER_RECORDS: usize = 4096;
+/// Bytes staged in the writer's buffer before a flush: 8 192 records.
+const WRITER_BUFFER_BYTES: usize = 64 << 10;
 
 impl<W: Write + Seek> TraceWriter<W> {
     /// Starts a trace file on `sink`: writes the header (count 0) and
@@ -239,8 +287,8 @@ impl<W: Write + Seek> TraceWriter<W> {
         Ok(Self {
             sink,
             count: 0,
-            buffer: Vec::with_capacity(WRITER_BUFFER_RECORDS * RECORD_BYTES),
-            checksum: FNV1A64_SEED,
+            buffer: Vec::with_capacity(WRITER_BUFFER_BYTES),
+            lanes: Lanes::new(),
         })
     }
 
@@ -248,14 +296,15 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates sink failures as [`Error::InvalidInput`].
+    /// Returns [`Error::InvalidInput`] when the page id exceeds
+    /// [`MAX_PAGE`], and propagates sink failures as
+    /// [`Error::InvalidInput`].
     pub fn push(&mut self, access: PageAccess) -> Result<(), Error> {
-        let record = Record::from_access(access);
-        self.checksum = record.fold_into(self.checksum);
-        self.buffer.extend_from_slice(&record.page.to_le_bytes());
-        self.buffer.extend_from_slice(&record.flags.to_le_bytes());
+        let record = Record::from_access(access)?;
+        self.lanes.fold_one(self.count, record);
+        self.buffer.extend_from_slice(&record.0.to_le_bytes());
         self.count += 1;
-        if self.buffer.len() >= WRITER_BUFFER_RECORDS * RECORD_BYTES {
+        if self.buffer.len() >= WRITER_BUFFER_BYTES {
             self.sink.write_all(&self.buffer).map_err(io_err)?;
             self.buffer.clear();
         }
@@ -275,7 +324,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             self.buffer.clear();
         }
         self.sink
-            .write_all(&self.checksum.to_le_bytes())
+            .write_all(&self.lanes.digest().to_le_bytes())
             .map_err(io_err)?;
         self.sink.seek(SeekFrom::Start(32)).map_err(io_err)?;
         self.sink
@@ -330,8 +379,8 @@ pub struct BinTraceStream<R: Read = BufReader<File>> {
     /// once.
     bytes: Vec<u8>,
     chunk: Vec<Record>,
-    /// Trailer checksum folded over the records decoded so far.
-    checksum: u64,
+    /// Trailer lanes folded over the records decoded so far.
+    lanes: Lanes,
     /// True once the trailer has been read and verified, so the check
     /// fires exactly once.
     trailer_checked: bool,
@@ -368,7 +417,7 @@ impl<R: Read> BinTraceStream<R> {
             chunk_records,
             bytes: vec![0; piece_records * RECORD_BYTES],
             chunk: Vec::new(),
-            checksum: FNV1A64_SEED,
+            lanes: Lanes::new(),
             trailer_checked: false,
         })
     }
@@ -416,7 +465,8 @@ impl<R: Read> BinTraceStream<R> {
             let piece =
                 &mut self.bytes[..(take - self.chunk.len()).min(piece_records) * RECORD_BYTES];
             let read = fill(&mut self.source, piece)?;
-            self.checksum = decode_records(&piece[..read], self.checksum, &mut self.chunk);
+            let first = self.header.count - self.remaining + self.chunk.len() as u64;
+            decode_records(&piece[..read], first, &mut self.lanes, &mut self.chunk);
             if read < piece.len() {
                 return Err(Error::parse_trace(
                     self.header.count - self.remaining + self.chunk.len() as u64 + 1,
@@ -458,8 +508,8 @@ impl<R: Read> BinTraceStream<R> {
         Ok(self.header)
     }
 
-    /// Reads the trailer and compares it against the checksum folded
-    /// over the records actually read, exactly once.
+    /// Reads the trailer and compares it against the lanes folded over
+    /// the records actually read, exactly once.
     fn check_trailer(&mut self) -> Result<(), Error> {
         if self.trailer_checked {
             return Ok(());
@@ -476,7 +526,7 @@ impl<R: Read> BinTraceStream<R> {
                 _ => io_err(e),
             })?;
         let stored = u64::from_le_bytes(trailer);
-        let computed = self.checksum;
+        let computed = self.lanes.digest();
         if stored != computed {
             return Err(Error::parse_trace(
                 0,
@@ -487,23 +537,21 @@ impl<R: Read> BinTraceStream<R> {
     }
 }
 
-/// Decodes the whole records in `bytes` onto `out`, folding each into
-/// the trailer checksum `hash` in the same pass, and returns the
-/// updated checksum.
+/// Decodes the whole records in `bytes` onto `out`, then folds them into
+/// `lanes`; `first` is the body position of the first of them.
 #[expect(
     clippy::indexing_slicing,
     clippy::expect_used,
-    reason = "chunks_exact(RECORD_BYTES) yields 16-byte records"
+    reason = "chunks_exact(RECORD_BYTES) yields 8-byte records, appended from `start` on"
 )]
-fn decode_records(bytes: &[u8], mut hash: u64, out: &mut Vec<Record>) -> u64 {
+fn decode_records(bytes: &[u8], first: u64, lanes: &mut Lanes, out: &mut Vec<Record>) {
+    let start = out.len();
     out.extend(bytes.chunks_exact(RECORD_BYTES).map(|raw| {
-        let page = u64::from_le_bytes(raw[..8].try_into().expect("8-byte slice"));
-        let flags = u64::from_le_bytes(raw[8..].try_into().expect("8-byte slice"));
-        let record = Record { page, flags };
-        hash = record.fold_into(hash);
-        record
+        Record(u64::from_le_bytes(
+            raw.try_into().expect("an 8-byte record"),
+        ))
     }));
-    hash
+    lanes.fold(first, &out[start..]);
 }
 
 /// Reads and validates the fixed header plus the spec JSON.
@@ -631,10 +679,32 @@ mod tests {
 
     #[test]
     fn record_packs_and_unpacks() {
-        for access in sample(7) {
-            let record = Record::from_access(access);
+        let widest = [
+            PageAccess::read(PageId::new(MAX_PAGE)),
+            PageAccess::write(PageId::new(MAX_PAGE)),
+        ];
+        for access in sample(7).into_iter().chain(widest) {
+            let record = Record::from_access(access).unwrap();
             assert_eq!(record.access(), access);
+            assert_eq!(PageAccess::from(record), access);
             assert_eq!(record.is_write(), access.kind.is_write());
+        }
+    }
+
+    #[test]
+    fn a_page_beyond_63_bits_is_refused() {
+        for page in [MAX_PAGE + 1, u64::MAX] {
+            let access = PageAccess::write(PageId::new(page));
+            let err = Record::from_access(access).unwrap_err();
+            assert!(matches!(err, Error::InvalidInput { .. }), "{err}");
+            let mut bytes = Cursor::new(Vec::new());
+            let mut writer = TraceWriter::create(&mut bytes, "{}", 1, 2).unwrap();
+            writer
+                .push(PageAccess::read(PageId::new(MAX_PAGE)))
+                .unwrap();
+            let err = writer.push(access).unwrap_err();
+            assert!(matches!(err, Error::InvalidInput { .. }), "{err}");
+            assert!(err.to_string().contains("largest page id"), "{err}");
         }
     }
 
@@ -683,19 +753,32 @@ mod tests {
 
     #[test]
     fn trailer_matches_the_known_answer() {
-        // Pinned from an independent fold of the six words below, so a
-        // change to the word order, the seed or the prime shows here.
+        // Five records, so lane 0 folds twice. The fold is written out
+        // here step by step, and its value is pinned too, so a change to
+        // the record packing, the lane order, the seed or the prime shows.
         let trace = [
             PageAccess::read(PageId::new(0)),
-            PageAccess::write(PageId::new(u64::MAX)),
+            PageAccess::write(PageId::new(MAX_PAGE)),
             PageAccess::read(PageId::new(0x0123_4567_89ab_cdef)),
+            PageAccess::write(PageId::new(7)),
+            PageAccess::read(PageId::new(1 << 40)),
         ];
+        let words: [u64; 5] = [0, u64::MAX, 0x0246_8acf_1357_9bde, 15, 1 << 41];
+        let step = |hash: u64, word: u64| (hash ^ word).wrapping_mul(FNV1A64_PRIME);
+        let l0 = step(step(FNV1A64_SEED, words[0]), words[4]);
+        let l1 = step(FNV1A64_SEED, words[1]);
+        let l2 = step(FNV1A64_SEED, words[2]);
+        let l3 = step(FNV1A64_SEED, words[3]);
+        let trailer = step(step(step(step(FNV1A64_SEED, l0), l1), l2), l3);
+        assert_eq!(trailer, 0xcf2d_62ff_ea11_76e5);
+
         let bytes = encode(&trace, "{}", 1, 2);
         assert_eq!(bytes[8..12], VERSION.to_le_bytes());
-        assert_eq!(
-            bytes[bytes.len() - TRAILER_BYTES..],
-            0x86ac_c705_0419_208a_u64.to_le_bytes()
-        );
+        let body = HEADER_BYTES + "{}".len();
+        for (record, word) in bytes[body..].chunks_exact(RECORD_BYTES).zip(words) {
+            assert_eq!(record, word.to_le_bytes());
+        }
+        assert_eq!(bytes[bytes.len() - TRAILER_BYTES..], trailer.to_le_bytes());
     }
 
     #[test]
@@ -706,29 +789,40 @@ mod tests {
         assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
-    /// Rewrites a version-3 file in an older layout: version 1 has no
-    /// trailer, version 2 a byte-wise FNV-1a 64 trailer over the body.
-    fn downgrade(mut bytes: Vec<u8>, version: u32, spec_len: usize) -> Vec<u8> {
+    /// Encodes `trace` in an older layout: every one has 16-byte
+    /// `{ page, flags }` records; version 1 has no trailer, version 2 a
+    /// byte-wise FNV-1a 64 trailer over the body, version 3 one word-wise
+    /// FNV-1a 64 chain over the records' words.
+    fn encode_old(trace: &[PageAccess], spec: &str, version: u32) -> Vec<u8> {
+        let mut bytes = encode(trace, spec, 1, 2);
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
-        let trailer = bytes.len() - TRAILER_BYTES;
-        if version == 1 {
-            bytes.truncate(trailer);
-        } else {
-            let body = &bytes[HEADER_BYTES + spec_len..trailer];
-            let bytewise = fnv1a64_update(FNV1A64_SEED, body);
-            bytes[trailer..].copy_from_slice(&bytewise.to_le_bytes());
-        }
+        bytes.truncate(HEADER_BYTES + spec.len());
+        let words: Vec<u64> = trace
+            .iter()
+            .flat_map(|access| [access.page.value(), u64::from(access.kind.is_write())])
+            .collect();
+        let body = bytes.len();
+        bytes.extend(words.iter().flat_map(|word| word.to_le_bytes()));
+        let trailer = match version {
+            1 => return bytes,
+            2 => fnv1a64_update(FNV1A64_SEED, &bytes[body..]),
+            _ => words.iter().fold(FNV1A64_SEED, |hash, &word| {
+                (hash ^ word).wrapping_mul(FNV1A64_PRIME)
+            }),
+        };
+        bytes.extend(trailer.to_le_bytes());
         bytes
     }
 
     #[test]
     fn unsupported_version_is_rejected() {
-        let current = encode(&sample(3), "{}", 1, 2);
-        let mut future = current.clone();
+        let trace = sample(3);
+        let mut future = encode(&trace, "{}", 1, 2);
         future[8] = 9;
         for bytes in [
-            downgrade(current.clone(), 1, 2),
-            downgrade(current, 2, 2),
+            encode_old(&trace, "{}", 1),
+            encode_old(&trace, "{}", 2),
+            encode_old(&trace, "{}", 3),
             future,
         ] {
             let err = read_whole(bytes.as_slice()).unwrap_err();
@@ -801,9 +895,11 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let bytes = encode(&sample(4), "{}", 1, 2);
+        // Nine records: every lane folds at least twice, and lane 0 three
+        // times, and chunks of 3 and 5 start pieces at every lane.
+        let bytes = encode(&sample(9), "{}", 1, 2);
         let body = HEADER_BYTES + "{}".len();
-        assert_eq!(bytes.len(), body + 4 * RECORD_BYTES + TRAILER_BYTES);
+        assert_eq!(bytes.len(), body + 9 * RECORD_BYTES + TRAILER_BYTES);
         for at in body..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
@@ -814,7 +910,7 @@ mod tests {
                     "byte {at} bit {bit}"
                 );
                 assert!(err.to_string().contains("checksum mismatch"), "{err}");
-                for chunk in [1, 3, 64] {
+                for chunk in [1, 3, 5, 64] {
                     let err = stream_error(&flipped, chunk);
                     assert!(
                         matches!(err, Error::ParseTrace { .. }),
@@ -833,19 +929,24 @@ mod tests {
 
     #[test]
     fn count_larger_than_body_is_rejected() {
-        // 1 << 44 records would be a 256 TiB body: the readers must
-        // report the short read instead of allocating for it.
-        for count in [6, 1 << 44] {
+        // One record too many reads the trailer's 8 bytes as a sixth
+        // record and then finds no trailer. 1 << 44 records would be a
+        // 128 TiB body: the readers must report the short read instead of
+        // allocating for it.
+        for (count, error) in [
+            (6, "truncated checksum trailer"),
+            (1 << 44, "truncated record body"),
+        ] {
             let mut bytes = encode(&sample(5), "{}", 1, 2);
             patch_count(&mut bytes, count);
             let err = read_whole(bytes.as_slice()).unwrap_err();
             assert!(matches!(err, Error::ParseTrace { .. }), "{err}");
-            assert!(err.to_string().contains("truncated record body"), "{err}");
+            assert!(err.to_string().contains(error), "{err}");
 
             for chunk in [2, STREAM_CHUNK_RECORDS] {
                 let err = stream_error(&bytes, chunk);
                 assert!(matches!(err, Error::ParseTrace { .. }), "{err}");
-                assert!(err.to_string().contains("truncated record body"), "{err}");
+                assert!(err.to_string().contains(error), "{err}");
             }
         }
     }
@@ -890,14 +991,14 @@ mod tests {
 
     #[test]
     fn a_cut_in_a_later_piece_names_its_record() {
-        // A chunk of 65 536 records is read in 4 096-record pieces: cut 7
-        // bytes into record 5 000, inside the second piece.
-        let bytes = encode(&sample(10_000), "{}", 1, 2);
+        // A chunk of 65 536 records is read in 8 192-record pieces: cut 7
+        // bytes into record 10 000, inside the second piece.
+        let bytes = encode(&sample(20_000), "{}", 1, 2);
         let body = HEADER_BYTES + "{}".len();
-        let cut = &bytes[..body + 5_000 * RECORD_BYTES + 7];
+        let cut = &bytes[..body + 10_000 * RECORD_BYTES + 7];
         for err in [read_whole(cut).unwrap_err(), stream_error(cut, 6_000)] {
             assert!(err.to_string().contains("truncated record body"), "{err}");
-            assert!(err.to_string().contains("at record 5001"), "{err}");
+            assert!(err.to_string().contains("at record 10001"), "{err}");
         }
     }
 
@@ -976,11 +1077,15 @@ mod tests {
             }
         }
 
-        /// A random trace of `len` accesses over the whole page-id range.
+        /// A random trace of `len` accesses over the whole range of page
+        /// ids a record holds, its largest id one draw in eight.
         fn arb_trace(rng: &mut StdRng, len: std::ops::Range<u64>) -> Vec<PageAccess> {
             (0..rng.gen_range(len))
                 .map(|_| {
-                    let page = PageId::new(rng.next_u64());
+                    let page = match rng.gen_range(0..8) {
+                        0 => PageId::new(MAX_PAGE),
+                        _ => PageId::new(rng.next_u64() >> 1),
+                    };
                     if rng.gen_range(0..2) == 1 {
                         PageAccess::write(page)
                     } else {
